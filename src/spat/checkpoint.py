@@ -52,25 +52,40 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         header = json.loads(header_line)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid checkpoint header: {e}") from e
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version "
-                         f"{header.get('version')!r}")
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
 
-    cfg = ModelConfig(**header["config"])
+    try:
+        cfg = ModelConfig(**header["config"])
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"{path}: malformed checkpoint config: {e}") from e
+    pruned = header.get("pruned")
+    if not (isinstance(pruned, list)
+            and all(type(i) is int and 0 <= i < cfg.layers for i in pruned)
+            and len(set(pruned)) == len(pruned)):
+        raise ParseError(f"{path}: pruned layers {pruned!r} are not distinct "
+                         f"indices of the model's {cfg.layers} blocks")
     model = Forecaster(cfg, seed=0)
-    for i in header["pruned"]:
+    for i in pruned:
         model.blocks[i].remove_attention()
 
+    try:
+        table = [(str(e["name"]), tuple(int(n) for n in e["shape"]))
+                 for e in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: malformed checkpoint tensor table: {e}") from e
+    if any(n < 0 for _, shape in table for n in shape):
+        raise ParseError(f"{path}: negative dimension in checkpoint tensor table")
     offset = 0
     state = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape in table:
         n_bytes = int(np.prod(shape)) * 8 if shape else 8
         chunk = payload[offset:offset + n_bytes]
         if len(chunk) != n_bytes:
             raise ParseError(f"{path}: truncated checkpoint payload at "
-                             f"tensor {entry['name']!r}")
-        state[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+                             f"tensor {name!r}")
+        state[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += n_bytes
     if offset != len(payload):
         raise ParseError(f"{path}: {len(payload) - offset} trailing bytes "

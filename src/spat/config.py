@@ -194,18 +194,22 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def _load_yaml(text: str):
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
-    if data is None:
-        data = {}
-    return config_from_dict(data)
+    return {} if data is None else data
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    return config_from_dict(_load_yaml(text))
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply dotted ``section.field=value`` overrides; flags win over file."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a mapping")
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -228,9 +232,7 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
-    data = yaml.safe_load(path.read_text())
-    if data is None:
-        data = {}
+    data = _load_yaml(path.read_text())
     if overrides:
         data = apply_overrides(data, overrides)
     return config_from_dict(data)

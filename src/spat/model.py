@@ -7,10 +7,12 @@ Two tokenizations are supported:
 * ``variate_tokens``: each token is one channel's entire lookback window.
 
 Every attention block carries a binary connection mask over its score
-matrix. The realized scores are ``A * mask``, so the mask gradient is the
-per-position sensitivity of the loss to removing that attention score. A
-block whose ``pruned`` flag is set computes the identity on its attention
-sublayer (residual path only); the FFN sublayer is always retained.
+matrix, and its attention is one maskable op (``tensor.masked_attention``).
+The realized scores are ``A * mask``, so the mask gradient that op returns
+is the per-position sensitivity of the loss to removing that attention
+score. A block whose ``pruned`` flag is set computes the identity on its
+attention sublayer (residual path only); the FFN sublayer is always
+retained.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .tensor import (
     dropout,
     gelu,
     layer_norm,
+    masked_attention,
     pad_repeat_last,
     relu,
-    row_softmax,
     unfold_last,
 )
 
@@ -130,9 +132,6 @@ class AttentionBlock:
         self.ln2_b = _param(np.zeros(d))
         # connection mask over attention scores, all scores retained by default
         self.mask = Tensor(np.ones((cfg.heads, s, s)))
-        # most recent attention tensors, kept when collect_attention is set
-        self.last_attention: Tensor | None = None
-        self.last_masked_attention: Tensor | None = None
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
     OTHER_PARAMS = ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
@@ -148,8 +147,6 @@ class AttentionBlock:
         self.pruned = True
         for name in self.ATTENTION_PARAMS:
             setattr(self, name, None)
-        self.last_attention = None
-        self.last_masked_attention = None
 
     # -- sublayers -------------------------------------------------------
 
@@ -160,31 +157,14 @@ class AttentionBlock:
         return layer_norm(h) * self.ln2_g + self.ln2_b
 
     def attention_sublayer(self, h: Tensor, training: bool,
-                           rng: np.random.Generator | None,
-                           collect_attention: bool) -> Tensor:
+                           rng: np.random.Generator | None) -> Tensor:
         """Masked multi-head self-attention on [batch, S, d_model] tokens."""
         cfg = self.cfg
         x = self._norm1(h) if cfg.norm_placement == "pre" else h
-        batch, s, d = x.shape
-        hds, dh = cfg.heads, cfg.d_head
-
         q = x @ self.w_q + self.b_q
         k = x @ self.w_k + self.b_k
         v = x @ self.w_v + self.b_v
-        # [batch, S, d] -> [batch, H, S, d_head]
-        q = q.reshape(batch, s, hds, dh).transpose(0, 2, 1, 3)
-        k = k.reshape(batch, s, hds, dh).transpose(0, 2, 1, 3)
-        v = v.reshape(batch, s, hds, dh).transpose(0, 2, 1, 3)
-
-        scores = (q @ k.transpose()) * (1.0 / math.sqrt(dh))
-        attention = row_softmax(scores)          # [batch, H, S, S]
-        masked = attention * self.mask           # mask broadcast over batch
-        if collect_attention:
-            self.last_attention = attention
-            self.last_masked_attention = masked
-
-        ctx = masked @ v                          # [batch, H, S, d_head]
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(batch, s, d)
+        ctx = masked_attention(q, k, v, self.mask, cfg.heads)
         out = ctx @ self.w_e + self.b_e
         if training and cfg.dropout > 0.0:
             out = dropout(out, cfg.dropout, rng)
@@ -206,10 +186,9 @@ class AttentionBlock:
         return self._norm2(out) if cfg.norm_placement == "post" else out
 
     def forward(self, h: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None,
-                collect_attention: bool = False) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         if not self.pruned:
-            h = self.attention_sublayer(h, training, rng, collect_attention)
+            h = self.attention_sublayer(h, training, rng)
         return self.ffn_sublayer(h, training, rng)
 
 
@@ -301,13 +280,12 @@ class Forecaster:
         return tokens
 
     def encode(self, x: np.ndarray, training: bool = False,
-               rng: np.random.Generator | None = None,
-               collect_attention: bool = False) -> Tensor:
+               rng: np.random.Generator | None = None) -> Tensor:
         """Token embeddings after the encoder stack, before the head."""
         self._validate_input(x)
         h = self._embed(x, training, rng)
         for i, blk in enumerate(self.blocks):
-            h = blk.forward(h, training, rng, collect_attention)
+            h = blk.forward(h, training, rng)
             if np.isnan(h.data).any():
                 raise NumericError(f"NaN activations after encoder block {i}")
         if self.final_g is not None:
@@ -315,8 +293,7 @@ class Forecaster:
         return h
 
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None,
-                collect_attention: bool = False) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]."""
         cfg = self.cfg
         self._validate_input(x)
@@ -326,7 +303,7 @@ class Forecaster:
             sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
             x = (x - mu) / sigma
 
-        h = self.encode(x, training, rng, collect_attention)
+        h = self.encode(x, training, rng)
         if cfg.mode == "temporal_tokens":
             # [B*C, S, d] -> [B*C, S*d] -> [B*C, T] -> [B, T, C]
             flat = h.reshape(batch * channels, -1)
@@ -355,6 +332,12 @@ class Forecaster:
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        known = {name for name, _ in self.named_parameters()}
+        known.update(f"blocks.{i}.mask" for i in range(len(self.blocks)))
+        unknown = sorted(set(state) - known)
+        if unknown:
+            raise ContractError(f"state dict has tensors this model does not "
+                                f"have: {', '.join(unknown)}")
         for name, p in self.named_parameters():
             if name not in state:
                 raise ContractError(f"state dict missing parameter {name!r}")

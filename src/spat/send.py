@@ -1,10 +1,11 @@
 """Per-layer attention sensitivity scoring and pruning-plan construction.
 
 For each attention layer the loss gradient with respect to the layer's
-connection mask is accumulated over scoring batches. Because the realized
-scores are ``A * mask``, that gradient equals the upstream attention
-gradient Hadamard-multiplied with the attention scores, summed over the
-batch. The raw sensitivities are turned into a scalar dispersion score:
+connection mask is accumulated over scoring batches. Each layer's attention
+is one maskable op whose mask gradient, the upstream attention gradient
+Hadamard-multiplied with the attention scores and summed over the batch,
+is that sensitivity; scoring reads it from ``mask.grad`` after backward.
+The raw sensitivities are turned into a scalar dispersion score:
 
 * take absolute values and row-softmax-normalize each row, so every row
   becomes a probability distribution over key positions;
@@ -79,16 +80,12 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     try:
         for x, y in batches:
             with Tape() as tape:
-                pred = model.forward(x, training=False, collect_attention=True)
-                loss = mse_loss(pred, y)
+                loss = mse_loss(model.forward(x, training=False), y)
             tape.backward(loss)
             for i in layers:
-                blk = model.blocks[i]
-                upstream = blk.last_masked_attention.grad
-                if upstream is None:
-                    continue
-                # chain rule: dL/dmask = sum_batch dL/dA' (.) A
-                sen_sum[i] += np.sum(upstream * blk.last_attention.data, axis=0)
+                g = model.blocks[i].mask.grad
+                if g is not None:
+                    sen_sum[i] += g
             model.zero_grad()
             tape.release()
             n_batches += 1

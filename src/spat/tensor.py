@@ -2,9 +2,9 @@
 
 Every differentiable operation records itself on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse order, accumulating
-gradients additively into every gradient-requiring input. Data buffers are
-row-major ``numpy`` arrays and stay immutable after creation (only ``grad``
-is written during backward).
+gradients additively; afterwards only leaves (parameters, masks) keep one.
+Data buffers are row-major ``numpy`` arrays and stay immutable after
+creation (only ``grad`` is assigned during backward).
 
 Broadcasting follows numpy's right-aligned rules (leading batch dimensions
 or explicit size-1 axes); anything else raises :class:`ShapeError` with both
@@ -29,6 +29,7 @@ __all__ = [
     "dropout",
     "gelu",
     "layer_norm",
+    "masked_attention",
     "pad_repeat_last",
     "relu",
     "row_softmax",
@@ -41,14 +42,12 @@ __all__ = [
 class _Record:
     """One recorded op: input/output tensors plus the local gradient rule."""
 
-    __slots__ = ("name", "inputs", "input_ids", "output", "output_id", "grad_fn")
+    __slots__ = ("name", "inputs", "output", "grad_fn")
 
-    def __init__(self, name, inputs, input_ids, output, output_id, grad_fn):
+    def __init__(self, name, inputs, output, grad_fn):
         self.name = name
         self.inputs = inputs
-        self.input_ids = input_ids
         self.output = output
-        self.output_id = output_id
         self.grad_fn = grad_fn
 
 
@@ -75,7 +74,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._next_id = 0
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -92,32 +90,33 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _node_id(self, t: "Tensor") -> int:
-        if t._tape is not self:
-            t._tape = self
-            t.node_id = self._next_id
-            self._next_id += 1
-        return t.node_id
-
     def record(self, name: str, inputs: Sequence["Tensor"], output: "Tensor",
                grad_fn: Callable[[np.ndarray], tuple]) -> None:
-        input_ids = tuple(self._node_id(t) for t in inputs)
-        output_id = self._node_id(output)
-        self._records.append(
-            _Record(name, tuple(inputs), input_ids, output, output_id, grad_fn))
+        output._tape = self
+        self._records.append(_Record(name, tuple(inputs), output, grad_fn))
 
     def release(self) -> None:
         """Drop the recorded graph once its gradients have been consumed.
 
-        Long-lived tensors (parameters) keep a stale pointer to this tape,
-        so without an explicit release the previous step's intermediate
-        buffers stay reachable through most of the next forward pass.
+        The loss and the caller's handle on this tape keep every record,
+        and with it every saved forward buffer, reachable; without an
+        explicit release the previous step's buffers stay alive through
+        most of the next forward pass.
         """
         self._records.clear()
 
     def backward(self, loss: "Tensor") -> None:
-        """Populate ``grad`` on every gradient-requiring tensor reachable
-        from ``loss``, accumulating additively across fan-out."""
+        """Populate ``grad`` on every gradient-requiring leaf reachable
+        from ``loss``, accumulating additively across fan-out.
+
+        Gradients may be shared: a ``grad_fn`` may hand one array to
+        several inputs or return a view of its incoming gradient, and a
+        first contribution is stored as is. So nothing writes into a
+        ``.grad`` or into an array a ``grad_fn`` returned; later
+        contributions accumulate out of place. A record's output gradient
+        is dropped as soon as the record has run, so afterwards only leaves
+        (parameters and masks) hold a ``grad``.
+        """
         if loss.data.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}")
@@ -131,31 +130,27 @@ class Tape:
             g_out = rec.output.grad
             if g_out is None:
                 continue
-            grads = rec.grad_fn(g_out)
-            for t, g in zip(rec.inputs, grads):
+            rec.output.grad = None
+            for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
                 if g is None or not t.requires_grad:
                     continue
-                if t.grad is None:
-                    t.grad = np.array(g, dtype=np.float64)  # owned copy
-                else:
-                    t.grad += g
+                t.grad = g if t.grad is None else t.grad + g
 
 
 class Tensor:
     """N-dimensional float64 array with an optional gradient slot.
 
-    ``node_id`` identifies the tensor on the tape it was last registered
-    with; constants that never touch a tape keep ``node_id = None``.
+    ``_tape`` is the tape that recorded the op producing this tensor;
+    leaves and constants keep ``None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.node_id: int | None = None
         self._tape: Tape | None = None
 
     # -- introspection -------------------------------------------------
@@ -550,6 +545,78 @@ def row_softmax(a: Tensor) -> Tensor:
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _emit("row_softmax", (a,), out, grad_fn)
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
+                     heads: int) -> Tensor:
+    """Multi-head self-attention whose score matrix carries a connection mask.
+
+    ``q``, ``k`` and ``v`` are ``[B, S, d]`` and are split into ``heads``
+    heads of width ``d_head = d / heads``; ``mask`` is ``[heads, S, S]``
+    and broadcasts over the batch. Per head, ``A = row_softmax(q kᵀ /
+    √d_head)`` and the context ``(A ⊙ mask) v`` is merged back to
+    ``[B, S, d]``. One record covers the head split and merge, both
+    products, the scale, the softmax and the mask product. The mask
+    gradient ``Σ_batch g_{A'} ⊙ A`` (``A' = A ⊙ mask``) is the sensitivity
+    of the loss to each attention score.
+
+    Every product and reduction runs in the order and memory layout of the
+    unfused composition of ``reshape``, ``transpose``, ``matmul``,
+    ``scale``, ``row_softmax`` and ``mul``, so both give identical bits.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"masked_attention: q, k and v must share one "
+                         f"[B, S, d] shape, got {q.shape}, {k.shape}, {v.shape}")
+    batch, s, d = q.shape
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"masked_attention: width {d} does not split into "
+                         f"{heads} heads")
+    if mask.shape != (heads, s, s):
+        raise ShapeError(f"masked_attention: mask shape {mask.shape} != "
+                         f"{(heads, s, s)}")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(a):  # [B, S, d] -> [B, H, S, d_head] view
+        return a.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):  # [B, H, S, d_head] -> [B, S, d]
+        return a.transpose(0, 2, 1, 3).reshape(batch, s, d)
+
+    qh, kh, vh, m = split(q.data), split(k.data), split(v.data), mask.data
+    att = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    att *= c
+    if not np.isfinite(att).all():
+        raise NumericError("masked_attention: attention scores contain NaN or Inf")
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    out = merge(np.matmul(att * m, vh))
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    need_mask = mask.requires_grad
+
+    def grad_fn(g):
+        g_ctx = split(g)
+        # A' is rebuilt rather than kept, then reused as scratch space
+        buf = att * m
+        gv = merge(np.matmul(np.swapaxes(buf, -1, -2), g_ctx)) if need_v else None
+        ga = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))  # dL/dA'
+        gm = None
+        if need_mask:
+            # before ga is multiplied by the mask: zeros in the mask must
+            # not zero the gradient that says what unmasking would do
+            gm = np.multiply(ga, att, out=buf).sum(axis=0)
+        # dL/dA, then the row-softmax and scale backward, all in place
+        ga *= m
+        ga -= np.multiply(ga, att, out=buf).sum(axis=-1, keepdims=True)
+        ga *= att
+        ga *= c
+        gq = merge(np.matmul(ga, kh)) if need_q else None
+        gk = (merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ga), -1, -2))
+              if need_k else None)
+        return gq, gk, gv, gm
+
+    return _emit("masked_attention", (q, k, v, mask), out, grad_fn)
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:

@@ -32,6 +32,7 @@ from spat.tensor import (
     dropout,
     gelu,
     layer_norm,
+    masked_attention,
     pad_repeat_last,
     relu,
     row_softmax,
@@ -103,6 +104,13 @@ class TestCriterion1Gradients:
              [u(3, 6)]),
             ("row_softmax", lambda a, p=u(3, 5): (row_softmax(a) * Tensor(p)).sum(),
              [u(3, 5)]),
+            # two heads, a mask with zeros, gradients for q, k, v and the mask
+            ("masked_attention",
+             lambda q, k, v, m, p=u(2, 3, 4): (masked_attention(q, k, v, m, 2)
+                                               * Tensor(p)).sum(),
+             [u(2, 3, 4), u(2, 3, 4), u(2, 3, 4),
+              np.array([[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                        [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]])]),
             ("unfold",
              lambda a, p=u(2, 4, 4): (unfold_last(a, 4, 2) * Tensor(p)).sum(),
              [u(2, 10)]),

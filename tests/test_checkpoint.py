@@ -1,10 +1,12 @@
 """Checkpoint container round-trip and stability tests."""
 
+import json
+
 import numpy as np
 import pytest
 
 from spat.checkpoint import load_checkpoint, save_checkpoint
-from spat.errors import ParseError
+from spat.errors import ContractError, ParseError
 from spat.model import Forecaster, ModelConfig
 
 
@@ -63,3 +65,55 @@ class TestRoundTrip:
         path.write_bytes(b"not json\n\x00\x01")
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+
+def rewrite_header(path, **changes):
+    """Replace header fields of a saved checkpoint, keeping its payload."""
+    header_line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header.update(changes)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return header
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("pruned", [[7], [-1], [1, 1], ["1"], 1, None])
+    def test_pruned_layers_must_index_the_model(self, tmp_path, pruned):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        rewrite_header(path, pruned=pruned)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        rewrite_header(path, config={**header["config"], "depth": 3})
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensors", [7, [7], [{"name": "x"}],
+                                         [{"name": "x", "shape": "ab"}],
+                                         [{"name": "x", "shape": [-1, -1]}]])
+    def test_malformed_tensor_table_rejected(self, tmp_path, tensors):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        rewrite_header(path, tensors=tensors)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_unknown_tensor_name_rejected(self, tmp_path):
+        # a pruned block's attention weights are not tensors of the model
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        rewrite_header(path, pruned=[1])
+        with pytest.raises(ContractError, match="blocks.1.w_q"):
+            load_checkpoint(path)
+
+    def test_load_state_dict_rejects_unknown_names(self):
+        model = make_model()
+        state = model.state_dict()
+        state["head.extra"] = np.zeros(2)
+        with pytest.raises(ContractError, match="head.extra"):
+            model.load_state_dict(state)

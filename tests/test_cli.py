@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, artifact round trips."""
 
 import csv
+import json
 import subprocess
 import sys
 
@@ -81,6 +82,33 @@ class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])
         assert code == 2
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "broken.yaml"
+        cfg_path.write_text("seed: [1,\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "invalid YAML" in capsys.readouterr().err
+
+    def test_non_mapping_root_with_override_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.yaml"
+        cfg_path.write_text("- 1\n- 2\n")
+        assert main(["run", "--config", str(cfg_path), "--set", "seed=3"]) == 2
+        assert "mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("pruned", [7]),
+                                              ("config", {"depth": 3})])
+    def test_malformed_checkpoint_header_exits_2(self, workspace, capsys,
+                                                 field, value):
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "pretrained.ckpt"
+        header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header[field] = value
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "pretrained.ckpt" in capsys.readouterr().err
 
     def test_missing_target_file_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace

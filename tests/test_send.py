@@ -20,7 +20,7 @@ from spat.send import (
     plan_from_records,
     send_score,
 )
-from spat.tensor import Tape
+from spat.tensor import Tape, Tensor, masked_attention, row_softmax
 
 
 def toy_setup(layers=2, seed=0, n_batches=2, batch=3):
@@ -65,18 +65,40 @@ class TestSensitivityOracle:
             assert rel.max() < 1e-3, f"layer {rec.layer_index}: {rel.max():.2e}"
 
     def test_chain_rule_equals_direct_mask_gradient(self):
-        model, batches = toy_setup(n_batches=1)
-        x, y = batches[0]
-        for m in model.masks():
-            m.requires_grad = True
-        with Tape() as tape:
-            loss = mse_loss(model.forward(x, collect_attention=True), y)
-        tape.backward(loss)
-        for blk in model.blocks:
-            direct = blk.mask.grad
-            chain = np.sum(blk.last_masked_attention.grad * blk.last_attention.data,
-                           axis=0)
-            assert np.array_equal(direct, chain)
+        """The fused op's mask gradient is bit-identical to the chain rule
+        through the unfused primitives (split heads, ``q kᵀ``, scale,
+        ``row_softmax``, ``* mask``, ``@ v``, merge heads), and so are the
+        q, k and v gradients. The mask contains zeros."""
+        rng = np.random.default_rng(5)
+        batch, s, heads, dh = 3, 5, 2, 4
+        d = heads * dh
+        arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
+        mask0 = (rng.random((heads, s, s)) > 0.3).astype(float)
+        assert (mask0 == 0.0).any()
+        w = rng.normal(size=(batch, s, d))
+
+        def split(t):
+            return t.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
+
+        def unfused(q, k, v, mask):
+            scores = (split(q) @ split(k).transpose()) * (1.0 / math.sqrt(dh))
+            ctx = (row_softmax(scores) * mask) @ split(v)
+            return ctx.transpose(0, 2, 1, 3).reshape(batch, s, d)
+
+        def fused(q, k, v, mask):
+            return masked_attention(q, k, v, mask, heads)
+
+        grads = []
+        for attend in (fused, unfused):
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            mask = Tensor(mask0, requires_grad=True)
+            with Tape() as tape:
+                out = attend(*ts, mask)
+                loss = (out * Tensor(w)).sum()
+            tape.backward(loss)
+            grads.append((out.data, mask.grad, *(t.grad for t in ts)))
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
     def test_zero_upstream_gradient_gives_zero_sensitivity(self):
         model, batches = toy_setup()

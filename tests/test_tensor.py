@@ -14,6 +14,7 @@ from spat.tensor import (
     dropout,
     gelu,
     layer_norm,
+    masked_attention,
     pad_repeat_last,
     relu,
     row_softmax,
@@ -115,6 +116,28 @@ class TestBackward:
         g2 = run()
         for x, y in zip(g1, g2):
             assert np.array_equal(x, y)
+
+    def test_shared_gradient_is_never_written_through(self):
+        """``add`` hands one array to both leaves; the contribution that
+        ``a * a`` (recorded earlier, so replayed later) adds to ``a`` must
+        not leak into ``b``'s grad."""
+        rng = np.random.default_rng(3)
+        a0, b0, w = rand(rng, 3), rand(rng, 3), rand(rng, 3)
+
+        def build(a, b):
+            return (a * a).sum() + ((a + b) * Tensor(w)).sum()
+
+        gradcheck(build, [a0, b0])
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with Tape() as tape:
+            square = (a * a).sum()
+            s = a + b
+            weighted = s * Tensor(w)
+            loss = square + weighted.sum()
+        tape.backward(loss)
+        np.testing.assert_array_equal(b.grad, w)
+        np.testing.assert_allclose(a.grad, w + 2.0 * a0, rtol=1e-15)
+        assert all(t.grad is None for t in (square, s, weighted, loss))
 
     def test_constants_get_no_grad(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -236,11 +259,36 @@ class TestGradOracle:
             lambda a: dropout(a, 0.5, np.random.default_rng(11)), x)
 
 
+class TestMaskedAttention:
+    def test_shape_errors(self):
+        rng = np.random.default_rng(0)
+        q = Tensor(rand(rng, 2, 3, 4))
+        mask = Tensor(np.ones((2, 3, 3)))
+        with pytest.raises(ShapeError):
+            masked_attention(q, Tensor(rand(rng, 2, 4, 4)), q, mask, 2)
+        with pytest.raises(ShapeError):
+            masked_attention(q, q, Tensor(rand(rng, 2, 3, 6)), mask, 2)
+        with pytest.raises(ShapeError):
+            masked_attention(q, q, q, Tensor(np.ones((3, 3, 3))), 3)
+        for bad in (np.ones((1, 3, 3)), np.ones((2, 3, 4)), np.ones((3, 3))):
+            with pytest.raises(ShapeError):
+                masked_attention(q, q, q, Tensor(bad), 2)
+
+    def test_rejects_non_finite_scores(self):
+        q = Tensor(np.full((1, 2, 2), np.nan))
+        with pytest.raises(NumericError):
+            masked_attention(q, q, q, Tensor(np.ones((1, 2, 2))), 1)
+
+
 class TestGradModeAndInvariants:
     def test_no_tape_means_no_recording(self):
+        tape = Tape()
         x = Tensor(np.ones(3), requires_grad=True)
         y = x * 2.0
-        assert y.node_id is None and not y.requires_grad
+        assert len(tape) == 0 and not y.requires_grad
+        with tape:
+            x * 2.0
+        assert len(tape) == 1
 
     def test_tapes_do_not_nest(self):
         with Tape():
