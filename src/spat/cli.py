@@ -130,6 +130,12 @@ def cmd_prune(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
     plan = parse_report(Path(args.report).read_text())
+    scored = sorted(i for i, _ in plan.send_scores)
+    unpruned = [i for i in range(len(model.blocks)) if not model.blocks[i].pruned]
+    if scored != unpruned:
+        raise ContractError(f"report {args.report} scores layers {scored}, "
+                            f"checkpoint {args.checkpoint} has attention "
+                            f"layers {unpruned}")
     pruned_model = prune(model, plan)
     out = Path(args.out) if args.out else run_dir / "pruned.ckpt"
     save_checkpoint(out, pruned_model,

@@ -101,7 +101,19 @@ def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeri
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"dataset file does not exist: {path}")
-    with open(path, newline="") as f:
+    if path.is_dir():
+        raise ConfigError(f"dataset path is a directory, not a file: {path}")
+    try:
+        rows, stamps = _read_rows(path, date_column)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+    values = np.array(rows, dtype=np.float64)
+    return RawSeries(name=name or path.stem, values=values,
+                     timestamps=stamps if date_column else None)
+
+
+def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -129,9 +141,7 @@ def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeri
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows below the header")
-    values = np.array(rows, dtype=np.float64)
-    return RawSeries(name=name or path.stem, values=values,
-                     timestamps=stamps if date_column else None)
+    return rows, stamps
 
 
 def write_csv(path, series: RawSeries, date_column: bool = True) -> None:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -391,13 +392,18 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     state = PipelineState(stage="initialized",
                           candidate=list(range(n_layers)), removed=[],
                           seed=cfg.seed, config_hash=config_hash(cfg))
-    timings: list[tuple[str, float]] = []
+    timings: list[tuple[str, float, float, int]] = []
     rows: list[dict] = []
 
     def timed(stage_name, fn):
+        # system time and minor page faults show what the kernel cost
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         out = fn()
-        timings.append((stage_name, time.perf_counter() - t0))
+        secs = time.perf_counter() - t0
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        timings.append((stage_name, secs, r1.ru_stime - r0.ru_stime,
+                        r1.ru_minflt - r0.ru_minflt))
         return out
 
     # pretrain
@@ -455,8 +461,9 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     write_ledger(run_dir / "metrics.csv", rows)
     with open(run_dir / "timings.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["stage", "seconds"])
-        writer.writerows((name, f"{secs:.3f}") for name, secs in timings)
+        writer.writerow(["stage", "seconds", "sys_s", "minor_faults"])
+        writer.writerows((name, f"{secs:.3f}", f"{sys_s:.3f}", faults)
+                         for name, secs, sys_s, faults in timings)
     state.metrics = {row["stage"]: row for row in rows}
     (run_dir / "state.json").write_text(json.dumps(
         {"stage": state.stage, "transitions": state.transitions,

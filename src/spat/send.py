@@ -172,19 +172,31 @@ def format_report(records: list[SensitivityRecord], plan: PruningPlan) -> str:
         f"alpha: {plan.alpha!r}",
         f"k: {plan.k}",
     ]
-    rank_of = {idx: r + 1 for r, idx in enumerate(plan.i_ranked)}
-    pruned = set(plan.i_pruned)
     batches = records[0].batches_accumulated if records else 0
     lines.append(f"batches: {batches}")
+    ranks = _layer_ranks(plan)
     for idx, send in sorted(plan.send_scores):
-        lines.append(f"layer {idx}: send={send!r} rank={rank_of[idx]} "
-                     f"pruned={'true' if idx in pruned else 'false'}")
+        rank, pruned = ranks[idx]
+        lines.append(f"layer {idx}: send={send!r} rank={rank} pruned={pruned}")
     return "\n".join(lines) + "\n"
+
+
+def _layer_ranks(plan: PruningPlan) -> dict[int, tuple[int, str]]:
+    """Layer index -> (1-based rank, ``pruned`` flag as the report writes it)."""
+    pruned = set(plan.i_pruned)
+    return {idx: (r + 1, "true" if idx in pruned else "false")
+            for r, idx in enumerate(plan.i_ranked)}
 
 
 def parse_report(text: str) -> PruningPlan:
     """Inverse of :func:`format_report` (record fields beyond the plan are
-    not recoverable from the file and are not needed by consumers)."""
+    not recoverable from the file and are not needed by consumers).
+
+    The plan is rebuilt from the layer scores and ``alpha``. A report whose
+    ``layers``, ``k``, ``rank`` or ``pruned`` fields contradict that plan,
+    or whose scores are not finite or layer indices negative, raises
+    :class:`ParseError`.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     fields = {}
     layer_lines = []
@@ -199,14 +211,36 @@ def parse_report(text: str) -> PruningPlan:
             raise ParseError(f"unsupported report version "
                              f"{fields['send_report_version']}")
         alpha = float(fields["alpha"])
-        scores = []
+        n_layers = int(fields["layers"])
+        k = int(fields["k"])
+        entries = []
         for ln in layer_lines:
             head, _, rest = ln.partition(":")
-            idx = int(head.split()[1])
+            _, idx = head.split()
             parts = dict(p.split("=", 1) for p in rest.split())
-            scores.append((idx, float(parts["send"])))
+            entries.append((int(idx), float(parts["send"]),
+                            (int(parts["rank"]), parts["pruned"])))
     except ParseError:
         raise
-    except (KeyError, ValueError, IndexError) as e:
+    except (KeyError, ValueError) as e:
         raise ParseError(f"malformed send report: {e}") from e
-    return build_plan(scores, alpha)
+    for idx, send, _ in entries:
+        if idx < 0:
+            raise ParseError(f"send report: negative layer index {idx}")
+        if not math.isfinite(send):
+            raise ParseError(f"send report: layer {idx} has score {send!r}")
+    if n_layers != len(entries):
+        raise ParseError(f"send report: header says {n_layers} layers, "
+                         f"found {len(entries)} layer lines")
+    plan = build_plan([(idx, send) for idx, send, _ in entries], alpha)
+    if k != plan.k:
+        raise ParseError(f"send report: header says k={k}, alpha {alpha!r} "
+                         f"over {len(entries)} layers gives k={plan.k}")
+    ranks = _layer_ranks(plan)
+    for idx, _, written in entries:
+        if written != ranks[idx]:
+            raise ParseError(
+                f"send report: layer {idx} says rank={written[0]} "
+                f"pruned={written[1]}, its score gives rank={ranks[idx][0]} "
+                f"pruned={ranks[idx][1]}")
+    return plan

@@ -21,7 +21,7 @@ from spat.checkpoint import load_checkpoint
 from spat.data import dataset_windows
 from spat.errors import ConfigError
 from spat.pipeline import load_dataset, scoring_batches
-from spat.send import compute_sensitivity, parse_report
+from spat.send import build_plan, compute_sensitivity, format_report, parse_report
 
 
 def tiny_config_dict(run_dir):
@@ -119,6 +119,46 @@ class TestExitCodes:
                      "--set", f"data.path={tmp_path}/missing.csv"])
         assert code == 2
         assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["directory", "latin1.csv"])
+    def test_unreadable_dataset_exits_2(self, workspace, capsys, target):
+        tmp_path, cfg_path = workspace
+        path = tmp_path / target
+        if target == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"date,a\n1,2\xb0\n")
+        code = main(["pretrain", "--config", str(cfg_path),
+                     "--set", "data.source=csv", "--set", f"data.path={path}"])
+        assert code == 2
+        assert target in capsys.readouterr().err
+
+    def test_self_contradicting_report_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        plan = build_plan([(0, 0.3), (1, 0.1), (2, 0.2)], alpha=0.3)
+        report = tmp_path / "swapped.txt"
+        report.write_text(format_report([], plan)
+                          .replace("rank=3 pruned=true", "rank=3 pruned=false")
+                          .replace("rank=2 pruned=false", "rank=2 pruned=true"))
+        code = main(["prune", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "run" / "pretrained.ckpt"),
+                     "--report", str(report)])
+        assert code == 2
+        assert "send report" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "pruned.ckpt").exists()
+
+    def test_report_for_another_depth_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        report = tmp_path / "two_layers.txt"
+        report.write_text(format_report([], build_plan([(0, 0.3), (1, 0.1)],
+                                                       alpha=0.3)))
+        code = main(["prune", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "run" / "pretrained.ckpt"),
+                     "--report", str(report)])
+        assert code == 2
+        assert "two_layers.txt" in capsys.readouterr().err
 
     def test_numeric_divergence_exits_3(self, workspace):
         _, cfg_path = workspace

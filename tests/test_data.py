@@ -61,6 +61,18 @@ class TestLoadCsv:
             load_csv(tmp_path / "nope.csv")
         assert "nope.csv" in str(err.value)
 
+    def test_non_utf8_bytes_are_parse_error(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("date,temp\n1,20.5\n2,21\xb0C\n".encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            load_csv(p)
+        assert "UTF-8" in str(err.value) and "latin1.csv" in str(err.value)
+
+    def test_directory_path_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_csv(tmp_path)
+        assert "directory" in str(err.value)
+
     def test_round_trip_through_write(self, tmp_path):
         raw = generate_synthetic(SyntheticSpec(channels=3, length=20, seed=1))
         p = tmp_path / "series.csv"

@@ -1,10 +1,12 @@
 """Training loop, pruning semantics, zero-shot and orchestration tests."""
 
 import math
+import resource
 
 import numpy as np
 import pytest
 
+from spat import tensor
 from spat.config import config_from_dict
 from spat.cost import attention_params, build_cost_report
 from spat.data import (
@@ -15,7 +17,7 @@ from spat.data import (
     split,
 )
 from spat.errors import ConfigError, ContractError, NumericError
-from spat.model import Forecaster, ModelConfig
+from spat.model import Forecaster, ModelConfig, mse_loss
 from spat.pipeline import (
     Adam,
     SeedStreams,
@@ -31,6 +33,7 @@ from spat.pipeline import (
     zero_shot_eval,
 )
 from spat.send import build_plan
+from spat.tensor import Tape
 
 
 def sine_windows(channels=2, length=600, lookback=32, horizon=8, seed=5,
@@ -315,6 +318,13 @@ class TestRunPipeline:
         assert ledger[0] == "stage,dataset,horizon,mse,mae,flops,params"
         stages = [line.split(",")[0] for line in ledger[1:]]
         assert stages == ["pretrained", "pruned", "finetuned"]
+        timings = (run_dir / "timings.csv").read_text().strip().splitlines()
+        assert timings[0] == "stage,seconds,sys_s,minor_faults"
+        assert [line.split(",")[0] for line in timings[1:]] == [
+            "pretrain", "score", "prune", "finetune"]
+        for line in timings[1:]:
+            _, secs, sys_s, faults = line.split(",")
+            assert float(secs) >= 0.0 and float(sys_s) >= 0.0 and int(faults) >= 0
         pretrained = state.metrics["pretrained"]
         finetuned = state.metrics["finetuned"]
         assert finetuned["flops"] < pretrained["flops"]
@@ -382,3 +392,37 @@ class TestRunPipeline:
         ds = load_dataset(cfg)
         assert ds.name == "series"
         np.testing.assert_allclose(ds.values, raw.values)
+
+
+class TestHeapReuse:
+    """Activations freed at ``Tape.release()`` stay in the process heap, so
+    a warmed training step faults in no fresh pages."""
+
+    @pytest.mark.skipif(not tensor._MALLOC_POLICY_SET,
+                        reason="libc has no mallopt")
+    def test_warm_training_steps_fault_in_no_pages(self):
+        model = Forecaster(ModelConfig(
+            lookback=96, horizon=24, channels=7, d_model=16, d_ff=32, heads=2,
+            layers=3, dropout=0.1), seed=0)
+        data = np.random.default_rng(0)
+        x = data.standard_normal((64, 96, 7))
+        y = data.standard_normal((64, 24, 7))
+        optimizer = Adam(model.named_parameters(), opt_cfg())
+
+        def step(i):
+            with Tape() as tape:
+                loss = mse_loss(model.forward(
+                    x, training=True, rng=np.random.default_rng(i)), y)
+            tape.backward(loss)
+            optimizer.step(1e-3)
+            model.zero_grad()
+            tape.release()
+
+        for i in range(3):
+            step(i)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for i in range(3, 8):
+            step(i)
+        per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    - before) / 5
+        assert per_step < 1000, f"{per_step:.0f} minor faults per warm step"

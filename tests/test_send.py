@@ -2,13 +2,14 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spat.errors import ConfigError, ContractError, NumericError
+from spat.errors import ConfigError, ContractError, NumericError, ParseError
 from spat.model import Forecaster, ModelConfig, mse_loss
 from spat.send import (
     aggregate_heads,
@@ -304,3 +305,103 @@ class TestReportRoundTrip:
         assert lines[2].startswith("alpha:")
         assert lines[3].startswith("k:")
         assert lines[5].startswith("layer 0:")
+
+
+def three_layer_report():
+    """Report for scores 0.3, 0.1, 0.2 at alpha 0.3: ranks 1, 3, 2; k=1
+    prunes layer 1."""
+    plan = build_plan([(0, 0.3), (1, 0.1), (2, 0.2)], alpha=0.3)
+    return format_report([], plan)
+
+
+def assert_valid_plan(plan):
+    """A plan that format_report can write and parse_report reads back."""
+    n = len(plan.send_scores)
+    indices = [i for i, _ in plan.send_scores]
+    assert 0.0 < plan.alpha < 1.0
+    assert len(set(indices)) == n and all(i >= 0 for i in indices)
+    assert all(math.isfinite(s) for _, s in plan.send_scores)
+    assert sorted(plan.i_ranked) == sorted(indices)
+    assert plan.k == math.ceil(plan.alpha * n)
+    assert plan.i_pruned == plan.i_ranked[n - plan.k:]
+    again = parse_report(format_report([], plan))
+    assert again.i_ranked == plan.i_ranked and again.k == plan.k
+    assert again.send_scores == sorted(plan.send_scores)
+
+
+class TestReportConsistency:
+    def test_well_formed_report_parses(self):
+        plan = parse_report(three_layer_report())
+        assert plan.i_ranked == [0, 2, 1] and plan.i_pruned == [1]
+
+    @pytest.mark.parametrize("old, new", [
+        ("layers: 3", "layers: 5"),
+        ("k: 1", "k: 2"),
+        ("layer 0: send=0.3 rank=1", "layer 0: send=0.3 rank=2"),
+        ("layer 2: send=0.2 rank=2", "layer 2: send=0.2 rank=1"),
+    ], ids=["layers", "k", "rank_high", "rank_low"])
+    def test_header_or_rank_contradicting_scores_rejected(self, old, new):
+        text = three_layer_report()
+        assert old in text
+        with pytest.raises(ParseError):
+            parse_report(text.replace(old, new))
+
+    def test_swapped_pruned_flags_rejected(self):
+        text = (three_layer_report()
+                .replace("rank=3 pruned=true", "rank=3 pruned=false")
+                .replace("rank=2 pruned=false", "rank=2 pruned=true"))
+        with pytest.raises(ParseError):
+            parse_report(text)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_score_rejected(self, score):
+        text = three_layer_report().replace("send=0.1 ", f"send={score} ")
+        with pytest.raises(ParseError):
+            parse_report(text)
+
+    def test_missing_rank_field_rejected(self):
+        with pytest.raises(ParseError):
+            parse_report(three_layer_report().replace(" rank=1", ""))
+
+    def test_negative_layer_index_rejected(self):
+        with pytest.raises(ParseError):
+            parse_report(three_layer_report().replace("layer 0:", "layer -1:"))
+
+
+class TestReportFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text_parses_or_raises_parse_errors(self, text):
+        try:
+            plan = parse_report(text)
+        except (ParseError, ConfigError):
+            return
+        assert_valid_plan(plan)
+
+    @settings(max_examples=400, deadline=None)
+    @given(scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           alpha=st.floats(0.01, 0.99),
+           field=st.sampled_from(["send_report_version", "layers", "alpha", "k",
+                                  "batches", "layer", "send", "rank", "pruned"]),
+           value=st.one_of(st.text(), st.integers(-3, 10).map(str),
+                           st.floats().map(repr),
+                           st.sampled_from(["true", "false", "nan", "inf", ""])),
+           data=st.data())
+    def test_one_mutated_field_parses_or_raises_parse_errors(
+            self, scores, alpha, field, value, data):
+        text = format_report([], build_plan(list(enumerate(scores)), alpha))
+        if field in ("layer", "send", "rank", "pruned"):
+            i = data.draw(st.integers(0, len(scores) - 1))
+            pattern = (rf"^layer {i}:" if field == "layer"
+                       else rf"(?<=^layer {i}: )(.*){field}=\S+")
+            text = re.sub(pattern, lambda m: (f"layer {value}:" if field == "layer"
+                                              else f"{m.group(1)}{field}={value}"),
+                          text, flags=re.M)
+        else:
+            text = re.sub(rf"^{field}: .*$", lambda m: f"{field}: {value}",
+                          text, flags=re.M)
+        try:
+            plan = parse_report(text)
+        except (ParseError, ConfigError):
+            return
+        assert_valid_plan(plan)
