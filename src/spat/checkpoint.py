@@ -9,7 +9,7 @@ original file byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,24 @@ def _tensor_entries(model: Forecaster) -> list[tuple[str, np.ndarray]]:
     entries.extend((f"blocks.{i}.mask", blk.mask.data)
                    for i, blk in enumerate(model.blocks))
     return entries
+
+
+# the JSON value types each ModelConfig field type accepts; bools are not ints
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _model_config(path, config) -> ModelConfig:
+    """ModelConfig from a header's ``config`` object, every value type-checked."""
+    if not isinstance(config, dict):
+        raise ParseError(f"{path}: checkpoint config is not an object")
+    known = {f.name: type(f.default) for f in fields(ModelConfig)}
+    for key, value in config.items():
+        if key not in known:
+            raise ParseError(f"{path}: unknown checkpoint config key {key!r}")
+        if type(value) not in _JSON_TYPES[known[key]]:
+            raise ParseError(f"{path}: checkpoint config {key}={value!r} "
+                             f"is not of type {known[key].__name__}")
+    return ModelConfig(**config)
 
 
 def save_checkpoint(path, model: Forecaster, meta: dict | None = None) -> None:
@@ -56,10 +74,7 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
 
-    try:
-        cfg = ModelConfig(**header["config"])
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"{path}: malformed checkpoint config: {e}") from e
+    cfg = _model_config(path, header.get("config"))
     pruned = header.get("pruned")
     if not (isinstance(pruned, list)
             and all(type(i) is int and 0 <= i < cfg.layers for i in pruned)
@@ -70,13 +85,15 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     for i in pruned:
         model.blocks[i].remove_attention()
 
-    try:
-        table = [(str(e["name"]), tuple(int(n) for n in e["shape"]))
-                 for e in header["tensors"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: malformed checkpoint tensor table: {e}") from e
-    if any(n < 0 for _, shape in table for n in shape):
-        raise ParseError(f"{path}: negative dimension in checkpoint tensor table")
+    entries = header.get("tensors")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and type(e.get("name")) is str
+            and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            for e in entries)):
+        raise ParseError(f"{path}: malformed checkpoint tensor table: each "
+                         "entry needs a str name and a list of ints >= 0 shape")
+    table = [(e["name"], tuple(e["shape"])) for e in entries]
     offset = 0
     state = {}
     for name, shape in table:

@@ -71,6 +71,8 @@ class ModelConfig:
                 f"got {self.norm_placement!r}")
         if self.layers < 1 or self.heads < 1:
             raise ConfigError("layers and heads must both be >= 1")
+        if self.d_model < 1 or self.d_ff < 1:
+            raise ConfigError("d_model and d_ff must both be >= 1")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
@@ -348,6 +350,10 @@ class Forecaster:
         for i, blk in enumerate(self.blocks):
             key = f"blocks.{i}.mask"
             if key in state:
+                if state[key].shape != blk.mask.shape:
+                    raise ShapeError(f"mask {key!r}: stored shape "
+                                     f"{state[key].shape} != model shape "
+                                     f"{blk.mask.shape}")
                 blk.mask = Tensor(state[key].copy())
 
 

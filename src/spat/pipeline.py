@@ -392,18 +392,19 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     state = PipelineState(stage="initialized",
                           candidate=list(range(n_layers)), removed=[],
                           seed=cfg.seed, config_hash=config_hash(cfg))
-    timings: list[tuple[str, float, float, int]] = []
+    timings: list[tuple[str, float, float, float, int]] = []
     rows: list[dict] = []
 
     def timed(stage_name, fn):
+        # user CPU beyond the wall time is BLAS threads at work or spinning;
         # system time and minor page faults show what the kernel cost
         r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         out = fn()
         secs = time.perf_counter() - t0
         r1 = resource.getrusage(resource.RUSAGE_SELF)
-        timings.append((stage_name, secs, r1.ru_stime - r0.ru_stime,
-                        r1.ru_minflt - r0.ru_minflt))
+        timings.append((stage_name, secs, r1.ru_utime - r0.ru_utime,
+                        r1.ru_stime - r0.ru_stime, r1.ru_minflt - r0.ru_minflt))
         return out
 
     # pretrain
@@ -461,9 +462,10 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     write_ledger(run_dir / "metrics.csv", rows)
     with open(run_dir / "timings.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["stage", "seconds", "sys_s", "minor_faults"])
-        writer.writerows((name, f"{secs:.3f}", f"{sys_s:.3f}", faults)
-                         for name, secs, sys_s, faults in timings)
+        writer.writerow(["stage", "seconds", "user_s", "sys_s", "minor_faults"])
+        writer.writerows((name, f"{secs:.3f}", f"{user_s:.3f}", f"{sys_s:.3f}",
+                          faults)
+                         for name, secs, user_s, sys_s, faults in timings)
     state.metrics = {row["stage"]: row for row in rows}
     (run_dir / "state.json").write_text(json.dumps(
         {"stage": state.stage, "transitions": state.transitions,

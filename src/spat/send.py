@@ -5,6 +5,13 @@ connection mask is accumulated over scoring batches. Each layer's attention
 is one maskable op whose mask gradient, the upstream attention gradient
 Hadamard-multiplied with the attention scores and summed over the batch,
 is that sensitivity; scoring reads it from ``mask.grad`` after backward.
+
+Scoring runs on frozen weights: the parameters stop requiring gradients
+for the scoring pass, so the tape records and replays only the path from
+the first unpruned layer's attention to the loss, and no weight gradient
+is computed. The mask gradients are bit-identical to those of a backward
+through every parameter.
+
 The raw sensitivities are turned into a scalar dispersion score:
 
 * take absolute values and row-softmax-normalize each row, so every row
@@ -30,6 +37,7 @@ from .model import Forecaster, mse_loss
 from .tensor import Tape, softmax_lastaxis
 
 REPORT_VERSION = 1
+_HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
 
 
 @dataclass
@@ -62,6 +70,12 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     masks; dropout is disabled during scoring so the result is a
     deterministic function of weights and data. Layers whose attention was
     already removed are skipped.
+
+    The weights are frozen while scoring: every parameter has
+    ``requires_grad`` off and never gets a ``.grad``, so only ops that
+    lead from a mask to the loss are recorded, and their backward skips
+    the weight gradients. Parameters require gradients again afterwards,
+    also when a batch raises.
     """
     layers = [i for i, blk in enumerate(model.blocks) if not blk.pruned]
     if not layers:
@@ -71,6 +85,9 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
             raise ContractError(f"scoring requires an all-ones mask, "
                                 f"layer {i} has masked entries")
 
+    params = model.parameters()
+    for p in params:
+        p.requires_grad = False
     for i in layers:
         model.blocks[i].mask.requires_grad = True
     model.zero_grad()
@@ -92,6 +109,8 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     finally:
         for i in layers:
             model.blocks[i].mask.requires_grad = False
+        for p in params:
+            p.requires_grad = True
         model.zero_grad()
 
     if n_batches == 0:
@@ -195,7 +214,8 @@ def parse_report(text: str) -> PruningPlan:
     The plan is rebuilt from the layer scores and ``alpha``. A report whose
     ``layers``, ``k``, ``rank`` or ``pruned`` fields contradict that plan,
     or whose scores are not finite or layer indices negative, raises
-    :class:`ParseError`.
+    :class:`ParseError`, as does a header line that is repeated or unknown
+    and a ``batches`` count that is missing or not a non-negative int.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     fields = {}
@@ -203,9 +223,14 @@ def parse_report(text: str) -> PruningPlan:
     for ln in lines:
         if ln.startswith("layer "):
             layer_lines.append(ln)
-        else:
-            key, _, value = ln.partition(":")
-            fields[key.strip()] = value.strip()
+            continue
+        key, _, value = ln.partition(":")
+        key = key.strip()
+        if key not in _HEADER_KEYS:
+            raise ParseError(f"send report: unknown header {key!r}")
+        if key in fields:
+            raise ParseError(f"send report: repeated header {key!r}")
+        fields[key] = value.strip()
     try:
         if int(fields["send_report_version"]) != REPORT_VERSION:
             raise ParseError(f"unsupported report version "
@@ -213,6 +238,9 @@ def parse_report(text: str) -> PruningPlan:
         alpha = float(fields["alpha"])
         n_layers = int(fields["layers"])
         k = int(fields["k"])
+        if int(fields["batches"]) < 0:
+            raise ParseError(f"send report: negative batch count "
+                             f"{fields['batches']}")
         entries = []
         for ln in layer_lines:
             head, _, rest = ln.partition(":")

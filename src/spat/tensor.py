@@ -601,6 +601,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
     Every product and reduction runs in the order and memory layout of the
     unfused composition of ``reshape``, ``transpose``, ``matmul``,
     ``scale``, ``row_softmax`` and ``mul``, so both give identical bits.
+
+    Two shortcuts keep those bits. An all-ones mask is not multiplied in,
+    forward or backward (``x · 1.0 == x``). When neither ``q`` nor ``k``
+    needs a gradient, as in the first attention layer that scoring on
+    frozen weights reaches, backward stops once the ``v`` and mask
+    gradients are out and skips the softmax backward over ``[B, H, S, S]``.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"masked_attention: q, k and v must share one "
@@ -629,23 +635,29 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    out = merge(np.matmul(att * m, vh))
+    ones = bool((m == 1.0).all())
+    out = merge(np.matmul(att if ones else att * m, vh))
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
     need_mask = mask.requires_grad
 
     def grad_fn(g):
         g_ctx = split(g)
-        # A' is rebuilt rather than kept, then reused as scratch space
-        buf = att * m
-        gv = merge(np.matmul(np.swapaxes(buf, -1, -2), g_ctx)) if need_v else None
+        # A' is rebuilt rather than kept, then reused as scratch space;
+        # under an all-ones mask A' is A, and the scratch space is fresh
+        masked = att if ones else att * m
+        gv = merge(np.matmul(np.swapaxes(masked, -1, -2), g_ctx)) if need_v else None
+        buf = np.empty_like(att) if ones else masked
         ga = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))  # dL/dA'
         gm = None
         if need_mask:
             # before ga is multiplied by the mask: zeros in the mask must
             # not zero the gradient that says what unmasking would do
             gm = np.multiply(ga, att, out=buf).sum(axis=0)
+        if not (need_q or need_k):
+            return None, None, gv, gm
         # dL/dA, then the row-softmax and scale backward, all in place
-        ga *= m
+        if not ones:
+            ga *= m
         ga -= np.multiply(ga, att, out=buf).sum(axis=-1, keepdims=True)
         ga *= att
         ga *= c

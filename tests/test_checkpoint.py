@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spat.checkpoint import load_checkpoint, save_checkpoint
-from spat.errors import ContractError, ParseError
+from spat.errors import ContractError, ParseError, ShapeError, SpatError
 from spat.model import Forecaster, ModelConfig
 
 
@@ -93,9 +95,41 @@ class TestMalformedHeader:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("d_model", 8.0), ("layers", 3.0), ("heads", True), ("lookback", "16"),
+        ("dropout", "0.1"), ("dropout", False), ("end_padding", 1),
+        ("mode", None), ("activation", ["gelu"])])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        rewrite_header(path, config={**header["config"], key: value})
+        with pytest.raises(ParseError, match=key):
+            load_checkpoint(path)
+
+    def test_int_dropout_is_a_float(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        rewrite_header(path, config={**header["config"], "dropout": 0})
+        assert load_checkpoint(path)[0].cfg.dropout == 0
+
+    def test_mask_of_another_shape_rejected(self, tmp_path):
+        # [2, 3, 3] read as [1, 2, 9]: the byte count still matches
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        tensors = [{**e, "shape": [1, 2, 9]} if e["name"] == "blocks.0.mask" else e
+                   for e in header["tensors"]]
+        rewrite_header(path, tensors=tensors)
+        with pytest.raises(ShapeError, match="blocks.0.mask"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("tensors", [7, [7], [{"name": "x"}],
                                          [{"name": "x", "shape": "ab"}],
-                                         [{"name": "x", "shape": [-1, -1]}]])
+                                         [{"name": "x", "shape": [-1, -1]}],
+                                         [{"name": "x", "shape": [2.0]}],
+                                         [{"name": 7, "shape": [2]}]])
     def test_malformed_tensor_table_rejected(self, tmp_path, tensors):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, make_model())
@@ -117,3 +151,56 @@ class TestMalformedHeader:
         state["head.extra"] = np.zeros(2)
         with pytest.raises(ContractError, match="head.extra"):
             model.load_state_dict(state)
+
+
+class TestHeaderFuzz:
+    """A header with one config value of another type, or one tensor-table
+    entry changed, must raise a SpatError (exit 2 in the CLI), never
+    another exception. Dimensions stay small, so no mutation asks for a
+    large allocation."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        save_checkpoint(path, make_model())
+        return path.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           value=st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
+                           st.floats(allow_nan=False), st.text(max_size=4),
+                           st.lists(st.integers(0, 3), max_size=2)))
+    def test_config_value_of_another_type(self, tmp_path_factory, saved, data,
+                                          value):
+        header_line, payload = saved.split(b"\n", 1)
+        header = json.loads(header_line)
+        key = data.draw(st.sampled_from(sorted(header["config"])))
+        assume(type(value) is not type(header["config"][key]))
+        assume(not (key == "dropout" and type(value) is int))
+        header["config"][key] = value
+        path = tmp_path_factory.mktemp("cfg") / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SpatError):
+            load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           name=st.one_of(st.text(max_size=12), st.integers(), st.none()),
+           shape=st.one_of(st.lists(st.integers(-1, 20), max_size=4),
+                           st.lists(st.floats(0, 20), min_size=1, max_size=3),
+                           st.text(max_size=3), st.integers(0, 9)))
+    def test_tensor_table_entry(self, tmp_path_factory, saved, data, name,
+                                shape):
+        header_line, payload = saved.split(b"\n", 1)
+        header = json.loads(header_line)
+        i = data.draw(st.integers(0, len(header["tensors"]) - 1))
+        entry = header["tensors"][i]
+        new = data.draw(st.sampled_from([{**entry, "name": name},
+                                         {**entry, "shape": shape},
+                                         {"name": entry["name"]}, 0]))
+        assume(new != entry)
+        header["tensors"][i] = new
+        path = tmp_path_factory.mktemp("table") / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SpatError):
+            load_checkpoint(path)

@@ -110,6 +110,21 @@ class TestExitCodes:
         assert code == 2
         assert "pretrained.ckpt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("d_model", 8.0), ("layers", 3.0),
+                                            ("heads", True)])
+    def test_checkpoint_config_of_wrong_type_exits_2(self, workspace, capsys,
+                                                     key, value):
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "pretrained.ckpt"
+        header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["config"][key] = value
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_target_file_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         assert main(["pretrain", "--config", str(cfg_path)]) == 0
@@ -146,6 +161,19 @@ class TestExitCodes:
                      "--report", str(report)])
         assert code == 2
         assert "send report" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "pruned.ckpt").exists()
+
+    def test_repeated_report_header_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        plan = build_plan([(0, 0.3), (1, 0.1), (2, 0.2)], alpha=0.3)
+        report = tmp_path / "repeated.txt"
+        report.write_text(format_report([], plan).replace("k: 1\n", "k: 7\nk: 1\n"))
+        code = main(["prune", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "run" / "pretrained.ckpt"),
+                     "--report", str(report)])
+        assert code == 2
+        assert "repeated header 'k'" in capsys.readouterr().err
         assert not (tmp_path / "run" / "pruned.ckpt").exists()
 
     def test_report_for_another_depth_exits_2(self, workspace, capsys):

@@ -60,6 +60,12 @@ class TestTokenCounts:
         with pytest.raises(ConfigError):
             small_cfg(d_model=9, heads=2)
 
+    @pytest.mark.parametrize("kw", [dict(d_model=0, heads=1), dict(d_ff=0),
+                                    dict(d_ff=-1)])
+    def test_non_positive_widths_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            small_cfg(**kw)
+
 
 class TestAttentionForward:
     def test_hand_computed_two_token_attention(self):

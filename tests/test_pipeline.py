@@ -319,12 +319,13 @@ class TestRunPipeline:
         stages = [line.split(",")[0] for line in ledger[1:]]
         assert stages == ["pretrained", "pruned", "finetuned"]
         timings = (run_dir / "timings.csv").read_text().strip().splitlines()
-        assert timings[0] == "stage,seconds,sys_s,minor_faults"
+        assert timings[0] == "stage,seconds,user_s,sys_s,minor_faults"
         assert [line.split(",")[0] for line in timings[1:]] == [
             "pretrain", "score", "prune", "finetune"]
         for line in timings[1:]:
-            _, secs, sys_s, faults = line.split(",")
-            assert float(secs) >= 0.0 and float(sys_s) >= 0.0 and int(faults) >= 0
+            _, secs, user_s, sys_s, faults = line.split(",")
+            assert float(secs) >= 0.0 and int(faults) >= 0
+            assert float(user_s) >= 0.0 and float(sys_s) >= 0.0
         pretrained = state.metrics["pretrained"]
         finetuned = state.metrics["finetuned"]
         assert finetuned["flops"] < pretrained["flops"]

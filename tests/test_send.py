@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spat.errors import ConfigError, ContractError, NumericError, ParseError
+from spat.errors import (
+    ConfigError,
+    ContractError,
+    NumericError,
+    ParseError,
+    ShapeError,
+)
 from spat.model import Forecaster, ModelConfig, mse_loss
 from spat.send import (
     aggregate_heads,
@@ -69,13 +75,14 @@ class TestSensitivityOracle:
         """The fused op's mask gradient is bit-identical to the chain rule
         through the unfused primitives (split heads, ``q kᵀ``, scale,
         ``row_softmax``, ``* mask``, ``@ v``, merge heads), and so are the
-        q, k and v gradients. The mask contains zeros."""
+        q, k and v gradients. Three inputs: a mask with zeros, an all-ones
+        mask, and a mask with zeros whose q and k need no gradient."""
         rng = np.random.default_rng(5)
         batch, s, heads, dh = 3, 5, 2, 4
         d = heads * dh
         arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
-        mask0 = (rng.random((heads, s, s)) > 0.3).astype(float)
-        assert (mask0 == 0.0).any()
+        zeros_mask = (rng.random((heads, s, s)) > 0.3).astype(float)
+        assert (zeros_mask == 0.0).any()
         w = rng.normal(size=(batch, s, d))
 
         def split(t):
@@ -89,17 +96,22 @@ class TestSensitivityOracle:
         def fused(q, k, v, mask):
             return masked_attention(q, k, v, mask, heads)
 
-        grads = []
-        for attend in (fused, unfused):
-            ts = [Tensor(a, requires_grad=True) for a in arrays]
-            mask = Tensor(mask0, requires_grad=True)
-            with Tape() as tape:
-                out = attend(*ts, mask)
-                loss = (out * Tensor(w)).sum()
-            tape.backward(loss)
-            grads.append((out.data, mask.grad, *(t.grad for t in ts)))
-        for got, want in zip(*grads):
-            assert np.array_equal(got, want)
+        for mask0, need_qk in [(zeros_mask, True), (np.ones_like(zeros_mask), True),
+                               (zeros_mask, False)]:
+            grads = []
+            for attend in (fused, unfused):
+                ts = [Tensor(a, requires_grad=need) for a, need
+                      in zip(arrays, (need_qk, need_qk, True))]
+                mask = Tensor(mask0, requires_grad=True)
+                with Tape() as tape:
+                    out = attend(*ts, mask)
+                    loss = (out * Tensor(w)).sum()
+                tape.backward(loss)
+                grads.append((out.data, mask.grad, *(t.grad for t in ts)))
+            if not need_qk:
+                assert all(g is None for _, _, gq, gk, _ in grads for g in (gq, gk))
+            for got, want in zip(*grads):
+                assert np.array_equal(got, want)
 
     def test_zero_upstream_gradient_gives_zero_sensitivity(self):
         model, batches = toy_setup()
@@ -122,11 +134,72 @@ class TestSensitivityOracle:
                 rec.sen, model.blocks[rec.layer_index].mask.grad)
         assert all(r.batches_accumulated == 1 for r in records)
 
-    def test_scoring_restores_mask_state(self):
+    def test_scoring_restores_mask_state(self, monkeypatch):
+        """Scoring freezes the weights: no parameter holds a gradient after
+        any scoring backward, and all require gradients again afterwards,
+        also after a batch that raises midway."""
         model, batches = toy_setup()
+        backward = Tape.backward
+        seen = []
+
+        def checked(tape, loss):
+            backward(tape, loss)
+            seen.append([n for n, p in model.named_parameters()
+                         if p.grad is not None])
+
+        def assert_restored():
+            for m in model.masks():
+                assert not m.requires_grad and m.grad is None
+            assert all(p.requires_grad and p.grad is None
+                       for p in model.parameters())
+
+        monkeypatch.setattr(Tape, "backward", checked)
         compute_sensitivity(model, batches)
+        assert seen == [[]] * len(batches)
+        assert_restored()
+        seen.clear()
+        wrong_lookback = (np.zeros((3, 11, 4)), np.zeros((3, 3, 4)))
+        with pytest.raises(ShapeError):
+            compute_sensitivity(model, batches[:1] + [wrong_lookback])
+        assert seen == [[]]
+        assert_restored()
+
+    @pytest.mark.parametrize("mode, pruned", [
+        ("temporal_tokens", []), ("variate_tokens", []), ("variate_tokens", [0]),
+    ], ids=["temporal", "variate", "variate_layer0_pruned"])
+    def test_frozen_scoring_equals_full_backward(self, monkeypatch, mode, pruned):
+        """The scoring tape starts at the first unpruned layer's attention,
+        and its mask gradients are bit-identical to those of a backward
+        through every parameter."""
+        cfg = ModelConfig(mode=mode, lookback=12, horizon=3, channels=4,
+                          d_model=8, d_ff=16, heads=2, layers=3, patch_len=4,
+                          patch_stride=2, dropout=0.0)
+        model = Forecaster(cfg, seed=1)
+        for i in pruned:
+            model.blocks[i].remove_attention()
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(3, 12, 4)), rng.normal(size=(3, 3, 4))
+        backward = Tape.backward
+        first_ops = []
+
+        def spy(tape, loss):
+            first_ops.append(tape._records[0].name)
+            backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", spy)
+        records = compute_sensitivity(model, [(x, y)])
+        monkeypatch.undo()
+        assert first_ops == ["masked_attention"]
         for m in model.masks():
-            assert not m.requires_grad and m.grad is None
+            m.requires_grad = True
+        with Tape() as tape:
+            loss = mse_loss(model.forward(x), y)
+        tape.backward(loss)
+        assert model.embed_w.grad is not None
+        assert [r.layer_index for r in records] == [
+            i for i in range(3) if i not in pruned]
+        for rec in records:
+            assert np.array_equal(rec.sen, model.blocks[rec.layer_index].mask.grad)
 
     def test_empty_batches_rejected(self):
         model, _ = toy_setup()
@@ -367,6 +440,22 @@ class TestReportConsistency:
         with pytest.raises(ParseError):
             parse_report(three_layer_report().replace("layer 0:", "layer -1:"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("k: 1\n", "k: 7\nk: 1\n"),
+        ("k: 1\n", "k: 1\nk: 1\n"),
+        ("k: 1\n", "k: 1\nbogus: x\n"),
+        ("batches: 0\n", ""),
+        ("batches: 0\n", "batches: -5\n"),
+        ("batches: 0\n", "batches: 1.5\n"),
+        ("batches: 0\n", "batches:\n"),
+    ], ids=["repeated_k", "repeated_same_k", "unknown_key", "batches_missing",
+            "batches_negative", "batches_float", "batches_empty"])
+    def test_strict_header_lines(self, old, new):
+        text = three_layer_report()
+        assert old in text
+        with pytest.raises(ParseError):
+            parse_report(text.replace(old, new))
+
 
 class TestReportFuzz:
     @settings(max_examples=300, deadline=None)
@@ -377,6 +466,19 @@ class TestReportFuzz:
         except (ParseError, ConfigError):
             return
         assert_valid_plan(plan)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           alpha=st.floats(0.01, 0.99),
+           data=st.data())
+    def test_duplicated_header_line_raises_parse_error(self, scores, alpha, data):
+        lines = format_report([], build_plan(list(enumerate(scores)), alpha)
+                              ).splitlines()
+        header = data.draw(st.integers(0, 4))
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, lines[header])
+        with pytest.raises(ParseError):
+            parse_report("\n".join(lines) + "\n")
 
     @settings(max_examples=400, deadline=None)
     @given(scores=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
