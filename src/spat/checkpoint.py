@@ -9,13 +9,21 @@ original file byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
-from .model import Forecaster, ModelConfig
+from .model import (
+    FIELD_TYPES,
+    Forecaster,
+    ModelConfig,
+    check_state_shapes,
+    field_type_error,
+    state_shapes,
+)
 
 FORMAT_VERSION = 1
 
@@ -27,21 +35,16 @@ def _tensor_entries(model: Forecaster) -> list[tuple[str, np.ndarray]]:
     return entries
 
 
-# the JSON value types each ModelConfig field type accepts; bools are not ints
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-
-
 def _model_config(path, config) -> ModelConfig:
     """ModelConfig from a header's ``config`` object, every value type-checked."""
     if not isinstance(config, dict):
         raise ParseError(f"{path}: checkpoint config is not an object")
-    known = {f.name: type(f.default) for f in fields(ModelConfig)}
     for key, value in config.items():
-        if key not in known:
+        if key not in FIELD_TYPES:
             raise ParseError(f"{path}: unknown checkpoint config key {key!r}")
-        if type(value) not in _JSON_TYPES[known[key]]:
-            raise ParseError(f"{path}: checkpoint config {key}={value!r} "
-                             f"is not of type {known[key].__name__}")
+        wrong = field_type_error(key, value)
+        if wrong:
+            raise ParseError(f"{path}: checkpoint config {wrong}")
     return ModelConfig(**config)
 
 
@@ -81,10 +84,6 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
             and len(set(pruned)) == len(pruned)):
         raise ParseError(f"{path}: pruned layers {pruned!r} are not distinct "
                          f"indices of the model's {cfg.layers} blocks")
-    model = Forecaster(cfg, seed=0)
-    for i in pruned:
-        model.blocks[i].remove_attention()
-
     entries = header.get("tensors")
     if not (isinstance(entries, list) and all(
             isinstance(e, dict) and type(e.get("name")) is str
@@ -94,18 +93,31 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         raise ParseError(f"{path}: malformed checkpoint tensor table: each "
                          "entry needs a str name and a list of ints >= 0 shape")
     table = [(e["name"], tuple(e["shape"])) for e in entries]
-    offset = 0
+    # the table is checked against the payload and the config before the
+    # model is built, so a header alone cannot set the allocation
+    shapes = dict(table)
+    if len(shapes) != len(table):
+        raise ParseError(f"{path}: checkpoint tensor table repeats a name")
+    n_bytes = sum(8 * math.prod(shape) for _, shape in table)
+    if n_bytes != len(payload):
+        raise ParseError(f"{path}: checkpoint tensor table needs {n_bytes} "
+                         f"payload bytes, the file has {len(payload)}")
+    missing = [name for name in state_shapes(cfg, pruned)
+               if not name.endswith(".mask") and name not in shapes]
+    if missing:
+        raise ParseError(f"{path}: checkpoint has no tensor for parameters "
+                         f"{', '.join(missing)}")
+    check_state_shapes(shapes, cfg, pruned)
+
+    model = Forecaster(cfg, seed=0)
+    for i in pruned:
+        model.blocks[i].remove_attention()
     state = {}
+    offset = 0
     for name, shape in table:
-        n_bytes = int(np.prod(shape)) * 8 if shape else 8
-        chunk = payload[offset:offset + n_bytes]
-        if len(chunk) != n_bytes:
-            raise ParseError(f"{path}: truncated checkpoint payload at "
-                             f"tensor {name!r}")
-        state[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += n_bytes
-    if offset != len(payload):
-        raise ParseError(f"{path}: {len(payload) - offset} trailing bytes "
-                         "after last tensor")
+        size = 8 * math.prod(shape)
+        state[name] = np.frombuffer(payload, dtype="<f8", count=size // 8,
+                                    offset=offset).reshape(shape).copy()
+        offset += size
     model.load_state_dict(state)
     return model, header.get("meta", {})

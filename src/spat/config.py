@@ -14,7 +14,7 @@ import yaml
 
 from .data import SyntheticSpec, WindowSpec
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import ModelConfig, field_type_error
 
 
 def _as_float(name: str, value) -> float:
@@ -40,6 +40,12 @@ class ArchitectureConfig:
     activation: str = "gelu"
     norm_placement: str = "pre"
     instance_norm: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            wrong = field_type_error(f.name, getattr(self, f.name))
+            if wrong:
+                raise ConfigError(f"model.{wrong}")
 
     def to_model_config(self, lookback: int, horizon: int, channels: int) -> ModelConfig:
         return ModelConfig(lookback=lookback, horizon=horizon, channels=channels,

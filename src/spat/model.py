@@ -18,7 +18,7 @@ retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -97,6 +97,21 @@ class ModelConfig:
             return self.channels
         n = (self.lookback - self.patch_len) // self.patch_stride + 1
         return n + 1 if self.end_padding else n
+
+
+# The value types a config file may give each kind of ModelConfig field, as
+# YAML or JSON parse them: bools are not ints, and a float field also takes
+# an int (`dropout: 0` parses as one).
+_ACCEPTED_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+FIELD_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
+
+
+def field_type_error(key: str, value) -> str | None:
+    """Why ``value`` cannot be ModelConfig field ``key``, or None if it can."""
+    want = FIELD_TYPES[key]
+    if type(value) in _ACCEPTED_TYPES[want]:
+        return None
+    return f"{key}={value!r} is not of type {want.__name__}"
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -334,27 +349,62 @@ class Forecaster:
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        known = {name for name, _ in self.named_parameters()}
-        known.update(f"blocks.{i}.mask" for i in range(len(self.blocks)))
-        unknown = sorted(set(state) - known)
-        if unknown:
-            raise ContractError(f"state dict has tensors this model does not "
-                                f"have: {', '.join(unknown)}")
+        check_state_shapes({name: a.shape for name, a in state.items()},
+                           self.cfg, self.pruned_layers())
         for name, p in self.named_parameters():
-            if name not in state:
-                raise ContractError(f"state dict missing parameter {name!r}")
-            if state[name].shape != p.data.shape:
-                raise ShapeError(f"parameter {name!r}: stored shape "
-                                 f"{state[name].shape} != model shape {p.data.shape}")
             p.data = state[name].copy()
         for i, blk in enumerate(self.blocks):
             key = f"blocks.{i}.mask"
             if key in state:
-                if state[key].shape != blk.mask.shape:
-                    raise ShapeError(f"mask {key!r}: stored shape "
-                                     f"{state[key].shape} != model shape "
-                                     f"{blk.mask.shape}")
                 blk.mask = Tensor(state[key].copy())
+
+
+def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor in the state dict of a ``Forecaster(cfg)``
+    whose blocks ``pruned`` have no attention, parameters first in
+    ``named_parameters`` order, then the masks. Allocates nothing, so a
+    checkpoint's tensor table can be checked before the model is built."""
+    d, f, s = cfg.d_model, cfg.d_ff, cfg.token_count
+    temporal = cfg.mode == "temporal_tokens"
+    shapes = {"embed.w": (cfg.patch_len if temporal else cfg.lookback, d),
+              "embed.b": (d,)}
+    if temporal:
+        shapes["embed.pos"] = (s, d)
+    block = {"w_q": (d, d), "b_q": (d,), "w_k": (d, d), "b_k": (d,),
+             "w_v": (d, d), "b_v": (d,), "w_e": (d, d), "b_e": (d,),
+             "ln1_g": (d,), "ln1_b": (d,), "w1": (d, f), "b1": (f,),
+             "w2": (f, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,)}
+    for i in range(cfg.layers):
+        names = (() if i in pruned else AttentionBlock.ATTENTION_PARAMS) \
+            + AttentionBlock.OTHER_PARAMS
+        shapes.update((f"blocks.{i}.{n}", block[n]) for n in names)
+    if cfg.norm_placement == "pre":
+        shapes["final_norm.g"] = shapes["final_norm.b"] = (d,)
+    shapes["head.w"] = (s * d if temporal else d, cfg.horizon)
+    shapes["head.b"] = (cfg.horizon,)
+    shapes.update((f"blocks.{i}.mask", (cfg.heads, s, s))
+                  for i in range(cfg.layers))
+    return shapes
+
+
+def check_state_shapes(shapes: dict, cfg: ModelConfig, pruned=()) -> None:
+    """Raise unless ``shapes`` (name -> shape) names every parameter of
+    ``state_shapes(cfg, pruned)`` at its shape and nothing else; masks may
+    be left out."""
+    expected = state_shapes(cfg, pruned)
+    unknown = sorted(set(shapes) - set(expected))
+    if unknown:
+        raise ContractError(f"state dict has tensors this model does not "
+                            f"have: {', '.join(unknown)}")
+    for name, shape in expected.items():
+        kind = "mask" if name.endswith(".mask") else "parameter"
+        if name not in shapes:
+            if kind == "mask":
+                continue
+            raise ContractError(f"state dict missing parameter {name!r}")
+        if tuple(shapes[name]) != shape:
+            raise ShapeError(f"{kind} {name!r}: stored shape "
+                             f"{tuple(shapes[name])} != model shape {shape}")
 
 
 def clone_model(model: Forecaster) -> Forecaster:

@@ -585,6 +585,14 @@ def row_softmax(a: Tensor) -> Tensor:
     return _emit("row_softmax", (a,), out, grad_fn)
 
 
+# Bytes of [n, H, S, S] scores that masked_attention works on at a time:
+# about half of a 2 MiB per-core L2, so each pass over the scores (scale,
+# max, exp, sum, divide, the mask products, the softmax row-dot) finds its
+# chunk in L2 next to the pass's other operands, instead of streaming the
+# whole [B, H, S, S] tensor from L3. A chunk holds at least one item.
+_ATTENTION_CHUNK_BYTES = 2**20
+
+
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
                      heads: int) -> Tensor:
     """Multi-head self-attention whose score matrix carries a connection mask.
@@ -602,11 +610,21 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
     unfused composition of ``reshape``, ``transpose``, ``matmul``,
     ``scale``, ``row_softmax`` and ``mul``, so both give identical bits.
 
-    Two shortcuts keep those bits. An all-ones mask is not multiplied in,
-    forward or backward (``x · 1.0 == x``). When neither ``q`` nor ``k``
-    needs a gradient, as in the first attention layer that scoring on
-    frozen weights reaches, backward stops once the ``v`` and mask
-    gradients are out and skips the softmax backward over ``[B, H, S, S]``.
+    The batch is walked in chunks of ``_ATTENTION_CHUNK_BYTES`` worth of
+    scores, forward and backward. Every GEMM is still one BLAS call per
+    ``(b, h)`` slice and every row reduction stays within its row, so the
+    chunking changes no bits. The mask gradient's sum over the batch keeps
+    its sequential order: each chunk's sum starts from the running sum as
+    its row 0, rather than adding per-chunk partial sums. Only a taped op
+    keeps the ``[B, H, S, S]`` scores; backward works on chunk-sized
+    temporaries.
+
+    Three shortcuts keep those bits. An all-ones mask is not multiplied in,
+    forward or backward (``x · 1.0 == x``), and then the softmax backward
+    reuses the product ``g_{A'} ⊙ A`` made for the mask gradient. When
+    neither ``q`` nor ``k`` needs a gradient, as in the first attention
+    layer that scoring on frozen weights reaches, backward stops once the
+    ``v`` and mask gradients are out and skips the softmax backward.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"masked_attention: q, k and v must share one "
@@ -620,50 +638,87 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
                          f"{(heads, s, s)}")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
+    n = max(1, min(batch, _ATTENTION_CHUNK_BYTES // (heads * s * s * 8)))
+    chunks = [slice(b, min(b + n, batch)) for b in range(0, batch, n)]
 
     def split(a):  # [B, S, d] -> [B, H, S, d_head] view
         return a.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a):  # [B, H, S, d_head] -> [B, S, d]
-        return a.transpose(0, 2, 1, 3).reshape(batch, s, d)
+    def merged():
+        # an empty [B, S, d] in the layout the unfused head merge of a
+        # [B, H, S, d_head] product leaves, which later sums depend on: a
+        # C-order copy, but a [B, H, S] view when d_head is 1
+        if dh == 1:
+            return np.empty((batch, heads, s)).transpose(0, 2, 1)
+        return np.empty((batch, s, d))
 
     qh, kh, vh, m = split(q.data), split(k.data), split(v.data), mask.data
-    att = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    att *= c
-    if not np.isfinite(att).all():
-        raise NumericError("masked_attention: attention scores contain NaN or Inf")
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
     ones = bool((m == 1.0).all())
-    out = merge(np.matmul(att if ones else att * m, vh))
+    keep = _tracked(q, k, v, mask)
+    att = np.empty((batch, heads, s, s)) if keep else None
+    scratch = None if keep and ones else np.empty((n, heads, s, s))
+    out = merged()
+    for sl in chunks:
+        a = att[sl] if keep else scratch[:sl.stop - sl.start]
+        np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=a)
+        a *= c
+        if not np.isfinite(a).all():
+            raise NumericError(
+                "masked_attention: attention scores contain NaN or Inf")
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=-1, keepdims=True)
+        if not ones:
+            a = np.multiply(a, m, out=scratch[:sl.stop - sl.start])
+        np.matmul(a, vh[sl], out=split(out)[sl])
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
     need_mask = mask.requires_grad
 
     def grad_fn(g):
         g_ctx = split(g)
-        # A' is rebuilt rather than kept, then reused as scratch space;
-        # under an all-ones mask A' is A, and the scratch space is fresh
-        masked = att if ones else att * m
-        gv = merge(np.matmul(np.swapaxes(masked, -1, -2), g_ctx)) if need_v else None
-        buf = np.empty_like(att) if ones else masked
-        ga = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))  # dL/dA'
+        gq, gv = (merged() if need else None for need in (need_q, need_v))
+        # k's gradient keeps the unfused layout, a [B, S, d] view of
+        # [B, H, d_head, S]: the bias gradient's sum over it depends on it
+        gk_t = np.empty((batch, heads, dh, s)) if need_k else None
+        ga = np.empty((n, heads, s, s))
+        # rows 1.. hold a chunk's products; row 0 carries the mask
+        # gradient's running sum into the next chunk's sum over the batch
+        prod = np.empty((n + 1, heads, s, s))
         gm = None
-        if need_mask:
-            # before ga is multiplied by the mask: zeros in the mask must
-            # not zero the gradient that says what unmasking would do
-            gm = np.multiply(ga, att, out=buf).sum(axis=0)
-        if not (need_q or need_k):
-            return None, None, gv, gm
-        # dL/dA, then the row-softmax and scale backward, all in place
-        if not ones:
-            ga *= m
-        ga -= np.multiply(ga, att, out=buf).sum(axis=-1, keepdims=True)
-        ga *= att
-        ga *= c
-        gq = merge(np.matmul(ga, kh)) if need_q else None
-        gk = (merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), ga), -1, -2))
-              if need_k else None)
+        for sl in chunks:
+            nb = sl.stop - sl.start
+            a, p, gac = att[sl], prod[1:nb + 1], ga[:nb]
+            if need_v:
+                # A' is rebuilt rather than kept; under an all-ones mask it is A
+                masked = a if ones else np.multiply(a, m, out=p)
+                np.matmul(np.swapaxes(masked, -1, -2), g_ctx[sl],
+                          out=split(gv)[sl])
+            np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA'
+            if need_mask:
+                # before ga is multiplied by the mask: zeros in the mask must
+                # not zero the gradient that says what unmasking would do
+                np.multiply(gac, a, out=p)
+                if gm is None:
+                    gm = p.sum(axis=0)
+                else:
+                    prod[0] = gm
+                    gm = prod[:nb + 1].sum(axis=0)
+            if not (need_q or need_k):
+                continue
+            # dL/dA, then the row-softmax and scale backward, all in place
+            if not ones:
+                gac *= m
+            if not (ones and need_mask):
+                np.multiply(gac, a, out=p)
+            gac -= p.sum(axis=-1, keepdims=True)
+            gac *= a
+            gac *= c
+            if need_q:
+                np.matmul(gac, kh[sl], out=split(gq)[sl])
+            if need_k:
+                np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
+        gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
+              .reshape(batch, s, d) if need_k else None)
         return gq, gk, gv, gm
 
     return _emit("masked_attention", (q, k, v, mask), out, grad_fn)

@@ -1,6 +1,9 @@
 """Checkpoint container round-trip and stability tests."""
 
 import json
+import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
-from spat.model import Forecaster, ModelConfig
+from spat.model import Forecaster, ModelConfig, state_shapes
 
 
 def make_model(seed=0, layers=3):
@@ -151,6 +154,47 @@ class TestMalformedHeader:
         state["head.extra"] = np.zeros(2)
         with pytest.raises(ContractError, match="head.extra"):
             model.load_state_dict(state)
+
+
+class TestHeaderAllocation:
+    """The tensor table is checked against the payload and the config
+    before the model is built: a small file cannot make the loader
+    allocate a large model."""
+
+    cfg = ModelConfig(d_model=512, d_ff=512, layers=3)
+    model_bytes = 8 * sum(math.prod(shape)
+                          for shape in state_shapes(cfg).values())
+
+    @pytest.mark.parametrize("tensors", ["none", "no_payload"])
+    def test_rejected_before_the_model_is_built(self, tmp_path, tensors):
+        table = [] if tensors == "none" else [
+            {"name": n, "shape": list(shape)}
+            for n, shape in state_shapes(self.cfg).items()]
+        header = {"version": 1, "config": asdict(self.cfg), "pruned": [],
+                  "tensors": table, "meta": {}}
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        assert self.model_bytes > 30e6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.model_bytes / 100
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        mask = header["tensors"][-1]
+        header["tensors"].append(mask)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload
+                         + payload[-8 * math.prod(mask["shape"]):])
+        with pytest.raises(ParseError, match="repeats"):
+            load_checkpoint(path)
 
 
 class TestHeaderFuzz:

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, artifact round trips."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,10 +9,14 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spat.cli import main, resolve_run_dir
 from spat.config import (
+    ArchitectureConfig,
     ExperimentConfig,
+    apply_overrides,
     config_from_dict,
     load_config,
     parse_config,
@@ -20,6 +25,7 @@ from spat.config import (
 from spat.checkpoint import load_checkpoint
 from spat.data import dataset_windows
 from spat.errors import ConfigError
+from spat.model import ModelConfig, field_type_error
 from spat.pipeline import load_dataset, scoring_batches
 from spat.send import build_plan, compute_sensitivity, format_report, parse_report
 
@@ -72,7 +78,55 @@ class TestConfigRoundTrip:
             config_from_dict({"pruning": {"alpha": 0.0}})
 
 
+class TestOverrideFuzz:
+    """``--set model.<field>=<value>`` with a value YAML reads as another
+    type than the field's must raise ConfigError (exit 2), never reach
+    the model."""
+
+    @pytest.fixture(scope="class")
+    def cfg_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "config.yaml"
+        path.write_text(yaml.safe_dump(tiny_config_dict("runs/fuzz")))
+        return path
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           raw=st.one_of(st.integers(-3, 40).map(str),
+                         st.floats().map(repr),
+                         st.sampled_from(["true", "no", "null", "~", "", "[8]",
+                                          "{a: 1}", "'8'", "8.0", "1e3",
+                                          "2024-01-01", ".nan"]),
+                         st.text(max_size=8)))
+    def test_model_field_of_another_type(self, cfg_path, data, raw):
+        field = data.draw(st.sampled_from(
+            [f.name for f in dataclasses.fields(ArchitectureConfig)]))
+        item = f"model.{field}={raw}"
+        value = apply_overrides({}, [item])["model"][field]
+        assume(field_type_error(field, value) is not None)
+        with pytest.raises(ConfigError, match=f"model.{field}"):
+            load_config(cfg_path, [item])
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("item", ["model.d_model=16.0", "model.layers=true",
+                                      "model.dropout=high", "model.mode=3"])
+    def test_model_value_of_wrong_type_exits_2(self, workspace, capsys, item):
+        _, cfg_path = workspace
+        assert main(["run", "--config", str(cfg_path), "--set", item]) == 2
+        assert item.split("=")[0] in capsys.readouterr().err
+
+    def test_checkpoint_header_without_tensors_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        cfg = ModelConfig(mode="variate_tokens", lookback=16, horizon=4,
+                          channels=3, d_model=512, d_ff=512, heads=2, layers=3)
+        ckpt = tmp_path / "large.ckpt"
+        ckpt.write_bytes(json.dumps(
+            {"version": 1, "config": dataclasses.asdict(cfg), "pruned": [],
+             "tensors": [], "meta": {}}).encode() + b"\n")
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert "large.ckpt" in capsys.readouterr().err
+
     def test_alpha_zero_exits_2(self, workspace):
         _, cfg_path = workspace
         code = main(["run", "--config", str(cfg_path), "--set",

@@ -5,7 +5,13 @@ import pytest
 
 from conftest import model_param_gradcheck
 from spat.errors import ConfigError, NumericError, ShapeError
-from spat.model import Forecaster, ModelConfig, clone_model, mse_loss
+from spat.model import (
+    Forecaster,
+    ModelConfig,
+    clone_model,
+    mse_loss,
+    state_shapes,
+)
 from spat.tensor import Tape, Tensor
 
 
@@ -280,3 +286,18 @@ class TestFullModelGradient:
         x = rng.normal(size=(2, 16, 2))
         y = rng.normal(size=(2, 4, 2))
         model_param_gradcheck(model, x, y, max_entries_per_param=12)
+
+
+class TestStateShapes:
+    @pytest.mark.parametrize("mode", ["temporal_tokens", "variate_tokens"])
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    @pytest.mark.parametrize("pruned", [(), (1,), (0, 2)])
+    def test_matches_the_built_model(self, mode, norm, pruned):
+        cfg = small_cfg(mode=mode, norm_placement=norm, layers=3, patch_len=4,
+                        patch_stride=2)
+        model = Forecaster(cfg, seed=0)
+        for i in pruned:
+            model.blocks[i].remove_attention()
+        want = {name: a.shape for name, a in model.state_dict().items()}
+        got = state_shapes(cfg, pruned)
+        assert list(got) == list(want) and got == want

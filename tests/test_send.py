@@ -27,6 +27,7 @@ from spat.send import (
     plan_from_records,
     send_score,
 )
+from spat import tensor
 from spat.tensor import Tape, Tensor, masked_attention, row_softmax
 
 
@@ -48,6 +49,51 @@ def dataset_loss(model, batches):
         pred = model.forward(x).data
         total += float(np.mean((pred - y) ** 2))
     return total / len(batches)
+
+
+def assert_fused_equals_unfused(batch, s, heads, dh):
+    """``masked_attention`` against the composition of the unfused
+    primitives: outputs and every gradient equal bit for bit and share
+    their memory layout, for a mask
+    with zeros, an all-ones mask, and a mask with zeros whose q and k need
+    no gradient."""
+    rng = np.random.default_rng(5)
+    d = heads * dh
+    arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
+    zeros_mask = (rng.random((heads, s, s)) > 0.3).astype(float)
+    assert (zeros_mask == 0.0).any()
+    w = rng.normal(size=(batch, s, d))
+
+    def split(t):
+        return t.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
+
+    def unfused(q, k, v, mask):
+        scores = (split(q) @ split(k).transpose()) * (1.0 / math.sqrt(dh))
+        ctx = (row_softmax(scores) * mask) @ split(v)
+        return ctx.transpose(0, 2, 1, 3).reshape(batch, s, d)
+
+    def fused(q, k, v, mask):
+        return masked_attention(q, k, v, mask, heads)
+
+    for mask0, need_qk in [(zeros_mask, True), (np.ones_like(zeros_mask), True),
+                           (zeros_mask, False)]:
+        grads = []
+        for attend in (fused, unfused):
+            ts = [Tensor(a, requires_grad=need) for a, need
+                  in zip(arrays, (need_qk, need_qk, True))]
+            mask = Tensor(mask0, requires_grad=True)
+            with Tape() as tape:
+                out = attend(*ts, mask)
+                loss = (out * Tensor(w)).sum()
+            tape.backward(loss)
+            grads.append((out.data, mask.grad, *(t.grad for t in ts)))
+        if not need_qk:
+            assert all(g is None for _, _, gq, gk, _ in grads for g in (gq, gk))
+        for got, want in zip(*grads):
+            # the same layout too: sums over a gradient (a bias gradient)
+            # depend on it
+            assert got is want is None or (np.array_equal(got, want)
+                                           and got.strides == want.strides)
 
 
 class TestSensitivityOracle:
@@ -77,41 +123,20 @@ class TestSensitivityOracle:
         ``row_softmax``, ``* mask``, ``@ v``, merge heads), and so are the
         q, k and v gradients. Three inputs: a mask with zeros, an all-ones
         mask, and a mask with zeros whose q and k need no gradient."""
-        rng = np.random.default_rng(5)
-        batch, s, heads, dh = 3, 5, 2, 4
-        d = heads * dh
-        arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
-        zeros_mask = (rng.random((heads, s, s)) > 0.3).astype(float)
-        assert (zeros_mask == 0.0).any()
-        w = rng.normal(size=(batch, s, d))
+        assert_fused_equals_unfused(batch=3, s=5, heads=2, dh=4)
 
-        def split(t):
-            return t.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
-
-        def unfused(q, k, v, mask):
-            scores = (split(q) @ split(k).transpose()) * (1.0 / math.sqrt(dh))
-            ctx = (row_softmax(scores) * mask) @ split(v)
-            return ctx.transpose(0, 2, 1, 3).reshape(batch, s, d)
-
-        def fused(q, k, v, mask):
-            return masked_attention(q, k, v, mask, heads)
-
-        for mask0, need_qk in [(zeros_mask, True), (np.ones_like(zeros_mask), True),
-                               (zeros_mask, False)]:
-            grads = []
-            for attend in (fused, unfused):
-                ts = [Tensor(a, requires_grad=need) for a, need
-                      in zip(arrays, (need_qk, need_qk, True))]
-                mask = Tensor(mask0, requires_grad=True)
-                with Tape() as tape:
-                    out = attend(*ts, mask)
-                    loss = (out * Tensor(w)).sum()
-                tape.backward(loss)
-                grads.append((out.data, mask.grad, *(t.grad for t in ts)))
-            if not need_qk:
-                assert all(g is None for _, _, gq, gk, _ in grads for g in (gq, gk))
-            for got, want in zip(*grads):
-                assert np.array_equal(got, want)
+    @pytest.mark.parametrize("batch, s, per_chunk", [(3, 5, 1), (5, 128, 2)],
+                             ids=["one_item", "remainder"])
+    def test_chunked_equals_direct_mask_gradient(self, monkeypatch, batch, s,
+                                                 per_chunk):
+        """The same bits when the batch runs in several chunks: one item
+        per chunk, and chunks of 2 over 5 items, whose last chunk is a
+        remainder. The mask gradient sums the batch in order; summing per
+        chunk and then adding the partial sums would round differently."""
+        heads = 2
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES",
+                            per_chunk * heads * s * s * 8)
+        assert_fused_equals_unfused(batch=batch, s=s, heads=heads, dh=4)
 
     def test_zero_upstream_gradient_gives_zero_sensitivity(self):
         model, batches = toy_setup()

@@ -1,11 +1,14 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import analytic_grads, gradcheck
+from spat import tensor
 from spat.errors import ContractError, NumericError, ShapeError
 from spat.tensor import (
     Tape,
@@ -278,6 +281,57 @@ class TestMaskedAttention:
         q = Tensor(np.full((1, 2, 2), np.nan))
         with pytest.raises(NumericError):
             masked_attention(q, q, q, Tensor(np.ones((1, 2, 2))), 1)
+
+    def test_rejects_non_finite_scores_in_a_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
+        x = np.ones((3, 2, 2))
+        x[2, 1, 0] = np.inf
+        with pytest.raises(NumericError):
+            masked_attention(Tensor(x), Tensor(x), Tensor(x),
+                             Tensor(np.ones((1, 2, 2))), 1)
+
+
+def traced_peak(fn):
+    """Peak bytes traced while ``fn()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestAttentionMemory:
+    """With the batch in chunks of one item, only a taped op holds the
+    [B, H, S, S] scores, and backward works on chunk-sized temporaries."""
+
+    batch, s, heads, d = 16, 128, 2, 8
+    full = batch * heads * s * s * 8  # bytes of one [B, H, S, S] tensor
+
+    @pytest.fixture(autouse=True)
+    def one_item_chunks(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES",
+                            self.heads * self.s * self.s * 8)
+        rng = np.random.default_rng(0)
+        self.arrays = [rng.normal(size=(self.batch, self.s, self.d))
+                       for _ in range(3)]
+
+    def test_untracked_forward_keeps_no_scores(self):
+        ones = Tensor(np.ones((self.heads, self.s, self.s)))
+        peak = traced_peak(lambda: masked_attention(
+            *map(Tensor, self.arrays), ones, self.heads))
+        assert peak < self.full / 2
+
+    def test_backward_allocates_no_full_size_temporary(self):
+        ts = [Tensor(a, requires_grad=True) for a in self.arrays]
+        mask = Tensor(np.ones((self.heads, self.s, self.s)), requires_grad=True)
+        with Tape() as tape:
+            loss = (masked_attention(*ts, mask, self.heads)
+                    * Tensor(self.arrays[0])).sum()
+        assert traced_peak(lambda: tape.backward(loss)) < self.full
+        assert all(t.grad is not None for t in ts) and mask.grad is not None
 
 
 class TestGradModeAndInvariants:
