@@ -7,6 +7,8 @@ they cannot inherit a bug from the reverse-mode implementation they check.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from spat.tensor import Tape, Tensor
@@ -19,6 +21,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn):
+    """Peak bytes (tracemalloc, numpy buffers included) traced
+    while ``fn()`` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def central_diff_grads(f, arrays: list[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
 from spat.model import Forecaster, ModelConfig, state_shapes
@@ -175,14 +175,12 @@ class TestHeaderAllocation:
         path = tmp_path / "model.ckpt"
         path.write_bytes(json.dumps(header).encode() + b"\n")
         assert self.model_bytes > 30e6
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(ParseError):
                 load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < self.model_bytes / 100
+
+        assert traced_peak(load) < self.model_bytes / 100
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

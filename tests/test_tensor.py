@@ -1,13 +1,11 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import analytic_grads, gradcheck
+from conftest import analytic_grads, gradcheck, traced_peak
 from spat import tensor
 from spat.errors import ContractError, NumericError, ShapeError
 from spat.tensor import (
@@ -289,18 +287,6 @@ class TestMaskedAttention:
         with pytest.raises(NumericError):
             masked_attention(Tensor(x), Tensor(x), Tensor(x),
                              Tensor(np.ones((1, 2, 2))), 1)
-
-
-def traced_peak(fn):
-    """Peak bytes traced while ``fn()`` runs, above what was held before."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
 
 
 class TestAttentionMemory:
