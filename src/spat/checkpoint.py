@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 from .model import (
-    FIELD_TYPES,
     Forecaster,
     ModelConfig,
     check_state_shapes,
@@ -39,10 +38,11 @@ def _model_config(path, config) -> ModelConfig:
     """ModelConfig from a header's ``config`` object, every value type-checked."""
     if not isinstance(config, dict):
         raise ParseError(f"{path}: checkpoint config is not an object")
+    annotations = {f.name: f.type for f in fields(ModelConfig)}
     for key, value in config.items():
-        if key not in FIELD_TYPES:
+        if key not in annotations:
             raise ParseError(f"{path}: unknown checkpoint config key {key!r}")
-        wrong = field_type_error(key, value)
+        wrong = field_type_error(key, annotations[key], value)
         if wrong:
             raise ParseError(f"{path}: checkpoint config {wrong}")
     return ModelConfig(**config)

@@ -15,26 +15,25 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, load_config, serialize_config
+from .config import ExperimentConfig, load_config
 from .cost import build_cost_report
-from .data import dataset_windows, generate_synthetic, write_csv
+from .data import generate_synthetic, write_csv
 from .errors import ContractError, NumericError, SpatError
-from .model import Forecaster
 from .pipeline import (
-    SeedStreams,
     append_ledger_row,
-    evaluate_metrics,
-    finetune,
+    finetune_stage,
     ledger_row,
     load_dataset,
-    pretrain,
+    open_run_dir,
+    prepare,
+    pretrain_stage,
     prune,
     run_pipeline,
     run_sweep,
-    scoring_batches,
+    score_stage,
     zero_shot_eval,
 )
-from .send import compute_sensitivity, format_report, parse_report, plan_from_records
+from .send import format_report, parse_report, plan_from_records
 
 RUN_ROOT_ENV = "SPAT_RUN_ROOT"
 
@@ -55,14 +54,6 @@ def _print_row(row: dict) -> None:
     print(", ".join(f"{k}={row[k]}" for k in row))
 
 
-def _prepared(cfg: ExperimentConfig):
-    dataset = load_dataset(cfg)
-    spec = cfg.window
-    windows = {name: dataset_windows(dataset, name, spec)
-               for name in ("train", "val", "test")}
-    return dataset, spec, windows
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     state = run_pipeline(cfg, resolve_run_dir(cfg, args.run_dir))
@@ -74,28 +65,11 @@ def cmd_run(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
-    run_dir = resolve_run_dir(cfg, args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.yaml").write_text(serialize_config(cfg))
-    dataset, spec, windows = _prepared(cfg)
-    if len(windows["val"][0]) == 0 and cfg.optimizer.patience is not None:
-        raise ContractError("validation split is empty; set optimizer.patience "
-                            "to null to train without early stopping")
-    model_cfg = cfg.model.to_model_config(spec.lookback, spec.horizon,
-                                          dataset.channels)
-    seeds = SeedStreams(cfg.seed)
-    model = Forecaster(model_cfg, seed=seeds.model_init())
-    pretrain(model, windows["train"], windows["val"], cfg.optimizer, seeds)
-    out = run_dir / "pretrained.ckpt"
-    save_checkpoint(out, model, meta={"dataset_name": dataset.name,
-                                      "stage": "pretrained"})
-    row = ledger_row("pretrained", dataset.name, spec.horizon,
-                     evaluate_metrics(model, *windows["test"],
-                                      cfg.optimizer.batch_size),
-                     build_cost_report(model))
+    run_dir = open_run_dir(cfg, resolve_run_dir(cfg, args.run_dir))
+    _, row = pretrain_stage(prepare(cfg), run_dir)
     append_ledger_row(run_dir / "metrics.csv", row)
     _print_row(row)
-    print(f"checkpoint: {out}")
+    print(f"checkpoint: {run_dir / 'pretrained.ckpt'}")
     return 0
 
 
@@ -109,10 +83,7 @@ def cmd_score(args) -> int:
             f"checkpoint {args.checkpoint} already has pruned layers "
             f"{model.pruned_layers()}; sensitivity scoring needs the "
             f"unpruned pretrained model")
-    _, _, windows = _prepared(cfg)
-    batches = scoring_batches(windows["train"], cfg.optimizer.batch_size,
-                              cfg.pruning.score_batches)
-    records = compute_sensitivity(model, batches)
+    _, records = score_stage(prepare(cfg), model)
     alphas = args.alpha or [cfg.pruning.alpha]
     for alpha in alphas:
         plan = plan_from_records(records, alpha)
@@ -149,15 +120,8 @@ def cmd_finetune(args) -> int:
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
-    dataset, spec, windows = _prepared(cfg)
-    seeds = SeedStreams(cfg.seed)
-    finetune(model, windows["train"], windows["val"], cfg.optimizer, seeds)
     out = Path(args.out) if args.out else run_dir / "finetuned.ckpt"
-    save_checkpoint(out, model, meta={**meta, "stage": "finetuned"})
-    row = ledger_row("finetuned", dataset.name, spec.horizon,
-                     evaluate_metrics(model, *windows["test"],
-                                      cfg.optimizer.batch_size),
-                     build_cost_report(model))
+    row = finetune_stage(prepare(cfg), model, out, {**meta, "stage": "finetuned"})
     append_ledger_row(run_dir / "metrics.csv", row)
     _print_row(row)
     print(f"checkpoint: {out}")
@@ -169,9 +133,9 @@ def cmd_eval(args) -> int:
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
-    dataset, spec, _ = _prepared(cfg)
-    metrics = zero_shot_eval(model, dataset, spec, cfg.optimizer.batch_size)
-    row = ledger_row(args.stage, dataset.name, spec.horizon, metrics,
+    dataset = load_dataset(cfg)
+    metrics = zero_shot_eval(model, dataset, cfg.window, cfg.optimizer.batch_size)
+    row = ledger_row(args.stage, dataset.name, cfg.window.horizon, metrics,
                      build_cost_report(model))
     append_ledger_row(run_dir / "metrics.csv", row)
     _print_row(row)

@@ -17,11 +17,17 @@ from .errors import ConfigError
 from .model import ModelConfig, field_type_error
 
 
-def _as_float(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+def _read_floats(annotation: str, value):
+    """PyYAML reads a float written without a dot (``1e-4``) as a string;
+    where a float is due, read such a string as the number it spells."""
+    if isinstance(value, str) and annotation.split(" | ")[0] == "float":
+        try:
+            return float(value)
+        except ValueError:
+            return value
+    if isinstance(value, list) and annotation.startswith("tuple[float"):
+        return [_read_floats("float", v) for v in value]
+    return value
 
 
 @dataclass
@@ -41,12 +47,6 @@ class ArchitectureConfig:
     norm_placement: str = "pre"
     instance_norm: bool = True
 
-    def __post_init__(self):
-        for f in fields(self):
-            wrong = field_type_error(f.name, getattr(self, f.name))
-            if wrong:
-                raise ConfigError(f"model.{wrong}")
-
     def to_model_config(self, lookback: int, horizon: int, channels: int) -> ModelConfig:
         return ModelConfig(lookback=lookback, horizon=horizon, channels=channels,
                            **asdict(self))
@@ -58,8 +58,8 @@ class DataConfig:
     path: str | None = None
     name: str | None = None
     date_column: bool = True
-    split_ratios: tuple | None = (0.7, 0.1, 0.2)
-    split_counts: tuple | None = None
+    split_ratios: tuple[float, ...] | None = (0.7, 0.1, 0.2)
+    split_counts: tuple[int, ...] | None = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
@@ -99,10 +99,10 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        self.lr = _as_float("optimizer.lr", self.lr)
-        self.lr_min = _as_float("optimizer.lr_min", self.lr_min)
+        self.lr = float(self.lr)
+        self.lr_min = float(self.lr_min)
         if self.finetune_lr is not None:
-            self.finetune_lr = _as_float("optimizer.finetune_lr", self.finetune_lr)
+            self.finetune_lr = float(self.finetune_lr)
         if self.lr <= 0.0:
             raise ConfigError(f"optimizer.lr must be positive, got {self.lr}")
         if self.epochs < 0:
@@ -120,7 +120,7 @@ class PruningConfig:
     rescore_between_removals: bool = False
 
     def __post_init__(self):
-        self.alpha = _as_float("pruning.alpha", self.alpha)
+        self.alpha = float(self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"pruning.alpha must lie in (0, 1), got {self.alpha}")
         if self.score_batches is not None and self.score_batches < 1:
@@ -138,27 +138,31 @@ class ExperimentConfig:
     pruning: PruningConfig = field(default_factory=PruningConfig)
 
 
-_SECTIONS = {
-    "data": DataConfig,
-    "window": WindowSpec,
-    "model": ArchitectureConfig,
-    "optimizer": OptimizerConfig,
-    "pruning": PruningConfig,
-}
-_NESTED = {"synthetic": SyntheticSpec}
+# Fields that hold a section of their own, by annotation
+_SECTIONS = {cls.__name__: cls for cls in (
+    DataConfig, SyntheticSpec, WindowSpec, ArchitectureConfig, OptimizerConfig,
+    PruningConfig)}
 
 
 def _build(cls, data: dict, path: str):
+    """``cls`` from a mapping. Each value is checked against its field's
+    annotation (``model.FIELD_TYPES``) before ``cls`` sees it."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field")
+    annotations = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key in _NESTED and isinstance(value, dict):
-            value = _build(_NESTED[key], value, f"{path}.{key}")
+        name = f"{path}.{key}" if path else str(key)
+        if key not in annotations:
+            raise ConfigError(f"{name}: unknown field")
+        section = _SECTIONS.get(annotations[key])
+        if section is not None:
+            value = _build(section, value, name)
+        else:
+            value = _read_floats(annotations[key], value)
+            wrong = field_type_error(name, annotations[key], value)
+            if wrong:
+                raise ConfigError(wrong)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -169,18 +173,7 @@ def _build(cls, data: dict, path: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        elif key in ("seed", "run_dir"):
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"{key}: unknown config section")
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    return _build(ExperimentConfig, data, "")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -241,51 +241,3 @@ def format_cost_report(report: CostReport) -> str:
                      f"params={report.params.get(key, 0)}")
     return "\n".join(lines) + "\n"
 
-
-# -- per-horizon reporting -------------------------------------------------
-
-HORIZON_FIELDS = ("mse", "mae", "flops", "params")
-
-
-def horizon_table(results: dict[int, dict | None]) -> list[dict]:
-    """Rows per horizon plus an average row over the present horizons.
-
-    A horizon whose checkpoint is missing appears as an absent row (None
-    metrics) and is excluded from the average.
-    """
-    rows = []
-    for horizon in sorted(results):
-        metrics = results[horizon]
-        row = {"horizon": horizon}
-        if metrics is None:
-            row.update({f: None for f in HORIZON_FIELDS})
-        else:
-            row.update({f: metrics[f] for f in HORIZON_FIELDS})
-        rows.append(row)
-    present = [r for r in rows if r["mse"] is not None]
-    avg = {"horizon": "avg"}
-    for f in HORIZON_FIELDS:
-        avg[f] = (sum(r[f] for r in present) / len(present)) if present else None
-    rows.append(avg)
-    return rows
-
-
-def format_horizon_csv(rows: list[dict]) -> str:
-    out = ["horizon," + ",".join(HORIZON_FIELDS)]
-    for r in rows:
-        cells = [str(r["horizon"])]
-        cells += ["" if r[f] is None else repr(float(r[f])) for f in HORIZON_FIELDS]
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
-
-
-def format_horizon_text(rows: list[dict]) -> str:
-    header = f"{'horizon':>8} {'mse':>12} {'mae':>12} {'flops':>14} {'params':>12}"
-    out = [header, "-" * len(header)]
-    for r in rows:
-        cells = [f"{r['horizon']:>8}"]
-        for f, width in zip(HORIZON_FIELDS, (12, 12, 14, 12)):
-            cells.append("absent".rjust(width) if r[f] is None
-                         else f"{r[f]:>{width}.6g}")
-        out.append(" ".join(cells))
-    return "\n".join(out) + "\n"

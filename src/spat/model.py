@@ -18,7 +18,7 @@ retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,19 +99,26 @@ class ModelConfig:
         return n + 1 if self.end_padding else n
 
 
-# The value types a config file may give each kind of ModelConfig field, as
-# YAML or JSON parse them: bools are not ints, and a float field also takes
-# an int (`dropout: 0` parses as one).
-_ACCEPTED_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
-FIELD_TYPES = {f.name: type(f.default) for f in fields(ModelConfig)}
+# The value types a config file or checkpoint header may give a dataclass
+# field of each annotated type, as YAML or JSON parse them: bools are not
+# ints, and a float field also takes an int (`dropout: 0` parses as one).
+FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+               "str": (str,), "None": (type(None),)}
 
 
-def field_type_error(key: str, value) -> str | None:
-    """Why ``value`` cannot be ModelConfig field ``key``, or None if it can."""
-    want = FIELD_TYPES[key]
-    if type(value) in _ACCEPTED_TYPES[want]:
-        return None
-    return f"{key}={value!r} is not of type {want.__name__}"
+def field_type_error(name: str, annotation: str, value) -> str | None:
+    """Why ``value`` cannot fill field ``name`` annotated ``annotation``
+    (``"int"``, ``"int | None"``, ``"tuple[float, ...]"``, ...), or None
+    if it can."""
+    for option in annotation.split(" | "):
+        if option.startswith("tuple["):
+            item = option[len("tuple["):-len(", ...]")]
+            if type(value) in (list, tuple) and all(
+                    type(v) in FIELD_TYPES[item] for v in value):
+                return None
+        elif type(value) in FIELD_TYPES[option]:
+            return None
+    return f"{name}={value!r} is not of type {annotation}"
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -5,6 +5,13 @@ model-init, batch-shuffle and dropout streams per stage, so a pruning-stage
 change never perturbs the data order seen by training. Two runs with the
 same config and seed produce byte-identical metric ledgers; wall-clock
 timings are written to a separate file for that reason.
+
+``prepare`` does the setup once: the dataset, its windows per split (a
+split the stages cannot use fails here, before any training), the model
+config and the seed streams. The stage functions (``pretrain_stage``,
+``score_stage``, ``finetune_stage``) work on what it returns, and
+``run_pipeline``, ``run_sweep`` and the CLI subcommands are compositions of
+them.
 """
 
 from __future__ import annotations
@@ -21,15 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, OptimizerConfig, serialize_config
-from .cost import (
-    CostReport,
-    MetricAccumulator,
-    build_cost_report,
-    format_cost_report,
-    horizon_table,
-)
+from .cost import CostReport, MetricAccumulator, build_cost_report, format_cost_report
 from .data import (
     SeriesDataset,
     WindowSpec,
@@ -40,7 +41,7 @@ from .data import (
     split,
 )
 from .errors import ConfigError, ContractError, NumericError
-from .model import Forecaster, clone_model, mse_loss
+from .model import Forecaster, ModelConfig, clone_model, mse_loss
 from .send import PruningPlan, compute_sensitivity, format_report, plan_from_records
 from .tensor import Tape
 
@@ -263,29 +264,6 @@ def zero_shot_eval(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec,
     return evaluate_metrics(model, x, y, batch_size)
 
 
-def evaluate_horizons(cfg: ExperimentConfig,
-                      checkpoints: dict[int, object]) -> list[dict]:
-    """Per-horizon metric/cost rows plus an average row.
-
-    ``checkpoints`` maps each horizon to its trained checkpoint path (the
-    head is horizon-specific, so one checkpoint per horizon). A missing
-    checkpoint becomes an absent row, not a crash.
-    """
-    dataset = load_dataset(cfg)
-    results: dict[int, dict | None] = {}
-    for horizon, path in checkpoints.items():
-        if path is None or not Path(path).exists():
-            results[horizon] = None
-            continue
-        model, _ = load_checkpoint(path)
-        spec = WindowSpec(cfg.window.lookback, horizon, cfg.window.stride)
-        metrics = zero_shot_eval(model, dataset, spec, cfg.optimizer.batch_size)
-        report = build_cost_report(model)
-        results[horizon] = {**metrics, "flops": report.flops_total,
-                            "params": report.params_total}
-    return horizon_table(results)
-
-
 # -- dataset / run assembly ------------------------------------------------
 
 
@@ -364,18 +342,48 @@ def scoring_batches(train_windows, batch_size: int, limit: int | None) -> list:
     return batches
 
 
-def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
-    """Execute pretrain -> score -> prune -> finetune -> evaluate, writing
-    every stage artifact under the run directory."""
+def open_run_dir(cfg: ExperimentConfig, run_dir=None) -> Path:
+    """Create the run directory and write the exact config that runs."""
     run_dir = Path(run_dir if run_dir is not None else cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.yaml").write_text(serialize_config(cfg))
+    return run_dir
 
+
+# -- stages ------------------------------------------------------------------
+
+
+@dataclass
+class Prepared:
+    """What the stages share: the dataset's windows per split, the model
+    config and the seed streams, all derived from one config."""
+
+    cfg: ExperimentConfig
+    dataset: SeriesDataset
+    train: tuple[np.ndarray, np.ndarray]
+    val: tuple[np.ndarray, np.ndarray]
+    test: tuple[np.ndarray, np.ndarray]
+    model_cfg: ModelConfig
+    seeds: SeedStreams
+
+    def meta(self, stage: str) -> dict:
+        return {"dataset_name": self.dataset.name, "stage": stage}
+
+    def row(self, stage: str, model: Forecaster) -> dict:
+        """The ledger row of ``model``: test-split metrics and cost."""
+        return ledger_row(stage, self.dataset.name, self.cfg.window.horizon,
+                          evaluate_metrics(model, *self.test,
+                                           self.cfg.optimizer.batch_size),
+                          build_cost_report(model))
+
+
+def prepare(cfg: ExperimentConfig) -> Prepared:
+    """Load the dataset and cut its windows. A split the stages cannot use
+    fails here, before any training."""
     dataset = load_dataset(cfg)
     spec = cfg.window
-    train_w = dataset_windows(dataset, "train", spec)
-    val_w = dataset_windows(dataset, "val", spec)
-    test_w = dataset_windows(dataset, "test", spec)
+    train_w, val_w, test_w = (dataset_windows(dataset, name, spec)
+                              for name in ("train", "val", "test"))
     if len(train_w[0]) == 0:
         raise ConfigError("training split yields no windows")
     if len(test_w[0]) == 0:
@@ -383,17 +391,61 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     if len(val_w[0]) == 0 and cfg.optimizer.patience is not None:
         raise ConfigError("validation split is empty; set optimizer.patience "
                           "to null to train without early stopping")
-
     model_cfg = cfg.model.to_model_config(spec.lookback, spec.horizon,
                                           dataset.channels)
-    seeds = SeedStreams(cfg.seed)
-    model = Forecaster(model_cfg, seed=seeds.model_init())
-    n_layers = model_cfg.layers
+    return Prepared(cfg, dataset, train_w, val_w, test_w, model_cfg,
+                    SeedStreams(cfg.seed))
+
+
+# A stage hands its main call to ``timed(stage_name, fn)``; run_pipeline's
+# records wall time and resource use for timings.csv.
+def _untimed(stage_name: str, fn):
+    return fn()
+
+
+def pretrain_stage(prep: Prepared, run_dir: Path,
+                   timed=_untimed) -> tuple[Forecaster, dict]:
+    """A model built from the init stream, pretrained and saved as
+    ``pretrained.ckpt``; returns it and its ledger row."""
+    model = Forecaster(prep.model_cfg, seed=prep.seeds.model_init())
+    timed("pretrain", lambda: pretrain(model, prep.train, prep.val,
+                                       prep.cfg.optimizer, prep.seeds))
+    save_checkpoint(run_dir / "pretrained.ckpt", model,
+                    meta=prep.meta("pretrained"))
+    return model, prep.row("pretrained", model)
+
+
+def score_stage(prep: Prepared, model: Forecaster,
+                timed=_untimed) -> tuple[list, list]:
+    """The scoring batches and the per-layer sensitivity records on them."""
+    batches = scoring_batches(prep.train, prep.cfg.optimizer.batch_size,
+                              prep.cfg.pruning.score_batches)
+    return batches, timed("score", lambda: compute_sensitivity(model, batches))
+
+
+def finetune_stage(prep: Prepared, model: Forecaster, path: Path, meta: dict,
+                   timed=_untimed) -> dict:
+    """Finetune ``model`` in place and save it to ``path`` with ``meta``;
+    returns its ledger row."""
+    timed("finetune", lambda: finetune(model, prep.train, prep.val,
+                                       prep.cfg.optimizer, prep.seeds))
+    save_checkpoint(path, model, meta=meta)
+    return prep.row("finetuned", model)
+
+
+# -- compositions ------------------------------------------------------------
+
+
+def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
+    """Execute pretrain -> score -> prune -> finetune -> evaluate, writing
+    every stage artifact under the run directory."""
+    run_dir = open_run_dir(cfg, run_dir)
+    prep = prepare(cfg)
+    n_layers = prep.model_cfg.layers
     state = PipelineState(stage="initialized",
                           candidate=list(range(n_layers)), removed=[],
                           seed=cfg.seed, config_hash=config_hash(cfg))
     timings: list[tuple[str, float, float, float, int]] = []
-    rows: list[dict] = []
 
     def timed(stage_name, fn):
         # user CPU beyond the wall time is BLAS threads at work or spinning;
@@ -407,28 +459,19 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
                         r1.ru_stime - r0.ru_stime, r1.ru_minflt - r0.ru_minflt))
         return out
 
-    # pretrain
-    timed("pretrain", lambda: pretrain(model, train_w, val_w, cfg.optimizer, seeds))
-    save_checkpoint(run_dir / "pretrained.ckpt", model,
-                    meta={"dataset_name": dataset.name, "stage": "pretrained"})
-    base_cost = build_cost_report(model)
-    (run_dir / "cost_original.txt").write_text(format_cost_report(base_cost))
-    rows.append(ledger_row("pretrained", dataset.name, spec.horizon,
-                           evaluate_metrics(model, *test_w, cfg.optimizer.batch_size),
-                           base_cost))
+    model, row = pretrain_stage(prep, run_dir, timed)
+    rows = [row]
+    (run_dir / "cost_original.txt").write_text(
+        format_cost_report(build_cost_report(model)))
     state.advance("pretrained")
     state.check_partition(n_layers)
 
-    # score
-    batches = scoring_batches(train_w, cfg.optimizer.batch_size,
-                              cfg.pruning.score_batches)
-    records = timed("score", lambda: compute_sensitivity(model, batches))
+    batches, records = score_stage(prep, model, timed)
     plan = plan_from_records(records, cfg.pruning.alpha)
     (run_dir / "send_report.txt").write_text(format_report(records, plan))
     state.plan = plan
     state.advance("scored")
 
-    # prune
     if cfg.pruning.rescore_between_removals:
         pruned_model, removed = timed(
             "prune", lambda: iterative_prune(model, batches, plan.k))
@@ -439,24 +482,14 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     state.candidate = sorted(set(range(n_layers)) - set(removed))
     state.check_partition(n_layers)
     save_checkpoint(run_dir / "pruned.ckpt", pruned_model,
-                    meta={"dataset_name": dataset.name, "stage": "pruned"})
-    pruned_cost = build_cost_report(pruned_model)
-    (run_dir / "cost_pruned.txt").write_text(format_cost_report(pruned_cost))
-    rows.append(ledger_row("pruned", dataset.name, spec.horizon,
-                           evaluate_metrics(pruned_model, *test_w,
-                                            cfg.optimizer.batch_size),
-                           pruned_cost))
+                    meta=prep.meta("pruned"))
+    (run_dir / "cost_pruned.txt").write_text(
+        format_cost_report(build_cost_report(pruned_model)))
+    rows.append(prep.row("pruned", pruned_model))
     state.advance("pruned")
 
-    # finetune
-    timed("finetune",
-          lambda: finetune(pruned_model, train_w, val_w, cfg.optimizer, seeds))
-    save_checkpoint(run_dir / "finetuned.ckpt", pruned_model,
-                    meta={"dataset_name": dataset.name, "stage": "finetuned"})
-    rows.append(ledger_row("finetuned", dataset.name, spec.horizon,
-                           evaluate_metrics(pruned_model, *test_w,
-                                            cfg.optimizer.batch_size),
-                           build_cost_report(pruned_model)))
+    rows.append(finetune_stage(prep, pruned_model, run_dir / "finetuned.ckpt",
+                               prep.meta("finetuned"), timed))
     state.advance("finetuned")
 
     write_ledger(run_dir / "metrics.csv", rows)
@@ -481,33 +514,10 @@ def run_sweep(cfg: ExperimentConfig, alphas: list[float],
     pass; each ratio gets its own subdirectory of artifacts."""
     if not alphas:
         raise ConfigError("sweep needs at least one pruning ratio")
-    run_dir = Path(run_dir if run_dir is not None else cfg.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.yaml").write_text(serialize_config(cfg))
-
-    dataset = load_dataset(cfg)
-    spec = cfg.window
-    train_w = dataset_windows(dataset, "train", spec)
-    val_w = dataset_windows(dataset, "val", spec)
-    test_w = dataset_windows(dataset, "test", spec)
-    if len(val_w[0]) == 0 and cfg.optimizer.patience is not None:
-        raise ConfigError("validation split is empty; set optimizer.patience "
-                          "to null to train without early stopping")
-    model_cfg = cfg.model.to_model_config(spec.lookback, spec.horizon,
-                                          dataset.channels)
-    seeds = SeedStreams(cfg.seed)
-    model = Forecaster(model_cfg, seed=seeds.model_init())
-    pretrain(model, train_w, val_w, cfg.optimizer, seeds)
-    save_checkpoint(run_dir / "pretrained.ckpt", model,
-                    meta={"dataset_name": dataset.name, "stage": "pretrained"})
-    base_row = ledger_row("pretrained", dataset.name, spec.horizon,
-                          evaluate_metrics(model, *test_w,
-                                           cfg.optimizer.batch_size),
-                          build_cost_report(model))
-
-    batches = scoring_batches(train_w, cfg.optimizer.batch_size,
-                              cfg.pruning.score_batches)
-    records = compute_sensitivity(model, batches)
+    run_dir = open_run_dir(cfg, run_dir)
+    prep = prepare(cfg)
+    model, base_row = pretrain_stage(prep, run_dir)
+    _, records = score_stage(prep, model)
 
     results: dict[float, dict] = {}
     for alpha in alphas:
@@ -516,14 +526,8 @@ def run_sweep(cfg: ExperimentConfig, alphas: list[float],
         sub.mkdir(parents=True, exist_ok=True)
         (sub / "send_report.txt").write_text(format_report(records, plan))
         pruned_model = prune(model, plan)
-        finetune(pruned_model, train_w, val_w, cfg.optimizer, seeds)
-        save_checkpoint(sub / "finetuned.ckpt", pruned_model,
-                        meta={"dataset_name": dataset.name,
-                              "stage": "finetuned", "alpha": alpha})
-        row = ledger_row("finetuned", dataset.name, spec.horizon,
-                         evaluate_metrics(pruned_model, *test_w,
-                                          cfg.optimizer.batch_size),
-                         build_cost_report(pruned_model))
+        row = finetune_stage(prep, pruned_model, sub / "finetuned.ckpt",
+                             {**prep.meta("finetuned"), "alpha": alpha})
         write_ledger(sub / "metrics.csv", [base_row, row])
         results[alpha] = {"pretrained": base_row, "finetuned": row,
                           "pruned_layers": list(plan.i_pruned)}

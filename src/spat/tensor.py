@@ -33,7 +33,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "active_tape",
-    "concat",
     "dropout",
     "gelu",
     "layer_norm",
@@ -42,7 +41,6 @@ __all__ = [
     "relu",
     "row_softmax",
     "softmax_lastaxis",
-    "stack",
     "unfold_last",
 ]
 
@@ -270,12 +268,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return mean_along_axis(self, axis, keepdims)
 
-    def std(self, axis=None, keepdims=False):
-        return std_along_axis(self, axis, keepdims)
-
-    def abs(self):
-        return absolute(self)
-
 
 # -- helpers -----------------------------------------------------------
 
@@ -445,34 +437,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", (a,), out, grad_fn)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate along an existing axis."""
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    axis = _normalize_axis(axis, tensors[0].ndim, "concat")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(sizes)))
-
-    return _emit("concat", tuple(tensors), out, grad_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along a new axis (e.g. a new head dimension)."""
-    if not tensors:
-        raise ShapeError("stack of zero tensors")
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return _emit("stack", tuple(tensors), out, grad_fn)
-
-
 def sum_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     if axis is not None and not isinstance(axis, tuple):
         axis = (_normalize_axis(axis, a.ndim, "sum"),)
@@ -502,40 +466,6 @@ def mean_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg / n, in_shape).copy(),)
 
     return _emit("mean", (a,), out, grad_fn)
-
-
-def std_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Population standard deviation (divide-by-n convention).
-
-    The gradient at zero variance is defined as 0.
-    """
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (_normalize_axis(axis, a.ndim, "std"),)
-    out = a.data.std(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
-    n = a.size if axis is None else int(np.prod([in_shape[ax] for ax in axis]))
-    mu = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mu
-
-    def grad_fn(g):
-        sigma = out if keepdims or axis is None else np.expand_dims(out, axis)
-        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        safe = np.where(sigma == 0.0, 1.0, sigma)
-        gx = gg * centered / (n * safe)
-        return (np.where(sigma == 0.0, 0.0, gx),)
-
-    return _emit("std", (a,), out, grad_fn)
-
-
-def absolute(a: Tensor) -> Tensor:
-    """|x| with subgradient 0 at x = 0."""
-    out = np.abs(a.data)
-    sign = np.sign(a.data)
-
-    def grad_fn(g):
-        return (g * sign,)
-
-    return _emit("abs", (a,), out, grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:

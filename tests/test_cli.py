@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from spat.cli import main, resolve_run_dir
 from spat.config import (
-    ArchitectureConfig,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -22,11 +22,11 @@ from spat.config import (
     parse_config,
     serialize_config,
 )
-from spat.checkpoint import load_checkpoint
+from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.data import dataset_windows
 from spat.errors import ConfigError
-from spat.model import ModelConfig, field_type_error
-from spat.pipeline import load_dataset, scoring_batches
+from spat.model import Forecaster, ModelConfig, field_type_error
+from spat.pipeline import load_dataset, run_pipeline, scoring_batches
 from spat.send import build_plan, compute_sensitivity, format_report, parse_report
 
 
@@ -50,6 +50,39 @@ def workspace(tmp_path):
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text(yaml.safe_dump(tiny_config_dict(tmp_path / "run")))
     return tmp_path, cfg_path
+
+
+# split_counts of the tiny config's 300 rows (lookback 16, horizon 4) that
+# leave one split without windows, and the error every entry point gives
+EMPTY_SPLITS = {
+    "train": ([15, 135, 150], "training split yields no windows"),
+    "val": ([270, 0, 30], "validation split is empty; set optimizer.patience"),
+    "test": ([270, 30, 0], "test split yields no windows"),
+}
+
+# metrics.csv and send_report.txt of run_pipeline on tiny_config_dict,
+# pinned so that a change which moves any digit fails here
+GOLDEN_METRICS = """\
+stage,dataset,horizon,mse,mae,flops,params
+pretrained,synthetic,4,1.1070100479799303,0.8578891743101956,15150,1988
+pruned,synthetic,4,1.2509213247297701,0.9255098801157858,12840,1700
+finetuned,synthetic,4,0.9342239891905506,0.8026151973617748,12840,1700
+"""
+GOLDEN_REPORT = """\
+send_report_version: 1
+layers: 3
+alpha: 0.3
+k: 1
+batches: 3
+layer 0: send=0.003563069292522956 rank=1 pruned=false
+layer 1: send=0.0019813578656530336 rank=2 pruned=false
+layer 2: send=0.0009327506337782152 rank=3 pruned=true
+"""
+
+
+def ledger_by_stage(run_dir) -> dict:
+    lines = (run_dir / "metrics.csv").read_text().splitlines()
+    return {r["stage"]: r for r in csv.DictReader(lines)}
 
 
 class TestConfigRoundTrip:
@@ -78,10 +111,42 @@ class TestConfigRoundTrip:
             config_from_dict({"pruning": {"alpha": 0.0}})
 
 
+def leaf_fields(obj, prefix=""):
+    """(dotted override key, annotation) of every leaf field of a config."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f.type
+
+
+LEAF_FIELDS = sorted(leaf_fields(ExperimentConfig()))
+
+
+RAW_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "no", "null", "~", "", "[8]", "[0.5, true]",
+                     "{a: 1}", "'8'", "8.0", "1e3", "2024-01-01", ".nan"]),
+    st.text(max_size=8))
+
+
+def number_text(value) -> bool:
+    if not isinstance(value, str):
+        return False
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
+
+
 class TestOverrideFuzz:
-    """``--set model.<field>=<value>`` with a value YAML reads as another
-    type than the field's must raise ConfigError (exit 2), never reach
-    the model."""
+    """``--set <section>.<field>=<value>`` with a value YAML reads as another
+    type than the field's must raise ConfigError (exit 2) naming the field,
+    never reach the run. A float field also takes the strings ``float()``
+    reads, since PyYAML leaves ``1e-4`` a string."""
 
     @pytest.fixture(scope="class")
     def cfg_path(self, tmp_path_factory):
@@ -89,31 +154,55 @@ class TestOverrideFuzz:
         path.write_text(yaml.safe_dump(tiny_config_dict("runs/fuzz")))
         return path
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(),
-           raw=st.one_of(st.integers(-3, 40).map(str),
-                         st.floats().map(repr),
-                         st.sampled_from(["true", "no", "null", "~", "", "[8]",
-                                          "{a: 1}", "'8'", "8.0", "1e3",
-                                          "2024-01-01", ".nan"]),
-                         st.text(max_size=8)))
-    def test_model_field_of_another_type(self, cfg_path, data, raw):
-        field = data.draw(st.sampled_from(
-            [f.name for f in dataclasses.fields(ArchitectureConfig)]))
-        item = f"model.{field}={raw}"
-        value = apply_overrides({}, [item])["model"][field]
-        assume(field_type_error(field, value) is not None)
-        with pytest.raises(ConfigError, match=f"model.{field}"):
+    def test_every_section_is_covered(self):
+        sections = {key.split(".")[0] for key, _ in LEAF_FIELDS if "." in key}
+        assert sections == {"data", "window", "model", "optimizer", "pruning"}
+        assert ("data.synthetic.channels", "int") in LEAF_FIELDS
+        assert ("seed", "int") in LEAF_FIELDS
+
+    @staticmethod
+    def check(cfg_path, key, annotation, raw):
+        item = f"{key}={raw}"
+        value = apply_overrides({}, [item])
+        for part in key.split("."):
+            value = value[part]
+        assume(field_type_error(key, annotation, value) is not None)
+        if "float" in annotation:
+            assume(not number_text(value))
+            assume(not (isinstance(value, list) and any(map(number_text, value))))
+        with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(cfg_path, [item])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), raw=RAW_VALUES)
+    def test_model_field_of_another_type(self, cfg_path, data, raw):
+        key, annotation = data.draw(st.sampled_from(
+            [f for f in LEAF_FIELDS if f[0].startswith("model.")]))
+        self.check(cfg_path, key, annotation, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), raw=RAW_VALUES)
+    def test_other_field_of_another_type(self, cfg_path, data, raw):
+        key, annotation = data.draw(st.sampled_from(
+            [f for f in LEAF_FIELDS if not f[0].startswith("model.")]))
+        self.check(cfg_path, key, annotation, raw)
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("item", ["model.d_model=16.0", "model.layers=true",
-                                      "model.dropout=high", "model.mode=3"])
+    @pytest.mark.parametrize("item", [
+        "model.d_model=16.0", "model.layers=true", "model.dropout=high",
+        "model.mode=3", "window.lookback=96.0", "optimizer.batch_size=64.0",
+        "optimizer.epochs=2.5", "pruning.score_batches=1.5", "seed=1.5",
+        "optimizer.lr=true", "data.synthetic.channels=7.0"])
     def test_model_value_of_wrong_type_exits_2(self, workspace, capsys, item):
         _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--set", item]) == 2
         assert item.split("=")[0] in capsys.readouterr().err
+
+    def test_exponent_float_string_is_a_float(self, workspace):
+        _, cfg_path = workspace
+        cfg = load_config(cfg_path, ["optimizer.eps=1e-8", "optimizer.lr=2e-3"])
+        assert cfg.optimizer.eps == 1e-8 and cfg.optimizer.lr == 2e-3
 
     def test_checkpoint_header_without_tensors_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace
@@ -242,6 +331,27 @@ class TestExitCodes:
         assert code == 2
         assert "two_layers.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", sorted(EMPTY_SPLITS))
+    @pytest.mark.parametrize("command", ["run", "sweep", "pretrain", "finetune"])
+    def test_empty_split_fails_alike_before_training(self, workspace, capsys,
+                                                     command, split):
+        tmp_path, cfg_path = workspace
+        counts, message = EMPTY_SPLITS[split]
+        argv = [command, "--config", str(cfg_path),
+                "--set", "data.split_ratios=null",
+                "--set", f"data.split_counts={counts}"]
+        if command == "sweep":
+            argv += ["--alphas", "0.3"]
+        if command == "finetune":
+            cfg = load_config(cfg_path)
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(ckpt, Forecaster(cfg.model.to_model_config(16, 4, 3)))
+            argv += ["--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        for name in ("pretrained.ckpt", "finetuned.ckpt"):
+            assert not (tmp_path / "run" / name).exists()
+
     def test_numeric_divergence_exits_3(self, workspace):
         _, cfg_path = workspace
         with np.errstate(all="ignore"):
@@ -258,34 +368,53 @@ class TestRunAndStages:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
 
-    def test_stagewise_chain(self, workspace):
+    def test_run_matches_golden_ledger_and_report(self, workspace):
         tmp_path, cfg_path = workspace
-        run = tmp_path / "run"
-        assert main(["pretrain", "--config", str(cfg_path)]) == 0
-        ckpt = run / "pretrained.ckpt"
-        assert ckpt.exists()
+        run_pipeline(load_config(cfg_path))
+        assert (tmp_path / "run" / "metrics.csv").read_text() == GOLDEN_METRICS
+        assert (tmp_path / "run" / "send_report.txt").read_text() == GOLDEN_REPORT
 
-        assert main(["score", "--config", str(cfg_path),
-                     "--checkpoint", str(ckpt)]) == 0
-        report = run / "send_report_alpha_0.3.txt"
-        assert report.exists()
+    def test_stagewise_chain(self, workspace):
+        """pretrain -> score -> prune -> finetune reproduces ``run``, and so
+        does ``sweep`` at the config's alpha."""
+        tmp_path, cfg_path = workspace
+        chain, full, sweep = (tmp_path / name for name in ("run", "full", "sweep"))
 
-        assert main(["prune", "--config", str(cfg_path),
-                     "--checkpoint", str(ckpt),
-                     "--report", str(report)]) == 0
-        pruned_path = run / "pruned.ckpt"
-        model, meta = load_checkpoint(pruned_path)
+        def spat(command, *argv, run_dir=chain):
+            assert main([command, "--config", str(cfg_path),
+                         "--run-dir", str(run_dir), *argv]) == 0
+
+        spat("pretrain")
+        ckpt = chain / "pretrained.ckpt"
+        spat("score", "--checkpoint", str(ckpt))
+        report = chain / "send_report_alpha_0.3.txt"
+        spat("prune", "--checkpoint", str(ckpt), "--report", str(report))
+        model, meta = load_checkpoint(chain / "pruned.ckpt")
         assert len(model.pruned_layers()) == 1
         assert meta["stage"] == "pruned"
-
-        assert main(["finetune", "--config", str(cfg_path),
-                     "--checkpoint", str(pruned_path)]) == 0
-        assert (run / "finetuned.ckpt").exists()
-
-        assert main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(run / "finetuned.ckpt")]) == 0
-        rows = list(csv.DictReader((run / "metrics.csv").open()))
+        spat("finetune", "--checkpoint", str(chain / "pruned.ckpt"))
+        spat("eval", "--checkpoint", str(chain / "finetuned.ckpt"))
+        rows = list(csv.DictReader((chain / "metrics.csv").open()))
         assert [r["stage"] for r in rows] == ["pretrained", "finetuned", "eval"]
+
+        spat("run", run_dir=full)
+        spat("sweep", "--alphas", "0.3", run_dir=sweep)
+        assert ckpt.read_bytes() == (full / "pretrained.ckpt").read_bytes()
+        assert report.read_text() == (full / "send_report.txt").read_text()
+        assert ((sweep / "alpha_0.3" / "send_report.txt").read_text()
+                == report.read_text())
+        expected = {stage: ledger_by_stage(full)[stage]
+                    for stage in ("pretrained", "finetuned")}
+        assert {r["stage"]: r for r in rows[:2]} == expected
+        assert ledger_by_stage(sweep / "alpha_0.3") == expected
+        # checkpoint meta differs by alpha, so compare the weights
+        for name in ("pruned.ckpt", "finetuned.ckpt"):
+            ours, _ = load_checkpoint(chain / name)
+            theirs, _ = load_checkpoint(full / name)
+            assert ours.pruned_layers() == theirs.pruned_layers()
+            a, b = ours.state_dict(), theirs.state_dict()
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_score_refuses_pruned_checkpoint(self, workspace, capsys):
         tmp_path, cfg_path = workspace

@@ -12,9 +12,6 @@ from spat.cost import (
     count_params,
     dense_params,
     format_cost_report,
-    format_horizon_csv,
-    format_horizon_text,
-    horizon_table,
     mae,
     matmul_flops,
     mse,
@@ -170,42 +167,6 @@ class TestMetrics:
         acc.add(pred[4:], target[4:])
         assert abs(acc.mse - mse(pred, target)) < 1e-12
         assert abs(acc.mae - mae(pred, target)) < 1e-12
-
-
-class TestHorizonReport:
-    def test_identical_rows_average_to_same_value(self):
-        metrics = {"mse": 0.5, "mae": 0.4, "flops": 100.0, "params": 10.0}
-        rows = horizon_table({h: dict(metrics) for h in (96, 192, 336, 720)})
-        assert rows[-1]["horizon"] == "avg"
-        assert rows[-1]["mse"] == 0.5 and rows[-1]["params"] == 10.0
-
-    def test_average_is_arithmetic_mean(self):
-        rows = horizon_table({
-            24: {"mse": 1.0, "mae": 1.0, "flops": 2.0, "params": 4.0},
-            48: {"mse": 3.0, "mae": 2.0, "flops": 4.0, "params": 8.0},
-        })
-        assert abs(rows[-1]["mse"] - 2.0) < 1e-12
-        assert abs(rows[-1]["flops"] - 3.0) < 1e-12
-
-    def test_missing_checkpoint_is_absent_row_not_crash(self):
-        rows = horizon_table({
-            96: {"mse": 1.0, "mae": 1.0, "flops": 1.0, "params": 1.0},
-            192: None,
-        })
-        absent = [r for r in rows if r["horizon"] == 192][0]
-        assert absent["mse"] is None
-        assert rows[-1]["mse"] == 1.0
-        text = format_horizon_text(rows)
-        assert "absent" in text
-
-    def test_csv_structure(self):
-        rows = horizon_table({96: {"mse": 1.0, "mae": 2.0, "flops": 3.0,
-                                   "params": 4.0}})
-        csv_text = format_horizon_csv(rows)
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "horizon,mse,mae,flops,params"
-        assert lines[1].startswith("96,")
-        assert lines[-1].startswith("avg,")
 
 
 class TestReportFormat:

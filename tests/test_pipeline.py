@@ -360,27 +360,6 @@ class TestRunPipeline:
         state = run_pipeline(cfg)
         assert len(state.removed) == 2
 
-    def test_evaluate_horizons_with_missing_checkpoint(self, tmp_path):
-        from spat.checkpoint import save_checkpoint
-        from spat.pipeline import evaluate_horizons
-        cfg = tiny_experiment(tmp_path / "run")
-        paths = {}
-        for horizon in (4, 8):
-            model = Forecaster(ModelConfig(
-                mode="variate_tokens", lookback=16, horizon=horizon,
-                channels=3, d_model=8, d_ff=16, heads=2, layers=2,
-                dropout=0.0), seed=horizon)
-            path = tmp_path / f"h{horizon}.ckpt"
-            save_checkpoint(path, model)
-            paths[horizon] = path
-        paths[12] = tmp_path / "absent.ckpt"
-        rows = evaluate_horizons(cfg, paths)
-        assert [r["horizon"] for r in rows] == [4, 8, 12, "avg"]
-        absent = rows[2]
-        assert absent["mse"] is None
-        present = [r for r in rows[:3] if r["mse"] is not None]
-        assert abs(rows[-1]["mse"] - sum(r["mse"] for r in present) / 2) < 1e-12
-
     def test_load_dataset_csv_source(self, tmp_path):
         from spat.data import write_csv
         raw = generate_synthetic(SyntheticSpec(channels=2, length=100, seed=3))
