@@ -7,6 +7,7 @@ directory gets an exact snapshot of the config that produced it, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -103,8 +104,19 @@ class OptimizerConfig:
         self.lr_min = float(self.lr_min)
         if self.finetune_lr is not None:
             self.finetune_lr = float(self.finetune_lr)
-        if self.lr <= 0.0:
-            raise ConfigError(f"optimizer.lr must be positive, got {self.lr}")
+        # every test below is false for NaN; a zero finetune_lr finetunes
+        # without moving a weight
+        ft_lr = 0.0 if self.finetune_lr is None else self.finetune_lr
+        ranges = {"lr": (0.0 < self.lr < math.inf, "finite and > 0"),
+                  "finetune_lr": (0.0 <= ft_lr < math.inf, "finite and >= 0"),
+                  "lr_min": (0.0 <= self.lr_min < math.inf, "finite and >= 0"),
+                  "beta1": (0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                  "beta2": (0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                  "eps": (0.0 < self.eps < math.inf, "finite and > 0")}
+        for name, (ok, rule) in ranges.items():
+            if not ok:
+                raise ConfigError(
+                    f"optimizer.{name} must be {rule}, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError("optimizer.epochs must be >= 0")
         if self.batch_size < 1:

@@ -114,7 +114,7 @@ def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeri
 
 def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = _csv_rows(path, f)
         try:
             header = next(reader)
         except StopIteration:
@@ -142,6 +142,14 @@ def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
     if not rows:
         raise ParseError(f"{path}: no data rows below the header")
     return rows, stamps
+
+
+def _csv_rows(path: Path, f) -> Iterator[list[str]]:
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as e:  # e.g. a cell over the field size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
 
 
 def write_csv(path, series: RawSeries, date_column: bool = True) -> None:
@@ -174,7 +182,9 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
     if (ratios is None) == (counts is None):
         raise ConfigError("split needs exactly one of ratios= or counts=")
     if ratios is not None:
-        if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) > 1 + 1e-9:
+        # a NaN ratio makes the sum NaN, which fails <=
+        if (len(ratios) != 3 or any(r < 0 for r in ratios)
+                or not sum(ratios) <= 1 + 1e-9):
             raise ConfigError(f"ratios must be three non-negative numbers "
                               f"summing to <= 1, got {ratios}")
         train_n = int(length * ratios[0])

@@ -29,9 +29,7 @@ from .tensor import (
     gelu,
     layer_norm,
     masked_attention,
-    pad_repeat_last,
     relu,
-    unfold_last,
 )
 
 MODES = ("temporal_tokens", "variate_tokens")
@@ -289,11 +287,16 @@ class Forecaster:
         cfg = self.cfg
         batch, length, channels = x.shape
         if cfg.mode == "temporal_tokens":
-            # fold channels into the batch: [B, L, C] -> [B*C, L]
-            series = Tensor(np.transpose(x, (0, 2, 1)).reshape(batch * channels, length))
+            # fold channels into the batch: [B, L, C] -> [B*C, L]; the series
+            # is a constant, so padding and patching are plain numpy
+            series = np.transpose(x, (0, 2, 1)).reshape(batch * channels, length)
             if cfg.end_padding:
-                series = pad_repeat_last(series, cfg.patch_stride)
-            patches = unfold_last(series, cfg.patch_len, cfg.patch_stride)
+                tail = np.repeat(series[:, -1:], cfg.patch_stride, axis=-1)
+                series = np.concatenate([series, tail], axis=-1)
+            # [B*C, token_count, patch_len] windows, stride patch_stride apart
+            index = (np.arange(cfg.token_count)[:, None] * cfg.patch_stride
+                     + np.arange(cfg.patch_len)[None, :])
+            patches = Tensor(series[:, index])
             tokens = patches @ self.embed_w + self.embed_b + self.pos_emb
         else:
             # each channel's full window is one token: [B, L, C] -> [B, C, L]

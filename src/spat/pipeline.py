@@ -142,7 +142,6 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
             tape.backward(loss)
             optimizer.step(lr_epoch)
             model.zero_grad()
-            tape.release()
             batch_losses.append(value)
             step += 1
         entry = {"epoch": epoch, "lr": lr_epoch,

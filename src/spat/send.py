@@ -104,7 +104,6 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
                 if g is not None:
                     sen_sum[i] += g
             model.zero_grad()
-            tape.release()
             n_batches += 1
     finally:
         for i in layers:

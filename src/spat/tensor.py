@@ -13,16 +13,16 @@ shapes in the message.
 Importing this module sets the process's glibc allocator policy once (see
 :func:`_keep_freed_memory`): buffers up to 32 MiB come from the heap, and
 the heap keeps up to 1 GiB of free memory instead of trimming it. The
-activations ``Tape.release()`` frees then stay in the heap for the next
-step instead of going back to the OS and being faulted in, zero-filled,
-all over again.
+activations ``Tape.backward`` frees as it replays the tape then stay in the
+heap for the next step instead of going back to the OS and being faulted
+in, zero-filled, all over again.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -32,29 +32,23 @@ from .errors import ContractError, NumericError, ShapeError
 __all__ = [
     "Tape",
     "Tensor",
-    "active_tape",
     "dropout",
     "gelu",
     "layer_norm",
     "masked_attention",
-    "pad_repeat_last",
     "relu",
     "row_softmax",
     "softmax_lastaxis",
-    "unfold_last",
 ]
 
 
-class _Record:
+class _Record(NamedTuple):
     """One recorded op: input/output tensors plus the local gradient rule."""
 
-    __slots__ = ("name", "inputs", "output", "grad_fn")
-
-    def __init__(self, name, inputs, output, grad_fn):
-        self.name = name
-        self.inputs = inputs
-        self.output = output
-        self.grad_fn = grad_fn
+    name: str
+    inputs: tuple["Tensor", ...]
+    output: "Tensor"
+    grad_fn: Callable[[np.ndarray], tuple]
 
 
 _M_TRIM_THRESHOLD = -1
@@ -88,10 +82,6 @@ _MALLOC_POLICY_SET = _keep_freed_memory()
 _ACTIVE_TAPE: "Tape | None" = None
 
 
-def active_tape() -> "Tape | None":
-    return _ACTIVE_TAPE
-
-
 class Tape:
     """Ordered record of differentiable operations.
 
@@ -99,11 +89,12 @@ class Tape:
 
         with Tape() as tape:
             loss = ...
-        loss.backward()
+        tape.backward(loss)
 
     Recording order is execution order, which is topological by
     construction; backward visits records in exact reverse order, so two
-    backward passes over the same graph are bit-identical.
+    backward passes over the same graph are bit-identical. Backward
+    consumes the tape, freeing each record's saved buffers once it has run.
     """
 
     def __init__(self):
@@ -129,18 +120,6 @@ class Tape:
         output._tape = self
         self._records.append(_Record(name, tuple(inputs), output, grad_fn))
 
-    def release(self) -> None:
-        """Drop the recorded graph once its gradients have been consumed.
-
-        The loss and the caller's handle on this tape keep every record,
-        and with it every saved forward buffer, reachable; without an
-        explicit release the previous step's buffers stay alive through
-        most of the next forward pass. The freed buffers stay in the
-        process heap (see :func:`_keep_freed_memory`), so the next step
-        reuses them without page faults.
-        """
-        self._records.clear()
-
     def backward(self, loss: "Tensor") -> None:
         """Populate ``grad`` on every gradient-requiring leaf reachable
         from ``loss``, accumulating additively across fan-out.
@@ -149,20 +128,25 @@ class Tape:
         several inputs or return a view of its incoming gradient, and a
         first contribution is stored as is. So nothing writes into a
         ``.grad`` or into an array a ``grad_fn`` returned; later
-        contributions accumulate out of place. A record's output gradient
-        is dropped as soon as the record has run, so afterwards only leaves
-        (parameters and masks) hold a ``grad``.
+        contributions accumulate out of place. Each record is popped, with
+        its output gradient and saved buffers, as soon as it has run, so
+        afterwards the tape is empty and only leaves (parameters and masks)
+        hold a ``grad``. A loss on this tape implies a record, so an empty
+        tape was already replayed.
         """
         if loss.data.shape != ():
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}")
         if loss._tape is not self:
             raise ContractError("loss does not live on this tape")
+        if not self._records:
+            raise ContractError("tape already consumed by an earlier backward")
         if loss.grad is None:
             loss.grad = np.ones((), dtype=np.float64)
         else:
             loss.grad = loss.grad + 1.0
-        for rec in reversed(self._records):
+        while self._records:
+            rec = self._records.pop()
             g_out = rec.output.grad
             if g_out is None:
                 continue
@@ -199,57 +183,29 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Constant view of the same buffer, off the tape."""
-        return Tensor(self.data, requires_grad=False)
-
-    def backward(self) -> None:
-        if self._tape is None:
-            raise ContractError("tensor is not on a tape; nothing to backpropagate")
-        self._tape.backward(self)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __neg__(self):
         return scale(self, -1.0)
 
     def __matmul__(self, other):
-        return matmul(self, other)
-
-    def matmul(self, other):
         return matmul(self, other)
 
     def reshape(self, *shape):
@@ -457,7 +413,7 @@ def mean_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         axis = (_normalize_axis(axis, a.ndim, "mean"),)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     in_shape = a.shape
-    n = a.size if axis is None else int(np.prod([in_shape[ax] for ax in axis]))
+    n = a.data.size if axis is None else int(np.prod([in_shape[ax] for ax in axis]))
 
     def grad_fn(g):
         if axis is None:
@@ -683,44 +639,3 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     return _emit("dropout", (a,), out, grad_fn)
 
-
-def unfold_last(a: Tensor, size: int, step: int) -> Tensor:
-    """Sliding windows over the last axis: ``[.., L] -> [.., W, size]``
-    with ``W = floor((L - size) / step) + 1``. Windows may overlap."""
-    length = a.shape[-1]
-    if size < 1 or step < 1:
-        raise ShapeError(f"unfold_last: size {size} and step {step} must be >= 1")
-    if length < size:
-        raise ShapeError(f"unfold_last: last axis {length} shorter than window {size}")
-    n_windows = (length - size) // step + 1
-    index = np.arange(n_windows)[:, None] * step + np.arange(size)[None, :]
-    out = a.data[..., index]
-    in_shape = a.shape
-
-    def grad_fn(g):
-        gx = np.zeros(in_shape, dtype=np.float64)
-        flat = gx.reshape(-1, length)
-        gflat = g.reshape(-1, n_windows, size)
-        rows = np.arange(flat.shape[0])[:, None, None]
-        np.add.at(flat, (rows, index[None, :, :]), gflat)
-        return (gx,)
-
-    return _emit("unfold_last", (a,), out, grad_fn)
-
-
-def pad_repeat_last(a: Tensor, count: int) -> Tensor:
-    """Extend the last axis by repeating its final entry ``count`` times."""
-    if count < 0:
-        raise ShapeError(f"pad_repeat_last: count must be >= 0, got {count}")
-    if count == 0:
-        return a
-    tail = np.repeat(a.data[..., -1:], count, axis=-1)
-    out = np.concatenate([a.data, tail], axis=-1)
-    length = a.shape[-1]
-
-    def grad_fn(g):
-        gx = g[..., :length].copy()
-        gx[..., -1] += g[..., length:].sum(axis=-1)
-        return (gx,)
-
-    return _emit("pad_repeat_last", (a,), out, grad_fn)

@@ -32,10 +32,8 @@ from spat.tensor import (
     gelu,
     layer_norm,
     masked_attention,
-    pad_repeat_last,
     relu,
     row_softmax,
-    unfold_last,
 )
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
@@ -101,12 +99,6 @@ class TestCriterion1Gradients:
              [u(2, 3, 4), u(2, 3, 4), u(2, 3, 4),
               np.array([[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
                         [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]])]),
-            ("unfold",
-             lambda a, p=u(2, 4, 4): (unfold_last(a, 4, 2) * Tensor(p)).sum(),
-             [u(2, 10)]),
-            ("pad-repeat",
-             lambda a, p=u(2, 8): (pad_repeat_last(a, 3) * Tensor(p)).sum(),
-             [u(2, 5)]),
             ("dropout",
              lambda a, p=u(4, 4): (dropout(a, 0.4, np.random.default_rng(5))
                                    * Tensor(p)).sum(), [u(4, 4)]),

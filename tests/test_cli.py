@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -78,6 +79,14 @@ layer 0: send=0.003563069292522956 rank=1 pruned=false
 layer 1: send=0.0019813578656530336 rank=2 pruned=false
 layer 2: send=0.0009327506337782152 rank=3 pruned=true
 """
+# SHA-256 of the same run's checkpoints, so that a change which moves any
+# weight bit fails here too
+GOLDEN_CHECKPOINTS = {
+    "pretrained.ckpt":
+        "68568a723086fcd7d44f3def5dcd85b8037a0972f49f86bc84e4fada319b130a",
+    "finetuned.ckpt":
+        "d647df6c2b16b60d3a2e6c6b4a979bbbcab3befecc48df2a5982ae60789fbc83",
+}
 
 
 def ledger_by_stage(run_dir) -> dict:
@@ -199,6 +208,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg_path), "--set", item]) == 2
         assert item.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, message", [
+        *((item, item.split("=")[0] + " must") for item in [
+            "optimizer.lr=.nan", "optimizer.lr=.inf", "optimizer.finetune_lr=.nan",
+            "optimizer.finetune_lr=-0.5", "optimizer.lr_min=-1.0",
+            "optimizer.beta1=2.0", "optimizer.beta2=1.0", "optimizer.eps=-1.0",
+            "optimizer.eps=0.0"]),
+        ("data.split_ratios=[0.7, .nan, 0.2]", "ratios must be three non-negative")])
+    def test_value_out_of_range_exits_2(self, workspace, capsys, item, message):
+        _, cfg_path = workspace
+        assert main(["run", "--config", str(cfg_path), "--set", item]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_exponent_float_string_is_a_float(self, workspace):
         _, cfg_path = workspace
         cfg = load_config(cfg_path, ["optimizer.eps=1e-8", "optimizer.lr=2e-3"])
@@ -278,12 +299,14 @@ class TestExitCodes:
         assert code == 2
         assert "missing.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["directory", "latin1.csv"])
+    @pytest.mark.parametrize("target", ["directory", "latin1.csv", "wide.csv"])
     def test_unreadable_dataset_exits_2(self, workspace, capsys, target):
         tmp_path, cfg_path = workspace
         path = tmp_path / target
         if target == "directory":
             path.mkdir()
+        elif target == "wide.csv":  # a cell over the csv field size limit
+            path.write_text("date,a\n1,2\n2," + "3" * 200_000 + "\n")
         else:
             path.write_bytes(b"date,a\n1,2\xb0\n")
         code = main(["pretrain", "--config", str(cfg_path),
@@ -373,6 +396,9 @@ class TestRunAndStages:
         run_pipeline(load_config(cfg_path))
         assert (tmp_path / "run" / "metrics.csv").read_text() == GOLDEN_METRICS
         assert (tmp_path / "run" / "send_report.txt").read_text() == GOLDEN_REPORT
+        for name, digest in GOLDEN_CHECKPOINTS.items():
+            data = (tmp_path / "run" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_stagewise_chain(self, workspace):
         """pretrain -> score -> prune -> finetune reproduces ``run``, and so

@@ -17,7 +17,7 @@ from spat.data import (
     window_count,
     write_csv,
 )
-from spat.errors import ConfigError, ParseError
+from spat.errors import ConfigError, ParseError, SpatError
 
 
 def write_file(tmp_path, text, name="data.csv"):
@@ -72,6 +72,25 @@ class TestLoadCsv:
         with pytest.raises(ConfigError) as err:
             load_csv(tmp_path)
         assert "directory" in str(err.value)
+
+    def test_oversized_field_is_parse_error(self, tmp_path):
+        p = write_file(tmp_path, "date,a\n1,2\n2," + "3" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="line 3: field larger"):
+            load_csv(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.one_of(
+        st.binary(max_size=120),
+        st.text(alphabet="0123456789.,-+eEinfa \"\r\n\x00é", max_size=120)
+        .map(str.encode)), date_column=st.booleans())
+    def test_any_bytes_load_and_split_or_raise_spat_error(
+            self, tmp_path_factory, content, date_column):
+        p = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        p.write_bytes(content)
+        try:
+            split(load_csv(p, date_column=date_column), ratios=(0.7, 0.1, 0.2))
+        except SpatError:
+            pass
 
     def test_round_trip_through_write(self, tmp_path):
         raw = generate_synthetic(SyntheticSpec(channels=3, length=20, seed=1))

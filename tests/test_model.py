@@ -56,6 +56,29 @@ class TestTokenCounts:
         cfg = small_cfg(channels=7, lookback=160)
         assert cfg.token_count == 7
 
+    @pytest.mark.parametrize("end_padding", [False, True])
+    def test_patches_are_slices_of_the_end_padded_series(self, end_padding):
+        """Overlapping patches of each channel, the last ending on the final
+        value repeated ``patch_stride`` times when end-padded."""
+        cfg = ModelConfig(mode="temporal_tokens", lookback=11, horizon=2,
+                          channels=3, d_model=4, d_ff=8, heads=2, layers=1,
+                          patch_len=4, patch_stride=2, end_padding=end_padding)
+        model = Forecaster(cfg, seed=0)
+        model.embed_w.data = np.eye(4)  # tokens are then the patches
+        model.embed_b.data = np.zeros(4)
+        model.pos_emb.data = np.zeros_like(model.pos_emb.data)
+        x = np.random.default_rng(0).normal(size=(2, 11, 3))
+        tokens = model._embed(x, training=False, rng=None).data
+        assert tokens.shape == (2 * 3, cfg.token_count, 4)
+        assert cfg.token_count == (5 if end_padding else 4)
+        for b in range(2):
+            for c in range(3):
+                series = list(x[b, :, c])
+                if end_padding:
+                    series += [series[-1]] * 2
+                want = [series[s:s + 4] for s in range(0, len(series) - 3, 2)]
+                np.testing.assert_array_equal(tokens[b * 3 + c], want)
+
     def test_lookback_shorter_than_patch_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(mode="temporal_tokens", lookback=8, patch_len=16,

@@ -375,8 +375,8 @@ class TestRunPipeline:
 
 
 class TestHeapReuse:
-    """Activations freed at ``Tape.release()`` stay in the process heap, so
-    a warmed training step faults in no fresh pages."""
+    """Activations that ``Tape.backward`` frees as it replays the tape stay
+    in the process heap, so a warmed training step faults in no fresh pages."""
 
     @pytest.mark.skipif(not tensor._MALLOC_POLICY_SET,
                         reason="libc has no mallopt")
@@ -396,7 +396,6 @@ class TestHeapReuse:
             tape.backward(loss)
             optimizer.step(1e-3)
             model.zero_grad()
-            tape.release()
 
         for i in range(3):
             step(i)

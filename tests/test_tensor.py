@@ -15,10 +15,8 @@ from spat.tensor import (
     gelu,
     layer_norm,
     masked_attention,
-    pad_repeat_last,
     relu,
     row_softmax,
-    unfold_last,
 )
 
 
@@ -216,12 +214,6 @@ class TestGradOracle:
     def test_matmul(self):
         self.weighted_sum(lambda a, b: a @ b, rand(self.rng, 3, 4), rand(self.rng, 4, 2))
 
-    def test_unfold_last_overlapping(self):
-        self.weighted_sum(lambda a: unfold_last(a, 4, 2), rand(self.rng, 2, 10))
-
-    def test_pad_repeat_last(self):
-        self.weighted_sum(lambda a: pad_repeat_last(a, 3), rand(self.rng, 2, 5))
-
     def test_dropout_fixed_mask(self):
         x = rand(self.rng, 4, 4)
         self.weighted_sum(
@@ -304,21 +296,16 @@ class TestGradModeAndInvariants:
                 with Tape():
                     pass
 
-    def test_detach_cuts_gradient(self):
+    def test_backward_consumes_the_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            loss = (x.detach() * x).sum()
+            loss = (x * x).sum()
         tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.ones(3))
-
-    def test_unfold_counts(self):
-        out = unfold_last(Tensor(np.arange(10.0)), 4, 2)
-        assert out.shape == (4, 4)
-        np.testing.assert_array_equal(out.data[1], [2.0, 3.0, 4.0, 5.0])
-
-    def test_pad_repeat_values(self):
-        out = pad_repeat_last(Tensor([[1.0, 2.0]]), 2)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 2.0, 2.0]])
+        assert len(tape) == 0
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        with pytest.raises(ContractError, match="already consumed"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
     def test_grad_buffer_shape_matches_data(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
