@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .data import SyntheticSpec, WindowSpec
+from .data import SyntheticSpec, WindowSpec, check_split
 from .errors import ConfigError
 from .model import ModelConfig, field_type_error
 
@@ -63,16 +63,15 @@ class DataConfig:
     split_counts: tuple[int, ...] | None = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
+    SPLIT_FIELDS = ("data.split_ratios", "data.split_counts")
+
     def __post_init__(self):
         if self.source not in ("synthetic", "csv"):
             raise ConfigError(f"data.source must be 'synthetic' or 'csv', "
                               f"got {self.source!r}")
         if self.source == "csv" and not self.path:
             raise ConfigError("data.path is required when data.source is 'csv'")
-        if self.split_ratios is not None and self.split_counts is not None:
-            raise ConfigError("give data.split_ratios or data.split_counts, not both")
-        if self.split_ratios is None and self.split_counts is None:
-            raise ConfigError("one of data.split_ratios / data.split_counts required")
+        check_split(self.split_ratios, self.split_counts, self.SPLIT_FIELDS)
         if self.split_ratios is not None:
             self.split_ratios = tuple(float(r) for r in self.split_ratios)
         if self.split_counts is not None:

@@ -67,6 +67,10 @@ class SeriesDataset:
                 f"split boundaries ({self.train_end}, {self.val_end}, "
                 f"{self.test_end}) are not ordered within length {len(self.values)}")
         if self.mean is None:
+            if self.train_end == 0:
+                raise ConfigError(
+                    f"the training split is empty ({len(self.values)} rows in "
+                    f"all), so there are no normalization statistics")
             train = self.values[:self.train_end]
             self.mean = train.mean(axis=0)
             self.std = np.maximum(train.std(axis=0), STD_FLOOR)
@@ -164,13 +168,34 @@ def write_csv(path, series: RawSeries, date_column: bool = True) -> None:
             writer.writerow(row + [repr(float(v)) for v in values[t]])
 
 
+def check_split(ratios, counts, names=("ratios", "counts")) -> None:
+    """Raise ``ConfigError`` unless exactly one of ``ratios`` (three
+    non-negative numbers summing to <= 1) and ``counts`` (three
+    non-negative ints) is given. ``names`` name the two in the message,
+    e.g. as the config fields they came from."""
+    ratios_name, counts_name = names
+    if (ratios is None) == (counts is None):
+        raise ConfigError(f"give exactly one of {ratios_name} and {counts_name}")
+    if ratios is not None:
+        # a NaN ratio makes the sum NaN, which fails <=
+        if (len(ratios) != 3 or any(r < 0 for r in ratios)
+                or not sum(ratios) <= 1 + 1e-9):
+            raise ConfigError(f"{ratios_name} must be three non-negative "
+                              f"numbers summing to <= 1, got {list(ratios)}")
+    elif len(counts) != 3 or any(c < 0 for c in counts):
+        raise ConfigError(f"{counts_name} must be three non-negative ints, "
+                          f"got {list(counts)}")
+
+
 def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
-          name: str | None = None) -> SeriesDataset:
+          name: str | None = None,
+          names: tuple[str, str] = ("ratios", "counts")) -> SeriesDataset:
     """Cut a series into contiguous train/val/test regions.
 
     Either fractional ``ratios`` (train, val, test) or explicit row
     ``counts`` must be given; counts support the fixed border conventions
-    of the benchmark datasets.
+    of the benchmark datasets. ``names`` name the two in error messages,
+    as in :func:`check_split`.
     """
     if isinstance(series, RawSeries):
         values, stamps = series.values, series.timestamps
@@ -179,23 +204,16 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
         values, stamps = np.asarray(series, dtype=np.float64), None
         name = name or "series"
     length = len(values)
-    if (ratios is None) == (counts is None):
-        raise ConfigError("split needs exactly one of ratios= or counts=")
+    check_split(ratios, counts, names)
     if ratios is not None:
-        # a NaN ratio makes the sum NaN, which fails <=
-        if (len(ratios) != 3 or any(r < 0 for r in ratios)
-                or not sum(ratios) <= 1 + 1e-9):
-            raise ConfigError(f"ratios must be three non-negative numbers "
-                              f"summing to <= 1, got {ratios}")
         train_n = int(length * ratios[0])
         val_n = int(length * ratios[1])
         test_n = length - train_n - val_n
     else:
-        if len(counts) != 3 or any(c < 0 for c in counts):
-            raise ConfigError(f"counts must be three non-negative ints, got {counts}")
         train_n, val_n, test_n = counts
         if train_n + val_n + test_n > length:
-            raise ConfigError(f"split counts {counts} exceed series length {length}")
+            raise ConfigError(f"{names[1]} {list(counts)} exceed series "
+                              f"length {length}")
     if not np.isfinite(values).all():
         raise ParseError(f"dataset {name!r} contains non-finite values")
     return SeriesDataset(

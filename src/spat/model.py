@@ -24,16 +24,16 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import (
+    ACTIVATIONS,
     Tensor,
     dropout,
-    gelu,
+    ffn,
+    keep_mask,
     layer_norm,
     masked_attention,
-    relu,
 )
 
 MODES = ("temporal_tokens", "variate_tokens")
-ACTIVATIONS = ("gelu", "relu")
 NORM_PLACEMENTS = ("pre", "post")
 
 INSTANCE_NORM_EPS = 1e-5
@@ -173,10 +173,10 @@ class AttentionBlock:
     # -- sublayers -------------------------------------------------------
 
     def _norm1(self, h: Tensor) -> Tensor:
-        return layer_norm(h) * self.ln1_g + self.ln1_b
+        return layer_norm(h, self.ln1_g, self.ln1_b)
 
     def _norm2(self, h: Tensor) -> Tensor:
-        return layer_norm(h) * self.ln2_g + self.ln2_b
+        return layer_norm(h, self.ln2_g, self.ln2_b)
 
     def attention_sublayer(self, h: Tensor, training: bool,
                            rng: np.random.Generator | None) -> Tensor:
@@ -197,14 +197,14 @@ class AttentionBlock:
                      rng: np.random.Generator | None) -> Tensor:
         cfg = self.cfg
         x = self._norm2(h) if cfg.norm_placement == "pre" else h
-        act = gelu if cfg.activation == "gelu" else relu
-        z = act(x @ self.w1 + self.b1)
+        keep1 = keep2 = None
         if training and cfg.dropout > 0.0:
-            z = dropout(z, cfg.dropout, rng)
-        z = z @ self.w2 + self.b2
-        if training and cfg.dropout > 0.0:
-            z = dropout(z, cfg.dropout, rng)
-        out = h + z
+            # the draws, in order, of dropout after the activation and
+            # after the second linear
+            keep1 = keep_mask(rng, h.shape[:-1] + (cfg.d_ff,), cfg.dropout)
+            keep2 = keep_mask(rng, h.shape, cfg.dropout)
+        out = ffn(h, x, self.w1, self.b1, self.w2, self.b2, cfg.activation,
+                  keep1, keep2)
         return self._norm2(out) if cfg.norm_placement == "post" else out
 
     def forward(self, h: Tensor, training: bool = False,
@@ -316,7 +316,7 @@ class Forecaster:
             if np.isnan(h.data).any():
                 raise NumericError(f"NaN activations after encoder block {i}")
         if self.final_g is not None:
-            h = layer_norm(h) * self.final_g + self.final_b
+            h = layer_norm(h, self.final_g, self.final_b)
         return h
 
     def forward(self, x: np.ndarray, training: bool = False,

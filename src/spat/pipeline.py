@@ -273,7 +273,8 @@ def load_dataset(cfg: ExperimentConfig) -> SeriesDataset:
     else:
         raw = load_csv(data.path, date_column=data.date_column,
                        name=data.dataset_name())
-    return split(raw, ratios=data.split_ratios, counts=data.split_counts)
+    return split(raw, ratios=data.split_ratios, counts=data.split_counts,
+                 names=data.SPLIT_FIELDS)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

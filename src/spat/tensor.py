@@ -30,13 +30,14 @@ from scipy.special import erf
 from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
+    "ACTIVATIONS",
     "Tape",
     "Tensor",
     "dropout",
-    "gelu",
+    "ffn",
+    "keep_mask",
     "layer_norm",
     "masked_attention",
-    "relu",
     "row_softmax",
     "softmax_lastaxis",
 ]
@@ -424,33 +425,6 @@ def mean_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit("mean", (a,), out, grad_fn)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
-
-    def grad_fn(g):
-        return (g * mask,)
-
-    return _emit("relu", (a,), out, grad_fn)
-
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    phi = 0.5 * (1.0 + erf(a.data / _SQRT2))
-    out = a.data * phi
-    x = a.data
-
-    def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (phi + x * pdf),)
-
-    return _emit("gelu", (a,), out, grad_fn)
-
-
 def softmax_lastaxis(x: np.ndarray) -> np.ndarray:
     """Numerically stabilized softmax over the last axis (plain numpy)."""
     m = x.max(axis=-1, keepdims=True)
@@ -610,28 +584,60 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
     return _emit("masked_attention", (q, k, v, mask), out, grad_fn)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale
+    by ``gamma`` and shift by ``beta`` (both ``[d]``).
+
+    One record covers the normalization and the affine map. The arithmetic
+    is that of ``np.var`` and of the unfused ``y * gamma + beta``: the
+    variance is the mean square of the centred array, ``beta`` is added in
+    place on the product, and the ``gamma`` and ``beta`` gradients are
+    ``_unbroadcast`` sums, so both give identical bits.
+    """
+    d = a.shape[-1:]
+    if gamma.shape != d or beta.shape != d:
+        raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta "
+                         f"{beta.shape} must both be {d} for input {a.shape}")
+    y = a.data - a.data.mean(axis=-1, keepdims=True)
+    out = np.square(y)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    y *= inv
+    np.multiply(y, gamma.data, out=out)
+    out += beta.data
+    g_data = gamma.data
+    need_a, need_g, need_b = a.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def grad_fn(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gg = _unbroadcast(g * y, d) if need_g else None
+        gb = _unbroadcast(g, d) if need_b else None
+        if not need_a:
+            return None, gg, gb
+        gy = g * g_data
+        t = gy * y
+        gym = t.mean(axis=-1, keepdims=True)
+        gy -= gy.mean(axis=-1, keepdims=True)
+        gy -= np.multiply(y, gym, out=t)
+        gy *= inv
+        return gy, gg, gb
 
-    return _emit("layer_norm", (a,), y, grad_fn)
+    return _emit("layer_norm", (a, gamma, beta), out, grad_fn)
+
+
+def keep_mask(rng: np.random.Generator, shape: tuple[int, ...],
+              rate: float) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else
+    ``1 / (1 - rate)``. One ``rng.random`` draw of ``shape``."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate == 0.0:
         return a
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = keep_mask(rng, a.shape, rate)
     out = a.data * keep
 
     def grad_fn(g):
@@ -639,3 +645,100 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
     return _emit("dropout", (a,), out, grad_fn)
 
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+ACTIVATIONS = ("gelu", "relu")
+
+
+def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        activation: str, keep1: np.ndarray | None = None,
+        keep2: np.ndarray | None = None) -> Tensor:
+    """Position-wise feed-forward sublayer with its residual:
+    ``h + drop2(drop1(act(x @ w1 + b1)) @ w2 + b2)``.
+
+    ``x`` and ``h`` are ``[.., d]`` (``x`` is ``h`` itself under post-norm),
+    ``w1`` is ``[d, f]`` and ``w2`` is ``[f, d]``. ``activation`` is the
+    exact (erf-based) ``"gelu"`` or ``"relu"``. ``keep1`` (``[.., f]``) and
+    ``keep2`` (``[.., d]``) are :func:`keep_mask` multipliers, or None for
+    no dropout. One record covers both linears, the activation, both
+    dropouts and the residual add.
+
+    Every product and reduction runs in the order and memory layout of the
+    unfused composition of ``matmul``, ``add``, the activation and
+    ``dropout``, so both give identical bits: the leading axes are folded
+    into one GEMM per linear, biases and masks are applied in place on the
+    GEMM outputs, the activation and its backward work on reused buffers,
+    and the bias gradients are ``_unbroadcast`` sums.
+    """
+    if activation not in ACTIVATIONS:
+        raise ContractError(f"ffn: activation must be one of {ACTIVATIONS}, "
+                            f"got {activation!r}")
+    d, f = w1.shape if w1.ndim == 2 else (-1, -1)
+    lead = x.shape[:-1]
+    if (x.shape[-1:] != (d,) or b1.shape != (f,) or w2.shape != (f, d)
+            or b2.shape != (d,) or h.shape != x.shape):
+        raise ShapeError(
+            f"ffn: shapes do not chain: h {h.shape}, x {x.shape}, w1 "
+            f"{w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    for name, keep, shape in (("keep1", keep1, lead + (f,)),
+                              ("keep2", keep2, h.shape)):
+        if keep is not None and keep.shape != shape:
+            raise ShapeError(f"ffn: {name} shape {keep.shape} != {shape}")
+    gelu = activation == "gelu"
+    tracked = _tracked(h, x, w1, b1, w2, b2)
+    w1_data, w2_data = w1.data, w2.data
+
+    x2 = x.data.reshape(-1, d)
+    u = (x2 @ w1_data).reshape(lead + (f,))
+    u += b1.data
+    if gelu:
+        phi = np.divide(u, _SQRT2)
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        z = u * phi if tracked else np.multiply(u, phi, out=phi)
+    else:
+        mask = u > 0.0
+        z = np.maximum(u, 0.0, out=u)
+    if keep1 is not None:
+        z *= keep1
+    z2 = z.reshape(-1, f)
+    out = (z2 @ w2_data).reshape(h.shape)
+    out += b2.data
+    if keep2 is not None:
+        out *= keep2
+    out += h.data
+    need_h, need_x = h.requires_grad, x.requires_grad
+    need_w1, need_b1 = w1.requires_grad, b1.requires_grad
+    need_w2, need_b2 = w2.requires_grad, b2.requires_grad
+
+    def grad_fn(g):
+        gv = g if keep2 is None else g * keep2
+        gb2 = _unbroadcast(gv, (d,)) if need_b2 else None
+        gv2 = gv.reshape(-1, d)
+        gw2 = z2.T @ gv2 if need_w2 else None
+        gh = g if need_h else None
+        if not (need_x or need_w1 or need_b1):
+            return gh, None, None, None, gw2, gb2
+        gu = (gv2 @ w2_data.T).reshape(lead + (f,))
+        if keep1 is not None:
+            gu *= keep1
+        if gelu:
+            # gelu'(u) = phi + u * pdf(u), built in one buffer
+            t = np.multiply(u, -0.5)
+            t *= u
+            np.exp(t, out=t)
+            t *= _INV_SQRT_2PI
+            t *= u
+            t += phi
+            gu *= t
+        else:
+            gu *= mask
+        gb1 = _unbroadcast(gu, (f,)) if need_b1 else None
+        gu2 = gu.reshape(-1, f)
+        gw1 = x2.T @ gu2 if need_w1 else None
+        gx = (gu2 @ w1_data.T).reshape(x.shape) if need_x else None
+        return gh, gx, gw1, gb1, gw2, gb2
+
+    return _emit("ffn", (h, x, w1, b1, w2, b2), out, grad_fn)

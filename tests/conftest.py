@@ -98,24 +98,31 @@ def gradcheck(build, arrays: list[np.ndarray], rtol=1e-4, floor=1e-7, step=1e-5)
 def model_param_gradcheck(model, x: np.ndarray, y: np.ndarray,
                           rtol=1e-4, floor=1e-7, step=1e-5,
                           max_entries_per_param: int | None = None,
-                          seed: int = 0) -> int:
+                          seed: int = 0, dropout_seed: int | None = None) -> int:
     """Check the full forecaster loss gradient against central differences.
 
-    Perturbs parameter buffers in place and re-runs an eval-mode forward,
-    so the numeric side never touches the tape. Returns the number of
-    entries checked.
+    Perturbs parameter buffers in place and re-runs the forward, so the
+    numeric side never touches the tape. The forward is in eval mode, or,
+    given ``dropout_seed``, in training mode with a fresh
+    ``default_rng(dropout_seed)`` each time, so every evaluation drops the
+    same units. Returns the number of entries checked.
     """
     from spat.model import mse_loss
 
+    def pred():
+        if dropout_seed is None:
+            return model.forward(x)
+        return model.forward(x, training=True,
+                             rng=np.random.default_rng(dropout_seed))
+
     with Tape() as tape:
-        loss = mse_loss(model.forward(x), y)
+        loss = mse_loss(pred(), y)
     tape.backward(loss)
     analytic = {name: p.grad.copy() for name, p in model.named_parameters()}
     model.zero_grad()
 
     def forward():
-        pred = model.forward(x).data
-        return float(np.mean((pred - y) ** 2))
+        return float(np.mean((pred().data - y) ** 2))
 
     rng = np.random.default_rng(seed)
     checked = 0

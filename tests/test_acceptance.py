@@ -29,10 +29,10 @@ from spat.send import build_plan, compute_sensitivity, send_score
 from spat.tensor import (
     Tensor,
     dropout,
-    gelu,
+    ffn,
+    keep_mask,
     layer_norm,
     masked_attention,
-    relu,
     row_softmax,
 )
 
@@ -57,8 +57,15 @@ class TestCriterion1Gradients:
         def u(*shape):
             return rng.uniform(-2.0, 2.0, size=shape)
 
-        safe = u(4, 4)
-        safe[np.abs(safe) < 1e-2] = 0.7
+        # fixed keep masks with zeros, so ffn's dropout path is checked
+        keep1 = keep_mask(np.random.default_rng(5), (2, 3, 5), 0.4)
+        keep2 = keep_mask(np.random.default_rng(6), (2, 3, 4), 0.4)
+        assert (keep1 == 0).any() and (keep2 == 0).any()
+        # relu is checked in post-norm form (x is h, two contributions to
+        # its gradient) with pre-activations away from the kink
+        relu_arrays = [u(2, 3, 4), u(4, 5), u(5), u(5, 4), u(4)]
+        h0, w10, b10 = relu_arrays[:3]
+        assert np.abs(h0 @ w10 + b10).min() > 1e-3
         # probe weights are drawn once; the loss must be a fixed function
         # of its inputs across repeated finite-difference evaluations
         primitives = [
@@ -85,11 +92,17 @@ class TestCriterion1Gradients:
              [u(3, 4)]),
             ("mean-axis", lambda a, p=u(4): (a.mean(axis=0) * Tensor(p)).sum(),
              [u(3, 4)]),
-            ("relu", lambda a, p=u(4, 4): (relu(a) * Tensor(p)).sum(),
-             [safe.copy()]),
-            ("gelu", lambda a, p=u(3, 4): (gelu(a) * Tensor(p)).sum(), [u(3, 4)]),
-            ("layer_norm", lambda a, p=u(3, 6): (layer_norm(a) * Tensor(p)).sum(),
-             [u(3, 6)]),
+            ("ffn-gelu",
+             lambda h, x, w1, b1, w2, b2, p=u(2, 3, 4):
+             (ffn(h, x, w1, b1, w2, b2, "gelu", keep1, keep2) * Tensor(p)).sum(),
+             [u(2, 3, 4), u(2, 3, 4), u(4, 5), u(5), u(5, 4), u(4)]),
+            ("ffn-relu",
+             lambda h, w1, b1, w2, b2, p=u(2, 3, 4):
+             (ffn(h, h, w1, b1, w2, b2, "relu", keep1, keep2) * Tensor(p)).sum(),
+             relu_arrays),
+            ("layer_norm",
+             lambda a, g, b, p=u(3, 6): (layer_norm(a, g, b) * Tensor(p)).sum(),
+             [u(3, 6), u(6), u(6)]),
             ("row_softmax", lambda a, p=u(3, 5): (row_softmax(a) * Tensor(p)).sum(),
              [u(3, 5)]),
             # two heads, a mask with zeros, gradients for q, k, v and the mask
@@ -126,6 +139,15 @@ class TestCriterion1Gradients:
         yv = rng.normal(size=(2, 6, 8))
         model_param_gradcheck(model_v, xv, yv, rtol=1e-4, floor=1e-7,
                               max_entries_per_param=8, seed=1)
+
+        # training forward with dropout: every evaluation draws the same
+        # keep masks, so ffn's keep-mask path is checked end to end
+        cfg_d = ModelConfig(mode="temporal_tokens", lookback=16, horizon=4,
+                            channels=2, d_model=8, d_ff=16, heads=2, layers=2,
+                            patch_len=8, patch_stride=4, dropout=0.1)
+        model_d = Forecaster(cfg_d, seed=9)
+        model_param_gradcheck(model_d, x, y, rtol=1e-4, floor=1e-7,
+                              max_entries_per_param=16, seed=2, dropout_seed=3)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"gradient block took {elapsed:.1f}s"
@@ -239,7 +261,7 @@ class TestCriterion5PruningSemantics:
                 h = blk.ffn_sublayer(h, False, None)
             else:
                 h = blk.forward(h)
-        h = t_layer_norm(h) * model.final_g + model.final_b
+        h = t_layer_norm(h, model.final_g, model.final_b)
         oracle = (h @ model.head_w + model.head_b).transpose(0, 2, 1).data
         oracle = oracle * sigma + mu
         assert np.array_equal(pruned.forecast(x), oracle)

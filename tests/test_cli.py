@@ -214,11 +214,39 @@ class TestExitCodes:
             "optimizer.finetune_lr=-0.5", "optimizer.lr_min=-1.0",
             "optimizer.beta1=2.0", "optimizer.beta2=1.0", "optimizer.eps=-1.0",
             "optimizer.eps=0.0"]),
-        ("data.split_ratios=[0.7, .nan, 0.2]", "ratios must be three non-negative")])
+        ("data.split_ratios=[0.7, .nan, 0.2]", "ratios must be three non-negative"),
+        ("data.split_ratios=[0.7, -0.1, 0.2]", "ratios must be three non-negative"),
+        ("data.split_ratios=[0.7, 0.3]", "ratios must be three non-negative")])
     def test_value_out_of_range_exits_2(self, workspace, capsys, item, message):
         _, cfg_path = workspace
         assert main(["run", "--config", str(cfg_path), "--set", item]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {item.split('=')[0]} " in err and message in err
+
+    @pytest.mark.parametrize("counts, message", [
+        ("[200, -1, 50]", "must be three non-negative ints"),
+        ("[200, 50]", "must be three non-negative ints"),
+        ("[200, 50, 51]", "exceed series length 300")])
+    def test_bad_split_counts_exit_2(self, workspace, capsys, counts, message):
+        _, cfg_path = workspace
+        code = main(["run", "--config", str(cfg_path), "--set",
+                     "data.split_ratios=null", "--set",
+                     f"data.split_counts={counts}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: data.split_counts " in err and message in err
+
+    def test_one_row_csv_exits_2_without_numpy_warnings(self, workspace):
+        tmp_path, cfg_path = workspace
+        path = tmp_path / "one_row.csv"
+        path.write_text("date,a,b,c\n0,1.0,2.0,3.0\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "spat.cli", "pretrain", "--config",
+             str(cfg_path), "--set", "data.source=csv",
+             "--set", f"data.path={path}"], capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "training split is empty" in out.stderr
+        assert "Warning" not in out.stderr
 
     def test_exponent_float_string_is_a_float(self, workspace):
         _, cfg_path = workspace

@@ -1,10 +1,13 @@
 """Data ingestion, splitting, windowing and batching tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spat.config import DataConfig
 from spat.data import (
     SyntheticSpec,
     WindowSpec,
@@ -118,6 +121,25 @@ class TestSplit:
     def test_counts_exceeding_length_rejected(self):
         with pytest.raises(ConfigError):
             split(np.zeros((10, 1)), counts=(8, 2, 2))
+
+    @pytest.mark.parametrize("ratios, counts", [
+        ((0.7, 0.1, 0.2), None), (None, (0, 1, 0))])
+    def test_empty_training_region_rejected_before_stats(self, ratios, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="training split is empty"):
+                split(np.ones((1, 2)), ratios=ratios, counts=counts)
+
+    @pytest.mark.parametrize("ratios, counts", [
+        ((0.7, -0.1, 0.2), None), ((0.7, float("nan"), 0.2), None),
+        ((0.5, 0.5), None), ((0.6, 0.5, 0.1), None), (None, (1, -1, 1)),
+        (None, (1, 2)), (None, None), ((0.7, 0.1, 0.2), (1, 1, 1))])
+    def test_bad_ratios_or_counts_name_the_field(self, ratios, counts):
+        with pytest.raises(ConfigError, match="data.split_"):
+            split(np.ones((10, 1)), ratios=ratios, counts=counts,
+                  names=DataConfig.SPLIT_FIELDS)
+        with pytest.raises(ConfigError, match="data.split_"):
+            DataConfig(split_ratios=ratios, split_counts=counts)
 
     def test_stats_come_from_train_region_only(self):
         values = np.zeros((100, 1))

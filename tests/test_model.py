@@ -130,7 +130,7 @@ class TestAttentionForward:
         import math
 
         from spat.tensor import layer_norm, row_softmax
-        x = layer_norm(h) * blk.ln1_g + blk.ln1_b
+        x = layer_norm(h, blk.ln1_g, blk.ln1_b)
         batch, s, d = x.shape
         q = (x @ blk.w_q + blk.b_q).reshape(batch, s, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
         k = (x @ blk.w_k + blk.b_k).reshape(batch, s, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)

@@ -202,8 +202,7 @@ class TestPrune:
                 h = blk.ffn_sublayer(h, False, None)
             else:
                 h = blk.forward(h)
-        from spat.tensor import layer_norm
-        h = layer_norm(h) * model.final_g + model.final_b
+        h = tensor.layer_norm(h, model.final_g, model.final_b)
         out = (h @ model.head_w + model.head_b).transpose(0, 2, 1)
         expected = out.data * sigma + mu
 

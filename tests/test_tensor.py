@@ -1,27 +1,143 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import analytic_grads, gradcheck, traced_peak
+from spat import model as model_module
 from spat import tensor
+from spat.config import load_config
 from spat.errors import ContractError, NumericError, ShapeError
+from spat.model import AttentionBlock, Forecaster, ModelConfig, mse_loss
 from spat.tensor import (
     Tape,
     Tensor,
     dropout,
-    gelu,
+    ffn,
+    keep_mask,
     layer_norm,
     masked_attention,
-    relu,
     row_softmax,
 )
+
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
 
 def rand(rng, *shape):
     return rng.uniform(-2.0, 2.0, size=shape)
+
+
+# -- the unfused compositions the fused ops replaced ---------------------
+# Kept as the bitwise reference: the plain normalization, gelu and relu as
+# records of their own, composed with matmul, add, mul and dropout.
+
+
+def unfused_norm(a, eps=1e-5):
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = (a.data - mu) * inv
+
+    def grad_fn(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - y * gym),)
+
+    return tensor._emit("layer_norm", (a,), y, grad_fn)
+
+
+def unfused_gelu(a):
+    phi = 0.5 * (1.0 + erf(a.data / math.sqrt(2.0)))
+    out = a.data * phi
+    x = a.data
+
+    def grad_fn(g):
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        return (g * (phi + x * pdf),)
+
+    return tensor._emit("gelu", (a,), out, grad_fn)
+
+
+def unfused_relu(a):
+    out = np.maximum(a.data, 0.0)
+    mask = a.data > 0.0
+
+    def grad_fn(g):
+        return (g * mask,)
+
+    return tensor._emit("relu", (a,), out, grad_fn)
+
+
+def unfused_layer_norm(a, gamma, beta):
+    return unfused_norm(a) * gamma + beta
+
+
+def unfused_ffn(h, x, w1, b1, w2, b2, activation, keep1=None, keep2=None):
+    act = unfused_gelu if activation == "gelu" else unfused_relu
+    z = act(x @ w1 + b1)
+    if keep1 is not None:
+        z = z * Tensor(keep1)
+    z = z @ w2 + b2
+    if keep2 is not None:
+        z = z * Tensor(keep2)
+    return h + z
+
+
+def unfused_ffn_sublayer(self, h, training, rng):
+    """``AttentionBlock.ffn_sublayer`` before fusion, drawing each dropout
+    mask where it is applied."""
+    cfg = self.cfg
+    x = self._norm2(h) if cfg.norm_placement == "pre" else h
+    act = unfused_gelu if cfg.activation == "gelu" else unfused_relu
+    z = act(x @ self.w1 + self.b1)
+    if training and cfg.dropout > 0.0:
+        z = dropout(z, cfg.dropout, rng)
+    z = z @ self.w2 + self.b2
+    if training and cfg.dropout > 0.0:
+        z = dropout(z, cfg.dropout, rng)
+    out = h + z
+    return self._norm2(out) if cfg.norm_placement == "post" else out
+
+
+@pytest.fixture
+def unfused_model(monkeypatch):
+    """Run ``spat.model`` on the unfused compositions."""
+    def use():
+        monkeypatch.setattr(model_module, "layer_norm", unfused_layer_norm)
+        monkeypatch.setattr(AttentionBlock, "ffn_sublayer", unfused_ffn_sublayer)
+    return use
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_fused_equals_unfused(fused, unfused, arrays, frozen=()):
+    """``fused(*tensors)`` and ``unfused(*tensors)`` give the same bytes
+    (signed zeros included) for the output and for the gradient of every
+    input not in ``frozen``, under a probe-weighted sum loss."""
+    results = []
+    for build in (fused, unfused):
+        ts = [Tensor(a, requires_grad=i not in frozen)
+              for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            out = build(*ts)
+            probe = np.random.default_rng(0).uniform(-1, 1, size=out.shape)
+            loss = (out * Tensor(probe)).sum()
+        tape.backward(loss)
+        results.append([out.data] + [t.grad for t in ts])
+    for i, (got, want) in enumerate(zip(*results)):
+        what = "output" if i == 0 else f"gradient of input {i - 1}"
+        if i - 1 in frozen:
+            assert got is None and want is None, what
+        else:
+            assert same_bits(got, want), what
 
 
 class TestMatmul:
@@ -197,16 +313,23 @@ class TestGradOracle:
     def test_mean_axis_keepdims(self):
         self.weighted_sum(lambda a: a.mean(axis=1, keepdims=True), rand(self.rng, 3, 4))
 
+    def ffn_arrays(self):
+        return [rand(self.rng, 2, 3, 4), rand(self.rng, 2, 3, 4),
+                rand(self.rng, 4, 5), rand(self.rng, 5), rand(self.rng, 5, 4),
+                rand(self.rng, 4)]
+
     def test_relu_away_from_zero(self):
-        x = rand(self.rng, 4, 4)
-        x[np.abs(x) < 1e-2] = 0.5
-        self.weighted_sum(relu, x)
+        arrays = self.ffn_arrays()
+        _, x, w1, b1, _, _ = arrays
+        assert np.abs(x @ w1 + b1).min() > 1e-3
+        self.weighted_sum(lambda *ts: ffn(*ts, "relu"), *arrays)
 
     def test_gelu(self):
-        self.weighted_sum(gelu, rand(self.rng, 3, 4))
+        self.weighted_sum(lambda *ts: ffn(*ts, "gelu"), *self.ffn_arrays())
 
     def test_layer_norm(self):
-        self.weighted_sum(layer_norm, rand(self.rng, 3, 6))
+        self.weighted_sum(layer_norm, rand(self.rng, 3, 6), rand(self.rng, 6),
+                          rand(self.rng, 6))
 
     def test_row_softmax(self):
         self.weighted_sum(row_softmax, rand(self.rng, 3, 5))
@@ -313,3 +436,139 @@ class TestGradModeAndInvariants:
             loss = x.sum()
         tape.backward(loss)
         assert x.grad.shape == x.data.shape
+
+
+class TestFusedLayerNorm:
+    """The affine layer_norm against ``norm(x) * gamma + beta``, bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "2d", "transposed",
+                                        "strided"])
+    def test_matches_unfused(self, layout):
+        rng = np.random.default_rng(1)
+        x = {"contiguous": lambda: rand(rng, 4, 5, 6),
+             "2d": lambda: rand(rng, 7, 6),
+             "transposed": lambda: rand(rng, 6, 5, 4).transpose(2, 1, 0),
+             "strided": lambda: rand(rng, 4, 5, 12)[..., ::2]}[layout]()
+        assert x.flags.c_contiguous == (layout in ("contiguous", "2d"))
+        assert_fused_equals_unfused(layer_norm, unfused_layer_norm,
+                                    [x, rand(rng, 6), rand(rng, 6)])
+
+    def test_frozen_affine_matches_unfused(self):
+        rng = np.random.default_rng(2)
+        assert_fused_equals_unfused(
+            layer_norm, unfused_layer_norm,
+            [rand(rng, 3, 4, 6), rand(rng, 6), rand(rng, 6)], frozen=(1, 2))
+
+    def test_affine_shape_must_match_last_axis(self):
+        x = Tensor(np.zeros((2, 6)))
+        with pytest.raises(ShapeError):
+            layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(6)))
+        with pytest.raises(ShapeError):
+            layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros((1, 6))))
+
+
+class TestFusedFfn:
+    """``ffn`` against the matmul/add/activation/dropout composition, bit for
+    bit, pre- and post-norm, with and without dropout."""
+
+    @pytest.mark.parametrize("placement", ["pre", "post", "pre_strided"])
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_matches_unfused(self, activation, drop, placement):
+        rng = np.random.default_rng(5)
+        b, s, d, f = 6, 5, 4, 8
+        h = rand(rng, b, s, d)
+        x = (rand(rng, d, s, b).transpose(2, 1, 0) if placement == "pre_strided"
+             else rand(rng, b, s, d))
+        weights = [rand(rng, d, f), rand(rng, f), rand(rng, f, d), rand(rng, d)]
+        keep1 = keep2 = None
+        if drop:
+            keep1 = keep_mask(rng, (b, s, f), 0.5)
+            keep2 = keep_mask(rng, (b, s, d), 0.5)
+            assert (keep1 == 0).any() and (keep2 == 0).any()
+
+        def run(op):
+            if placement == "post":  # x is h: h takes two contributions
+                return lambda h, *w: op(h, h, *w, activation, keep1, keep2)
+            return lambda h, x, *w: op(h, x, *w, activation, keep1, keep2)
+
+        arrays = [h] + ([] if placement == "post" else [x]) + weights
+        assert_fused_equals_unfused(run(ffn), run(unfused_ffn), arrays)
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_frozen_weights_match_unfused(self, activation):
+        """Scoring's case: only the activations need a gradient."""
+        rng = np.random.default_rng(6)
+        arrays = [rand(rng, 3, 4, 4), rand(rng, 3, 4, 4), rand(rng, 4, 6),
+                  rand(rng, 6), rand(rng, 6, 4), rand(rng, 4)]
+
+        def run(op):
+            return lambda *ts: op(*ts, activation)
+
+        assert_fused_equals_unfused(run(ffn), run(unfused_ffn), arrays,
+                                    frozen=(2, 3, 4, 5))
+
+    def test_shape_and_activation_errors(self):
+        t = Tensor(np.zeros((2, 3, 4)))
+        w1, b1 = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5))
+        w2, b2 = Tensor(np.zeros((5, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ContractError):
+            ffn(t, t, w1, b1, w2, b2, "tanh")
+        with pytest.raises(ShapeError):
+            ffn(t, t, w1, b1, Tensor(np.zeros((4, 4))), b2, "gelu")
+        with pytest.raises(ShapeError):
+            ffn(Tensor(np.zeros((2, 3, 5))), t, w1, b1, w2, b2, "gelu")
+        with pytest.raises(ShapeError):
+            ffn(t, t, w1, b1, w2, b2, "gelu", keep1=np.ones((2, 3, 4)))
+
+
+class TestFusedModel:
+    """A training step of the fused model against the unfused one."""
+
+    @pytest.mark.parametrize("mode, placement, activation", [
+        ("temporal_tokens", "pre", "gelu"), ("temporal_tokens", "post", "relu"),
+        ("variate_tokens", "post", "gelu"), ("variate_tokens", "pre", "relu")])
+    def test_training_step_matches_unfused(self, unfused_model, mode,
+                                           placement, activation):
+        cfg = ModelConfig(mode=mode, lookback=16, horizon=4, channels=3,
+                          d_model=8, d_ff=16, heads=2, layers=2, patch_len=8,
+                          patch_stride=4, dropout=0.1, activation=activation,
+                          norm_placement=placement)
+        data = np.random.default_rng(7)
+        x, y = data.normal(size=(5, 16, 3)), data.normal(size=(5, 4, 3))
+
+        def step():
+            model = Forecaster(cfg, seed=4)
+            rng = np.random.default_rng(8)
+            with Tape() as tape:
+                loss = mse_loss(model.forward(x, training=True, rng=rng), y)
+            tape.backward(loss)
+            return ([loss.data] + [p.grad for p in model.parameters()],
+                    rng.bit_generator.state)
+
+        fused, fused_rng = step()
+        unfused_model()
+        unfused, unfused_rng = step()
+        # the keep masks come from the same draws in the same order
+        assert fused_rng == unfused_rng
+        assert all(same_bits(a, b) for a, b in zip(fused, unfused))
+
+    def test_synthetic_small_records_per_step(self, unfused_model):
+        """Per block, the norms go 3 -> 1 record each and the FFN 8 -> 1."""
+        cfg = load_config(BUNDLED_CONFIG)
+        model_cfg = cfg.model.to_model_config(
+            cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels)
+        x = np.random.default_rng(0).normal(
+            size=(2, cfg.window.lookback, model_cfg.channels))
+
+        def records():
+            model = Forecaster(model_cfg, seed=0)
+            with Tape() as tape:
+                pred = model.forward(x, training=True,
+                                     rng=np.random.default_rng(1))
+                mse_loss(pred, np.zeros_like(pred.data))
+            return len(tape)
+
+        assert records() == 57
+        unfused_model()
+        assert records() == 92
