@@ -56,10 +56,10 @@ def _print_row(row: dict) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    state = run_pipeline(cfg, resolve_run_dir(cfg, args.run_dir))
+    result = run_pipeline(cfg, resolve_run_dir(cfg, args.run_dir))
     for stage in ("pretrained", "pruned", "finetuned"):
-        _print_row(state.metrics[stage])
-    print(f"removed attention layers: {state.removed}")
+        _print_row(result.metrics[stage])
+    print(f"removed attention layers: {result.removed}")
     return 0
 
 

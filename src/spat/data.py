@@ -11,7 +11,6 @@ training region alone.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -89,12 +88,6 @@ class SeriesDataset:
             return self.values[max(self.val_end - lookback, 0):self.test_end]
         raise ConfigError(f"unknown split {split!r}")
 
-    def normalize(self, rows: np.ndarray) -> np.ndarray:
-        return (rows - self.mean) / self.std
-
-    def denormalize(self, rows: np.ndarray) -> np.ndarray:
-        return rows * self.std + self.mean
-
 
 def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeries:
     """Parse a comma-separated file with a header row into a [time, C] matrix.
@@ -156,16 +149,16 @@ def _csv_rows(path: Path, f) -> Iterator[list[str]]:
         raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
 
 
-def write_csv(path, series: RawSeries, date_column: bool = True) -> None:
+def write_csv(path, series: RawSeries) -> None:
+    """Write a date column (the timestamps, or the row index) and one
+    ``ch{i}`` column per channel."""
     values = series.values
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        names = [f"ch{i}" for i in range(values.shape[1])]
-        writer.writerow((["date"] if date_column else []) + names)
+        writer.writerow(["date"] + [f"ch{i}" for i in range(values.shape[1])])
         for t in range(values.shape[0]):
-            stamp = (series.timestamps[t] if series.timestamps else str(t))
-            row = [stamp] if date_column else []
-            writer.writerow(row + [repr(float(v)) for v in values[t]])
+            stamp = series.timestamps[t] if series.timestamps else str(t)
+            writer.writerow([stamp] + [repr(float(v)) for v in values[t]])
 
 
 def check_split(ratios, counts, names=("ratios", "counts")) -> None:
@@ -229,7 +222,8 @@ def make_windows(region: np.ndarray, spec: WindowSpec,
     """Sliding (X, Y) pairs: X rows [i, i+L), Y rows [i+L, i+L+T).
 
     Standardizes per channel when stats are given. A region too short for
-    a single window yields empty arrays and a warning.
+    a single window yields empty arrays; the caller decides whether an
+    empty split is an error.
     """
     region = np.asarray(region, dtype=np.float64)
     if mean is not None:
@@ -237,8 +231,6 @@ def make_windows(region: np.ndarray, spec: WindowSpec,
     n = window_count(len(region), spec)
     channels = region.shape[1]
     if n == 0:
-        warnings.warn(f"region of length {len(region)} too short for "
-                      f"lookback {spec.lookback} + horizon {spec.horizon}")
         return (np.zeros((0, spec.lookback, channels)),
                 np.zeros((0, spec.horizon, channels)))
     starts = np.arange(n) * spec.stride
@@ -248,14 +240,12 @@ def make_windows(region: np.ndarray, spec: WindowSpec,
     return x, y
 
 
-def dataset_windows(ds: SeriesDataset, split_name: str, spec: WindowSpec,
-                    normalized: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def dataset_windows(ds: SeriesDataset, split_name: str,
+                    spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Windows of one split, standardized with the training statistics."""
     lookback = 0 if split_name == "train" else spec.lookback
     region = ds.region(split_name, lookback=lookback)
-    if normalized:
-        return make_windows(region, spec, ds.mean, ds.std)
-    return make_windows(region, spec)
+    return make_windows(region, spec, ds.mean, ds.std)
 
 
 class ForecastBatch(NamedTuple):

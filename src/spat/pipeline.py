@@ -17,13 +17,11 @@ them.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import logging
 import math
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +100,8 @@ def cosine_lr(base: float, lr_min: float, epoch: int, total_epochs: int) -> floa
 
 @dataclass
 class TrainResult:
-    best_state: dict
     best_val: float | None
     epochs_run: int
-    history: list[dict] = field(default_factory=list)
 
 
 def _train_loop(model: Forecaster, train_windows, val_windows,
@@ -116,14 +112,13 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
     if len(x_train) == 0:
         raise ContractError(f"{stage_name}: no training windows")
     if epochs == 0:
-        return TrainResult(model.state_dict(), None, 0)
+        return TrainResult(None, 0)
 
     has_val = len(x_val) > 0
     optimizer = Adam(model.named_parameters(), opt)
-    best_state = model.state_dict()
+    best_state = model.state_dict() if has_val else None
     best_val = math.inf
     epochs_since_best = 0
-    history = []
     step = 0
     for epoch in range(epochs):
         lr_epoch = cosine_lr(lr, opt.lr_min, epoch, epochs)
@@ -154,7 +149,6 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
                 epochs_since_best = 0
             else:
                 epochs_since_best += 1
-        history.append(entry)
         logger.info("%s epoch %d: %s", stage_name, epoch, entry)
         if has_val and opt.patience is not None and epochs_since_best >= opt.patience:
             logger.info("%s early stop at epoch %d (best val %.6f)",
@@ -162,24 +156,22 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
             break
     if has_val:
         model.load_state_dict(best_state)
-        return TrainResult(best_state, best_val, len(history), history)
-    return TrainResult(model.state_dict(), None, len(history), history)
+        return TrainResult(best_val, epoch + 1)
+    return TrainResult(None, epoch + 1)
 
 
 def pretrain(model: Forecaster, train_windows, val_windows,
-             opt: OptimizerConfig, seeds: SeedStreams | None = None) -> TrainResult:
+             opt: OptimizerConfig, seeds: SeedStreams) -> TrainResult:
     """Train from the current weights, keeping the best-validation state."""
-    seeds = seeds or SeedStreams(0)
     return _train_loop(model, train_windows, val_windows, opt,
                        epochs=opt.epochs, lr=opt.lr, seeds=seeds,
                        stage=STAGE_PRETRAIN, stage_name="pretrain")
 
 
 def finetune(model: Forecaster, train_windows, val_windows,
-             opt: OptimizerConfig, seeds: SeedStreams | None = None) -> TrainResult:
+             opt: OptimizerConfig, seeds: SeedStreams) -> TrainResult:
     """Same loop as pretrain with fresh optimizer state and a smaller
     default epoch budget (half of pretraining, rounded up)."""
-    seeds = seeds or SeedStreams(0)
     epochs = (opt.finetune_epochs if opt.finetune_epochs is not None
               else math.ceil(opt.epochs / 2))
     lr = opt.finetune_lr if opt.finetune_lr is not None else opt.lr
@@ -275,33 +267,6 @@ def load_dataset(cfg: ExperimentConfig) -> SeriesDataset:
                        name=data.dataset_name())
     return split(raw, ratios=data.split_ratios, counts=data.split_counts,
                  names=data.SPLIT_FIELDS)
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
-
-
-@dataclass
-class PipelineState:
-    stage: str
-    candidate: list[int]
-    removed: list[int]
-    seed: int
-    config_hash: str
-    transitions: list[str] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
-    plan: PruningPlan | None = None
-
-    def advance(self, stage: str) -> None:
-        self.transitions.append(stage)
-        self.stage = stage
-
-    def check_partition(self, n_layers: int) -> None:
-        joined = set(self.candidate) | set(self.removed)
-        if joined != set(range(n_layers)) or set(self.candidate) & set(self.removed):
-            raise ContractError(
-                f"candidate {self.candidate} / removed {self.removed} do not "
-                f"partition the {n_layers} layers")
 
 
 def ledger_row(stage: str, dataset: str, horizon: int, metrics: dict,
@@ -436,15 +401,17 @@ def finetune_stage(prep: Prepared, model: Forecaster, path: Path, meta: dict,
 # -- compositions ------------------------------------------------------------
 
 
-def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
+@dataclass
+class PipelineResult:
+    metrics: dict[str, dict]   # stage -> ledger row
+    removed: list[int]         # pruned attention layers, sorted
+
+
+def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineResult:
     """Execute pretrain -> score -> prune -> finetune -> evaluate, writing
     every stage artifact under the run directory."""
     run_dir = open_run_dir(cfg, run_dir)
     prep = prepare(cfg)
-    n_layers = prep.model_cfg.layers
-    state = PipelineState(stage="initialized",
-                          candidate=list(range(n_layers)), removed=[],
-                          seed=cfg.seed, config_hash=config_hash(cfg))
     timings: list[tuple[str, float, float, float, int]] = []
 
     def timed(stage_name, fn):
@@ -463,34 +430,25 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
     rows = [row]
     (run_dir / "cost_original.txt").write_text(
         format_cost_report(build_cost_report(model)))
-    state.advance("pretrained")
-    state.check_partition(n_layers)
 
     batches, records = score_stage(prep, model, timed)
     plan = plan_from_records(records, cfg.pruning.alpha)
     (run_dir / "send_report.txt").write_text(format_report(records, plan))
-    state.plan = plan
-    state.advance("scored")
 
     if cfg.pruning.rescore_between_removals:
         pruned_model, removed = timed(
             "prune", lambda: iterative_prune(model, batches, plan.k))
     else:
         pruned_model = timed("prune", lambda: prune(model, plan))
-        removed = list(plan.i_pruned)
-    state.removed = sorted(removed)
-    state.candidate = sorted(set(range(n_layers)) - set(removed))
-    state.check_partition(n_layers)
+        removed = plan.i_pruned
     save_checkpoint(run_dir / "pruned.ckpt", pruned_model,
                     meta=prep.meta("pruned"))
     (run_dir / "cost_pruned.txt").write_text(
         format_cost_report(build_cost_report(pruned_model)))
     rows.append(prep.row("pruned", pruned_model))
-    state.advance("pruned")
 
     rows.append(finetune_stage(prep, pruned_model, run_dir / "finetuned.ckpt",
                                prep.meta("finetuned"), timed))
-    state.advance("finetuned")
 
     write_ledger(run_dir / "metrics.csv", rows)
     with open(run_dir / "timings.csv", "w", newline="") as f:
@@ -499,13 +457,7 @@ def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineState:
         writer.writerows((name, f"{secs:.3f}", f"{user_s:.3f}", f"{sys_s:.3f}",
                           faults)
                          for name, secs, user_s, sys_s, faults in timings)
-    state.metrics = {row["stage"]: row for row in rows}
-    (run_dir / "state.json").write_text(json.dumps(
-        {"stage": state.stage, "transitions": state.transitions,
-         "candidate": state.candidate, "removed": state.removed,
-         "seed": state.seed, "config_hash": state.config_hash},
-        sort_keys=True, indent=2) + "\n")
-    return state
+    return PipelineResult({row["stage"]: row for row in rows}, sorted(removed))
 
 
 def run_sweep(cfg: ExperimentConfig, alphas: list[float],

@@ -42,12 +42,10 @@ _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
 
 @dataclass
 class SensitivityRecord:
-    """Raw and reduced sensitivities for one attention layer."""
+    """Raw sensitivity and dispersion score for one attention layer."""
 
     layer_index: int
     sen: np.ndarray        # [H, S, S] mask gradient, batch-averaged
-    sen_norm: np.ndarray   # [H, S, S] row-softmaxed |sen|
-    sen_bar: np.ndarray    # [S, S] head average
     send: float
     batches_accumulated: int
 
@@ -118,14 +116,10 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     records = []
     for i in layers:
         sen = sen_sum[i] / n_batches
-        sen_norm = normalize_sensitivity(sen)
-        sen_bar = aggregate_heads(sen_norm)
         records.append(SensitivityRecord(
             layer_index=i,
             sen=sen,
-            sen_norm=sen_norm,
-            sen_bar=sen_bar,
-            send=send_score(sen_bar),
+            send=send_score(aggregate_heads(normalize_sensitivity(sen))),
             batches_accumulated=n_batches,
         ))
     return records

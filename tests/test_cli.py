@@ -89,9 +89,13 @@ GOLDEN_CHECKPOINTS = {
 }
 
 
-def ledger_by_stage(run_dir) -> dict:
+def ledger_rows(run_dir) -> list[dict]:
     lines = (run_dir / "metrics.csv").read_text().splitlines()
-    return {r["stage"]: r for r in csv.DictReader(lines)}
+    return list(csv.DictReader(lines))
+
+
+def ledger_by_stage(run_dir) -> dict:
+    return {r["stage"]: r for r in ledger_rows(run_dir)}
 
 
 class TestConfigRoundTrip:
@@ -246,6 +250,17 @@ class TestExitCodes:
              "--set", f"data.path={path}"], capture_output=True, text=True)
         assert out.returncode == 2
         assert "training split is empty" in out.stderr
+        assert "Warning" not in out.stderr
+
+    def test_split_without_windows_exits_2_without_warnings(self, workspace):
+        _, cfg_path = workspace
+        out = subprocess.run(
+            [sys.executable, "-m", "spat.cli", "pretrain", "--config",
+             str(cfg_path), "--set", "data.split_ratios=null",
+             "--set", "data.split_counts=[15,135,150]"],
+            capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "training split yields no windows" in out.stderr
         assert "Warning" not in out.stderr
 
     def test_exponent_float_string_is_a_float(self, workspace):
@@ -448,7 +463,7 @@ class TestRunAndStages:
         assert meta["stage"] == "pruned"
         spat("finetune", "--checkpoint", str(chain / "pruned.ckpt"))
         spat("eval", "--checkpoint", str(chain / "finetuned.ckpt"))
-        rows = list(csv.DictReader((chain / "metrics.csv").open()))
+        rows = ledger_rows(chain)
         assert [r["stage"] for r in rows] == ["pretrained", "finetuned", "eval"]
 
         spat("run", run_dir=full)
@@ -532,7 +547,7 @@ class TestZeroShot:
               "--checkpoint", str(run / "pretrained.ckpt")])
         main(["zeroshot", "--config", str(cfg_path),
               "--checkpoint", str(run / "pretrained.ckpt")])
-        rows = list(csv.DictReader((run / "metrics.csv").open()))
+        rows = ledger_rows(run)
         eval_row = [r for r in rows if r["stage"] == "eval"][0]
         zs_row = [r for r in rows if r["stage"] == "zeroshot"][0]
         assert zs_row["mse"] == eval_row["mse"]
@@ -552,7 +567,7 @@ class TestZeroShot:
                      "--checkpoint", str(run / "pretrained.ckpt"),
                      "--target-config", str(target_path)])
         assert code == 0
-        rows = list(csv.DictReader((run / "metrics.csv").open()))
+        rows = ledger_rows(run)
         assert rows[-1]["dataset"] == "synthetic→shifted"
 
 

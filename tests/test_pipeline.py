@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spat import tensor
+from spat.checkpoint import load_checkpoint
 from spat.config import config_from_dict
 from spat.cost import attention_params, build_cost_report
 from spat.data import (
@@ -303,16 +304,15 @@ class TestZeroShot:
 class TestRunPipeline:
     def test_artifacts_and_stage_metrics(self, tmp_path):
         cfg = tiny_experiment(tmp_path / "run")
-        state = run_pipeline(cfg)
+        result = run_pipeline(cfg)
         run_dir = tmp_path / "run"
-        for name in ("config.yaml", "pretrained.ckpt", "pruned.ckpt",
-                     "finetuned.ckpt", "send_report.txt", "metrics.csv",
-                     "timings.csv", "state.json"):
-            assert (run_dir / name).exists(), name
-        assert state.stage == "finetuned"
-        assert state.transitions == ["pretrained", "scored", "pruned", "finetuned"]
-        assert len(state.removed) == 1
-        assert set(state.candidate) | set(state.removed) == {0, 1, 2}
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted([
+            "config.yaml", "pretrained.ckpt", "pruned.ckpt", "finetuned.ckpt",
+            "send_report.txt", "cost_original.txt", "cost_pruned.txt",
+            "metrics.csv", "timings.csv"])
+        assert len(result.removed) == 1
+        pruned, _ = load_checkpoint(run_dir / "pruned.ckpt")
+        assert result.removed == pruned.pruned_layers()
         ledger = (run_dir / "metrics.csv").read_text().strip().splitlines()
         assert ledger[0] == "stage,dataset,horizon,mse,mae,flops,params"
         stages = [line.split(",")[0] for line in ledger[1:]]
@@ -325,8 +325,8 @@ class TestRunPipeline:
             _, secs, user_s, sys_s, faults = line.split(",")
             assert float(secs) >= 0.0 and int(faults) >= 0
             assert float(user_s) >= 0.0 and float(sys_s) >= 0.0
-        pretrained = state.metrics["pretrained"]
-        finetuned = state.metrics["finetuned"]
+        pretrained = result.metrics["pretrained"]
+        finetuned = result.metrics["finetuned"]
         assert finetuned["flops"] < pretrained["flops"]
         assert finetuned["params"] < pretrained["params"]
 
@@ -349,15 +349,17 @@ class TestRunPipeline:
                               **{"data.split_ratios": [0.9, 0.0, 0.1],
                                  "optimizer.patience": None,
                                  "optimizer.epochs": 1})
-        state = run_pipeline(cfg)
-        assert state.stage == "finetuned"
+        result = run_pipeline(cfg)
+        assert list(result.metrics) == ["pretrained", "pruned", "finetuned"]
 
     def test_rescore_between_removals(self, tmp_path):
         cfg = tiny_experiment(tmp_path / "run3",
                               **{"pruning.rescore_between_removals": True,
                                  "pruning.alpha": 0.5})
-        state = run_pipeline(cfg)
-        assert len(state.removed) == 2
+        result = run_pipeline(cfg)
+        assert len(result.removed) == 2
+        pruned, _ = load_checkpoint(tmp_path / "run3" / "pruned.ckpt")
+        assert result.removed == pruned.pruned_layers()
 
     def test_load_dataset_csv_source(self, tmp_path):
         from spat.data import write_csv
