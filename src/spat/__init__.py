@@ -4,7 +4,17 @@ The package trains an encoder-only forecasting transformer, scores each
 attention layer by the dispersion of its mask-gradient sensitivities,
 removes the lowest-scoring layers, finetunes, and reports the accuracy and
 cost deltas.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+environment already sets it. The model's GEMMs are small, and a second
+BLAS thread spends its time spinning, not computing; outputs are the same
+at any thread count. The setting only takes effect when ``spat`` is
+imported before numpy.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, load_config
 from .errors import (

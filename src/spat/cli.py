@@ -33,7 +33,7 @@ from .pipeline import (
     score_stage,
     zero_shot_eval,
 )
-from .send import format_report, parse_report, plan_from_records
+from .send import format_report, plan_from_records, read_report
 
 RUN_ROOT_ENV = "SPAT_RUN_ROOT"
 
@@ -100,7 +100,7 @@ def cmd_prune(args) -> int:
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
-    plan = parse_report(Path(args.report).read_text())
+    plan = read_report(args.report)
     scored = sorted(i for i, _ in plan.send_scores)
     unpruned = [i for i in range(len(model.blocks)) if not model.blocks[i].pruned]
     if scored != unpruned:
@@ -265,8 +265,8 @@ def main(argv=None) -> int:
     except SpatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: missing file: {e.filename}", file=sys.stderr)
+    except OSError as e:  # a path that cannot be opened, read or written
+        print(f"error: {e.filename}: {e.strerror}", file=sys.stderr)
         return 2
 
 

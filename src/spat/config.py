@@ -2,7 +2,8 @@
 
 The on-disk config is the single source of truth for a run; every run
 directory gets an exact snapshot of the config that produced it, and
-``parse(serialize(cfg)) == cfg`` holds for any valid config.
+``load_config`` of a file holding ``serialize_config(cfg)`` gives back
+``cfg`` for any valid config.
 """
 
 from __future__ import annotations
@@ -204,18 +205,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
 
 
-def _load_yaml(text: str):
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as e:
-        raise ConfigError(f"invalid YAML: {e}") from e
-    return {} if data is None else data
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    return config_from_dict(_load_yaml(text))
-
-
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply dotted ``section.field=value`` overrides; flags win over file."""
     if not isinstance(data, dict):
@@ -242,7 +231,14 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
-    data = _load_yaml(path.read_text())
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason}") from None
+    except yaml.YAMLError as e:
+        raise ConfigError(f"invalid YAML: {e}") from e
+    if data is None:
+        data = {}
     if overrides:
         data = apply_overrides(data, overrides)
     return config_from_dict(data)

@@ -42,35 +42,7 @@ def matmul_flops(m: int, k: int, n: int, batch: int = 1) -> int:
     return MAC * m * k * n * batch
 
 
-def dense_params(d_in: int, d_out: int, bias: bool = True) -> int:
-    return d_in * d_out + (d_out if bias else 0)
-
-
-def attention_params(d_model: int) -> int:
-    """Query/key/value/output projections with biases: 4*d^2 + 4*d."""
-    return 4 * dense_params(d_model, d_model)
-
-
 # -- metrics -------------------------------------------------------------
-
-
-def _check_pair(pred: np.ndarray, target: np.ndarray) -> None:
-    if pred.shape != target.shape:
-        raise ShapeError(f"metric shapes differ: {pred.shape} vs {target.shape}")
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over all elements."""
-    pred, target = np.asarray(pred), np.asarray(target)
-    _check_pair(pred, target)
-    return float(np.mean((pred - target) ** 2))
-
-
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error over all elements."""
-    pred, target = np.asarray(pred), np.asarray(target)
-    _check_pair(pred, target)
-    return float(np.mean(np.abs(pred - target)))
 
 
 class MetricAccumulator:
@@ -82,7 +54,8 @@ class MetricAccumulator:
         self.count = 0
 
     def add(self, pred: np.ndarray, target: np.ndarray) -> None:
-        _check_pair(pred, target)
+        if pred.shape != target.shape:
+            raise ShapeError(f"metric shapes differ: {pred.shape} vs {target.shape}")
         diff = pred - target
         self.sq_sum += float(np.sum(diff * diff))
         self.abs_sum += float(np.sum(np.abs(diff)))
@@ -113,15 +86,6 @@ class CostReport:
     @property
     def params_total(self) -> int:
         return sum(self.params.values())
-
-    def attention_flops(self) -> int:
-        return sum(v for k, v in self.flops.items() if k.endswith(".attention"))
-
-    def reduction_vs(self, reference: "CostReport") -> dict[str, float]:
-        return {
-            "flops": reduction_percent(reference.flops_total, self.flops_total),
-            "params": reduction_percent(reference.params_total, self.params_total),
-        }
 
 
 def reduction_percent(reference: float, current: float) -> float:

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .model import Forecaster, mse_loss
-from .tensor import Tape, softmax_lastaxis
+from .tensor import Tape
 
 REPORT_VERSION = 1
 _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
@@ -129,7 +130,9 @@ def normalize_sensitivity(sen: np.ndarray) -> np.ndarray:
     """Row-softmax of absolute sensitivities over the key axis."""
     if np.isnan(sen).any():
         raise NumericError("normalize_sensitivity: NaN sensitivities")
-    return softmax_lastaxis(np.abs(sen))
+    a = np.abs(sen)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def aggregate_heads(sen_norm: np.ndarray) -> np.ndarray:
@@ -198,6 +201,15 @@ def _layer_ranks(plan: PruningPlan) -> dict[int, tuple[int, str]]:
     pruned = set(plan.i_pruned)
     return {idx: (r + 1, "true" if idx in pruned else "false")
             for r, idx in enumerate(plan.i_ranked)}
+
+
+def read_report(path) -> PruningPlan:
+    """:func:`parse_report` of a report file, read as UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
+    return parse_report(text)
 
 
 def parse_report(text: str) -> PruningPlan:

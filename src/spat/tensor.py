@@ -38,8 +38,6 @@ __all__ = [
     "keep_mask",
     "layer_norm",
     "masked_attention",
-    "row_softmax",
-    "softmax_lastaxis",
 ]
 
 
@@ -142,10 +140,7 @@ class Tape:
             raise ContractError("loss does not live on this tape")
         if not self._records:
             raise ContractError("tape already consumed by an earlier backward")
-        if loss.grad is None:
-            loss.grad = np.ones((), dtype=np.float64)
-        else:
-            loss.grad = loss.grad + 1.0
+        loss.grad = np.ones((), dtype=np.float64)
         while self._records:
             rec = self._records.pop()
             g_out = rec.output.grad
@@ -199,31 +194,19 @@ class Tensor:
         return sub(self, _as_tensor(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
         return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
+        return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_along_axis(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_along_axis(self, axis, keepdims)
+    def mean(self):
+        return mean(self)
 
 
 # -- helpers -----------------------------------------------------------
@@ -267,12 +250,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _normalize_axis(axis: int, ndim: int, name: str) -> int:
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"{name}: axis {axis} out of range for ndim {ndim}")
-    return axis % ndim
-
-
 # -- elementwise and reduction primitives ------------------------------
 
 
@@ -314,61 +291,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", (a, b), out, grad_fn)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * c
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product ``[.., m, k] x [k, n] -> [.., m, n]``.
+
+    The leading axes of ``a`` fold into one GEMM, so the gradient of ``b``
+    comes out summed over them.
+    """
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul takes [.., m, k] x [k, n] operands, got "
+                         f"shapes {a.shape} and {b.shape}")
+    b_data = b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = (a2 @ b_data).reshape(a.shape[:-1] + (n,))
 
     def grad_fn(g):
-        return (g * c,)
-
-    return _emit("scale", (a,), out, grad_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product ``[.., m, k] x [.., k, n] -> [.., m, n]``."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires ndim >= 2 operands, got shapes "
-                         f"{a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for shapes "
-                         f"{a.shape} and {b.shape}")
-    _check_broadcast("matmul (batch dims)", a.shape[:-2], b.shape[:-2])
-    a_data, b_data = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    k, n = b.shape[-2], b.shape[-1]
-
-    if b.ndim == 2:
-        # fold leading batch dims into one GEMM; the weight gradient then
-        # comes out batch-summed for free
-        a2 = a_data.reshape(-1, k)
-        out = (a2 @ b_data).reshape(a.shape[:-1] + (n,))
-
-        def grad_fn(g):
-            g2 = g.reshape(-1, n)
-            ga = (g2 @ b_data.T).reshape(a.shape) if need_a else None
-            gb = a2.T @ g2 if need_b else None
-            return ga, gb
-    else:
-        out = np.matmul(a_data, b_data)
-
-        def grad_fn(g):
-            ga = gb = None
-            if need_a:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)),
-                                  a.shape)
-            if need_b:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g),
-                                  b.shape)
-            return ga, gb
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b_data.T).reshape(a.shape) if need_a else None
+        gb = a2.T @ g2 if need_b else None
+        return ga, gb
 
     return _emit("matmul", (a, b), out, grad_fn)
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Permute axes; default swaps the last two."""
-    if axes is None:
-        if a.ndim < 2:
-            raise ShapeError(f"transpose needs ndim >= 2, got shape {a.shape}")
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Permute axes."""
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"transpose: {axes} is not a permutation of "
                          f"axes for shape {a.shape}")
@@ -394,55 +342,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", (a,), out, grad_fn)
 
 
-def sum_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (_normalize_axis(axis, a.ndim, "sum"),)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
+def mean(a: Tensor) -> Tensor:
+    """Average over every element."""
+    out = a.data.mean()
+    in_shape, n = a.shape, a.data.size
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, in_shape).copy(),)
-
-    return _emit("sum", (a,), out, grad_fn)
-
-
-def mean_along_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (_normalize_axis(axis, a.ndim, "mean"),)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    in_shape = a.shape
-    n = a.data.size if axis is None else int(np.prod([in_shape[ax] for ax in axis]))
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, in_shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, in_shape).copy(),)
+        return (np.broadcast_to(g / n, in_shape).copy(),)
 
     return _emit("mean", (a,), out, grad_fn)
-
-
-def softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    """Numerically stabilized softmax over the last axis (plain numpy)."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis; rows sum to 1."""
-    if not np.isfinite(a.data).all():
-        raise NumericError("row_softmax: input contains NaN or Inf")
-    out = softmax_lastaxis(a.data)
-    y = out
-
-    def grad_fn(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return _emit("row_softmax", (a,), out, grad_fn)
 
 
 # Bytes of [n, H, S, S] scores that masked_attention works on at a time:
@@ -459,16 +367,17 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
 
     ``q``, ``k`` and ``v`` are ``[B, S, d]`` and are split into ``heads``
     heads of width ``d_head = d / heads``; ``mask`` is ``[heads, S, S]``
-    and broadcasts over the batch. Per head, ``A = row_softmax(q kᵀ /
-    √d_head)`` and the context ``(A ⊙ mask) v`` is merged back to
+    and broadcasts over the batch. Per head, ``A`` is the row softmax of
+    ``q kᵀ / √d_head`` and the context ``(A ⊙ mask) v`` is merged back to
     ``[B, S, d]``. One record covers the head split and merge, both
     products, the scale, the softmax and the mask product. The mask
     gradient ``Σ_batch g_{A'} ⊙ A`` (``A' = A ⊙ mask``) is the sensitivity
     of the loss to each attention score.
 
     Every product and reduction runs in the order and memory layout of the
-    unfused composition of ``reshape``, ``transpose``, ``matmul``,
-    ``scale``, ``row_softmax`` and ``mul``, so both give identical bits.
+    unfused composition of ``reshape``, ``transpose``, a batched matmul, a
+    scale, a row softmax and ``mul``, so both give identical bits. That
+    composition is kept as the reference in ``tests/unfused.py``.
 
     The batch is walked in chunks of ``_ATTENTION_CHUNK_BYTES`` worth of
     scores, forward and backward. Every GEMM is still one BLAS call per

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from spat.config import (
     apply_overrides,
     config_from_dict,
     load_config,
-    parse_config,
     serialize_config,
 )
 from spat.checkpoint import load_checkpoint, save_checkpoint
@@ -98,15 +98,22 @@ def ledger_by_stage(run_dir) -> dict:
     return {r["stage"]: r for r in ledger_rows(run_dir)}
 
 
+def reloaded(cfg, path):
+    """``cfg`` written with ``serialize_config`` and read back with
+    ``load_config``, as a run directory's ``config.yaml`` is re-run."""
+    path.write_text(serialize_config(cfg))
+    return load_config(path)
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_identity(self, workspace):
-        _, cfg_path = workspace
+        tmp_path, cfg_path = workspace
         cfg = load_config(cfg_path)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert reloaded(cfg, tmp_path / "saved.yaml") == cfg
 
-    def test_default_config_round_trips(self):
+    def test_default_config_round_trips(self, tmp_path):
         cfg = ExperimentConfig()
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert reloaded(cfg, tmp_path / "saved.yaml") == cfg
 
     def test_overrides_win_over_file(self, workspace):
         _, cfg_path = workspace
@@ -418,12 +425,69 @@ class TestExitCodes:
         for name in ("pretrained.ckpt", "finetuned.ckpt"):
             assert not (tmp_path / "run" / name).exists()
 
+    @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "report_dir",
+                                      "out_dir", "config_latin1", "report_latin1"])
+    def test_unreadable_path_exits_2_without_traceback(self, workspace, case):
+        tmp_path, cfg_path = workspace
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"seed: 1 # \xb0\n")
+        ckpt = tmp_path / "model.ckpt"
+        cfg = load_config(cfg_path)
+        save_checkpoint(ckpt, Forecaster(cfg.model.to_model_config(16, 4, 3)))
+        prune = ["prune", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--report"]
+        argv = {"config_dir": ["pretrain", "--config", str(folder)],
+                "checkpoint_dir": ["eval", "--config", str(cfg_path),
+                                   "--checkpoint", str(folder)],
+                "report_dir": prune + [str(folder)],
+                "out_dir": ["synth-data", "--config", str(cfg_path),
+                            "--out", str(folder)],
+                "config_latin1": ["pretrain", "--config", str(latin1)],
+                "report_latin1": prune + [str(latin1)]}[case]
+        out = subprocess.run([sys.executable, "-m", "spat.cli", *argv],
+                             capture_output=True, text=True)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+        assert str(folder if case.endswith("_dir") else latin1) in out.stderr
+
     def test_numeric_divergence_exits_3(self, workspace):
         _, cfg_path = workspace
         with np.errstate(all="ignore"):
             code = main(["run", "--config", str(cfg_path), "--set",
                          "optimizer.lr=1e150"])
         assert code == 3
+
+
+class TestBlasThreads:
+    """``import spat`` pins OpenBLAS to one thread unless the environment
+    sets a count, and the outputs do not depend on the count."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_import_sets_one_thread_unless_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, spat; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == expected
+
+    def test_run_outputs_equal_at_one_and_two_threads(self, workspace):
+        tmp_path, cfg_path = workspace
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "spat.cli", "run", "--config",
+                 str(cfg_path), "--run-dir", str(run_dir)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, check=True)
+            outputs.append([(run_dir / name).read_bytes()
+                            for name in ("metrics.csv", "send_report.txt")])
+        assert outputs[0] == outputs[1]
 
 
 class TestRunAndStages:

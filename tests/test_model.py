@@ -1,5 +1,7 @@
 """Forecaster model tests: tokenization, attention semantics, pruning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from spat.model import (
     mse_loss,
     state_shapes,
 )
-from spat.tensor import Tape, Tensor
+from spat.tensor import Tape, Tensor, layer_norm
+from unfused import bmm, merge_heads, row_softmax, scale, split_heads
 
 
 def small_cfg(**kw):
@@ -127,16 +130,12 @@ class TestAttentionForward:
         masked = blk.attention_sublayer(h, False, None)
 
         # same primitives minus the mask product
-        import math
-
-        from spat.tensor import layer_norm, row_softmax
         x = layer_norm(h, blk.ln1_g, blk.ln1_b)
-        batch, s, d = x.shape
-        q = (x @ blk.w_q + blk.b_q).reshape(batch, s, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
-        k = (x @ blk.w_k + blk.b_k).reshape(batch, s, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
-        v = (x @ blk.w_v + blk.b_v).reshape(batch, s, cfg.heads, cfg.d_head).transpose(0, 2, 1, 3)
-        attn = row_softmax((q @ k.transpose()) * (1.0 / math.sqrt(cfg.d_head)))
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(batch, s, d)
+        q, k, v = (split_heads(x @ w + b, cfg.heads) for w, b in
+                   ((blk.w_q, blk.b_q), (blk.w_k, blk.b_k), (blk.w_v, blk.b_v)))
+        attn = row_softmax(scale(bmm(q, k.transpose(0, 1, 3, 2)),
+                                 1.0 / math.sqrt(cfg.d_head)))
+        ctx = merge_heads(bmm(attn, v))
         reference = h + (ctx @ blk.w_e + blk.b_e)
 
         assert np.array_equal(masked.data, reference.data)

@@ -9,7 +9,7 @@ import pytest
 from spat import tensor
 from spat.checkpoint import load_checkpoint
 from spat.config import config_from_dict
-from spat.cost import attention_params, build_cost_report
+from spat.cost import build_cost_report
 from spat.data import (
     SyntheticSpec,
     WindowSpec,
@@ -214,7 +214,8 @@ class TestPrune:
         pruned = prune(model, plan)
         before = sum(p.data.size for _, p in model.named_parameters())
         after = sum(p.data.size for _, p in pruned.named_parameters())
-        assert before - after == attention_params(model.cfg.d_model) * len(plan.i_pruned)
+        d = model.cfg.d_model
+        assert before - after == (4 * d * d + 4 * d) * len(plan.i_pruned)
 
     def test_costs_strictly_decrease(self):
         model, plan = self.make_scored()

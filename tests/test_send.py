@@ -28,7 +28,8 @@ from spat.send import (
     send_score,
 )
 from spat import tensor
-from spat.tensor import Tape, Tensor, masked_attention, row_softmax
+from spat.tensor import Tape, Tensor, masked_attention
+from unfused import total, unfused_attention
 
 
 def toy_setup(layers=2, seed=0, n_batches=2, batch=3):
@@ -52,11 +53,10 @@ def dataset_loss(model, batches):
 
 
 def assert_fused_equals_unfused(batch, s, heads, dh):
-    """``masked_attention`` against the composition of the unfused
-    primitives: outputs and every gradient equal bit for bit and share
-    their memory layout, for a mask
-    with zeros, an all-ones mask, and a mask with zeros whose q and k need
-    no gradient."""
+    """``masked_attention`` against ``unfused.unfused_attention``, the
+    composition of the unfused primitives: outputs and every gradient equal
+    bit for bit and share their memory layout, for a mask with zeros, an
+    all-ones mask, and a mask with zeros whose q and k need no gradient."""
     rng = np.random.default_rng(5)
     d = heads * dh
     arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
@@ -64,27 +64,16 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
     assert (zeros_mask == 0.0).any()
     w = rng.normal(size=(batch, s, d))
 
-    def split(t):
-        return t.reshape(batch, s, heads, dh).transpose(0, 2, 1, 3)
-
-    def unfused(q, k, v, mask):
-        scores = (split(q) @ split(k).transpose()) * (1.0 / math.sqrt(dh))
-        ctx = (row_softmax(scores) * mask) @ split(v)
-        return ctx.transpose(0, 2, 1, 3).reshape(batch, s, d)
-
-    def fused(q, k, v, mask):
-        return masked_attention(q, k, v, mask, heads)
-
     for mask0, need_qk in [(zeros_mask, True), (np.ones_like(zeros_mask), True),
                            (zeros_mask, False)]:
         grads = []
-        for attend in (fused, unfused):
+        for attend in (masked_attention, unfused_attention):
             ts = [Tensor(a, requires_grad=need) for a, need
                   in zip(arrays, (need_qk, need_qk, True))]
             mask = Tensor(mask0, requires_grad=True)
             with Tape() as tape:
-                out = attend(*ts, mask)
-                loss = (out * Tensor(w)).sum()
+                out = attend(*ts, mask, heads)
+                loss = total(out * Tensor(w))
             tape.backward(loss)
             grads.append((out.data, mask.grad, *(t.grad for t in ts)))
         if not need_qk:
