@@ -27,13 +27,6 @@ from .model import (
 FORMAT_VERSION = 1
 
 
-def _tensor_entries(model: Forecaster) -> list[tuple[str, np.ndarray]]:
-    entries = [(name, p.data) for name, p in model.named_parameters()]
-    entries.extend((f"blocks.{i}.mask", blk.mask.data)
-                   for i, blk in enumerate(model.blocks))
-    return entries
-
-
 def _model_config(path, config) -> ModelConfig:
     """ModelConfig from a header's ``config`` object, every value type-checked."""
     if not isinstance(config, dict):
@@ -49,7 +42,7 @@ def _model_config(path, config) -> ModelConfig:
 
 
 def save_checkpoint(path, model: Forecaster, meta: dict | None = None) -> None:
-    entries = _tensor_entries(model)
+    entries = model.state_dict().items()
     header = {
         "version": FORMAT_VERSION,
         "config": asdict(model.cfg),

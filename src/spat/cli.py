@@ -28,6 +28,7 @@ from .pipeline import (
     prepare,
     pretrain_stage,
     prune,
+    ratio_labels,
     run_pipeline,
     run_sweep,
     score_stage,
@@ -75,21 +76,22 @@ def cmd_pretrain(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _load(args)
+    alphas = args.alpha or [cfg.pruning.alpha]
+    labels = ratio_labels(alphas)
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    model, meta = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     if model.pruned_layers():
         raise ContractError(
             f"checkpoint {args.checkpoint} already has pruned layers "
             f"{model.pruned_layers()}; sensitivity scoring needs the "
             f"unpruned pretrained model")
     _, records = score_stage(prepare(cfg), model)
-    alphas = args.alpha or [cfg.pruning.alpha]
-    for alpha in alphas:
+    for alpha, label in zip(alphas, labels):
         plan = plan_from_records(records, alpha)
-        path = run_dir / f"send_report_alpha_{alpha:g}.txt"
+        path = run_dir / f"send_report_alpha_{label}.txt"
         path.write_text(format_report(records, plan))
-        print(f"alpha={alpha:g} k={plan.k} pruned={plan.i_pruned} -> {path}")
+        print(f"alpha={label} k={plan.k} pruned={plan.i_pruned} -> {path}")
     for rec in records:
         print(f"layer {rec.layer_index}: send={rec.send!r}")
     return 0
@@ -128,46 +130,44 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load(args)
+def _evaluate(args, cfg: ExperimentConfig, target_cfg: ExperimentConfig,
+              stage: str, dataset_label: str) -> int:
+    """Ledger row of ``--checkpoint`` on ``target_cfg``'s test split, its
+    dataset ``dataset_label`` filled with ``{source}`` and ``{target}``."""
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(cfg)
-    metrics = zero_shot_eval(model, dataset, cfg.window, cfg.optimizer.batch_size)
-    row = ledger_row(args.stage, dataset.name, cfg.window.horizon, metrics,
+    target = load_dataset(target_cfg)
+    metrics = zero_shot_eval(model, target, target_cfg.window,
+                             cfg.optimizer.batch_size)
+    label = dataset_label.format(source=meta.get("dataset_name", "source"),
+                                 target=target.name)
+    row = ledger_row(stage, label, target_cfg.window.horizon, metrics,
                      build_cost_report(model))
     append_ledger_row(run_dir / "metrics.csv", row)
     _print_row(row)
     return 0
+
+
+def cmd_eval(args) -> int:
+    cfg = _load(args)
+    return _evaluate(args, cfg, cfg, args.stage, "{target}")
 
 
 def cmd_zeroshot(args) -> int:
     cfg = _load(args)
     target_cfg = load_config(args.target_config, args.set) \
         if args.target_config else cfg
-    run_dir = resolve_run_dir(cfg, args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    model, meta = load_checkpoint(args.checkpoint)
-    source = meta.get("dataset_name", "source")
-    target = load_dataset(target_cfg)
-    metrics = zero_shot_eval(model, target, target_cfg.window,
-                             cfg.optimizer.batch_size)
-    row = ledger_row("zeroshot", f"{source}→{target.name}",
-                     target_cfg.window.horizon, metrics,
-                     build_cost_report(model))
-    append_ledger_row(run_dir / "metrics.csv", row)
-    _print_row(row)
-    return 0
+    return _evaluate(args, cfg, target_cfg, "zeroshot", "{source}→{target}")
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     results = run_sweep(cfg, args.alphas, resolve_run_dir(cfg, args.run_dir))
     for alpha, result in results.items():
-        print(f"alpha={alpha:g} pruned={result['pruned_layers']} "
-              f"mse={result['finetuned']['mse']!r} "
-              f"flops={result['finetuned']['flops']}")
+        print(f"alpha={alpha:g} pruned={result.removed} "
+              f"mse={result.metrics['finetuned']['mse']!r} "
+              f"flops={result.metrics['finetuned']['flops']}")
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .model import Forecaster
+from .model import AttentionBlock, Forecaster
 
 SCHEMA_VERSION = 1
 
@@ -114,7 +114,7 @@ def _param_section(name: str) -> str:
         return "final_norm"
     idx = name.split(".")[1]
     leaf = name.split(".")[2]
-    if leaf in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e"):
+    if leaf in AttentionBlock.ATTENTION_PARAMS:
         return f"block{idx}.attention"
     if leaf in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"):
         return f"block{idx}.norms"

@@ -44,7 +44,6 @@ def window_count(region_length: int, spec: WindowSpec) -> int:
 class RawSeries:
     name: str
     values: np.ndarray                 # [time, C]
-    timestamps: list[str] | None = None
 
 
 @dataclass
@@ -58,7 +57,6 @@ class SeriesDataset:
     test_end: int
     mean: np.ndarray = field(default=None)   # [C], training region only
     std: np.ndarray = field(default=None)    # [C], floored at STD_FLOOR
-    timestamps: list[str] | None = None
 
     def __post_init__(self):
         if not 0 <= self.train_end <= self.val_end <= self.test_end <= len(self.values):
@@ -92,8 +90,8 @@ class SeriesDataset:
 def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeries:
     """Parse a comma-separated file with a header row into a [time, C] matrix.
 
-    An optional leading date column is kept as string timestamps. Parse
-    failures report the offending row and column.
+    An optional leading date column is skipped. Parse failures report the
+    offending row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -101,15 +99,14 @@ def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeri
     if path.is_dir():
         raise ConfigError(f"dataset path is a directory, not a file: {path}")
     try:
-        rows, stamps = _read_rows(path, date_column)
+        rows = _read_rows(path, date_column)
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
-    values = np.array(rows, dtype=np.float64)
-    return RawSeries(name=name or path.stem, values=values,
-                     timestamps=stamps if date_column else None)
+    return RawSeries(name=name or path.stem,
+                     values=np.array(rows, dtype=np.float64))
 
 
-def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
+def _read_rows(path: Path, date_column: bool) -> list[list[float]]:
     with open(path, newline="", encoding="utf-8") as f:
         reader = _csv_rows(path, f)
         try:
@@ -120,13 +117,11 @@ def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
         columns = header[start:]
         if not columns:
             raise ParseError(f"{path}: no numeric columns after the date column")
-        rows, stamps = [], []
+        rows = []
         for row_idx, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {row_idx} has {len(row)} cells, "
                                  f"expected {len(header)}")
-            if date_column:
-                stamps.append(row[0])
             parsed = []
             for col_idx, cell in enumerate(row[start:]):
                 try:
@@ -138,7 +133,7 @@ def _read_rows(path: Path, date_column: bool) -> tuple[list, list]:
             rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows below the header")
-    return rows, stamps
+    return rows
 
 
 def _csv_rows(path: Path, f) -> Iterator[list[str]]:
@@ -150,15 +145,14 @@ def _csv_rows(path: Path, f) -> Iterator[list[str]]:
 
 
 def write_csv(path, series: RawSeries) -> None:
-    """Write a date column (the timestamps, or the row index) and one
-    ``ch{i}`` column per channel."""
+    """Write a date column (the row index) and one ``ch{i}`` column per
+    channel."""
     values = series.values
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["date"] + [f"ch{i}" for i in range(values.shape[1])])
         for t in range(values.shape[0]):
-            stamp = series.timestamps[t] if series.timestamps else str(t)
-            writer.writerow([stamp] + [repr(float(v)) for v in values[t]])
+            writer.writerow([str(t)] + [repr(float(v)) for v in values[t]])
 
 
 def check_split(ratios, counts, names=("ratios", "counts")) -> None:
@@ -191,10 +185,10 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
     as in :func:`check_split`.
     """
     if isinstance(series, RawSeries):
-        values, stamps = series.values, series.timestamps
+        values = series.values
         name = name or series.name
     else:
-        values, stamps = np.asarray(series, dtype=np.float64), None
+        values = np.asarray(series, dtype=np.float64)
         name = name or "series"
     length = len(values)
     check_split(ratios, counts, names)
@@ -212,8 +206,7 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
     return SeriesDataset(
         name=name, values=values,
         train_end=train_n, val_end=train_n + val_n,
-        test_end=train_n + val_n + test_n,
-        timestamps=stamps)
+        test_end=train_n + val_n + test_n)
 
 
 def make_windows(region: np.ndarray, spec: WindowSpec,

@@ -9,9 +9,11 @@ timings are written to a separate file for that reason.
 ``prepare`` does the setup once: the dataset, its windows per split (a
 split the stages cannot use fails here, before any training), the model
 config and the seed streams. The stage functions (``pretrain_stage``,
-``score_stage``, ``finetune_stage``) work on what it returns, and
-``run_pipeline``, ``run_sweep`` and the CLI subcommands are compositions of
-them.
+``score_stage``, ``finetune_stage`` and ``ratio_stage``, which prunes and
+finetunes at one ratio) work on what it returns and time their main call
+on it. ``run_pipeline`` is a sweep of the config's one ratio into the run
+directory, ``run_sweep`` one of several into subdirectories, and the CLI
+subcommands are compositions of the stages too.
 """
 
 from __future__ import annotations
@@ -321,7 +323,8 @@ def open_run_dir(cfg: ExperimentConfig, run_dir=None) -> Path:
 @dataclass
 class Prepared:
     """What the stages share: the dataset's windows per split, the model
-    config and the seed streams, all derived from one config."""
+    config, the seed streams, all derived from one config, and the wall
+    time and resource use of each stage's main call."""
 
     cfg: ExperimentConfig
     dataset: SeriesDataset
@@ -330,6 +333,7 @@ class Prepared:
     test: tuple[np.ndarray, np.ndarray]
     model_cfg: ModelConfig
     seeds: SeedStreams
+    timings: list[tuple[str, float, float, float, int]]
 
     def meta(self, stage: str) -> dict:
         return {"dataset_name": self.dataset.name, "stage": stage}
@@ -340,6 +344,20 @@ class Prepared:
                           evaluate_metrics(model, *self.test,
                                            self.cfg.optimizer.batch_size),
                           build_cost_report(model))
+
+    def timed(self, stage_name: str, fn):
+        """``fn()``, recording its wall time and resource use in ``timings``."""
+        # user CPU beyond the wall time is BLAS threads at work or spinning;
+        # system time and minor page faults show what the kernel cost
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
+        t0 = time.perf_counter()
+        out = fn()
+        secs = time.perf_counter() - t0
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        self.timings.append((stage_name, secs, r1.ru_utime - r0.ru_utime,
+                             r1.ru_stime - r0.ru_stime,
+                             r1.ru_minflt - r0.ru_minflt))
+        return out
 
 
 def prepare(cfg: ExperimentConfig) -> Prepared:
@@ -359,46 +377,35 @@ def prepare(cfg: ExperimentConfig) -> Prepared:
     model_cfg = cfg.model.to_model_config(spec.lookback, spec.horizon,
                                           dataset.channels)
     return Prepared(cfg, dataset, train_w, val_w, test_w, model_cfg,
-                    SeedStreams(cfg.seed))
+                    SeedStreams(cfg.seed), [])
 
 
-# A stage hands its main call to ``timed(stage_name, fn)``; run_pipeline's
-# records wall time and resource use for timings.csv.
-def _untimed(stage_name: str, fn):
-    return fn()
-
-
-def pretrain_stage(prep: Prepared, run_dir: Path,
-                   timed=_untimed) -> tuple[Forecaster, dict]:
+def pretrain_stage(prep: Prepared, run_dir: Path) -> tuple[Forecaster, dict]:
     """A model built from the init stream, pretrained and saved as
     ``pretrained.ckpt``; returns it and its ledger row."""
     model = Forecaster(prep.model_cfg, seed=prep.seeds.model_init())
-    timed("pretrain", lambda: pretrain(model, prep.train, prep.val,
-                                       prep.cfg.optimizer, prep.seeds))
+    prep.timed("pretrain", lambda: pretrain(model, prep.train, prep.val,
+                                            prep.cfg.optimizer, prep.seeds))
     save_checkpoint(run_dir / "pretrained.ckpt", model,
                     meta=prep.meta("pretrained"))
     return model, prep.row("pretrained", model)
 
 
-def score_stage(prep: Prepared, model: Forecaster,
-                timed=_untimed) -> tuple[list, list]:
+def score_stage(prep: Prepared, model: Forecaster) -> tuple[list, list]:
     """The scoring batches and the per-layer sensitivity records on them."""
     batches = scoring_batches(prep.train, prep.cfg.optimizer.batch_size,
                               prep.cfg.pruning.score_batches)
-    return batches, timed("score", lambda: compute_sensitivity(model, batches))
+    return batches, prep.timed("score", lambda: compute_sensitivity(model, batches))
 
 
-def finetune_stage(prep: Prepared, model: Forecaster, path: Path, meta: dict,
-                   timed=_untimed) -> dict:
+def finetune_stage(prep: Prepared, model: Forecaster, path: Path,
+                   meta: dict) -> dict:
     """Finetune ``model`` in place and save it to ``path`` with ``meta``;
     returns its ledger row."""
-    timed("finetune", lambda: finetune(model, prep.train, prep.val,
-                                       prep.cfg.optimizer, prep.seeds))
+    prep.timed("finetune", lambda: finetune(model, prep.train, prep.val,
+                                            prep.cfg.optimizer, prep.seeds))
     save_checkpoint(path, model, meta=meta)
     return prep.row("finetuned", model)
-
-
-# -- compositions ------------------------------------------------------------
 
 
 @dataclass
@@ -407,80 +414,83 @@ class PipelineResult:
     removed: list[int]         # pruned attention layers, sorted
 
 
-def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineResult:
-    """Execute pretrain -> score -> prune -> finetune -> evaluate, writing
-    every stage artifact under the run directory."""
-    run_dir = open_run_dir(cfg, run_dir)
-    prep = prepare(cfg)
-    timings: list[tuple[str, float, float, float, int]] = []
-
-    def timed(stage_name, fn):
-        # user CPU beyond the wall time is BLAS threads at work or spinning;
-        # system time and minor page faults show what the kernel cost
-        r0 = resource.getrusage(resource.RUSAGE_SELF)
-        t0 = time.perf_counter()
-        out = fn()
-        secs = time.perf_counter() - t0
-        r1 = resource.getrusage(resource.RUSAGE_SELF)
-        timings.append((stage_name, secs, r1.ru_utime - r0.ru_utime,
-                        r1.ru_stime - r0.ru_stime, r1.ru_minflt - r0.ru_minflt))
-        return out
-
-    model, row = pretrain_stage(prep, run_dir, timed)
-    rows = [row]
-    (run_dir / "cost_original.txt").write_text(
-        format_cost_report(build_cost_report(model)))
-
-    batches, records = score_stage(prep, model, timed)
-    plan = plan_from_records(records, cfg.pruning.alpha)
-    (run_dir / "send_report.txt").write_text(format_report(records, plan))
-
-    if cfg.pruning.rescore_between_removals:
-        pruned_model, removed = timed(
+def ratio_stage(prep: Prepared, model: Forecaster, pretrained_row: dict,
+                batches: list, records: list, alpha: float,
+                out_dir: Path) -> PipelineResult:
+    """Prune the scored ``model`` at ratio ``alpha`` and finetune it,
+    writing the report, the pruned and finetuned checkpoints, the pruned
+    cost report and the three-row ledger to ``out_dir``, made if need be."""
+    plan = plan_from_records(records, alpha)
+    out_dir.mkdir(exist_ok=True)
+    (out_dir / "send_report.txt").write_text(format_report(records, plan))
+    if prep.cfg.pruning.rescore_between_removals:
+        pruned_model, removed = prep.timed(
             "prune", lambda: iterative_prune(model, batches, plan.k))
     else:
-        pruned_model = timed("prune", lambda: prune(model, plan))
+        pruned_model = prep.timed("prune", lambda: prune(model, plan))
         removed = plan.i_pruned
-    save_checkpoint(run_dir / "pruned.ckpt", pruned_model,
+    save_checkpoint(out_dir / "pruned.ckpt", pruned_model,
                     meta=prep.meta("pruned"))
-    (run_dir / "cost_pruned.txt").write_text(
+    (out_dir / "cost_pruned.txt").write_text(
         format_cost_report(build_cost_report(pruned_model)))
-    rows.append(prep.row("pruned", pruned_model))
+    rows = [pretrained_row, prep.row("pruned", pruned_model),
+            finetune_stage(prep, pruned_model, out_dir / "finetuned.ckpt",
+                           prep.meta("finetuned"))]
+    write_ledger(out_dir / "metrics.csv", rows)
+    return PipelineResult({row["stage"]: row for row in rows}, sorted(removed))
 
-    rows.append(finetune_stage(prep, pruned_model, run_dir / "finetuned.ckpt",
-                               prep.meta("finetuned"), timed))
 
-    write_ledger(run_dir / "metrics.csv", rows)
+def ratio_labels(alphas: list[float]) -> list[str]:
+    """``f"{alpha:g}"`` of each ratio, which names its outputs. Two ratios
+    with one label would overwrite each other's, a ``ConfigError``."""
+    labels = [f"{alpha:g}" for alpha in alphas]
+    for j, label in enumerate(labels):
+        if (i := labels.index(label)) != j:
+            raise ConfigError(f"pruning ratios {alphas[i]!r} and {alphas[j]!r} "
+                              f"both write outputs labelled {label}")
+    return labels
+
+
+# -- compositions ------------------------------------------------------------
+
+
+def _run_ratios(cfg: ExperimentConfig, run_dir,
+                out_dirs: dict[float, str]) -> dict[float, PipelineResult]:
+    """Pretrain and score once, then run ``ratio_stage`` for each ratio
+    ``alpha`` into ``out_dirs[alpha]`` under the run directory."""
+    run_dir = open_run_dir(cfg, run_dir)
+    prep = prepare(cfg)
+    model, pretrained_row = pretrain_stage(prep, run_dir)
+    (run_dir / "cost_original.txt").write_text(
+        format_cost_report(build_cost_report(model)))
+    batches, records = score_stage(prep, model)
+    results = {}
+    for alpha, name in out_dirs.items():
+        results[alpha] = ratio_stage(prep, model, pretrained_row, batches,
+                                     records, alpha, run_dir / name)
     with open(run_dir / "timings.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["stage", "seconds", "user_s", "sys_s", "minor_faults"])
         writer.writerows((name, f"{secs:.3f}", f"{user_s:.3f}", f"{sys_s:.3f}",
                           faults)
-                         for name, secs, user_s, sys_s, faults in timings)
-    return PipelineResult({row["stage"]: row for row in rows}, sorted(removed))
+                         for name, secs, user_s, sys_s, faults in prep.timings)
+    return results
+
+
+def run_pipeline(cfg: ExperimentConfig, run_dir=None) -> PipelineResult:
+    """Execute pretrain -> score -> prune -> finetune -> evaluate at the
+    config's ratio, writing every stage artifact under the run directory."""
+    alpha = cfg.pruning.alpha
+    return _run_ratios(cfg, run_dir, {alpha: ""})[alpha]
 
 
 def run_sweep(cfg: ExperimentConfig, alphas: list[float],
-              run_dir=None) -> dict[float, dict]:
+              run_dir=None) -> dict[float, PipelineResult]:
     """Pruning-ratio sweep sharing one pretrained checkpoint and one scoring
-    pass; each ratio gets its own subdirectory of artifacts."""
+    pass; ratio ``a`` writes to ``alpha_<a:g>/`` what ``run_pipeline``
+    writes at that ratio."""
     if not alphas:
         raise ConfigError("sweep needs at least one pruning ratio")
-    run_dir = open_run_dir(cfg, run_dir)
-    prep = prepare(cfg)
-    model, base_row = pretrain_stage(prep, run_dir)
-    _, records = score_stage(prep, model)
-
-    results: dict[float, dict] = {}
-    for alpha in alphas:
-        plan = plan_from_records(records, alpha)
-        sub = run_dir / f"alpha_{alpha:g}"
-        sub.mkdir(parents=True, exist_ok=True)
-        (sub / "send_report.txt").write_text(format_report(records, plan))
-        pruned_model = prune(model, plan)
-        row = finetune_stage(prep, pruned_model, sub / "finetuned.ckpt",
-                             {**prep.meta("finetuned"), "alpha": alpha})
-        write_ledger(sub / "metrics.csv", [base_row, row])
-        results[alpha] = {"pretrained": base_row, "finetuned": row,
-                          "pruned_layers": list(plan.i_pruned)}
-    return results
+    labels = ratio_labels(alphas)
+    return _run_ratios(cfg, run_dir, {alpha: f"alpha_{label}"
+                                      for alpha, label in zip(alphas, labels)})

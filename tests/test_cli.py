@@ -89,6 +89,11 @@ GOLDEN_CHECKPOINTS = {
 }
 
 
+# what run writes for its ratio, and sweep for each of its ratios
+BRANCH_FILES = ("send_report.txt", "pruned.ckpt", "cost_pruned.txt",
+                "finetuned.ckpt", "metrics.csv")
+
+
 def ledger_rows(run_dir) -> list[dict]:
     lines = (run_dir / "metrics.csv").read_text().splitlines()
     return list(csv.DictReader(lines))
@@ -534,13 +539,14 @@ class TestRunAndStages:
         spat("sweep", "--alphas", "0.3", run_dir=sweep)
         assert ckpt.read_bytes() == (full / "pretrained.ckpt").read_bytes()
         assert report.read_text() == (full / "send_report.txt").read_text()
-        assert ((sweep / "alpha_0.3" / "send_report.txt").read_text()
-                == report.read_text())
         expected = {stage: ledger_by_stage(full)[stage]
                     for stage in ("pretrained", "finetuned")}
         assert {r["stage"]: r for r in rows[:2]} == expected
-        assert ledger_by_stage(sweep / "alpha_0.3") == expected
-        # checkpoint meta differs by alpha, so compare the weights
+        for name in BRANCH_FILES:
+            assert ((sweep / "alpha_0.3" / name).read_bytes()
+                    == (full / name).read_bytes()), name
+        # prune records the report's alpha in the checkpoint meta, so
+        # compare the stagewise weights
         for name in ("pruned.ckpt", "finetuned.ckpt"):
             ours, _ = load_checkpoint(chain / name)
             theirs, _ = load_checkpoint(full / name)
@@ -548,6 +554,27 @@ class TestRunAndStages:
             a, b = ours.state_dict(), theirs.state_dict()
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_sweep_matches_run_when_rescoring(self, tmp_path):
+        """With rescoring between removals, ``sweep`` at the config's alpha
+        writes what ``run`` writes. On seed 3 rescoring removes other layers
+        than the single-shot plan, so a sweep that ignored it would differ."""
+        config = tiny_config_dict(tmp_path / "run")
+        config["model"].update(mode="temporal_tokens", patch_len=8,
+                               patch_stride=4)
+        config["pruning"] = {"alpha": 0.6, "rescore_between_removals": True}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(config))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["sweep", "--config", str(cfg_path), "--alphas", "0.6",
+                     "--run-dir", str(tmp_path / "sweep")]) == 0
+        for name in BRANCH_FILES:
+            assert ((tmp_path / "sweep" / "alpha_0.6" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes()), name
+        plan = parse_report((tmp_path / "run" / "send_report.txt").read_text())
+        assert sorted(plan.i_pruned) == [0, 2]
+        model, _ = load_checkpoint(tmp_path / "sweep" / "alpha_0.6" / "pruned.ckpt")
+        assert model.pruned_layers() == [1, 2]
 
     def test_score_refuses_pruned_checkpoint(self, workspace, capsys):
         tmp_path, cfg_path = workspace
@@ -648,6 +675,25 @@ class TestSweepAndSynthData:
             model, _ = load_checkpoint(sub / "finetuned.ckpt")
             assert len(model.pruned_layers()) == k
             assert (sub / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "score"])
+    @pytest.mark.parametrize("alphas", [["0.3", "0.3000001"], ["0.3", "0.3"]])
+    def test_ratios_with_one_label_rejected_before_training(
+            self, workspace, capsys, command, alphas):
+        tmp_path, cfg_path = workspace
+        if command == "sweep":
+            argv = ["--alphas", *alphas]
+        else:
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(ckpt, Forecaster(
+                load_config(cfg_path).model.to_model_config(16, 4, 3)))
+            argv = ["--checkpoint", str(ckpt), "--alpha", alphas[0],
+                    "--alpha", alphas[1]]
+        assert main([command, "--config", str(cfg_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"error: pruning ratios {float(alphas[0])!r} and " \
+               f"{float(alphas[1])!r}" in err
+        assert not (tmp_path / "run").exists()
 
     def test_synth_data_writes_loadable_csv(self, workspace):
         tmp_path, cfg_path = workspace

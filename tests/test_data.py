@@ -34,7 +34,6 @@ class TestLoadCsv:
         p = write_file(tmp_path, "date,a,b\n1,1.0,2.0\n2,3.0,4.0\n3,5.0,6.0\n")
         raw = load_csv(p)
         assert raw.values.shape == (3, 2)
-        assert raw.timestamps == ["1", "2", "3"]
 
     def test_ett_style_column_count(self, tmp_path):
         header = "date," + ",".join(f"c{i}" for i in range(7))
