@@ -1,9 +1,11 @@
 """Versioned checkpoint container for forecaster models.
 
 Layout: one JSON header line (sorted keys, compact separators) followed by
-the raw little-endian float64 buffers of every tensor in header order. The
-encoding is fully deterministic, so save -> load -> save reproduces the
-original file byte for byte.
+the raw little-endian float64 buffers of the model's parameters
+(``Forecaster.state_dict``) in header order. Nothing else is saved: a loaded
+model is built afresh, so the rest of it starts as at build. The encoding is
+fully deterministic, so save -> load -> save reproduces the original file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractError, ParseError, ShapeError
 from .model import (
     Forecaster,
     ModelConfig,
@@ -95,12 +97,14 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     if n_bytes != len(payload):
         raise ParseError(f"{path}: checkpoint tensor table needs {n_bytes} "
                          f"payload bytes, the file has {len(payload)}")
-    missing = [name for name in state_shapes(cfg, pruned)
-               if not name.endswith(".mask") and name not in shapes]
+    missing = [name for name in state_shapes(cfg, pruned) if name not in shapes]
     if missing:
         raise ParseError(f"{path}: checkpoint has no tensor for parameters "
                          f"{', '.join(missing)}")
-    check_state_shapes(shapes, cfg, pruned)
+    try:
+        check_state_shapes(shapes, cfg, pruned)
+    except (ContractError, ShapeError) as e:
+        raise type(e)(f"{path}: {e}") from e
 
     model = Forecaster(cfg, seed=0)
     for i in pruned:

@@ -111,8 +111,7 @@ def cmd_prune(args) -> int:
                             f"layers {unpruned}")
     pruned_model = prune(model, plan)
     out = Path(args.out) if args.out else run_dir / "pruned.ckpt"
-    save_checkpoint(out, pruned_model,
-                    meta={**meta, "stage": "pruned", "alpha": plan.alpha})
+    save_checkpoint(out, pruned_model, meta={**meta, "stage": "pruned"})
     print(f"removed attention layers {plan.i_pruned}; checkpoint: {out}")
     return 0
 

@@ -353,27 +353,21 @@ class Forecaster:
     # -- state ------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        state = {name: p.data.copy() for name, p in self.named_parameters()}
-        for i, blk in enumerate(self.blocks):
-            state[f"blocks.{i}.mask"] = blk.mask.data.copy()
-        return state
+        """Copies of the parameters by name; the masks are not state."""
+        return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict) -> None:
         check_state_shapes({name: a.shape for name, a in state.items()},
                            self.cfg, self.pruned_layers())
         for name, p in self.named_parameters():
             p.data = state[name].copy()
-        for i, blk in enumerate(self.blocks):
-            key = f"blocks.{i}.mask"
-            if key in state:
-                blk.mask = Tensor(state[key].copy())
 
 
 def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor in the state dict of a ``Forecaster(cfg)``
-    whose blocks ``pruned`` have no attention, parameters first in
-    ``named_parameters`` order, then the masks. Allocates nothing, so a
-    checkpoint's tensor table can be checked before the model is built."""
+    """Name -> shape of every parameter of a ``Forecaster(cfg)`` whose
+    blocks ``pruned`` have no attention, in ``named_parameters`` order: the
+    keys of its state dict. Allocates nothing, so a checkpoint's tensor
+    table can be checked before the model is built."""
     d, f, s = cfg.d_model, cfg.d_ff, cfg.token_count
     temporal = cfg.mode == "temporal_tokens"
     shapes = {"embed.w": (cfg.patch_len if temporal else cfg.lookback, d),
@@ -392,33 +386,28 @@ def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
         shapes["final_norm.g"] = shapes["final_norm.b"] = (d,)
     shapes["head.w"] = (s * d if temporal else d, cfg.horizon)
     shapes["head.b"] = (cfg.horizon,)
-    shapes.update((f"blocks.{i}.mask", (cfg.heads, s, s))
-                  for i in range(cfg.layers))
     return shapes
 
 
 def check_state_shapes(shapes: dict, cfg: ModelConfig, pruned=()) -> None:
-    """Raise unless ``shapes`` (name -> shape) names every parameter of
-    ``state_shapes(cfg, pruned)`` at its shape and nothing else; masks may
-    be left out."""
+    """Raise unless ``shapes`` (name -> shape) names exactly the parameters
+    of ``state_shapes(cfg, pruned)``, each at its shape."""
     expected = state_shapes(cfg, pruned)
     unknown = sorted(set(shapes) - set(expected))
     if unknown:
         raise ContractError(f"state dict has tensors this model does not "
                             f"have: {', '.join(unknown)}")
     for name, shape in expected.items():
-        kind = "mask" if name.endswith(".mask") else "parameter"
         if name not in shapes:
-            if kind == "mask":
-                continue
             raise ContractError(f"state dict missing parameter {name!r}")
         if tuple(shapes[name]) != shape:
-            raise ShapeError(f"{kind} {name!r}: stored shape "
+            raise ShapeError(f"parameter {name!r}: stored shape "
                              f"{tuple(shapes[name])} != model shape {shape}")
 
 
 def clone_model(model: Forecaster) -> Forecaster:
-    """Independent copy with identical weights, masks and pruned flags."""
+    """Independent copy with identical weights and pruned flags; like any
+    built model, its masks are all ones, whatever ``model``'s hold."""
     twin = Forecaster(model.cfg, seed=0)
     for i, blk in enumerate(model.blocks):
         if blk.pruned:

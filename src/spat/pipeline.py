@@ -441,8 +441,12 @@ def ratio_stage(prep: Prepared, model: Forecaster, pretrained_row: dict,
 
 
 def ratio_labels(alphas: list[float]) -> list[str]:
-    """``f"{alpha:g}"`` of each ratio, which names its outputs. Two ratios
-    with one label would overwrite each other's, a ``ConfigError``."""
+    """``f"{alpha:g}"`` of each ratio, which names its outputs. A ratio
+    outside (0, 1) is a ``ConfigError``, and so are two ratios with one
+    label, which would overwrite each other's outputs."""
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"pruning ratio must lie in (0, 1), got {alpha}")
     labels = [f"{alpha:g}" for alpha in alphas]
     for j, label in enumerate(labels):
         if (i := labels.index(label)) != j:

@@ -43,18 +43,23 @@ class TestRoundTrip:
         save_checkpoint(second, loaded)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_pruned_flags_and_masks_survive(self, tmp_path):
+    def test_pruned_flags_survive_masks_do_not(self, tmp_path):
+        """Pruned flags are saved; masks are not state, so an edited
+        in-memory mask is not saved and a loaded model's masks are all ones."""
         model = make_model(seed=3)
         model.blocks[1].remove_attention()
+        x = np.random.default_rng(0).normal(size=(2, 16, 3))
+        expected = model.forecast(x)
         model.blocks[0].mask.data[0, 0, 0] = 0.0
         path = tmp_path / "pruned.ckpt"
         save_checkpoint(path, model)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert not [e for e in header["tensors"] if e["name"].endswith(".mask")]
         loaded, _ = load_checkpoint(path)
         assert loaded.pruned_layers() == [1]
         assert loaded.blocks[1].w_q is None
-        assert loaded.blocks[0].mask.data[0, 0, 0] == 0.0
-        x = np.random.default_rng(0).normal(size=(2, 16, 3))
-        np.testing.assert_array_equal(model.forecast(x), loaded.forecast(x))
+        assert all(np.all(m.data == 1.0) for m in loaded.masks())
+        np.testing.assert_array_equal(loaded.forecast(x), expected)
 
     def test_truncated_payload_rejected(self, tmp_path):
         model = make_model()
@@ -117,15 +122,15 @@ class TestMalformedHeader:
         rewrite_header(path, config={**header["config"], "dropout": 0})
         assert load_checkpoint(path)[0].cfg.dropout == 0
 
-    def test_mask_of_another_shape_rejected(self, tmp_path):
-        # [2, 3, 3] read as [1, 2, 9]: the byte count still matches
+    def test_parameter_of_another_shape_rejected(self, tmp_path):
+        # a parameter [8, 8] read as [4, 16]: the byte count still matches
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, make_model())
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        tensors = [{**e, "shape": [1, 2, 9]} if e["name"] == "blocks.0.mask" else e
+        tensors = [{**e, "shape": [4, 16]} if e["name"] == "blocks.0.w_q" else e
                    for e in header["tensors"]]
         rewrite_header(path, tensors=tensors)
-        with pytest.raises(ShapeError, match="blocks.0.mask"):
+        with pytest.raises(ShapeError, match="blocks.0.w_q"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("tensors", [7, [7], [{"name": "x"}],
@@ -187,10 +192,10 @@ class TestHeaderAllocation:
         save_checkpoint(path, make_model())
         header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        mask = header["tensors"][-1]
-        header["tensors"].append(mask)
+        last = header["tensors"][-1]
+        header["tensors"].append(last)
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload
-                         + payload[-8 * math.prod(mask["shape"]):])
+                         + payload[-8 * math.prod(last["shape"]):])
         with pytest.raises(ParseError, match="repeats"):
             load_checkpoint(path)
 

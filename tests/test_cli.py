@@ -80,12 +80,14 @@ layer 1: send=0.0019813578656530336 rank=2 pruned=false
 layer 2: send=0.0009327506337782152 rank=3 pruned=true
 """
 # SHA-256 of the same run's checkpoints, so that a change which moves any
-# weight bit fails here too
+# weight bit fails here too. Re-pinned when checkpoints stopped saving the
+# all-ones attention masks: every parameter tensor kept its name, shape and
+# bytes, and only the mask entries left the files.
 GOLDEN_CHECKPOINTS = {
     "pretrained.ckpt":
-        "68568a723086fcd7d44f3def5dcd85b8037a0972f49f86bc84e4fada319b130a",
+        "69f571da3dc59837634e2f52e2443aaf4414e7bdfe075fea7bfafb1c1f87c840",
     "finetuned.ckpt":
-        "d647df6c2b16b60d3a2e6c6b4a979bbbcab3befecc48df2a5982ae60789fbc83",
+        "910369c77f6aec1c17ac58c599fbc17cd8e77a09c057c2f291d2162513e1ae6e",
 }
 
 
@@ -344,6 +346,26 @@ class TestExitCodes:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_checkpoint_with_masks_exits_2(self, workspace, capsys):
+        """A checkpoint in the earlier layout, which also saved each block's
+        all-ones attention mask, no longer loads."""
+        tmp_path, cfg_path = workspace
+        cfg = load_config(cfg_path).model.to_model_config(16, 4, 3)
+        ckpt = tmp_path / "masked.ckpt"
+        save_checkpoint(ckpt, Forecaster(cfg))
+        header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        s = cfg.token_count
+        for i in range(cfg.layers):
+            header["tensors"].append({"name": f"blocks.{i}.mask",
+                                      "shape": [cfg.heads, s, s]})
+            payload += np.ones((cfg.heads, s, s), dtype="<f8").tobytes()
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "masked.ckpt" in err and "blocks.0.mask" in err
+
     def test_missing_target_file_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         assert main(["pretrain", "--config", str(cfg_path)]) == 0
@@ -545,15 +567,8 @@ class TestRunAndStages:
         for name in BRANCH_FILES:
             assert ((sweep / "alpha_0.3" / name).read_bytes()
                     == (full / name).read_bytes()), name
-        # prune records the report's alpha in the checkpoint meta, so
-        # compare the stagewise weights
         for name in ("pruned.ckpt", "finetuned.ckpt"):
-            ours, _ = load_checkpoint(chain / name)
-            theirs, _ = load_checkpoint(full / name)
-            assert ours.pruned_layers() == theirs.pruned_layers()
-            a, b = ours.state_dict(), theirs.state_dict()
-            assert a.keys() == b.keys()
-            assert all(np.array_equal(a[k], b[k]) for k in a)
+            assert (chain / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_sweep_matches_run_when_rescoring(self, tmp_path):
         """With rescoring between removals, ``sweep`` at the config's alpha
@@ -677,7 +692,8 @@ class TestSweepAndSynthData:
             assert (sub / "metrics.csv").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "score"])
-    @pytest.mark.parametrize("alphas", [["0.3", "0.3000001"], ["0.3", "0.3"]])
+    @pytest.mark.parametrize("alphas", [["0.3", "0.3000001"], ["0.3", "0.3"],
+                                        ["0.3", "0"], ["0.3", "1.5"]])
     def test_ratios_with_one_label_rejected_before_training(
             self, workspace, capsys, command, alphas):
         tmp_path, cfg_path = workspace
@@ -691,8 +707,11 @@ class TestSweepAndSynthData:
                     "--alpha", alphas[1]]
         assert main([command, "--config", str(cfg_path), *argv]) == 2
         err = capsys.readouterr().err
-        assert f"error: pruning ratios {float(alphas[0])!r} and " \
-               f"{float(alphas[1])!r}" in err
+        first, second = map(float, alphas)
+        if 0 < second < 1:
+            assert f"error: pruning ratios {first!r} and {second!r}" in err
+        else:
+            assert f"error: pruning ratio must lie in (0, 1), got {second!r}" in err
         assert not (tmp_path / "run").exists()
 
     def test_synth_data_writes_loadable_csv(self, workspace):

@@ -323,3 +323,4 @@ class TestStateShapes:
         want = {name: a.shape for name, a in model.state_dict().items()}
         got = state_shapes(cfg, pruned)
         assert list(got) == list(want) and got == want
+        assert not [name for name in got if name.endswith(".mask")]
