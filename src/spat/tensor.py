@@ -2,7 +2,7 @@
 
 Every differentiable operation records itself on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse order, accumulating
-gradients additively; afterwards only leaves (parameters, masks) keep one.
+gradients additively; afterwards only leaves (parameters, probes) keep one.
 Data buffers are row-major ``numpy`` arrays and stay immutable after
 creation (only ``grad`` is assigned during backward).
 
@@ -129,7 +129,7 @@ class Tape:
         ``.grad`` or into an array a ``grad_fn`` returned; later
         contributions accumulate out of place. Each record is popped, with
         its output gradient and saved buffers, as soon as it has run, so
-        afterwards the tape is empty and only leaves (parameters and masks)
+        afterwards the tape is empty and only leaves (parameters and probes)
         hold a ``grad``. A loss on this tape implies a record, so an empty
         tape was already replayed.
         """
@@ -355,45 +355,49 @@ def mean(a: Tensor) -> Tensor:
 
 # Bytes of [n, H, S, S] scores that masked_attention works on at a time:
 # about half of a 2 MiB per-core L2, so each pass over the scores (scale,
-# max, exp, sum, divide, the mask products, the softmax row-dot) finds its
+# max, exp, sum, divide, the probe product, the softmax row-dot) finds its
 # chunk in L2 next to the pass's other operands, instead of streaming the
 # whole [B, H, S, S] tensor from L3. A chunk holds at least one item.
 _ATTENTION_CHUNK_BYTES = 2**20
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
-                     heads: int) -> Tensor:
-    """Multi-head self-attention whose score matrix carries a connection mask.
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                     probe: Tensor | None = None) -> Tensor:
+    """Multi-head self-attention whose connections can be probed.
 
     ``q``, ``k`` and ``v`` are ``[B, S, d]`` and are split into ``heads``
-    heads of width ``d_head = d / heads``; ``mask`` is ``[heads, S, S]``
-    and broadcasts over the batch. Per head, ``A`` is the row softmax of
-    ``q kᵀ / √d_head`` and the context ``(A ⊙ mask) v`` is merged back to
+    heads of width ``d_head = d / heads``. Per head, ``A`` is the row
+    softmax of ``q kᵀ / √d_head`` and the context ``A v`` is merged back to
     ``[B, S, d]``. One record covers the head split and merge, both
-    products, the scale, the softmax and the mask product. The mask
-    gradient ``Σ_batch g_{A'} ⊙ A`` (``A' = A ⊙ mask``) is the sensitivity
-    of the loss to each attention score.
+    products, the scale and the softmax.
+
+    ``probe`` is None or a ``[heads, S, S]`` leaf that stands for a
+    connection mask ``M`` on the scores, ``(A ⊙ M) v``, held at
+    ``M = 1``. The op never reads its values. Its gradient is the
+    derivative of the loss with respect to that all-ones mask,
+    ``Σ_batch g_A ⊙ A``: the sensitivity of the loss to each attention
+    score.
 
     Every product and reduction runs in the order and memory layout of the
     unfused composition of ``reshape``, ``transpose``, a batched matmul, a
-    scale, a row softmax and ``mul``, so both give identical bits. That
-    composition is kept as the reference in ``tests/unfused.py``.
+    scale, a row softmax and ``mul`` by an all-ones mask, so both give
+    identical bits. That composition is kept as the reference in
+    ``tests/unfused.py``.
 
     The batch is walked in chunks of ``_ATTENTION_CHUNK_BYTES`` worth of
     scores, forward and backward. Every GEMM is still one BLAS call per
     ``(b, h)`` slice and every row reduction stays within its row, so the
-    chunking changes no bits. The mask gradient's sum over the batch keeps
+    chunking changes no bits. The probe gradient's sum over the batch keeps
     its sequential order: each chunk's sum starts from the running sum as
     its row 0, rather than adding per-chunk partial sums. Only a taped op
     keeps the ``[B, H, S, S]`` scores; backward works on chunk-sized
     temporaries.
 
-    Three shortcuts keep those bits. An all-ones mask is not multiplied in,
-    forward or backward (``x · 1.0 == x``), and then the softmax backward
-    reuses the product ``g_{A'} ⊙ A`` made for the mask gradient. When
-    neither ``q`` nor ``k`` needs a gradient, as in the first attention
-    layer that scoring on frozen weights reaches, backward stops once the
-    ``v`` and mask gradients are out and skips the softmax backward.
+    The softmax backward reuses the product ``g_A ⊙ A`` that the probe
+    gradient sums. When neither ``q`` nor ``k`` needs a gradient, as in
+    the first attention layer that scoring on frozen weights reaches,
+    backward stops once the ``v`` and probe gradients are out and skips
+    the softmax backward.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"masked_attention: q, k and v must share one "
@@ -402,8 +406,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"masked_attention: width {d} does not split into "
                          f"{heads} heads")
-    if mask.shape != (heads, s, s):
-        raise ShapeError(f"masked_attention: mask shape {mask.shape} != "
+    if probe is not None and probe.shape != (heads, s, s):
+        raise ShapeError(f"masked_attention: probe shape {probe.shape} != "
                          f"{(heads, s, s)}")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
@@ -421,11 +425,11 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
             return np.empty((batch, heads, s)).transpose(0, 2, 1)
         return np.empty((batch, s, d))
 
-    qh, kh, vh, m = split(q.data), split(k.data), split(v.data), mask.data
-    ones = bool((m == 1.0).all())
-    keep = _tracked(q, k, v, mask)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    inputs = (q, k, v) if probe is None else (q, k, v, probe)
+    keep = _tracked(*inputs)
     att = np.empty((batch, heads, s, s)) if keep else None
-    scratch = None if keep and ones else np.empty((n, heads, s, s))
+    scratch = None if keep else np.empty((n, heads, s, s))
     out = merged()
     for sl in chunks:
         a = att[sl] if keep else scratch[:sl.stop - sl.start]
@@ -437,11 +441,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
         a -= a.max(axis=-1, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
-        if not ones:
-            a = np.multiply(a, m, out=scratch[:sl.stop - sl.start])
         np.matmul(a, vh[sl], out=split(out)[sl])
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
-    need_mask = mask.requires_grad
+    need_probe = probe is not None and probe.requires_grad
 
     def grad_fn(g):
         g_ctx = split(g)
@@ -450,35 +452,26 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
         # [B, H, d_head, S]: the bias gradient's sum over it depends on it
         gk_t = np.empty((batch, heads, dh, s)) if need_k else None
         ga = np.empty((n, heads, s, s))
-        # rows 1.. hold a chunk's products; row 0 carries the mask
+        # rows 1.. hold a chunk's products g_A ⊙ A; row 0 carries the probe
         # gradient's running sum into the next chunk's sum over the batch
         prod = np.empty((n + 1, heads, s, s))
-        gm = None
+        gp = None
         for sl in chunks:
             nb = sl.stop - sl.start
             a, p, gac = att[sl], prod[1:nb + 1], ga[:nb]
             if need_v:
-                # A' is rebuilt rather than kept; under an all-ones mask it is A
-                masked = a if ones else np.multiply(a, m, out=p)
-                np.matmul(np.swapaxes(masked, -1, -2), g_ctx[sl],
-                          out=split(gv)[sl])
-            np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA'
-            if need_mask:
-                # before ga is multiplied by the mask: zeros in the mask must
-                # not zero the gradient that says what unmasking would do
-                np.multiply(gac, a, out=p)
-                if gm is None:
-                    gm = p.sum(axis=0)
+                np.matmul(np.swapaxes(a, -1, -2), g_ctx[sl], out=split(gv)[sl])
+            np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA
+            np.multiply(gac, a, out=p)
+            if need_probe:
+                if gp is None:
+                    gp = p.sum(axis=0)
                 else:
-                    prod[0] = gm
-                    gm = prod[:nb + 1].sum(axis=0)
+                    prod[0] = gp
+                    gp = prod[:nb + 1].sum(axis=0)
             if not (need_q or need_k):
                 continue
-            # dL/dA, then the row-softmax and scale backward, all in place
-            if not ones:
-                gac *= m
-            if not (ones and need_mask):
-                np.multiply(gac, a, out=p)
+            # the row-softmax and scale backward, in place
             gac -= p.sum(axis=-1, keepdims=True)
             gac *= a
             gac *= c
@@ -488,9 +481,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor,
                 np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
         gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
               .reshape(batch, s, d) if need_k else None)
-        return gq, gk, gv, gm
+        return (gq, gk, gv, gp)[:len(inputs)]
 
-    return _emit("masked_attention", (q, k, v, mask), out, grad_fn)
+    return _emit("masked_attention", inputs, out, grad_fn)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
@@ -515,13 +508,11 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     np.multiply(y, gamma.data, out=out)
     out += beta.data
     g_data = gamma.data
-    need_a, need_g, need_b = a.requires_grad, gamma.requires_grad, beta.requires_grad
+    need_g, need_b = gamma.requires_grad, beta.requires_grad
 
     def grad_fn(g):
         gg = _unbroadcast(g * y, d) if need_g else None
         gb = _unbroadcast(g, d) if need_b else None
-        if not need_a:
-            return None, gg, gb
         gy = g * g_data
         t = gy * y
         gym = t.mean(axis=-1, keepdims=True)
@@ -628,8 +619,6 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         gv2 = gv.reshape(-1, d)
         gw2 = z2.T @ gv2 if need_w2 else None
         gh = g if need_h else None
-        if not (need_x or need_w1 or need_b1):
-            return gh, None, None, None, gw2, gb2
         gu = (gv2 @ w2_data.T).reshape(lead + (f,))
         if keep1 is not None:
             gu *= keep1

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import model_param_gradcheck
+from conftest import assert_grads_close, central_diff_grads, model_param_gradcheck
 from spat.config import load_config
 from spat.cost import build_cost_report, reduction_percent
 from spat.data import (
@@ -27,6 +27,7 @@ from spat.model import Forecaster, ModelConfig
 from spat.pipeline import prune, run_pipeline
 from spat.send import build_plan, compute_sensitivity, send_score
 from spat.tensor import (
+    Tape,
     Tensor,
     dropout,
     ffn,
@@ -34,7 +35,7 @@ from spat.tensor import (
     layer_norm,
     masked_attention,
 )
-from unfused import bmm, row_softmax, scale, total
+from unfused import bmm, row_softmax, scale, total, unfused_attention
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
@@ -98,13 +99,11 @@ class TestCriterion1Gradients:
             ("layer_norm",
              lambda a, g, b, p=u(3, 6): total(layer_norm(a, g, b) * Tensor(p)),
              [u(3, 6), u(6), u(6)]),
-            # two heads, a mask with zeros, gradients for q, k, v and the mask
+            # two heads, gradients for q, k and v
             ("masked_attention",
-             lambda q, k, v, m, p=u(2, 3, 4): total(masked_attention(q, k, v, m, 2)
-                                                    * Tensor(p)),
-             [u(2, 3, 4), u(2, 3, 4), u(2, 3, 4),
-              np.array([[[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
-                        [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]])]),
+             lambda q, k, v, p=u(2, 3, 4): total(masked_attention(q, k, v, 2)
+                                                 * Tensor(p)),
+             [u(2, 3, 4), u(2, 3, 4), u(2, 3, 4)]),
             ("dropout",
              lambda a, p=u(4, 4): total(dropout(a, 0.4, np.random.default_rng(5))
                                         * Tensor(p)), [u(4, 4)]),
@@ -119,6 +118,23 @@ class TestCriterion1Gradients:
         from conftest import gradcheck
         for name, build, arrays in primitives:
             gradcheck(build, arrays, rtol=1e-4, floor=1e-7, step=1e-5)
+
+        # masked_attention's probe gradient against differences of the
+        # unfused reference, which multiplies an all-ones mask in where the
+        # op never reads its probe
+        r = np.random.default_rng(43)
+        qkv = [Tensor(r.uniform(-2.0, 2.0, size=(2, 3, 4)), requires_grad=True)
+               for _ in range(3)]
+        p = Tensor(r.uniform(-2.0, 2.0, size=(2, 3, 4)))
+        probe = Tensor(np.ones((2, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = total(masked_attention(*qkv, 2, probe) * p)
+        tape.backward(loss)
+        mask = np.ones((2, 3, 3))
+        (fd,) = central_diff_grads(
+            lambda: total(unfused_attention(*qkv, 2, Tensor(mask)) * p).item(),
+            [mask], step=1e-5)
+        assert_grads_close(probe.grad, fd, rtol=1e-4, floor=1e-7)
 
         # full forecaster loss gradient, temporal tokens, every parameter
         cfg_t = ModelConfig(mode="temporal_tokens", lookback=16, horizon=4,
@@ -151,15 +167,18 @@ class TestCriterion1Gradients:
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"gradient block took {elapsed:.1f}s"
-        _passed(1, f"{len(primitives)} primitives + full model gradients "
-                   f"match finite differences (rel 1e-4) in {elapsed:.1f}s")
+        _passed(1, f"{len(primitives)} primitives, the attention probe and "
+                   f"full model gradients match finite differences (rel 1e-4) "
+                   f"in {elapsed:.1f}s")
 
 
 class TestCriterion2SensitivityOracle:
     """Chain-rule sensitivities vs direct finite-difference mask gradients
-    (delta=1e-4) within relative 1e-3, every layer and head."""
+    (delta=1e-4) within relative 1e-3, every layer and head. The model's
+    attention is the unfused reference for the differences, since the op
+    never reads the probe that stands for the mask."""
 
-    def test_send_oracle_equivalence(self):
+    def test_send_oracle_equivalence(self, monkeypatch):
         cfg = ModelConfig(mode="variate_tokens", lookback=12, horizon=3,
                           channels=4, d_model=8, d_ff=16, heads=2, layers=2,
                           dropout=0.0)
@@ -175,9 +194,12 @@ class TestCriterion2SensitivityOracle:
             return total / len(batches)
 
         records = compute_sensitivity(model, batches)
+        monkeypatch.setattr("spat.model.masked_attention", unfused_attention)
         delta = 1e-4
         for rec in records:
-            mask = model.blocks[rec.layer_index].mask.data
+            probe = Tensor(np.ones_like(rec.sen))
+            model.blocks[rec.layer_index].probe = probe
+            mask = probe.data
             for h in range(cfg.heads):
                 fd = np.zeros((4, 4))
                 for i, j in np.ndindex(4, 4):
@@ -191,6 +213,7 @@ class TestCriterion2SensitivityOracle:
                 rel = np.abs(rec.sen[h] - fd) / np.maximum(np.abs(fd), 1e-3 * scale)
                 assert rel.max() < 1e-3, (
                     f"layer {rec.layer_index} head {h}: rel {rel.max():.2e}")
+            model.blocks[rec.layer_index].probe = None
         _passed(2, "mask-gradient sensitivities match the finite-difference "
                    "loss-change oracle (rel 1e-3) for every layer and head")
 

@@ -13,6 +13,7 @@ from conftest import traced_peak
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
 from spat.model import Forecaster, ModelConfig, state_shapes
+from spat.tensor import Tensor
 
 
 def make_model(seed=0, layers=3):
@@ -44,21 +45,23 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
     def test_pruned_flags_survive_masks_do_not(self, tmp_path):
-        """Pruned flags are saved; masks are not state, so an edited
-        in-memory mask is not saved and a loaded model's masks are all ones."""
+        """Pruned flags are saved; masks are not state, so a probe that
+        stands for one is not saved and a loaded model holds none."""
         model = make_model(seed=3)
         model.blocks[1].remove_attention()
         x = np.random.default_rng(0).normal(size=(2, 16, 3))
         expected = model.forecast(x)
-        model.blocks[0].mask.data[0, 0, 0] = 0.0
+        s = model.cfg.token_count
+        model.blocks[0].probe = Tensor(np.ones((model.cfg.heads, s, s)),
+                                       requires_grad=True)
         path = tmp_path / "pruned.ckpt"
         save_checkpoint(path, model)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert not [e for e in header["tensors"] if e["name"].endswith(".mask")]
+        assert [e["name"] for e in header["tensors"]] == list(model.state_dict())
         loaded, _ = load_checkpoint(path)
         assert loaded.pruned_layers() == [1]
         assert loaded.blocks[1].w_q is None
-        assert all(np.all(m.data == 1.0) for m in loaded.masks())
+        assert all(blk.probe is None for blk in loaded.blocks)
         np.testing.assert_array_equal(loaded.forecast(x), expected)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -74,6 +77,19 @@ class TestRoundTrip:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not json\n\x00\x01")
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", ["not_utf8", "nested_too_deep"])
+    def test_undecodable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        if header == "not_utf8":
+            header_line = header_line.replace(b'"meta"', b'"m\xffta"')
+        else:
+            header_line = b"[" * 100_000
+        path.write_bytes(header_line + b"\n" + payload)
+        with pytest.raises(ParseError, match="model.ckpt: invalid checkpoint header"):
             load_checkpoint(path)
 
 
@@ -201,9 +217,9 @@ class TestHeaderAllocation:
 
 
 class TestHeaderFuzz:
-    """A header with one config value of another type, or one tensor-table
-    entry changed, must raise a SpatError (exit 2 in the CLI), never
-    another exception. Dimensions stay small, so no mutation asks for a
+    """A header with one config value of another type, a meta of another
+    type, or one tensor-table entry changed, must raise a SpatError (exit 2
+    in the CLI), never another exception. Dimensions stay small, so no mutation asks for a
     large allocation."""
 
     @pytest.fixture(scope="class")
@@ -228,6 +244,24 @@ class TestHeaderFuzz:
         path = tmp_path_factory.mktemp("cfg") / "model.ckpt"
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(SpatError):
+            load_checkpoint(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(meta=st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+        st.text(max_size=4), st.lists(st.integers(), max_size=2),
+        st.fixed_dictionaries({"dataset_name": st.one_of(
+            st.none(), st.integers(), st.lists(st.text(max_size=2), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))})))
+    def test_meta_of_another_type(self, tmp_path_factory, saved, meta):
+        """``meta`` must be an object, and its ``dataset_name``, when
+        given, a str: the CLI spreads the one and prints the other."""
+        header_line, payload = saved.split(b"\n", 1)
+        header = json.loads(header_line)
+        header["meta"] = meta
+        path = tmp_path_factory.mktemp("meta") / "model.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ParseError, match="model.ckpt: checkpoint meta"):
             load_checkpoint(path)
 
     @settings(max_examples=150, deadline=None)

@@ -366,6 +366,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "masked.ckpt" in err and "blocks.0.mask" in err
 
+    @pytest.mark.parametrize("command, meta", [
+        ("eval", None), ("prune", 5), ("finetune", []),
+        ("zeroshot", {"dataset_name": {"a": 1}}),
+    ], ids=["eval", "prune", "finetune", "zeroshot"])
+    def test_checkpoint_meta_of_another_type_exits_2(self, workspace, capsys,
+                                                     command, meta):
+        """Each command that loads a checkpoint exits 2 on a meta that is
+        not an object, or whose dataset_name is not a str, and writes no
+        ledger row."""
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "pretrained.ckpt"
+        header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["meta"] = meta
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        report = tmp_path / "report.txt"
+        report.write_text(format_report([], build_plan([(0, 0.3), (1, 0.1),
+                                                        (2, 0.2)], alpha=0.3)))
+        extra = ["--report", str(report)] if command == "prune" else []
+        ledger = (tmp_path / "run" / "metrics.csv").read_bytes()
+        code = main([command, "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), *extra])
+        assert code == 2
+        assert "pretrained.ckpt: checkpoint meta" in capsys.readouterr().err
+        assert (tmp_path / "run" / "metrics.csv").read_bytes() == ledger
+
     def test_missing_target_file_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         assert main(["pretrain", "--config", str(cfg_path)]) == 0

@@ -44,7 +44,7 @@ def toy_setup(layers=2, seed=0, n_batches=2, batch=3):
 
 
 def dataset_loss(model, batches):
-    """Average of per-batch MSE losses, the quantity the masks differentiate."""
+    """Average of per-batch MSE losses, the quantity scoring differentiates."""
     total = 0.0
     for x, y in batches:
         pred = model.forward(x).data
@@ -52,30 +52,42 @@ def dataset_loss(model, batches):
     return total / len(batches)
 
 
+def attach_probes(model):
+    """Give every unpruned block an all-ones probe that needs a gradient,
+    as scoring does; returns them by layer index."""
+    shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
+    probes = {}
+    for i, blk in enumerate(model.blocks):
+        if not blk.pruned:
+            blk.probe = probes[i] = Tensor(np.ones(shape), requires_grad=True)
+    return probes
+
+
 def assert_fused_equals_unfused(batch, s, heads, dh):
     """``masked_attention`` against ``unfused.unfused_attention``, the
     composition of the unfused primitives: outputs and every gradient equal
-    bit for bit and share their memory layout, for a mask with zeros, an
-    all-ones mask, and a mask with zeros whose q and k need no gradient."""
+    bit for bit and share their memory layout. The op's probe gradient is
+    checked against the reference's gradient of an all-ones mask, with q
+    and k needing a gradient and with both frozen; without a probe, the
+    reference multiplies in no mask."""
     rng = np.random.default_rng(5)
     d = heads * dh
     arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
-    zeros_mask = (rng.random((heads, s, s)) > 0.3).astype(float)
-    assert (zeros_mask == 0.0).any()
     w = rng.normal(size=(batch, s, d))
 
-    for mask0, need_qk in [(zeros_mask, True), (np.ones_like(zeros_mask), True),
-                           (zeros_mask, False)]:
+    for need_qk, probed in [(True, True), (False, True), (True, False)]:
         grads = []
         for attend in (masked_attention, unfused_attention):
             ts = [Tensor(a, requires_grad=need) for a, need
                   in zip(arrays, (need_qk, need_qk, True))]
-            mask = Tensor(mask0, requires_grad=True)
+            probe = (Tensor(np.ones((heads, s, s)), requires_grad=True)
+                     if probed else None)
             with Tape() as tape:
-                out = attend(*ts, mask, heads)
+                out = attend(*ts, heads, probe)
                 loss = total(out * Tensor(w))
             tape.backward(loss)
-            grads.append((out.data, mask.grad, *(t.grad for t in ts)))
+            grads.append((out.data, probe.grad if probed else None,
+                          *(t.grad for t in ts)))
         if not need_qk:
             assert all(g is None for _, _, gq, gk, _ in grads for g in (gq, gk))
         for got, want in zip(*grads):
@@ -86,14 +98,19 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
 
 
 class TestSensitivityOracle:
-    def test_matches_finite_difference_mask_gradient(self):
+    def test_matches_finite_difference_mask_gradient(self, monkeypatch):
         """Mask-removal derivative, estimated by perturbing each relaxed
-        mask entry around 1 by d = 1e-4."""
+        mask entry around 1 by d = 1e-4. The op never reads its probe, so
+        the model's attention is the unfused reference here, which
+        multiplies the probe's values in as the mask."""
         model, batches = toy_setup()
         records = compute_sensitivity(model, batches)
+        monkeypatch.setattr("spat.model.masked_attention", unfused_attention)
         delta = 1e-4
         for rec in records:
-            mask = model.blocks[rec.layer_index].mask.data
+            probe = Tensor(np.ones_like(rec.sen))
+            model.blocks[rec.layer_index].probe = probe
+            mask = probe.data
             fd = np.zeros_like(mask)
             for h, i, j in np.ndindex(mask.shape):
                 mask[h, i, j] = 1.0 + delta
@@ -102,17 +119,19 @@ class TestSensitivityOracle:
                 down = dataset_loss(model, batches)
                 mask[h, i, j] = 1.0
                 fd[h, i, j] = (up - down) / (2.0 * delta)
+            model.blocks[rec.layer_index].probe = None
             scale = max(np.abs(fd).max(), 1e-12)
             rel = np.abs(rec.sen - fd) / np.maximum(np.abs(fd), 1e-3 * scale)
             assert rel.max() < 1e-3, f"layer {rec.layer_index}: {rel.max():.2e}"
 
     def test_chain_rule_equals_direct_mask_gradient(self):
-        """The fused op's mask gradient is bit-identical to the chain rule
+        """The fused op's probe gradient is bit-identical to the chain rule
         through the unfused primitives (split heads, ``q kᵀ``, scale,
-        ``row_softmax``, ``* mask``, ``@ v``, merge heads), and so are the
-        q, k and v gradients. Three inputs: a mask with zeros, an all-ones
-        mask, and a mask with zeros whose q and k need no gradient."""
+        ``row_softmax``, ``* mask`` at an all-ones mask, ``@ v``, merge
+        heads), and so are the q, k and v gradients; also at d_head 1,
+        where the merged heads are a view."""
         assert_fused_equals_unfused(batch=3, s=5, heads=2, dh=4)
+        assert_fused_equals_unfused(batch=3, s=5, heads=2, dh=1)
 
     @pytest.mark.parametrize("batch, s, per_chunk", [(3, 5, 1), (5, 128, 2)],
                              ids=["one_item", "remainder"])
@@ -120,7 +139,7 @@ class TestSensitivityOracle:
                                                  per_chunk):
         """The same bits when the batch runs in several chunks: one item
         per chunk, and chunks of 2 over 5 items, whose last chunk is a
-        remainder. The mask gradient sums the batch in order; summing per
+        remainder. The probe gradient sums the batch in order; summing per
         chunk and then adding the partial sums would round differently."""
         heads = 2
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES",
@@ -138,32 +157,31 @@ class TestSensitivityOracle:
         model, batches = toy_setup(n_batches=1)
         records = compute_sensitivity(model, batches[:1])
         x, y = batches[0]
-        for m in model.masks():
-            m.requires_grad = True
+        probes = attach_probes(model)
         with Tape() as tape:
             loss = mse_loss(model.forward(x), y)
         tape.backward(loss)
         for rec in records:
-            np.testing.assert_array_equal(
-                rec.sen, model.blocks[rec.layer_index].mask.grad)
+            np.testing.assert_array_equal(rec.sen, probes[rec.layer_index].grad)
         assert all(r.batches_accumulated == 1 for r in records)
 
-    def test_scoring_restores_mask_state(self, monkeypatch):
-        """Scoring freezes the weights: no parameter holds a gradient after
-        any scoring backward, and all require gradients again afterwards,
-        also after a batch that raises midway."""
+    def test_scoring_leaves_no_probe(self, monkeypatch):
+        """Scoring probes every layer and freezes the weights: no parameter
+        holds a gradient after any scoring backward. Afterwards no block
+        holds a probe and all parameters require gradients again, also
+        after a batch that raises midway."""
         model, batches = toy_setup()
         backward = Tape.backward
         seen = []
 
         def checked(tape, loss):
+            assert all(blk.probe is not None for blk in model.blocks)
             backward(tape, loss)
             seen.append([n for n, p in model.named_parameters()
                          if p.grad is not None])
 
         def assert_restored():
-            for m in model.masks():
-                assert not m.requires_grad and m.grad is None
+            assert all(blk.probe is None for blk in model.blocks)
             assert all(p.requires_grad and p.grad is None
                        for p in model.parameters())
 
@@ -183,7 +201,7 @@ class TestSensitivityOracle:
     ], ids=["temporal", "variate", "variate_layer0_pruned"])
     def test_frozen_scoring_equals_full_backward(self, monkeypatch, mode, pruned):
         """The scoring tape starts at the first unpruned layer's attention,
-        and its mask gradients are bit-identical to those of a backward
+        and its probe gradients are bit-identical to those of a backward
         through every parameter."""
         cfg = ModelConfig(mode=mode, lookback=12, horizon=3, channels=4,
                           d_model=8, d_ff=16, heads=2, layers=3, patch_len=4,
@@ -204,8 +222,7 @@ class TestSensitivityOracle:
         records = compute_sensitivity(model, [(x, y)])
         monkeypatch.undo()
         assert first_ops == ["masked_attention"]
-        for m in model.masks():
-            m.requires_grad = True
+        probes = attach_probes(model)
         with Tape() as tape:
             loss = mse_loss(model.forward(x), y)
         tape.backward(loss)
@@ -213,18 +230,12 @@ class TestSensitivityOracle:
         assert [r.layer_index for r in records] == [
             i for i in range(3) if i not in pruned]
         for rec in records:
-            assert np.array_equal(rec.sen, model.blocks[rec.layer_index].mask.grad)
+            assert np.array_equal(rec.sen, probes[rec.layer_index].grad)
 
     def test_empty_batches_rejected(self):
         model, _ = toy_setup()
         with pytest.raises(ContractError):
             compute_sensitivity(model, [])
-
-    def test_masked_model_rejected(self):
-        model, batches = toy_setup()
-        model.blocks[0].mask.data[0, 0, 0] = 0.0
-        with pytest.raises(ContractError):
-            compute_sensitivity(model, batches)
 
     def test_partially_pruned_scores_remaining_layers(self):
         model, batches = toy_setup(layers=3)

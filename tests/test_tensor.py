@@ -276,29 +276,27 @@ class TestMaskedAttention:
     def test_shape_errors(self):
         rng = np.random.default_rng(0)
         q = Tensor(rand(rng, 2, 3, 4))
-        mask = Tensor(np.ones((2, 3, 3)))
         with pytest.raises(ShapeError):
-            masked_attention(q, Tensor(rand(rng, 2, 4, 4)), q, mask, 2)
+            masked_attention(q, Tensor(rand(rng, 2, 4, 4)), q, 2)
         with pytest.raises(ShapeError):
-            masked_attention(q, q, Tensor(rand(rng, 2, 3, 6)), mask, 2)
+            masked_attention(q, q, Tensor(rand(rng, 2, 3, 6)), 2)
         with pytest.raises(ShapeError):
-            masked_attention(q, q, q, Tensor(np.ones((3, 3, 3))), 3)
+            masked_attention(q, q, q, 3)
         for bad in (np.ones((1, 3, 3)), np.ones((2, 3, 4)), np.ones((3, 3))):
             with pytest.raises(ShapeError):
-                masked_attention(q, q, q, Tensor(bad), 2)
+                masked_attention(q, q, q, 2, Tensor(bad, requires_grad=True))
 
     def test_rejects_non_finite_scores(self):
         q = Tensor(np.full((1, 2, 2), np.nan))
         with pytest.raises(NumericError):
-            masked_attention(q, q, q, Tensor(np.ones((1, 2, 2))), 1)
+            masked_attention(q, q, q, 1)
 
     def test_rejects_non_finite_scores_in_a_later_chunk(self, monkeypatch):
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
         x = np.ones((3, 2, 2))
         x[2, 1, 0] = np.inf
         with pytest.raises(NumericError):
-            masked_attention(Tensor(x), Tensor(x), Tensor(x),
-                             Tensor(np.ones((1, 2, 2))), 1)
+            masked_attention(Tensor(x), Tensor(x), Tensor(x), 1)
 
 
 class TestAttentionMemory:
@@ -317,19 +315,19 @@ class TestAttentionMemory:
                        for _ in range(3)]
 
     def test_untracked_forward_keeps_no_scores(self):
-        ones = Tensor(np.ones((self.heads, self.s, self.s)))
         peak = traced_peak(lambda: masked_attention(
-            *map(Tensor, self.arrays), ones, self.heads))
+            *map(Tensor, self.arrays), self.heads))
         assert peak < self.full / 2
 
     def test_backward_allocates_no_full_size_temporary(self):
         ts = [Tensor(a, requires_grad=True) for a in self.arrays]
-        mask = Tensor(np.ones((self.heads, self.s, self.s)), requires_grad=True)
+        probe = Tensor(np.broadcast_to(1.0, (self.heads, self.s, self.s)),
+                       requires_grad=True)
         with Tape() as tape:
-            loss = total(masked_attention(*ts, mask, self.heads)
+            loss = total(masked_attention(*ts, self.heads, probe)
                          * Tensor(self.arrays[0]))
         assert traced_peak(lambda: tape.backward(loss)) < self.full
-        assert all(t.grad is not None for t in ts) and mask.grad is not None
+        assert all(t.grad is not None for t in ts) and probe.grad is not None
 
 
 class TestGradModeAndInvariants:

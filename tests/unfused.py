@@ -167,9 +167,15 @@ def merge_heads(t):
     return t.transpose(0, 2, 1, 3).reshape(batch, s, heads * dh)
 
 
-def unfused_attention(q, k, v, mask, heads):
+def unfused_attention(q, k, v, heads, mask=None):
+    """``tensor.masked_attention`` with ``mask`` multiplied in: where the op
+    takes a probe and never reads it, this reads its values, so finite
+    differences can perturb them. No mask is an all-ones one."""
     dh = q.shape[-1] // heads
     scores = scale(bmm(split_heads(q, heads),
                        split_heads(k, heads).transpose(0, 1, 3, 2)),
                    1.0 / math.sqrt(dh))
-    return merge_heads(bmm(row_softmax(scores) * mask, split_heads(v, heads)))
+    attn = row_softmax(scores)
+    if mask is not None:
+        attn = attn * mask
+    return merge_heads(bmm(attn, split_heads(v, heads)))
