@@ -20,7 +20,7 @@ from .cost import build_cost_report
 from .data import generate_synthetic, write_csv
 from .errors import ContractError, NumericError, SpatError
 from .pipeline import (
-    append_ledger_row,
+    check_fits,
     finetune_stage,
     ledger_row,
     load_dataset,
@@ -32,6 +32,7 @@ from .pipeline import (
     run_pipeline,
     run_sweep,
     score_stage,
+    write_ledger,
     zero_shot_eval,
 )
 from .send import format_report, plan_from_records, read_report
@@ -66,9 +67,10 @@ def cmd_run(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
+    prep = prepare(cfg)
     run_dir = open_run_dir(cfg, resolve_run_dir(cfg, args.run_dir))
-    _, row = pretrain_stage(prepare(cfg), run_dir)
-    append_ledger_row(run_dir / "metrics.csv", row)
+    _, row = pretrain_stage(prep, run_dir)
+    write_ledger(run_dir / "metrics.csv", [row], append=True)
     _print_row(row)
     print(f"checkpoint: {run_dir / 'pretrained.ckpt'}")
     return 0
@@ -78,8 +80,6 @@ def cmd_score(args) -> int:
     cfg = _load(args)
     alphas = args.alpha or [cfg.pruning.alpha]
     labels = ratio_labels(alphas)
-    run_dir = resolve_run_dir(cfg, args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     model, _ = load_checkpoint(args.checkpoint)
     if model.pruned_layers():
         raise ContractError(
@@ -87,6 +87,8 @@ def cmd_score(args) -> int:
             f"{model.pruned_layers()}; sensitivity scoring needs the "
             f"unpruned pretrained model")
     _, records = score_stage(prepare(cfg), model)
+    run_dir = resolve_run_dir(cfg, args.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
     for alpha, label in zip(alphas, labels):
         plan = plan_from_records(records, alpha)
         path = run_dir / f"send_report_alpha_{label}.txt"
@@ -99,8 +101,6 @@ def cmd_score(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg = _load(args)
-    run_dir = resolve_run_dir(cfg, args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
     plan = read_report(args.report)
     scored = sorted(i for i, _ in plan.send_scores)
@@ -110,7 +110,11 @@ def cmd_prune(args) -> int:
                             f"checkpoint {args.checkpoint} has attention "
                             f"layers {unpruned}")
     pruned_model = prune(model, plan)
-    out = Path(args.out) if args.out else run_dir / "pruned.ckpt"
+    if args.out:
+        out = Path(args.out)
+    else:
+        out = resolve_run_dir(cfg, args.run_dir) / "pruned.ckpt"
+        out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, pruned_model, meta={**meta, "stage": "pruned"})
     print(f"removed attention layers {plan.i_pruned}; checkpoint: {out}")
     return 0
@@ -118,12 +122,14 @@ def cmd_prune(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _load(args)
+    model, meta = load_checkpoint(args.checkpoint)
+    prep = prepare(cfg)
+    check_fits(model, prep.dataset, cfg.window)
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    model, meta = load_checkpoint(args.checkpoint)
     out = Path(args.out) if args.out else run_dir / "finetuned.ckpt"
-    row = finetune_stage(prepare(cfg), model, out, {**meta, "stage": "finetuned"})
-    append_ledger_row(run_dir / "metrics.csv", row)
+    row = finetune_stage(prep, model, out, {**meta, "stage": "finetuned"})
+    write_ledger(run_dir / "metrics.csv", [row], append=True)
     _print_row(row)
     print(f"checkpoint: {out}")
     return 0
@@ -133,8 +139,6 @@ def _evaluate(args, cfg: ExperimentConfig, target_cfg: ExperimentConfig,
               stage: str, dataset_label: str) -> int:
     """Ledger row of ``--checkpoint`` on ``target_cfg``'s test split, its
     dataset ``dataset_label`` filled with ``{source}`` and ``{target}``."""
-    run_dir = resolve_run_dir(cfg, args.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     model, meta = load_checkpoint(args.checkpoint)
     target = load_dataset(target_cfg)
     metrics = zero_shot_eval(model, target, target_cfg.window,
@@ -143,7 +147,9 @@ def _evaluate(args, cfg: ExperimentConfig, target_cfg: ExperimentConfig,
                                  target=target.name)
     row = ledger_row(stage, label, target_cfg.window.horizon, metrics,
                      build_cost_report(model))
-    append_ledger_row(run_dir / "metrics.csv", row)
+    run_dir = resolve_run_dir(cfg, args.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_ledger(run_dir / "metrics.csv", [row], append=True)
     _print_row(row)
     return 0
 

@@ -16,7 +16,7 @@ import yaml
 
 from .data import SyntheticSpec, WindowSpec, check_split
 from .errors import ConfigError
-from .model import ModelConfig, field_type_error
+from .model import ArchitectureConfig, field_type_error
 
 
 def _read_floats(annotation: str, value):
@@ -30,28 +30,6 @@ def _read_floats(annotation: str, value):
     if isinstance(value, list) and annotation.startswith("tuple[float"):
         return [_read_floats("float", v) for v in value]
     return value
-
-
-@dataclass
-class ArchitectureConfig:
-    """Model architecture; lookback/horizon/channels come from the data."""
-
-    mode: str = "temporal_tokens"
-    d_model: int = 32
-    d_ff: int = 64
-    heads: int = 4
-    layers: int = 3
-    patch_len: int = 16
-    patch_stride: int = 8
-    end_padding: bool = True
-    dropout: float = 0.2
-    activation: str = "gelu"
-    norm_placement: str = "pre"
-    instance_norm: bool = True
-
-    def to_model_config(self, lookback: int, horizon: int, channels: int) -> ModelConfig:
-        return ModelConfig(lookback=lookback, horizon=horizon, channels=channels,
-                           **asdict(self))
 
 
 @dataclass
@@ -119,6 +97,8 @@ class OptimizerConfig:
                     f"optimizer.{name} must be {rule}, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError("optimizer.epochs must be >= 0")
+        if self.finetune_epochs is not None and self.finetune_epochs < 0:
+            raise ConfigError("optimizer.finetune_epochs must be >= 0 or null")
         if self.batch_size < 1:
             raise ConfigError("optimizer.batch_size must be >= 1")
         if self.patience is not None and self.patience < 1:
@@ -191,8 +171,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     def clean(x):
         if isinstance(x, tuple):
-            return [clean(v) for v in x]
-        if isinstance(x, list):
             return [clean(v) for v in x]
         if isinstance(x, dict):
             return {k: clean(v) for k, v in x.items()}

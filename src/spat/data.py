@@ -11,6 +11,7 @@ training region alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -55,22 +56,17 @@ class SeriesDataset:
     train_end: int
     val_end: int
     test_end: int
-    mean: np.ndarray = field(default=None)   # [C], training region only
-    std: np.ndarray = field(default=None)    # [C], floored at STD_FLOOR
+    mean: np.ndarray = field(init=False)   # [C], training region only
+    std: np.ndarray = field(init=False)    # [C], floored at STD_FLOOR
 
     def __post_init__(self):
-        if not 0 <= self.train_end <= self.val_end <= self.test_end <= len(self.values):
+        if self.train_end == 0:
             raise ConfigError(
-                f"split boundaries ({self.train_end}, {self.val_end}, "
-                f"{self.test_end}) are not ordered within length {len(self.values)}")
-        if self.mean is None:
-            if self.train_end == 0:
-                raise ConfigError(
-                    f"the training split is empty ({len(self.values)} rows in "
-                    f"all), so there are no normalization statistics")
-            train = self.values[:self.train_end]
-            self.mean = train.mean(axis=0)
-            self.std = np.maximum(train.std(axis=0), STD_FLOOR)
+                f"the training split is empty ({len(self.values)} rows in "
+                f"all), so there are no normalization statistics")
+        train = self.values[:self.train_end]
+        self.mean = train.mean(axis=0)
+        self.std = np.maximum(train.std(axis=0), STD_FLOOR)
 
     @property
     def channels(self) -> int:
@@ -174,8 +170,7 @@ def check_split(ratios, counts, names=("ratios", "counts")) -> None:
                           f"got {list(counts)}")
 
 
-def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
-          name: str | None = None,
+def split(series: RawSeries, ratios=None, counts=None,
           names: tuple[str, str] = ("ratios", "counts")) -> SeriesDataset:
     """Cut a series into contiguous train/val/test regions.
 
@@ -184,12 +179,7 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
     of the benchmark datasets. ``names`` name the two in error messages,
     as in :func:`check_split`.
     """
-    if isinstance(series, RawSeries):
-        values = series.values
-        name = name or series.name
-    else:
-        values = np.asarray(series, dtype=np.float64)
-        name = name or "series"
+    name, values = series.name, series.values
     length = len(values)
     check_split(ratios, counts, names)
     if ratios is not None:
@@ -209,18 +199,12 @@ def split(series: RawSeries | np.ndarray, ratios=None, counts=None,
         test_end=train_n + val_n + test_n)
 
 
-def make_windows(region: np.ndarray, spec: WindowSpec,
-                 mean: np.ndarray | None = None,
-                 std: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(region: np.ndarray, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sliding (X, Y) pairs: X rows [i, i+L), Y rows [i+L, i+L+T).
 
-    Standardizes per channel when stats are given. A region too short for
-    a single window yields empty arrays; the caller decides whether an
-    empty split is an error.
+    A region too short for a single window yields empty arrays; the caller
+    decides whether an empty split is an error.
     """
-    region = np.asarray(region, dtype=np.float64)
-    if mean is not None:
-        region = (region - mean) / std
     n = window_count(len(region), spec)
     channels = region.shape[1]
     if n == 0:
@@ -238,7 +222,7 @@ def dataset_windows(ds: SeriesDataset, split_name: str,
     """Windows of one split, standardized with the training statistics."""
     lookback = 0 if split_name == "train" else spec.lookback
     region = ds.region(split_name, lookback=lookback)
-    return make_windows(region, spec, ds.mean, ds.std)
+    return make_windows((region - ds.mean) / ds.std, spec)
 
 
 class ForecastBatch(NamedTuple):
@@ -281,6 +265,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.channels < 1 or self.length < 2:
             raise ConfigError("synthetic spec needs channels >= 1, length >= 2")
+        # false for NaN as well
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
         self.frequencies = tuple(float(f) for f in self.frequencies)
 
 

@@ -18,7 +18,7 @@ sublayer (residual path only); the FFN sublayer is always retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,14 @@ INSTANCE_NORM_EPS = 1e-5
 
 
 @dataclass
-class ModelConfig:
+class ArchitectureConfig:
+    """The config's ``model`` section: the architecture, checked as far as
+    it can be without the data, which gives lookback, horizon and
+    channels."""
+
     mode: str = "temporal_tokens"
-    lookback: int = 96
-    horizon: int = 24
-    channels: int = 7
-    d_model: int = 64
-    d_ff: int = 128
+    d_model: int = 32
+    d_ff: int = 64
     heads: int = 4
     layers: int = 3
     patch_len: int = 16
@@ -74,16 +75,32 @@ class ModelConfig:
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.lookback < 1 or self.horizon < 1 or self.channels < 1:
-            raise ConfigError("lookback, horizon and channels must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.mode == "temporal_tokens":
-            if self.patch_len < 1 or self.patch_stride < 1:
-                raise ConfigError("patch_len and patch_stride must be >= 1")
-            if self.lookback < self.patch_len:
-                raise ConfigError(
-                    f"lookback {self.lookback} shorter than patch_len {self.patch_len}")
+        if self.mode == "temporal_tokens" and (
+                self.patch_len < 1 or self.patch_stride < 1):
+            raise ConfigError("patch_len and patch_stride must be >= 1")
+
+    def to_model_config(self, lookback: int, horizon: int, channels: int) -> ModelConfig:
+        return ModelConfig(lookback=lookback, horizon=horizon, channels=channels,
+                           **asdict(self))
+
+
+@dataclass
+class ModelConfig(ArchitectureConfig):
+    """The architecture with the shapes the data gives it."""
+
+    lookback: int = 96
+    horizon: int = 24
+    channels: int = 7
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.lookback < 1 or self.horizon < 1 or self.channels < 1:
+            raise ConfigError("lookback, horizon and channels must be >= 1")
+        if self.mode == "temporal_tokens" and self.lookback < self.patch_len:
+            raise ConfigError(
+                f"lookback {self.lookback} shorter than patch_len {self.patch_len}")
 
     @property
     def d_head(self) -> int:

@@ -232,13 +232,8 @@ def iterative_prune(model: Forecaster, batches, k: int) -> tuple[Forecaster, lis
     return current, removed
 
 
-def zero_shot_eval(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec,
-                   batch_size: int = 64) -> dict:
-    """Frozen-checkpoint metrics on an unseen dataset's test split.
-
-    The target dataset's own training-split statistics normalize its
-    windows; no weights are updated.
-    """
+def check_fits(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec) -> None:
+    """``ConfigError`` unless ``model`` takes ``dataset``'s windows of ``spec``."""
     cfg = model.cfg
     if spec.lookback != cfg.lookback or spec.horizon != cfg.horizon:
         raise ConfigError(
@@ -248,6 +243,16 @@ def zero_shot_eval(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec,
         raise ConfigError(
             f"variate-token checkpoint expects {cfg.channels} channels, "
             f"dataset {dataset.name!r} has {dataset.channels}")
+
+
+def zero_shot_eval(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec,
+                   batch_size: int = 64) -> dict:
+    """Frozen-checkpoint metrics on an unseen dataset's test split.
+
+    The target dataset's own training-split statistics normalize its
+    windows; no weights are updated.
+    """
+    check_fits(model, dataset, spec)
     x, y = dataset_windows(dataset, "test", spec)
     if len(x) == 0:
         raise ConfigError(f"dataset {dataset.name!r} has no test windows "
@@ -280,22 +285,17 @@ def _format_cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def write_ledger(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(LEDGER_FIELDS)
-        for row in rows:
-            writer.writerow([_format_cell(row[k]) for k in LEDGER_FIELDS])
-
-
-def append_ledger_row(path, row: dict) -> None:
+def write_ledger(path, rows: list[dict], append: bool = False) -> None:
+    """Write ``rows`` to the ledger at ``path`` under its header; with
+    ``append``, add them to the end, writing the header only to a new file."""
     path = Path(path)
-    new = not path.exists()
-    with open(path, "a", newline="") as f:
+    header = not (append and path.exists())
+    with open(path, "a" if append else "w", newline="") as f:
         writer = csv.writer(f)
-        if new:
+        if header:
             writer.writerow(LEDGER_FIELDS)
-        writer.writerow([_format_cell(row[k]) for k in LEDGER_FIELDS])
+        writer.writerows([_format_cell(row[k]) for k in LEDGER_FIELDS]
+                         for row in rows)
 
 
 def scoring_batches(train_windows, batch_size: int, limit: int | None) -> list:
@@ -460,8 +460,8 @@ def _run_ratios(cfg: ExperimentConfig, run_dir,
                 out_dirs: dict[float, str]) -> dict[float, PipelineResult]:
     """Pretrain and score once, then run ``ratio_stage`` for each ratio
     ``alpha`` into ``out_dirs[alpha]`` under the run directory."""
-    run_dir = open_run_dir(cfg, run_dir)
     prep = prepare(cfg)
+    run_dir = open_run_dir(cfg, run_dir)
     model, pretrained_row = pretrain_stage(prep, run_dir)
     (run_dir / "cost_original.txt").write_text(
         format_cost_report(build_cost_report(model)))

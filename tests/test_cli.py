@@ -137,6 +137,11 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             config_from_dict({"pruning": {"alpha": 0.0}})
 
+    def test_model_section_checked_at_load(self, workspace):
+        _, cfg_path = workspace
+        with pytest.raises(ConfigError, match="not divisible by heads 3"):
+            load_config(cfg_path, ["model.heads=3"])
+
 
 def leaf_fields(obj, prefix=""):
     """(dotted override key, annotation) of every leaf field of a config."""
@@ -231,7 +236,7 @@ class TestExitCodes:
             "optimizer.lr=.nan", "optimizer.lr=.inf", "optimizer.finetune_lr=.nan",
             "optimizer.finetune_lr=-0.5", "optimizer.lr_min=-1.0",
             "optimizer.beta1=2.0", "optimizer.beta2=1.0", "optimizer.eps=-1.0",
-            "optimizer.eps=0.0"]),
+            "optimizer.eps=0.0", "optimizer.finetune_epochs=-1"]),
         ("data.split_ratios=[0.7, .nan, 0.2]", "ratios must be three non-negative"),
         ("data.split_ratios=[0.7, -0.1, 0.2]", "ratios must be three non-negative"),
         ("data.split_ratios=[0.7, 0.3]", "ratios must be three non-negative")])
@@ -476,8 +481,38 @@ class TestExitCodes:
             argv += ["--checkpoint", str(ckpt)]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        for name in ("pretrained.ckpt", "finetuned.ckpt"):
-            assert not (tmp_path / "run" / name).exists()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("model.heads=3", "d_model 8 not divisible by heads 3"),
+        ("optimizer.finetune_epochs=-1", "optimizer.finetune_epochs must"),
+        ("data.synthetic.noise_std=-1.0", "noise_std must be finite"),
+        ("data.synthetic.noise_std=.nan", "noise_std must be finite")])
+    @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
+    def test_bad_config_fails_before_the_run_directory(self, workspace, capsys,
+                                                       command, item, message):
+        tmp_path, cfg_path = workspace
+        argv = [command, "--config", str(cfg_path), "--set", item]
+        if command == "sweep":
+            argv += ["--alphas", "0.3"]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("shape, message", [
+        ((24, 4, 3), "checkpoint expects lookback 24 / horizon 4, got 16 / 4"),
+        ((16, 6, 3), "checkpoint expects lookback 16 / horizon 6, got 16 / 4"),
+        ((16, 4, 5), "variate-token checkpoint expects 5 channels")])
+    def test_finetune_of_another_shape_fails_before_the_run_directory(
+            self, workspace, capsys, shape, message):
+        tmp_path, cfg_path = workspace
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, Forecaster(
+            load_config(cfg_path).model.to_model_config(*shape)))
+        assert main(["finetune", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "report_dir",
                                       "out_dir", "config_latin1", "report_latin1"])

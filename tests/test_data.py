@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spat.config import DataConfig
 from spat.data import (
+    RawSeries,
     SyntheticSpec,
     WindowSpec,
     batch_iterator,
@@ -21,6 +22,10 @@ from spat.data import (
     write_csv,
 )
 from spat.errors import ConfigError, ParseError, SpatError
+
+
+def series(values) -> RawSeries:
+    return RawSeries("series", values)
 
 
 def write_file(tmp_path, text, name="data.csv"):
@@ -104,14 +109,14 @@ class TestLoadCsv:
 
 class TestSplit:
     def test_ratio_split_row_counts(self):
-        ds = split(np.zeros((100, 2)), ratios=(0.7, 0.1, 0.2))
+        ds = split(series(np.zeros((100, 2))), ratios=(0.7, 0.1, 0.2))
         assert (ds.train_end, ds.val_end - ds.train_end,
                 ds.test_end - ds.val_end) == (70, 10, 20)
 
     def test_ett_border_window_counts(self):
         spec = WindowSpec(lookback=336, horizon=96)
         values = np.random.default_rng(0).normal(size=(17420, 7))
-        ds = split(values, counts=(8640, 2880, 2880))
+        ds = split(series(values), counts=(8640, 2880, 2880))
         got = tuple(
             window_count(len(ds.region(s, lookback=336 if s != "train" else 0)), spec)
             for s in ("train", "val", "test"))
@@ -119,7 +124,7 @@ class TestSplit:
 
     def test_counts_exceeding_length_rejected(self):
         with pytest.raises(ConfigError):
-            split(np.zeros((10, 1)), counts=(8, 2, 2))
+            split(series(np.zeros((10, 1))), counts=(8, 2, 2))
 
     @pytest.mark.parametrize("ratios, counts", [
         ((0.7, 0.1, 0.2), None), (None, (0, 1, 0))])
@@ -127,7 +132,7 @@ class TestSplit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match="training split is empty"):
-                split(np.ones((1, 2)), ratios=ratios, counts=counts)
+                split(series(np.ones((1, 2))), ratios=ratios, counts=counts)
 
     @pytest.mark.parametrize("ratios, counts", [
         ((0.7, -0.1, 0.2), None), ((0.7, float("nan"), 0.2), None),
@@ -135,7 +140,7 @@ class TestSplit:
         (None, (1, 2)), (None, None), ((0.7, 0.1, 0.2), (1, 1, 1))])
     def test_bad_ratios_or_counts_name_the_field(self, ratios, counts):
         with pytest.raises(ConfigError, match="data.split_"):
-            split(np.ones((10, 1)), ratios=ratios, counts=counts,
+            split(series(np.ones((10, 1))), ratios=ratios, counts=counts,
                   names=DataConfig.SPLIT_FIELDS)
         with pytest.raises(ConfigError, match="data.split_"):
             DataConfig(split_ratios=ratios, split_counts=counts)
@@ -144,20 +149,20 @@ class TestSplit:
         values = np.zeros((100, 1))
         values[:70] = 2.0
         values[70:] = 1000.0
-        ds = split(values, ratios=(0.7, 0.1, 0.2))
+        ds = split(series(values), ratios=(0.7, 0.1, 0.2))
         assert ds.mean[0] == 2.0
 
     def test_test_region_mutation_does_not_leak(self):
         values = np.random.default_rng(1).normal(size=(100, 2))
         mutated = values.copy()
         mutated[80:] += 1e6
-        a = split(values, ratios=(0.7, 0.1, 0.2))
-        b = split(mutated, ratios=(0.7, 0.1, 0.2))
+        a = split(series(values), ratios=(0.7, 0.1, 0.2))
+        b = split(series(mutated), ratios=(0.7, 0.1, 0.2))
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.std, b.std)
 
     def test_constant_channel_std_floored(self):
-        ds = split(np.ones((50, 1)), ratios=(0.8, 0.1, 0.1))
+        ds = split(series(np.ones((50, 1))), ratios=(0.8, 0.1, 0.1))
         assert ds.std[0] == 1e-8
 
     def test_deterministic_given_same_input(self, tmp_path):
@@ -187,7 +192,7 @@ class TestWindows:
 
     def test_dataset_windows_use_train_stats(self):
         values = np.random.default_rng(3).normal(size=(80, 2))
-        ds = split(values, ratios=(0.7, 0.1, 0.2))
+        ds = split(series(values), ratios=(0.7, 0.1, 0.2))
         spec = WindowSpec(8, 4)
         x, _ = dataset_windows(ds, "train", spec)
         manual = (ds.region("train") - ds.mean) / ds.std
