@@ -1,11 +1,12 @@
-"""Forward plus backward of ``tensor.masked_attention``, chunked and not.
+"""Forward plus backward of ``tensor.attention_sublayer``, chunked and not.
 
 Times the op at the benchmark's two attention shapes: ``score_variate``
 (B=32, S=128, H=4, d=32, where the [B, H, S, S] scores are 16 MiB) and
 ``pipeline_temporal`` (B=448, S=12, H=2, d=16, whose scores fit in one
 chunk). ``one_chunk`` raises the chunk budget so the whole batch is one
 chunk, which is the order of work before the batch was chunked; the two
-give the same bits, so the pair isolates the effect of chunking. Pin the
+give the same bits, so the pair isolates the effect of chunking. Every
+input and the probe take a gradient, pre-norm form, no dropout. Pin the
 BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from spat import tensor
-from spat.tensor import Tape, Tensor, masked_attention
+from spat.tensor import Tape, Tensor, attention_sublayer, mse_loss
 
 SHAPES = {"score_variate": (32, 128, 4, 32),
           "pipeline_temporal": (448, 12, 2, 16)}
@@ -31,13 +32,15 @@ def test_forward_backward(benchmark, monkeypatch, shape, chunking):
     if chunking == "one_chunk":
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 2**62)
     rng = np.random.default_rng(0)
-    q, k, v, w = (rng.normal(0.0, 0.5, size=(batch, s, d)) for _ in range(4))
+    h, x, target = (rng.normal(0.0, 0.5, size=(batch, s, d)) for _ in range(3))
+    linears = [rng.normal(0.0, 0.2, size=shape)
+               for _ in range(4) for shape in ((d, d), (d,))]
 
     def step():
-        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        ts = [Tensor(a, requires_grad=True) for a in [h, x] + linears]
         probe = Tensor(np.broadcast_to(1.0, (heads, s, s)), requires_grad=True)
         with Tape() as tape:
-            loss = (masked_attention(*ts, heads, probe) * Tensor(w)).mean()
+            loss = mse_loss(attention_sublayer(*ts, heads, probe=probe), target)
         tape.backward(loss)
         return probe.grad
 

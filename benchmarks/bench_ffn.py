@@ -17,7 +17,7 @@ This file sits outside ``testpaths``, so the test suite does not run it.
 import numpy as np
 import pytest
 
-from spat.tensor import Tape, Tensor, ffn, keep_mask, layer_norm
+from spat.tensor import Tape, Tensor, ffn, keep_mask, layer_norm, mse_loss
 
 # batch, tokens, d_model, d_ff, dropout
 SHAPES = {"pipeline_temporal": (448, 12, 16, 32, 0.1),
@@ -28,7 +28,7 @@ SHAPES = {"pipeline_temporal": (448, 12, 16, 32, 0.1),
 def test_forward_backward(benchmark, shape):
     batch, s, d, f, rate = SHAPES[shape]
     rng = np.random.default_rng(0)
-    h, probe = (rng.normal(0.0, 0.5, size=(batch, s, d)) for _ in range(2))
+    h, target = (rng.normal(0.0, 0.5, size=(batch, s, d)) for _ in range(2))
     params = [np.ones(d), np.zeros(d), rng.normal(0.0, 0.2, size=(d, f)),
               np.zeros(f), rng.normal(0.0, 0.2, size=(f, d)), np.zeros(d)]
 
@@ -42,7 +42,7 @@ def test_forward_backward(benchmark, shape):
         with Tape() as tape:
             out = ffn(ht, layer_norm(ht, g, b), w1, b1, w2, b2, "gelu",
                       keep1, keep2)
-            loss = (out * Tensor(probe)).mean()
+            loss = mse_loss(out, target)
         tape.backward(loss)
         return ht.grad
 

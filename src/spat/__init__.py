@@ -25,10 +25,10 @@ from .errors import (
     ShapeError,
     SpatError,
 )
-from .model import Forecaster, ModelConfig, mse_loss
+from .model import Forecaster, ModelConfig
 from .pipeline import run_pipeline, run_sweep
 from .send import build_plan, compute_sensitivity, send_score
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, mse_loss
 
 __version__ = "0.1.0"
 

@@ -30,10 +30,16 @@ FORMAT_VERSION = 1
 
 
 def _model_config(path, config) -> ModelConfig:
-    """ModelConfig from a header's ``config`` object, every value type-checked."""
+    """ModelConfig from a header's ``config`` object, which must give every
+    field, each value type-checked: a default in place of a missing field
+    would build another model than the one saved."""
     if not isinstance(config, dict):
         raise ParseError(f"{path}: checkpoint config is not an object")
     annotations = {f.name: f.type for f in fields(ModelConfig)}
+    missing = [key for key in annotations if key not in config]
+    if missing:
+        raise ParseError(f"{path}: checkpoint config lacks "
+                         f"{', '.join(missing)}")
     for key, value in config.items():
         if key not in annotations:
             raise ParseError(f"{path}: unknown checkpoint config key {key!r}")

@@ -86,7 +86,9 @@ def cmd_score(args) -> int:
             f"checkpoint {args.checkpoint} already has pruned layers "
             f"{model.pruned_layers()}; sensitivity scoring needs the "
             f"unpruned pretrained model")
-    _, records = score_stage(prepare(cfg), model)
+    prep = prepare(cfg)
+    check_fits(model, prep.dataset, cfg.window)
+    _, records = score_stage(prep, model)
     run_dir = resolve_run_dir(cfg, args.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     for alpha, label in zip(alphas, labels):

@@ -6,13 +6,16 @@ Two tokenizations are supported:
   channels are folded into the batch dimension and share all weights.
 * ``variate_tokens``: each token is one channel's entire lookback window.
 
-Each attention block's attention is one op (``tensor.masked_attention``).
-Scoring sets a block's ``probe`` to a ``[heads, S, S]`` leaf, which stands
-for an all-ones connection mask over the score matrix; its gradient is the
-per-position sensitivity of the loss to removing each attention score. The
-probe is not state: it is None outside scoring and is never saved. A block
-whose ``pruned`` flag is set computes the identity on its attention
-sublayer (residual path only); the FFN sublayer is always retained.
+Every tape record is one piece of the model (``spat.tensor``): the
+embedding, per block the attention sublayer, the FFN sublayer and their
+layer norms, the final norm, and the head with the instance
+de-normalization. Scoring sets a block's ``probe`` to a ``[heads, S, S]``
+leaf, which stands for an all-ones connection mask over the score matrix;
+its gradient is the per-position sensitivity of the loss to removing each
+attention score. The probe is not state: it is None outside scoring and is
+never saved. A block whose ``pruned`` flag is set computes the identity on
+its attention sublayer (residual path only); the FFN sublayer is always
+retained.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import (
     ACTIVATIONS,
     Tensor,
-    dropout,
+    attention_sublayer,
+    embed,
     ffn,
+    head,
     keep_mask,
     layer_norm,
-    masked_attention,
 )
 
 MODES = ("temporal_tokens", "variate_tokens")
@@ -168,7 +172,7 @@ class AttentionBlock:
         self.b2 = _param(np.zeros(d))
         self.ln2_g = _param(np.ones(d))
         self.ln2_b = _param(np.zeros(d))
-        # the mask-gradient probe passed to masked_attention while scoring
+        # the mask-gradient probe passed to attention_sublayer while scoring
         self.probe: Tensor | None = None
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
@@ -199,14 +203,12 @@ class AttentionBlock:
         """Multi-head self-attention on [batch, S, d_model] tokens."""
         cfg = self.cfg
         x = self._norm1(h) if cfg.norm_placement == "pre" else h
-        q = x @ self.w_q + self.b_q
-        k = x @ self.w_k + self.b_k
-        v = x @ self.w_v + self.b_v
-        ctx = masked_attention(q, k, v, cfg.heads, self.probe)
-        out = ctx @ self.w_e + self.b_e
+        keep = None
         if training and cfg.dropout > 0.0:
-            out = dropout(out, cfg.dropout, rng)
-        out = h + out
+            keep = keep_mask(rng, h.shape, cfg.dropout)
+        out = attention_sublayer(h, x, self.w_q, self.b_q, self.w_k, self.b_k,
+                                 self.w_v, self.b_v, self.w_e, self.b_e,
+                                 cfg.heads, keep, self.probe)
         return self._norm1(out) if cfg.norm_placement == "post" else out
 
     def ffn_sublayer(self, h: Tensor, training: bool,
@@ -307,15 +309,14 @@ class Forecaster:
             # [B*C, token_count, patch_len] windows, stride patch_stride apart
             index = (np.arange(cfg.token_count)[:, None] * cfg.patch_stride
                      + np.arange(cfg.patch_len)[None, :])
-            patches = Tensor(series[:, index])
-            tokens = patches @ self.embed_w + self.embed_b + self.pos_emb
+            tokens = series[:, index]
         else:
             # each channel's full window is one token: [B, L, C] -> [B, C, L]
-            series = Tensor(np.transpose(x, (0, 2, 1)))
-            tokens = series @ self.embed_w + self.embed_b
+            tokens = np.transpose(x, (0, 2, 1))
+        keep = None
         if training and cfg.dropout > 0.0:
-            tokens = dropout(tokens, cfg.dropout, rng)
-        return tokens
+            keep = keep_mask(rng, tokens.shape[:-1] + (cfg.d_model,), cfg.dropout)
+        return embed(tokens, self.embed_w, self.embed_b, self.pos_emb, keep)
 
     def encode(self, x: np.ndarray, training: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -333,26 +334,14 @@ class Forecaster:
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]."""
-        cfg = self.cfg
         self._validate_input(x)
-        batch, _, channels = x.shape
-        if cfg.instance_norm:
+        sigma = mu = None
+        if self.cfg.instance_norm:
             mu = x.mean(axis=1, keepdims=True)
             sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
             x = (x - mu) / sigma
-
-        h = self.encode(x, training, rng)
-        if cfg.mode == "temporal_tokens":
-            # [B*C, S, d] -> [B*C, S*d] -> [B*C, T] -> [B, T, C]
-            flat = h.reshape(batch * channels, -1)
-            out = (flat @ self.head_w + self.head_b).reshape(batch, channels, cfg.horizon)
-        else:
-            # [B, C, d] -> [B, C, T] -> [B, T, C]
-            out = h @ self.head_w + self.head_b
-        out = out.transpose(0, 2, 1)
-
-        if cfg.instance_norm:
-            out = out * Tensor(sigma) + Tensor(mu)
+        out = head(self.encode(x, training, rng), self.head_w, self.head_b,
+                   x.shape[2], sigma, mu)
         if np.isnan(out.data).any():
             raise NumericError("NaN activations in forecast head")
         return out
@@ -424,13 +413,3 @@ def clone_model(model: Forecaster) -> Forecaster:
             twin.blocks[i].remove_attention()
     twin.load_state_dict(model.state_dict())
     return twin
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error over every element of the batch."""
-    t = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != t.shape:
-        raise ShapeError(f"mse_loss: prediction shape {pred.shape} != "
-                         f"target shape {t.shape}")
-    diff = pred - t
-    return (diff * diff).mean()

@@ -41,9 +41,9 @@ from .data import (
     split,
 )
 from .errors import ConfigError, ContractError, NumericError
-from .model import Forecaster, ModelConfig, clone_model, mse_loss
+from .model import Forecaster, ModelConfig, clone_model
 from .send import PruningPlan, compute_sensitivity, format_report, plan_from_records
-from .tensor import Tape
+from .tensor import Tape, mse_loss
 
 logger = logging.getLogger(__name__)
 

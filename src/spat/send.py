@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ParseError
-from .model import Forecaster, mse_loss
-from .tensor import Tape, Tensor
+from .model import Forecaster
+from .tensor import Tape, Tensor, mse_loss
 
 REPORT_VERSION = 1
 _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")

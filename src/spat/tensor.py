@@ -6,9 +6,13 @@ gradients additively; afterwards only leaves (parameters, probes) keep one.
 Data buffers are row-major ``numpy`` arrays and stay immutable after
 creation (only ``grad`` is assigned during backward).
 
-Broadcasting follows numpy's right-aligned rules (leading batch dimensions
-or explicit size-1 axes); anything else raises :class:`ShapeError` with both
-shapes in the message.
+Each op is one piece of the forecaster with a hand-derived backward:
+:func:`embed`, :func:`attention_sublayer`, :func:`layer_norm`, :func:`ffn`,
+:func:`head` and :func:`mse_loss`. Constants (patches, instance statistics,
+targets, dropout keep masks) are plain arrays. Each op gives the bits of
+the composition of small ops kept in ``tests/unfused.py``. Operands whose
+shapes do not chain raise :class:`ShapeError` with the shapes in the
+message.
 
 Importing this module sets the process's glibc allocator policy once (see
 :func:`_keep_freed_memory`): buffers up to 32 MiB come from the heap, and
@@ -33,11 +37,13 @@ __all__ = [
     "ACTIVATIONS",
     "Tape",
     "Tensor",
-    "dropout",
+    "attention_sublayer",
+    "embed",
     "ffn",
+    "head",
     "keep_mask",
     "layer_norm",
-    "masked_attention",
+    "mse_loss",
 ]
 
 
@@ -185,35 +191,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-    def mean(self):
-        return mean(self)
-
 
 # -- helpers -----------------------------------------------------------
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -229,131 +208,46 @@ def _emit(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
-def _check_broadcast(name: str, a_shape: tuple, b_shape: tuple) -> None:
-    for da, db in zip(reversed(a_shape), reversed(b_shape)):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{name}: shapes {a_shape} and {b_shape} "
-                             "are not broadcast-compatible")
+def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
+          keep: np.ndarray | None = None) -> Tensor:
+    """Token embedding ``drop(tokens @ w + b + pos)`` in one record.
 
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` over broadcast axes so it matches ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape))
-                 if sd == 1 and gd != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-# -- elementwise and reduction primitives ------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a.shape, b.shape)
-    out = a.data + b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def grad_fn(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
-
-    return _emit("add", (a, b), out, grad_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a.shape, b.shape)
-    out = a.data - b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def grad_fn(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(-g, b.shape) if need_b else None)
-
-    return _emit("sub", (a, b), out, grad_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product with broadcasting."""
-    _check_broadcast("mul", a.shape, b.shape)
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def grad_fn(g):
-        return (_unbroadcast(g * b_data, a.shape) if need_a else None,
-                _unbroadcast(g * a_data, b.shape) if need_b else None)
-
-    return _emit("mul", (a, b), out, grad_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product ``[.., m, k] x [k, n] -> [.., m, n]``.
-
-    The leading axes of ``a`` fold into one GEMM, so the gradient of ``b``
-    comes out summed over them.
+    ``tokens`` is a constant ``[N, S, k]`` array (patches of each series, or
+    each channel's window), ``w`` is ``[k, d]``, ``b`` is ``[d]``, ``pos``
+    is None or ``[S, d]``, and ``keep`` (``[N, S, d]``) holds
+    :func:`keep_mask` multipliers, or is None for no dropout. ``b`` then
+    ``pos`` are added in place on the GEMM output, with the bits of the
+    unfused ``matmul``, ``add``, ``add`` and dropout.
     """
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul takes [.., m, k] x [k, n] operands, got "
-                         f"shapes {a.shape} and {b.shape}")
-    b_data = b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-    k, n = b.shape
-    a2 = a.data.reshape(-1, k)
-    out = (a2 @ b_data).reshape(a.shape[:-1] + (n,))
+    k, d = w.shape if w.ndim == 2 else (-1, -1)
+    if (tokens.ndim != 3 or tokens.shape[-1] != k or b.shape != (d,)
+            or (pos is not None and pos.shape != (tokens.shape[1], d))):
+        raise ShapeError(
+            f"embed: shapes do not chain: tokens {tokens.shape}, w {w.shape}, "
+            f"b {b.shape}, pos {None if pos is None else pos.shape}")
+    shape = tokens.shape[:-1] + (d,)
+    if keep is not None and keep.shape != shape:
+        raise ShapeError(f"embed: keep shape {keep.shape} != {shape}")
+    t2 = tokens.reshape(-1, k)
+    out = (t2 @ w.data).reshape(shape)
+    out += b.data
+    if pos is not None:
+        out += pos.data
+    if keep is not None:
+        out *= keep
+    inputs = (w, b) if pos is None else (w, b, pos)
 
     def grad_fn(g):
-        g2 = g.reshape(-1, n)
-        ga = (g2 @ b_data.T).reshape(a.shape) if need_a else None
-        gb = a2.T @ g2 if need_b else None
-        return ga, gb
+        gd = g if keep is None else g * keep
+        return (t2.T @ gd.reshape(-1, d) if w.requires_grad else None,
+                gd.sum(axis=(0, 1)) if b.requires_grad else None,
+                gd.sum(axis=0) if pos is not None and pos.requires_grad
+                else None)[:len(inputs)]
 
-    return _emit("matmul", (a, b), out, grad_fn)
-
-
-def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Permute axes."""
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"transpose: {axes} is not a permutation of "
-                         f"axes for shape {a.shape}")
-    out = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
-
-    def grad_fn(g):
-        return (np.transpose(g, inverse),)
-
-    return _emit("transpose", (a,), out, grad_fn)
+    return _emit("embed", inputs, out, grad_fn)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from e
-    in_shape = a.shape
-
-    def grad_fn(g):
-        return (g.reshape(in_shape),)
-
-    return _emit("reshape", (a,), out, grad_fn)
-
-
-def mean(a: Tensor) -> Tensor:
-    """Average over every element."""
-    out = a.data.mean()
-    in_shape, n = a.shape, a.data.size
-
-    def grad_fn(g):
-        return (np.broadcast_to(g / n, in_shape).copy(),)
-
-    return _emit("mean", (a,), out, grad_fn)
-
-
-# Bytes of [n, H, S, S] scores that masked_attention works on at a time:
+# Bytes of [n, H, S, S] scores that attention_sublayer works on at a time:
 # about half of a 2 MiB per-core L2, so each pass over the scores (scale,
 # max, exp, sum, divide, the probe product, the softmax row-dot) finds its
 # chunk in L2 next to the pass's other operands, instead of streaming the
@@ -361,15 +255,22 @@ def mean(a: Tensor) -> Tensor:
 _ATTENTION_CHUNK_BYTES = 2**20
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                     probe: Tensor | None = None) -> Tensor:
-    """Multi-head self-attention whose connections can be probed.
+def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
+                       w_k: Tensor, b_k: Tensor, w_v: Tensor, b_v: Tensor,
+                       w_e: Tensor, b_e: Tensor, heads: int,
+                       keep: np.ndarray | None = None,
+                       probe: Tensor | None = None) -> Tensor:
+    """Multi-head self-attention sublayer with its residual, whose
+    connections can be probed, in one record:
+    ``h + drop(attend(x w_q + b_q, x w_k + b_k, x w_v + b_v) w_e + b_e)``.
 
-    ``q``, ``k`` and ``v`` are ``[B, S, d]`` and are split into ``heads``
-    heads of width ``d_head = d / heads``. Per head, ``A`` is the row
-    softmax of ``q kᵀ / √d_head`` and the context ``A v`` is merged back to
-    ``[B, S, d]``. One record covers the head split and merge, both
-    products, the scale and the softmax.
+    ``x`` and ``h`` are ``[B, S, d]`` (``x`` is ``h`` itself under
+    post-norm), each ``w`` is ``[d, d]`` and each ``b`` is ``[d]``.
+    ``attend`` splits ``q``, ``k`` and ``v`` into ``heads`` heads of width
+    ``d_head = d / heads``; per head, ``A`` is the row softmax of
+    ``q kᵀ / √d_head``, and the context ``A v`` is merged back to
+    ``[B, S, d]``. ``keep`` (``[B, S, d]``) holds :func:`keep_mask`
+    multipliers, or is None for no dropout.
 
     ``probe`` is None or a ``[heads, S, S]`` leaf that stands for a
     connection mask ``M`` on the scores, ``(A ⊙ M) v``, held at
@@ -379,19 +280,21 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     score.
 
     Every product and reduction runs in the order and memory layout of the
-    unfused composition of ``reshape``, ``transpose``, a batched matmul, a
-    scale, a row softmax and ``mul`` by an all-ones mask, so both give
-    identical bits. That composition is kept as the reference in
-    ``tests/unfused.py``.
+    unfused composition of the linears, the head split and merge, batched
+    matmuls, a scale, a row softmax, ``mul`` by an all-ones mask, dropout
+    and the residual add, so both give identical bits. So ``x``'s gradient
+    is three GEMMs, added as that tape accumulates them (v's, k's, q's,
+    onto the residual's when ``x`` is ``h``), and each bias gradient sums
+    the layout the head merge leaves (see ``merged`` and ``gk``).
 
     The batch is walked in chunks of ``_ATTENTION_CHUNK_BYTES`` worth of
-    scores, forward and backward. Every GEMM is still one BLAS call per
-    ``(b, h)`` slice and every row reduction stays within its row, so the
-    chunking changes no bits. The probe gradient's sum over the batch keeps
-    its sequential order: each chunk's sum starts from the running sum as
-    its row 0, rather than adding per-chunk partial sums. Only a taped op
-    keeps the ``[B, H, S, S]`` scores; backward works on chunk-sized
-    temporaries.
+    scores, forward and backward. Every GEMM on the scores is still one
+    BLAS call per ``(b, h)`` slice and every row reduction stays within its
+    row, so the chunking changes no bits. The probe gradient's sum over the
+    batch keeps its sequential order: each chunk's sum starts from the
+    running sum as its row 0, rather than adding per-chunk partial sums.
+    Only a taped op keeps the ``[B, H, S, S]`` scores; backward works on
+    chunk-sized temporaries.
 
     The softmax backward reuses the product ``g_A ⊙ A`` that the probe
     gradient sums. When neither ``q`` nor ``k`` needs a gradient, as in
@@ -399,16 +302,24 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     backward stops once the ``v`` and probe gradients are out and skips
     the softmax backward.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"masked_attention: q, k and v must share one "
-                         f"[B, S, d] shape, got {q.shape}, {k.shape}, {v.shape}")
-    batch, s, d = q.shape
+    d = x.shape[-1]
+    linears = ((w_q, b_q), (w_k, b_k), (w_v, b_v), (w_e, b_e))
+    if (x.ndim != 3 or h.shape != x.shape
+            or any(w.shape != (d, d) or b.shape != (d,) for w, b in linears)):
+        raise ShapeError(
+            "attention_sublayer: h and x must share one [B, S, d] shape, "
+            "each weight be [d, d] and each bias [d], got h "
+            f"{h.shape}, x {x.shape}, "
+            + ", ".join(f"{w.shape} {b.shape}" for w, b in linears))
+    batch, s, _ = x.shape
     if heads < 1 or d % heads != 0:
-        raise ShapeError(f"masked_attention: width {d} does not split into "
+        raise ShapeError(f"attention_sublayer: width {d} does not split into "
                          f"{heads} heads")
-    if probe is not None and probe.shape != (heads, s, s):
-        raise ShapeError(f"masked_attention: probe shape {probe.shape} != "
-                         f"{(heads, s, s)}")
+    for name, a, shape in (("probe", probe, (heads, s, s)),
+                           ("keep", keep, x.shape)):
+        if a is not None and a.shape != shape:
+            raise ShapeError(f"attention_sublayer: {name} shape {a.shape} "
+                             f"!= {shape}")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     n = max(1, min(batch, _ATTENTION_CHUNK_BYTES // (heads * s * s * 8)))
@@ -425,28 +336,45 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             return np.empty((batch, heads, s)).transpose(0, 2, 1)
         return np.empty((batch, s, d))
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    inputs = (q, k, v) if probe is None else (q, k, v, probe)
-    keep = _tracked(*inputs)
-    att = np.empty((batch, heads, s, s)) if keep else None
-    scratch = None if keep else np.empty((n, heads, s, s))
-    out = merged()
+    inputs = (h, x) + sum(linears, ()) + (() if probe is None else (probe,))
+    need_x = x.requires_grad
+    need_q, need_k, need_v = (need_x or w.requires_grad or b.requires_grad
+                              for w, b in linears[:3])
+    need_probe = probe is not None and probe.requires_grad
+    need_ctx = need_q or need_k or need_v or need_probe
+    save = _tracked(*inputs) and need_ctx
+
+    x2 = x.data.reshape(-1, d)
+
+    def linear(a2, w, b):
+        out = (a2 @ w.data).reshape(batch, s, d)
+        out += b.data
+        return out
+
+    qh, kh, vh = (split(linear(x2, w, b)) for w, b in linears[:3])
+    att = np.empty((batch, heads, s, s)) if save else None
+    scratch = None if save else np.empty((n, heads, s, s))
+    ctx = merged()
     for sl in chunks:
-        a = att[sl] if keep else scratch[:sl.stop - sl.start]
+        a = att[sl] if save else scratch[:sl.stop - sl.start]
         np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=a)
         a *= c
         if not np.isfinite(a).all():
             raise NumericError(
-                "masked_attention: attention scores contain NaN or Inf")
+                "attention_sublayer: attention scores contain NaN or Inf")
         a -= a.max(axis=-1, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
-        np.matmul(a, vh[sl], out=split(out)[sl])
-    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
-    need_probe = probe is not None and probe.requires_grad
+        np.matmul(a, vh[sl], out=split(ctx)[sl])
+    ctx2 = ctx.reshape(-1, d)
+    out = linear(ctx2, w_e, b_e)
+    if keep is not None:
+        out *= keep
+    out += h.data
+    shared = x is h
 
-    def grad_fn(g):
-        g_ctx = split(g)
+    def attend_backward(g_ctx):
+        """The q, k, v and probe gradients from the context's."""
         gq, gv = (merged() if need else None for need in (need_q, need_v))
         # k's gradient keeps the unfused layout, a [B, S, d] view of
         # [B, H, d_head, S]: the bias gradient's sum over it depends on it
@@ -481,9 +409,40 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
         gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
               .reshape(batch, s, d) if need_k else None)
-        return (gq, gk, gv, gp)[:len(inputs)]
+        return gq, gk, gv, gp
 
-    return _emit("masked_attention", inputs, out, grad_fn)
+    def grad_fn(g):
+        gd = g if keep is None else g * keep
+        gd2 = gd.reshape(-1, d)
+        gq = gk = gv = gp = None
+        if need_ctx:
+            gq, gk, gv, gp = attend_backward(
+                split((gd2 @ w_e.data.T).reshape(batch, s, d)))
+
+        def linear_backward(gl, w, b):
+            """w's and b's gradients, and x's share, of a q, k or v linear."""
+            if gl is None:
+                return None, None, None
+            gl2 = gl.reshape(-1, d)
+            return (x2.T @ gl2 if w.requires_grad else None,
+                    gl.sum(axis=(0, 1)) if b.requires_grad else None,
+                    (gl2 @ w.data.T).reshape(x.shape) if need_x else None)
+
+        gw_q, gb_q, gx_q = linear_backward(gq, w_q, b_q)
+        gw_k, gb_k, gx_k = linear_backward(gk, w_k, b_k)
+        gw_v, gb_v, gx_v = linear_backward(gv, w_v, b_v)
+        gh, gx = g, None
+        if need_x:
+            # summed in the order the unfused tape accumulates them
+            gx = ((g + gx_v if shared else gx_v) + gx_k) + gx_q
+        if shared:
+            gh, gx = gx, None
+        gw_e = ctx2.T @ gd2 if w_e.requires_grad else None
+        gb_e = gd.sum(axis=(0, 1)) if b_e.requires_grad else None
+        return (gh, gx, gw_q, gb_q, gw_k, gb_k, gw_v, gb_v, gw_e, gb_e,
+                gp)[:len(inputs)]
+
+    return _emit("attention_sublayer", inputs, out, grad_fn)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
@@ -495,12 +454,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     is that of ``np.var`` and of the unfused ``y * gamma + beta``: the
     variance is the mean square of the centred array, ``beta`` is added in
     place on the product, and the ``gamma`` and ``beta`` gradients are
-    ``_unbroadcast`` sums, so both give identical bits.
+    sums over every leading axis at once, so both give identical bits.
     """
     d = a.shape[-1:]
     if gamma.shape != d or beta.shape != d:
         raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta "
                          f"{beta.shape} must both be {d} for input {a.shape}")
+    lead = tuple(range(a.ndim - 1))
     y = a.data - a.data.mean(axis=-1, keepdims=True)
     out = np.square(y)
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
@@ -511,8 +471,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     need_g, need_b = gamma.requires_grad, beta.requires_grad
 
     def grad_fn(g):
-        gg = _unbroadcast(g * y, d) if need_g else None
-        gb = _unbroadcast(g, d) if need_b else None
+        gg = (g * y).sum(axis=lead) if need_g else None
+        gb = g.sum(axis=lead) if need_b else None
         gy = g * g_data
         t = gy * y
         gym = t.mean(axis=-1, keepdims=True)
@@ -531,19 +491,6 @@ def keep_mask(rng: np.random.Generator, shape: tuple[int, ...],
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
-    if rate == 0.0:
-        return a
-    keep = keep_mask(rng, a.shape, rate)
-    out = a.data * keep
-
-    def grad_fn(g):
-        return (g * keep,)
-
-    return _emit("dropout", (a,), out, grad_fn)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -569,13 +516,14 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     ``dropout``, so both give identical bits: the leading axes are folded
     into one GEMM per linear, biases and masks are applied in place on the
     GEMM outputs, the activation and its backward work on reused buffers,
-    and the bias gradients are ``_unbroadcast`` sums.
+    and the bias gradients are sums over every leading axis at once.
     """
     if activation not in ACTIVATIONS:
         raise ContractError(f"ffn: activation must be one of {ACTIVATIONS}, "
                             f"got {activation!r}")
     d, f = w1.shape if w1.ndim == 2 else (-1, -1)
     lead = x.shape[:-1]
+    lead_axes = tuple(range(len(lead)))
     if (x.shape[-1:] != (d,) or b1.shape != (f,) or w2.shape != (f, d)
             or b2.shape != (d,) or h.shape != x.shape):
         raise ShapeError(
@@ -615,7 +563,7 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     def grad_fn(g):
         gv = g if keep2 is None else g * keep2
-        gb2 = _unbroadcast(gv, (d,)) if need_b2 else None
+        gb2 = gv.sum(axis=lead_axes) if need_b2 else None
         gv2 = gv.reshape(-1, d)
         gw2 = z2.T @ gv2 if need_w2 else None
         gh = g if need_h else None
@@ -633,10 +581,70 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             gu *= t
         else:
             gu *= mask
-        gb1 = _unbroadcast(gu, (f,)) if need_b1 else None
+        gb1 = gu.sum(axis=lead_axes) if need_b1 else None
         gu2 = gu.reshape(-1, f)
         gw1 = x2.T @ gu2 if need_w1 else None
         gx = (gu2 @ w1_data.T).reshape(x.shape) if need_x else None
         return gh, gx, gw1, gb1, gw2, gb2
 
     return _emit("ffn", (h, x, w1, b1, w2, b2), out, grad_fn)
+
+
+def head(h: Tensor, w: Tensor, b: Tensor, channels: int,
+         sigma: np.ndarray | None = None,
+         mu: np.ndarray | None = None) -> Tensor:
+    """Forecast head ``rows @ w + b``, laid out as ``[B, T, C]``, then
+    ``* sigma + mu``, in one record.
+
+    Variate tokens are ``h`` ``[B, C, d]``, ``w`` ``[d, T]``: each token is
+    a row. Patch tokens are ``h`` ``[B * C, S, d]``, ``w`` ``[S * d, T]``:
+    each series' tokens flatten into a row. ``sigma`` and ``mu`` are the
+    constant ``[B, 1, C]`` instance statistics, or both None. Arithmetic
+    and layouts are those of the unfused ``reshape``, ``matmul``, ``add``,
+    ``transpose``, ``mul`` and ``add``: ``b``'s gradient sums a transposed
+    ``[B, C, T]`` view for variate tokens, a ``[B * C, T]`` copy for patches.
+    """
+    k, t = w.shape if w.ndim == 2 else (-1, -1)
+    per_token = h.ndim == 3 and h.shape[1:] == (channels, k)
+    per_series = (h.ndim == 3 and h.shape[1] * h.shape[2] == k
+                  and channels > 0 and h.shape[0] % channels == 0)
+    if not (per_token or per_series) or b.shape != (t,):
+        raise ShapeError(f"head: shapes do not chain: h {h.shape}, w {w.shape}, "
+                         f"b {b.shape}, {channels} channels")
+    rows = h.data.reshape(-1, k)
+    out = rows @ w.data
+    out += b.data
+    out = out.reshape(-1, channels, t).transpose(0, 2, 1)
+    if sigma is not None:
+        out = out * sigma + mu
+
+    def grad_fn(g):
+        g3 = np.transpose(g if sigma is None else g * sigma, (0, 2, 1))
+        g2 = g3.reshape(-1, t)
+        gb = None
+        if b.requires_grad:
+            gb = g3.sum(axis=(0, 1)) if per_token else g2.sum(axis=0)
+        return ((g2 @ w.data.T).reshape(h.shape) if h.requires_grad else None,
+                rows.T @ g2 if w.requires_grad else None, gb)
+
+    return _emit("head", (h, w, b), out, grad_fn)
+
+
+def mse_loss(pred: Tensor, target) -> Tensor:
+    """Mean squared error over every element, against a constant
+    ``target``, in one record with the bits of the unfused ``sub``, ``mul``
+    and ``mean``: the gradient adds the square's two equal halves."""
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse_loss: prediction shape {pred.shape} != "
+                         f"target shape {target.shape}")
+    diff = pred.data - target
+    square = diff * diff
+    out = square.mean()
+    shape, size = square.shape, square.size
+
+    def grad_fn(g):
+        half = np.broadcast_to(g / size, shape).copy() * diff
+        return (half + half,)
+
+    return _emit("mse_loss", (pred,), out, grad_fn)

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from spat.tensor import Tape, Tensor
+from spat.tensor import Tape, Tensor, mse_loss
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -107,8 +107,6 @@ def model_param_gradcheck(model, x: np.ndarray, y: np.ndarray,
     ``default_rng(dropout_seed)`` each time, so every evaluation drops the
     same units. Returns the number of entries checked.
     """
-    from spat.model import mse_loss
-
     def pred():
         if dropout_seed is None:
             return model.forward(x)

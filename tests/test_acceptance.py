@@ -29,13 +29,29 @@ from spat.send import build_plan, compute_sensitivity, send_score
 from spat.tensor import (
     Tape,
     Tensor,
-    dropout,
+    attention_sublayer,
+    embed,
     ffn,
+    head,
     keep_mask,
     layer_norm,
-    masked_attention,
+    mse_loss,
 )
-from unfused import bmm, row_softmax, scale, total, unfused_attention
+from unfused import (
+    add,
+    bmm,
+    dropout,
+    matmul,
+    mean,
+    mul,
+    reshape,
+    row_softmax,
+    scale,
+    sub,
+    total,
+    transpose,
+    unfused_attention_sublayer,
+)
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
@@ -59,10 +75,13 @@ class TestCriterion1Gradients:
         def u(*shape):
             return rng.uniform(-2.0, 2.0, size=shape)
 
-        # fixed keep masks with zeros, so ffn's dropout path is checked
+        # fixed keep masks with zeros, so the dropout paths are checked
         keep1 = keep_mask(np.random.default_rng(5), (2, 3, 5), 0.4)
         keep2 = keep_mask(np.random.default_rng(6), (2, 3, 4), 0.4)
         assert (keep1 == 0).any() and (keep2 == 0).any()
+
+        def linears():  # the four [4, 4] weights and [4] biases of attention
+            return [u(*shape) for _ in range(4) for shape in ((4, 4), (4,))]
         # relu is checked in post-norm form (x is h, two contributions to
         # its gradient) with pre-activations away from the kink
         relu_arrays = [u(2, 3, 4), u(4, 5), u(5), u(5, 4), u(4)]
@@ -72,67 +91,90 @@ class TestCriterion1Gradients:
         # of its inputs across repeated finite-difference evaluations
         primitives = [
             # the library's ops
-            ("add", lambda a, b: total(a + b), [u(3, 4), u(3, 4)]),
-            ("add-broadcast",
-             lambda a, b, p=u(2, 3, 4): total((a + b) * Tensor(p)),
-             [u(2, 3, 4), u(4)]),
-            ("sub", lambda a, b, p=u(5): total((a - b) * Tensor(p)),
-             [u(5), u(5)]),
-            ("mul", lambda a, b, p=u(2, 3, 3): total((a * b) * Tensor(p)),
-             [u(2, 3, 3), u(3, 3)]),
-            ("matmul", lambda a, b, p=u(3, 2): total((a @ b) * Tensor(p)),
-             [u(3, 4), u(4, 2)]),
-            ("transpose",
-             lambda a, p=u(4, 2, 3): total(a.transpose(2, 0, 1) * Tensor(p)),
-             [u(2, 3, 4)]),
-            ("reshape", lambda a, p=u(6, 2): total(a.reshape(6, 2) * Tensor(p)),
-             [u(3, 4)]),
-            ("mean", lambda a, p=u(3, 4): (a * Tensor(p)).mean(), [u(3, 4)]),
+            ("embed",
+             lambda w, b, pos, t=u(2, 3, 5), p=u(2, 3, 4):
+             total(mul(embed(t, w, b, pos, keep2), Tensor(p))),
+             [u(5, 4), u(4), u(3, 4)]),
+            # two heads, pre-norm (h and x apart) and post-norm (x is h)
+            ("attention_sublayer-pre",
+             lambda h, x, *w, p=u(2, 3, 4):
+             total(mul(attention_sublayer(h, x, *w, 2, keep2), Tensor(p))),
+             [u(2, 3, 4), u(2, 3, 4)] + linears()),
+            ("attention_sublayer-post",
+             lambda h, *w, p=u(2, 3, 4):
+             total(mul(attention_sublayer(h, h, *w, 2), Tensor(p))),
+             [u(2, 3, 4)] + linears()),
             ("ffn-gelu",
              lambda h, x, w1, b1, w2, b2, p=u(2, 3, 4):
-             total(ffn(h, x, w1, b1, w2, b2, "gelu", keep1, keep2) * Tensor(p)),
+             total(mul(ffn(h, x, w1, b1, w2, b2, "gelu", keep1, keep2),
+                       Tensor(p))),
              [u(2, 3, 4), u(2, 3, 4), u(4, 5), u(5), u(5, 4), u(4)]),
             ("ffn-relu",
              lambda h, w1, b1, w2, b2, p=u(2, 3, 4):
-             total(ffn(h, h, w1, b1, w2, b2, "relu", keep1, keep2) * Tensor(p)),
+             total(mul(ffn(h, h, w1, b1, w2, b2, "relu", keep1, keep2),
+                       Tensor(p))),
              relu_arrays),
             ("layer_norm",
-             lambda a, g, b, p=u(3, 6): total(layer_norm(a, g, b) * Tensor(p)),
+             lambda a, g, b, p=u(3, 6): total(mul(layer_norm(a, g, b), Tensor(p))),
              [u(3, 6), u(6), u(6)]),
-            # two heads, gradients for q, k and v
-            ("masked_attention",
-             lambda q, k, v, p=u(2, 3, 4): total(masked_attention(q, k, v, 2)
-                                                 * Tensor(p)),
-             [u(2, 3, 4), u(2, 3, 4), u(2, 3, 4)]),
-            ("dropout",
-             lambda a, p=u(4, 4): total(dropout(a, 0.4, np.random.default_rng(5))
-                                        * Tensor(p)), [u(4, 4)]),
+            # patch tokens of 2 channels, de-normalized
+            ("head-patches",
+             lambda h, w, b, s=np.abs(u(2, 1, 2)) + 0.5, m=u(2, 1, 2),
+             p=u(2, 5, 2): total(mul(head(h, w, b, 2, s, m), Tensor(p))),
+             [u(4, 3, 2), u(6, 5), u(5)]),
+            ("head-variates",
+             lambda h, w, b, p=u(2, 5, 3): total(mul(head(h, w, b, 3), Tensor(p))),
+             [u(2, 3, 4), u(4, 5), u(5)]),
+            ("mse_loss", lambda a, t=u(3, 4): mse_loss(a, t), [u(3, 4)]),
             # the ops only the unfused references record
+            ("add", lambda a, b: total(add(a, b)), [u(3, 4), u(3, 4)]),
+            ("add-broadcast",
+             lambda a, b, p=u(2, 3, 4): total(mul(add(a, b), Tensor(p))),
+             [u(2, 3, 4), u(4)]),
+            ("sub", lambda a, b, p=u(5): total(mul(sub(a, b), Tensor(p))),
+             [u(5), u(5)]),
+            ("mul", lambda a, b, p=u(2, 3, 3): total(mul(mul(a, b), Tensor(p))),
+             [u(2, 3, 3), u(3, 3)]),
+            ("matmul", lambda a, b, p=u(3, 2): total(mul(matmul(a, b), Tensor(p))),
+             [u(3, 4), u(4, 2)]),
+            ("transpose",
+             lambda a, p=u(4, 2, 3): total(mul(transpose(a, (2, 0, 1)), Tensor(p))),
+             [u(2, 3, 4)]),
+            ("reshape",
+             lambda a, p=u(6, 2): total(mul(reshape(a, (6, 2)), Tensor(p))),
+             [u(3, 4)]),
+            ("mean", lambda a, p=u(3, 4): mean(mul(a, Tensor(p))), [u(3, 4)]),
+            ("dropout",
+             lambda a, p=u(4, 4): total(mul(dropout(a, 0.4, np.random.default_rng(5)),
+                                            Tensor(p))), [u(4, 4)]),
             ("sum", total, [u(3, 4)]),
-            ("scale", lambda a, p=u(6): total(scale(a, -1.7) * Tensor(p)), [u(6)]),
-            ("bmm", lambda a, b, p=u(2, 3, 5): total(bmm(a, b) * Tensor(p)),
+            ("scale", lambda a, p=u(6): total(mul(scale(a, -1.7), Tensor(p))),
+             [u(6)]),
+            ("bmm", lambda a, b, p=u(2, 3, 5): total(mul(bmm(a, b), Tensor(p))),
              [u(2, 3, 4), u(2, 4, 5)]),
-            ("row_softmax", lambda a, p=u(3, 5): total(row_softmax(a) * Tensor(p)),
+            ("row_softmax",
+             lambda a, p=u(3, 5): total(mul(row_softmax(a), Tensor(p))),
              [u(3, 5)]),
         ]
         from conftest import gradcheck
         for name, build, arrays in primitives:
             gradcheck(build, arrays, rtol=1e-4, floor=1e-7, step=1e-5)
 
-        # masked_attention's probe gradient against differences of the
+        # attention_sublayer's probe gradient against differences of the
         # unfused reference, which multiplies an all-ones mask in where the
         # op never reads its probe
         r = np.random.default_rng(43)
-        qkv = [Tensor(r.uniform(-2.0, 2.0, size=(2, 3, 4)), requires_grad=True)
-               for _ in range(3)]
+        ts = [Tensor(r.uniform(-2.0, 2.0, size=shape), requires_grad=True)
+              for shape in [(2, 3, 4)] * 2 + [(4, 4), (4,)] * 4]
         p = Tensor(r.uniform(-2.0, 2.0, size=(2, 3, 4)))
         probe = Tensor(np.ones((2, 3, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = total(masked_attention(*qkv, 2, probe) * p)
+            loss = total(mul(attention_sublayer(*ts, 2, probe=probe), p))
         tape.backward(loss)
         mask = np.ones((2, 3, 3))
         (fd,) = central_diff_grads(
-            lambda: total(unfused_attention(*qkv, 2, Tensor(mask)) * p).item(),
+            lambda: total(mul(unfused_attention_sublayer(
+                *ts, 2, probe=Tensor(mask)), p)).item(),
             [mask], step=1e-5)
         assert_grads_close(probe.grad, fd, rtol=1e-4, floor=1e-7)
 
@@ -194,7 +236,8 @@ class TestCriterion2SensitivityOracle:
             return total / len(batches)
 
         records = compute_sensitivity(model, batches)
-        monkeypatch.setattr("spat.model.masked_attention", unfused_attention)
+        monkeypatch.setattr("spat.model.attention_sublayer",
+                            unfused_attention_sublayer)
         delta = 1e-4
         for rec in records:
             probe = Tensor(np.ones_like(rec.sen))
@@ -275,7 +318,6 @@ class TestCriterion5PruningSemantics:
         x = np.random.default_rng(3).normal(size=(4, 12, 4))
         # identity-substitution oracle: drive the unpruned model's own
         # sublayers, replacing layer 1's attention sublayer with identity
-        from spat.tensor import layer_norm as t_layer_norm
         mu = x.mean(axis=1, keepdims=True)
         sigma = np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
         h = model._embed((x - mu) / sigma, False, None)
@@ -284,8 +326,9 @@ class TestCriterion5PruningSemantics:
                 h = blk.ffn_sublayer(h, False, None)
             else:
                 h = blk.forward(h)
-        h = t_layer_norm(h, model.final_g, model.final_b)
-        oracle = (h @ model.head_w + model.head_b).transpose(0, 2, 1).data
+        h = layer_norm(h, model.final_g, model.final_b)
+        oracle = transpose(add(matmul(h, model.head_w), model.head_b),
+                           (0, 2, 1)).data
         oracle = oracle * sigma + mu
         assert np.array_equal(pruned.forecast(x), oracle)
 

@@ -119,6 +119,20 @@ class TestMalformedHeader:
         with pytest.raises(ParseError):
             load_checkpoint(path)
 
+    def test_config_missing_a_field_rejected(self, tmp_path):
+        """A header config without a field is not filled from the default:
+        that would load a gelu, instance-norm model from a relu one."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Forecaster(ModelConfig(
+            mode="variate_tokens", lookback=12, horizon=3, channels=4,
+            d_model=8, d_ff=16, heads=2, layers=1, activation="relu",
+            instance_norm=False)))
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        del header["config"]["activation"], header["config"]["instance_norm"]
+        rewrite_header(path, config=header["config"])
+        with pytest.raises(ParseError, match="lacks activation, instance_norm"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key, value", [
         ("d_model", 8.0), ("layers", 3.0), ("heads", True), ("lookback", "16"),
         ("dropout", "0.1"), ("dropout", False), ("end_padding", 1),

@@ -61,6 +61,13 @@ EMPTY_SPLITS = {
     "test": ([270, 30, 0], "test split yields no windows"),
 }
 
+# checkpoint (lookback, horizon, channels) that do not fit the tiny config's
+# windows, and the error every command that runs the model on them gives
+OTHER_SHAPES = [
+    ((24, 4, 3), "checkpoint expects lookback 24 / horizon 4, got 16 / 4"),
+    ((16, 6, 3), "checkpoint expects lookback 16 / horizon 6, got 16 / 4"),
+    ((16, 4, 5), "variate-token checkpoint expects 5 channels")]
+
 # metrics.csv and send_report.txt of run_pipeline on tiny_config_dict,
 # pinned so that a change which moves any digit fails here
 GOLDEN_METRICS = """\
@@ -499,10 +506,7 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("shape, message", [
-        ((24, 4, 3), "checkpoint expects lookback 24 / horizon 4, got 16 / 4"),
-        ((16, 6, 3), "checkpoint expects lookback 16 / horizon 6, got 16 / 4"),
-        ((16, 4, 5), "variate-token checkpoint expects 5 channels")])
+    @pytest.mark.parametrize("shape, message", OTHER_SHAPES)
     def test_finetune_of_another_shape_fails_before_the_run_directory(
             self, workspace, capsys, shape, message):
         tmp_path, cfg_path = workspace
@@ -513,6 +517,34 @@ class TestExitCodes:
                      "--checkpoint", str(ckpt)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("shape, message", OTHER_SHAPES)
+    def test_score_of_another_shape_fails_before_the_run_directory(
+            self, workspace, capsys, shape, message):
+        """Scoring checks the fit before it runs the model, as finetune
+        does, instead of failing inside the loss or the embedding."""
+        tmp_path, cfg_path = workspace
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, Forecaster(
+            load_config(cfg_path).model.to_model_config(*shape)))
+        assert main(["score", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_config_missing_a_field_exits_2(self, workspace, capsys):
+        """A header config without a field does not load with its default."""
+        tmp_path, cfg_path = workspace
+        assert main(["pretrain", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "pretrained.ckpt"
+        header_line, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        del header["config"]["activation"], header["config"]["instance_norm"]
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert ("pretrained.ckpt: checkpoint config lacks activation, "
+                "instance_norm") in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "report_dir",
                                       "out_dir", "config_latin1", "report_latin1"])

@@ -11,11 +11,19 @@ from spat.model import (
     Forecaster,
     ModelConfig,
     clone_model,
-    mse_loss,
     state_shapes,
 )
-from spat.tensor import Tape, Tensor, layer_norm
-from unfused import bmm, merge_heads, row_softmax, scale, split_heads
+from spat.tensor import Tape, Tensor, layer_norm, mse_loss
+from unfused import (
+    add,
+    bmm,
+    matmul,
+    merge_heads,
+    row_softmax,
+    scale,
+    split_heads,
+    transpose,
+)
 
 
 def small_cfg(**kw):
@@ -131,12 +139,12 @@ class TestAttentionForward:
 
         # same primitives minus the mask product
         x = layer_norm(h, blk.ln1_g, blk.ln1_b)
-        q, k, v = (split_heads(x @ w + b, cfg.heads) for w, b in
+        q, k, v = (split_heads(add(matmul(x, w), b), cfg.heads) for w, b in
                    ((blk.w_q, blk.b_q), (blk.w_k, blk.b_k), (blk.w_v, blk.b_v)))
-        attn = row_softmax(scale(bmm(q, k.transpose(0, 1, 3, 2)),
+        attn = row_softmax(scale(bmm(q, transpose(k, (0, 1, 3, 2))),
                                  1.0 / math.sqrt(cfg.d_head)))
         ctx = merge_heads(bmm(attn, v))
-        reference = h + (ctx @ blk.w_e + blk.b_e)
+        reference = add(h, add(matmul(ctx, blk.w_e), blk.b_e))
 
         assert np.array_equal(masked.data, reference.data)
 

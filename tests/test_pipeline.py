@@ -18,7 +18,7 @@ from spat.data import (
     split,
 )
 from spat.errors import ConfigError, ContractError, NumericError
-from spat.model import Forecaster, ModelConfig, mse_loss
+from spat.model import Forecaster, ModelConfig
 from spat.pipeline import (
     Adam,
     SeedStreams,
@@ -34,7 +34,8 @@ from spat.pipeline import (
     zero_shot_eval,
 )
 from spat.send import build_plan
-from spat.tensor import Tape
+from spat.tensor import Tape, mse_loss
+from unfused import add, matmul, transpose
 
 
 def sine_windows(channels=2, length=600, lookback=32, horizon=8, seed=5,
@@ -204,7 +205,7 @@ class TestPrune:
             else:
                 h = blk.forward(h)
         h = tensor.layer_norm(h, model.final_g, model.final_b)
-        out = (h @ model.head_w + model.head_b).transpose(0, 2, 1)
+        out = transpose(add(matmul(h, model.head_w), model.head_b), (0, 2, 1))
         expected = out.data * sigma + mu
 
         np.testing.assert_array_equal(pruned.forecast(x), expected)

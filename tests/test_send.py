@@ -16,7 +16,7 @@ from spat.errors import (
     ParseError,
     ShapeError,
 )
-from spat.model import Forecaster, ModelConfig, mse_loss
+from spat.model import Forecaster, ModelConfig
 from spat.send import (
     aggregate_heads,
     build_plan,
@@ -28,8 +28,8 @@ from spat.send import (
     send_score,
 )
 from spat import tensor
-from spat.tensor import Tape, Tensor, masked_attention
-from unfused import total, unfused_attention
+from spat.tensor import Tape, Tensor, attention_sublayer, mse_loss
+from unfused import mul, total, unfused_attention_sublayer
 
 
 def toy_setup(layers=2, seed=0, n_batches=2, batch=3):
@@ -64,32 +64,36 @@ def attach_probes(model):
 
 
 def assert_fused_equals_unfused(batch, s, heads, dh):
-    """``masked_attention`` against ``unfused.unfused_attention``, the
-    composition of the unfused primitives: outputs and every gradient equal
-    bit for bit and share their memory layout. The op's probe gradient is
-    checked against the reference's gradient of an all-ones mask, with q
-    and k needing a gradient and with both frozen; without a probe, the
-    reference multiplies in no mask."""
+    """``attention_sublayer`` against ``unfused.unfused_attention_sublayer``,
+    the composition of the unfused primitives: outputs and every gradient
+    equal bit for bit and share their memory layout. The op's probe
+    gradient is checked against the reference's gradient of an all-ones
+    mask, with every input needing a gradient and with x and the q and k
+    weights frozen, so only v needs one; without a probe, the reference
+    multiplies in no mask."""
     rng = np.random.default_rng(5)
     d = heads * dh
-    arrays = [rng.normal(size=(batch, s, d)) for _ in range(3)]
+    arrays = ([rng.normal(size=(batch, s, d)) for _ in range(2)]
+              + [rng.normal(size=shape) for _ in range(4)
+                 for shape in ((d, d), (d,))])
     w = rng.normal(size=(batch, s, d))
+    qk_side = (1, 2, 3, 4, 5)  # x, w_q, b_q, w_k, b_k
 
     for need_qk, probed in [(True, True), (False, True), (True, False)]:
         grads = []
-        for attend in (masked_attention, unfused_attention):
-            ts = [Tensor(a, requires_grad=need) for a, need
-                  in zip(arrays, (need_qk, need_qk, True))]
+        for attend in (attention_sublayer, unfused_attention_sublayer):
+            ts = [Tensor(a, requires_grad=need_qk or i not in qk_side)
+                  for i, a in enumerate(arrays)]
             probe = (Tensor(np.ones((heads, s, s)), requires_grad=True)
                      if probed else None)
             with Tape() as tape:
-                out = attend(*ts, heads, probe)
-                loss = total(out * Tensor(w))
+                out = attend(*ts, heads, probe=probe)
+                loss = total(mul(out, Tensor(w)))
             tape.backward(loss)
             grads.append((out.data, probe.grad if probed else None,
                           *(t.grad for t in ts)))
         if not need_qk:
-            assert all(g is None for _, _, gq, gk, _ in grads for g in (gq, gk))
+            assert all(g[2 + i] is None for g in grads for i in qk_side)
         for got, want in zip(*grads):
             # the same layout too: sums over a gradient (a bias gradient)
             # depend on it
@@ -105,7 +109,8 @@ class TestSensitivityOracle:
         multiplies the probe's values in as the mask."""
         model, batches = toy_setup()
         records = compute_sensitivity(model, batches)
-        monkeypatch.setattr("spat.model.masked_attention", unfused_attention)
+        monkeypatch.setattr("spat.model.attention_sublayer",
+                            unfused_attention_sublayer)
         delta = 1e-4
         for rec in records:
             probe = Tensor(np.ones_like(rec.sen))
@@ -126,10 +131,11 @@ class TestSensitivityOracle:
 
     def test_chain_rule_equals_direct_mask_gradient(self):
         """The fused op's probe gradient is bit-identical to the chain rule
-        through the unfused primitives (split heads, ``q kᵀ``, scale,
-        ``row_softmax``, ``* mask`` at an all-ones mask, ``@ v``, merge
-        heads), and so are the q, k and v gradients; also at d_head 1,
-        where the merged heads are a view."""
+        through the unfused primitives (the linears, split heads, ``q kᵀ``,
+        scale, ``row_softmax``, ``* mask`` at an all-ones mask, ``@ v``,
+        merge heads, the output linear and the residual), and so are the
+        other gradients; also at d_head 1, where the merged heads are a
+        view."""
         assert_fused_equals_unfused(batch=3, s=5, heads=2, dh=4)
         assert_fused_equals_unfused(batch=3, s=5, heads=2, dh=1)
 
@@ -221,7 +227,7 @@ class TestSensitivityOracle:
         monkeypatch.setattr(Tape, "backward", spy)
         records = compute_sensitivity(model, [(x, y)])
         monkeypatch.undo()
-        assert first_ops == ["masked_attention"]
+        assert first_ops == ["attention_sublayer"]
         probes = attach_probes(model)
         with Tape() as tape:
             loss = mse_loss(model.forward(x), y)

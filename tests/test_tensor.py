@@ -12,23 +12,37 @@ from spat import model as model_module
 from spat import tensor
 from spat.config import load_config
 from spat.errors import ContractError, NumericError, ShapeError
-from spat.model import AttentionBlock, Forecaster, ModelConfig, mse_loss
+from spat.model import AttentionBlock, Forecaster, ModelConfig
 from spat.tensor import (
     Tape,
     Tensor,
-    dropout,
+    attention_sublayer,
+    embed,
     ffn,
+    head,
     keep_mask,
     layer_norm,
-    masked_attention,
+    mse_loss,
 )
 from unfused import (
+    add,
+    dropout,
+    matmul,
+    mean,
+    mul,
+    reshape,
     row_softmax,
     scale,
+    sub,
     total,
+    transpose,
+    unfused_attention_sublayer,
+    unfused_embed,
     unfused_ffn,
     unfused_ffn_sublayer,
+    unfused_head,
     unfused_layer_norm,
+    unfused_mse_loss,
 )
 
 BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
@@ -43,18 +57,26 @@ def unfused_model(monkeypatch):
     """Run ``spat.model`` on the unfused compositions."""
     def use():
         monkeypatch.setattr(model_module, "layer_norm", unfused_layer_norm)
+        monkeypatch.setattr(model_module, "embed", unfused_embed)
+        monkeypatch.setattr(model_module, "attention_sublayer",
+                            unfused_attention_sublayer)
         monkeypatch.setattr(AttentionBlock, "ffn_sublayer", unfused_ffn_sublayer)
+        monkeypatch.setattr(model_module, "head", unfused_head)
     return use
 
 
 def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    """Equal bytes in equal layouts: a later sum over either array then
+    gives the same bits."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
 
 
 def assert_fused_equals_unfused(fused, unfused, arrays, frozen=()):
     """``fused(*tensors)`` and ``unfused(*tensors)`` give the same bytes
-    (signed zeros included) for the output and for the gradient of every
-    input not in ``frozen``, under a probe-weighted sum loss."""
+    (signed zeros included) and strides for the output and for the
+    gradient of every input not in ``frozen``, under a probe-weighted sum
+    loss."""
     results = []
     for build in (fused, unfused):
         ts = [Tensor(a, requires_grad=i not in frozen)
@@ -62,7 +84,7 @@ def assert_fused_equals_unfused(fused, unfused, arrays, frozen=()):
         with Tape() as tape:
             out = build(*ts)
             probe = np.random.default_rng(0).uniform(-1, 1, size=out.shape)
-            loss = total(out * Tensor(probe))
+            loss = total(mul(out, Tensor(probe)))
         tape.backward(loss)
         results.append([out.data] + [t.grad for t in ts])
     for i, (got, want) in enumerate(zip(*results)):
@@ -77,35 +99,35 @@ class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 0.0], [0.0, 1.0]])
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal((a @ b).data, [[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(matmul(a, b).data, [[3.0, 4.0], [5.0, 6.0]])
 
     def test_hand_product(self):
-        out = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
+        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.data, [[11.0]])
 
     def test_grad_of_sum_against_ones(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.ones((2, 2))
-        grads = analytic_grads(lambda x, y: total(x @ y), [a, b])
+        grads = analytic_grads(lambda x, y: total(matmul(x, y)), [a, b])
         np.testing.assert_allclose(grads[0], [[2.0, 2.0], [2.0, 2.0]])
-        gradcheck(lambda x, y: total(x @ y), [a, b])
+        gradcheck(lambda x, y: total(matmul(x, y)), [a, b])
 
     def test_batched_gradcheck(self):
         rng = np.random.default_rng(0)
         a = rand(rng, 2, 3, 4)
         b = rand(rng, 4, 5)
         w = rand(rng, 2, 3, 5)
-        gradcheck(lambda x, y: total(x @ y * Tensor(w)), [a, b])
+        gradcheck(lambda x, y: total(mul(matmul(x, y), Tensor(w))), [a, b])
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
     def test_batched_right_operand_rejected(self):
         """Only the references batch the right operand (``unfused.bmm``)."""
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3, 4))) @ Tensor(np.zeros((2, 4, 5)))
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
 
 
 class TestRowSoftmax:
@@ -120,7 +142,7 @@ class TestRowSoftmax:
     def test_jacobian_matches_finite_differences(self):
         x = np.array([0.1, 0.2, 0.3])
         w = np.array([0.7, -1.3, 0.4])
-        gradcheck(lambda t: total(row_softmax(t) * Tensor(w)), [x])
+        gradcheck(lambda t: total(mul(row_softmax(t), Tensor(w))), [x])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=16))
@@ -139,19 +161,19 @@ class TestBackward:
         np.testing.assert_array_equal(grads[0], [1.0, 1.0, 1.0])
 
     def test_quadratic(self):
-        grads = analytic_grads(lambda x: total(x * x), [np.array([1.0, 2.0, 3.0])])
+        grads = analytic_grads(lambda x: total(mul(x, x)), [np.array([1.0, 2.0, 3.0])])
         np.testing.assert_array_equal(grads[0], [2.0, 4.0, 6.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = x * x
+            y = mul(x, x)
         with pytest.raises(ContractError):
             tape.backward(y)
 
     def test_fanout_accumulates(self):
         x = np.array([0.5, -1.5])
-        grads = analytic_grads(lambda t: total(t * t) + total(t), [x])
+        grads = analytic_grads(lambda t: add(total(mul(t, t)), total(t)), [x])
         np.testing.assert_allclose(grads[0], 2 * x + 1.0)
 
     def test_deterministic_bitwise(self):
@@ -161,7 +183,7 @@ class TestBackward:
 
         def run():
             return analytic_grads(
-                lambda x, y: total(row_softmax(x @ y) * Tensor(a)), [a, b])
+                lambda x, y: total(mul(row_softmax(matmul(x, y)), Tensor(a))), [a, b])
 
         g1 = run()
         g2 = run()
@@ -170,21 +192,21 @@ class TestBackward:
 
     def test_shared_gradient_is_never_written_through(self):
         """``add`` hands one array to both leaves; the contribution that
-        ``a * a`` (recorded earlier, so replayed later) adds to ``a`` must
-        not leak into ``b``'s grad."""
+        ``mul(a, a)`` (recorded earlier, so replayed later) adds to ``a``
+        must not leak into ``b``'s grad."""
         rng = np.random.default_rng(3)
         a0, b0, w = rand(rng, 3), rand(rng, 3), rand(rng, 3)
 
         def build(a, b):
-            return total(a * a) + total((a + b) * Tensor(w))
+            return add(total(mul(a, a)), total(mul(add(a, b), Tensor(w))))
 
         gradcheck(build, [a0, b0])
         a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
         with Tape() as tape:
-            square = total(a * a)
-            s = a + b
-            weighted = s * Tensor(w)
-            loss = square + total(weighted)
+            square = total(mul(a, a))
+            s = add(a, b)
+            weighted = mul(s, Tensor(w))
+            loss = add(square, total(weighted))
         tape.backward(loss)
         np.testing.assert_array_equal(b.grad, w)
         np.testing.assert_allclose(a.grad, w + 2.0 * a0, rtol=1e-15)
@@ -194,7 +216,7 @@ class TestBackward:
         x = Tensor(np.ones(2), requires_grad=True)
         c = Tensor(np.ones(2))
         with Tape() as tape:
-            loss = total(x * c)
+            loss = total(mul(x, c))
         tape.backward(loss)
         assert c.grad is None and x.grad is not None
 
@@ -214,33 +236,33 @@ class TestGradOracle:
             out = fn(*ts)
             if probe is None:
                 probe = rng.uniform(-1, 1, size=out.shape)
-            return total(out * Tensor(probe))
+            return total(mul(out, Tensor(probe)))
 
         gradcheck(build, list(arrays))
 
     def test_add(self):
-        self.weighted_sum(lambda a, b: a + b, rand(self.rng, 3, 4), rand(self.rng, 3, 4))
+        self.weighted_sum(add, rand(self.rng, 3, 4), rand(self.rng, 3, 4))
 
     def test_add_broadcast_bias(self):
-        self.weighted_sum(lambda a, b: a + b, rand(self.rng, 2, 3, 4), rand(self.rng, 4))
+        self.weighted_sum(add, rand(self.rng, 2, 3, 4), rand(self.rng, 4))
 
     def test_sub(self):
-        self.weighted_sum(lambda a, b: a - b, rand(self.rng, 5), rand(self.rng, 5))
+        self.weighted_sum(sub, rand(self.rng, 5), rand(self.rng, 5))
 
     def test_mul_broadcast(self):
-        self.weighted_sum(lambda a, b: a * b, rand(self.rng, 2, 3, 3), rand(self.rng, 3, 3))
+        self.weighted_sum(mul, rand(self.rng, 2, 3, 3), rand(self.rng, 3, 3))
 
     def test_scale_and_neg(self):
         self.weighted_sum(lambda a: scale(scale(a, 2.5), -1.0), rand(self.rng, 4))
 
     def test_transpose_permutation(self):
-        self.weighted_sum(lambda a: a.transpose(1, 2, 0), rand(self.rng, 2, 3, 4))
+        self.weighted_sum(lambda a: transpose(a, (1, 2, 0)), rand(self.rng, 2, 3, 4))
 
     def test_reshape(self):
-        self.weighted_sum(lambda a: a.reshape(6, 2), rand(self.rng, 3, 4))
+        self.weighted_sum(lambda a: reshape(a, (6, 2)), rand(self.rng, 3, 4))
 
     def test_mean(self):
-        self.weighted_sum(lambda a: a.mean(), rand(self.rng, 3, 4))
+        self.weighted_sum(mean, rand(self.rng, 3, 4))
 
     def ffn_arrays(self):
         return [rand(self.rng, 2, 3, 4), rand(self.rng, 2, 3, 4),
@@ -264,7 +286,7 @@ class TestGradOracle:
         self.weighted_sum(row_softmax, rand(self.rng, 3, 5))
 
     def test_matmul(self):
-        self.weighted_sum(lambda a, b: a @ b, rand(self.rng, 3, 4), rand(self.rng, 4, 2))
+        self.weighted_sum(matmul, rand(self.rng, 3, 4), rand(self.rng, 4, 2))
 
     def test_dropout_fixed_mask(self):
         x = rand(self.rng, 4, 4)
@@ -272,31 +294,47 @@ class TestGradOracle:
             lambda a: dropout(a, 0.5, np.random.default_rng(11)), x)
 
 
+def attention_arrays(rng, b, s, d):
+    """h, x and the eight weights and biases of an attention sublayer."""
+    return ([rand(rng, b, s, d), rand(rng, b, s, d)]
+            + [rand(rng, *shape) for _ in range(4) for shape in ((d, d), (d,))])
+
+
 class TestMaskedAttention:
+    """``attention_sublayer``'s checks on its operands and scores."""
+
+    def tensors(self, b=2, s=3, d=4):
+        return [Tensor(a) for a in attention_arrays(np.random.default_rng(0), b, s, d)]
+
     def test_shape_errors(self):
-        rng = np.random.default_rng(0)
-        q = Tensor(rand(rng, 2, 3, 4))
+        h, x, *w = self.tensors()
         with pytest.raises(ShapeError):
-            masked_attention(q, Tensor(rand(rng, 2, 4, 4)), q, 2)
+            attention_sublayer(h, Tensor(np.zeros((2, 4, 4))), *w, 2)
         with pytest.raises(ShapeError):
-            masked_attention(q, q, Tensor(rand(rng, 2, 3, 6)), 2)
+            attention_sublayer(h, x, *w[:6], Tensor(np.zeros((4, 6))), w[7], 2)
         with pytest.raises(ShapeError):
-            masked_attention(q, q, q, 3)
+            attention_sublayer(h, x, Tensor(np.zeros(4)), *w[1:], 2)
+        with pytest.raises(ShapeError):
+            attention_sublayer(h, x, *w, 3)
+        with pytest.raises(ShapeError):
+            attention_sublayer(h, x, *w, 2, keep=np.ones((2, 3, 3)))
         for bad in (np.ones((1, 3, 3)), np.ones((2, 3, 4)), np.ones((3, 3))):
             with pytest.raises(ShapeError):
-                masked_attention(q, q, q, 2, Tensor(bad, requires_grad=True))
+                attention_sublayer(h, x, *w, 2,
+                                   probe=Tensor(bad, requires_grad=True))
 
     def test_rejects_non_finite_scores(self):
-        q = Tensor(np.full((1, 2, 2), np.nan))
+        h, x, *w = self.tensors(1, 2, 2)
         with pytest.raises(NumericError):
-            masked_attention(q, q, q, 1)
+            attention_sublayer(h, Tensor(np.full((1, 2, 2), np.nan)), *w, 1)
 
     def test_rejects_non_finite_scores_in_a_later_chunk(self, monkeypatch):
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
-        x = np.ones((3, 2, 2))
+        x = np.ones((3, 2, 1))
         x[2, 1, 0] = np.inf
+        w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
         with pytest.raises(NumericError):
-            masked_attention(Tensor(x), Tensor(x), Tensor(x), 1)
+            attention_sublayer(Tensor(x), Tensor(x), *(w, b) * 4, 1)
 
 
 class TestAttentionMemory:
@@ -310,12 +348,11 @@ class TestAttentionMemory:
     def one_item_chunks(self, monkeypatch):
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES",
                             self.heads * self.s * self.s * 8)
-        rng = np.random.default_rng(0)
-        self.arrays = [rng.normal(size=(self.batch, self.s, self.d))
-                       for _ in range(3)]
+        self.arrays = attention_arrays(np.random.default_rng(0), self.batch,
+                                       self.s, self.d)
 
     def test_untracked_forward_keeps_no_scores(self):
-        peak = traced_peak(lambda: masked_attention(
+        peak = traced_peak(lambda: attention_sublayer(
             *map(Tensor, self.arrays), self.heads))
         assert peak < self.full / 2
 
@@ -324,8 +361,8 @@ class TestAttentionMemory:
         probe = Tensor(np.broadcast_to(1.0, (self.heads, self.s, self.s)),
                        requires_grad=True)
         with Tape() as tape:
-            loss = total(masked_attention(*ts, self.heads, probe)
-                         * Tensor(self.arrays[0]))
+            loss = total(mul(attention_sublayer(*ts, self.heads, probe=probe),
+                             Tensor(self.arrays[0])))
         assert traced_peak(lambda: tape.backward(loss)) < self.full
         assert all(t.grad is not None for t in ts) and probe.grad is not None
 
@@ -334,15 +371,15 @@ class TestGradModeAndInvariants:
     def test_no_tape_means_no_recording(self):
         tape = Tape()
         x = Tensor(np.ones(3), requires_grad=True)
-        y = x * x
+        y = mul(x, x)
         assert len(tape) == 0 and not y.requires_grad
         with tape:
-            x * x
+            mul(x, x)
         assert len(tape) == 1
 
     def test_transpose_requires_axes(self):
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3))).transpose()
+            transpose(Tensor(np.zeros((2, 3))), ())
 
     def test_tapes_do_not_nest(self):
         with Tape():
@@ -353,7 +390,7 @@ class TestGradModeAndInvariants:
     def test_backward_consumes_the_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            loss = total(x * x)
+            loss = total(mul(x, x))
         tape.backward(loss)
         assert len(tape) == 0
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
@@ -453,53 +490,189 @@ class TestFusedFfn:
             ffn(t, t, w1, b1, w2, b2, "gelu", keep1=np.ones((2, 3, 4)))
 
 
+class TestFusedAttentionSublayer:
+    """``attention_sublayer`` against the matmul/add, unfused attention,
+    dropout and residual composition, bit for bit and layout for layout."""
+
+    @pytest.mark.parametrize("dh", [1, 3])
+    @pytest.mark.parametrize("probed", [False, True])
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("placement", ["pre", "post"])
+    def test_matches_unfused(self, placement, drop, probed, dh):
+        """Pre-norm sums x's three linear gradients as (v + k) + q; post-norm,
+        where x is h, onto the residual's as ((g + v) + k) + q. With d_head 1
+        the context and the q and v gradients are [B, H, S] layouts."""
+        rng = np.random.default_rng(11)
+        b, s, heads = 5, 6, 2
+        d = heads * dh
+        h, x, *weights = attention_arrays(rng, b, s, d)
+        keep = keep_mask(rng, (b, s, d), 0.5) if drop else None
+        probe = [np.ones((heads, s, s))] if probed else []
+
+        def run(op):
+            if placement == "post":
+                return lambda h, *w: op(h, h, *w[:8], heads, keep, *w[8:])
+            return lambda h, x, *w: op(h, x, *w[:8], heads, keep, *w[8:])
+
+        arrays = [h] + ([] if placement == "post" else [x]) + weights + probe
+        assert_fused_equals_unfused(run(attention_sublayer),
+                                    run(unfused_attention_sublayer), arrays)
+
+    @pytest.mark.parametrize("dh", [1, 3])
+    @pytest.mark.parametrize("x_frozen", [False, True])
+    def test_frozen_weights_match_unfused(self, x_frozen, dh):
+        """Scoring's cases: frozen weights with a probe. With x frozen too,
+        as in the first scored layer, backward stops after v's gradient."""
+        rng = np.random.default_rng(12)
+        b, s, heads = 4, 5, 3
+        d = heads * dh
+        arrays = attention_arrays(rng, b, s, d) + [np.ones((heads, s, s))]
+
+        def run(op):
+            return lambda h, x, *w: op(h, x, *w[:8], heads, None, w[8])
+
+        frozen = tuple(range(2, 10)) + ((0, 1) if x_frozen else ())
+        assert_fused_equals_unfused(run(attention_sublayer),
+                                    run(unfused_attention_sublayer), arrays,
+                                    frozen=frozen)
+
+
+class TestFusedEdges:
+    """``embed``, ``head`` and ``mse_loss`` against their unfused
+    compositions, bit for bit and layout for layout."""
+
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("tokens", ["patches", "variates"])
+    def test_embed_matches_unfused(self, tokens, drop):
+        """Patch tokens are a C-order gather with positions; variate tokens
+        a transposed view without."""
+        rng = np.random.default_rng(13)
+        if tokens == "patches":
+            x, arrays = rand(rng, 6, 5, 4), [rand(rng, 4, 3), rand(rng, 3),
+                                             rand(rng, 5, 3)]
+        else:
+            x, arrays = rand(rng, 2, 4, 5).transpose(0, 2, 1), [
+                rand(rng, 4, 3), rand(rng, 3)]
+        keep = keep_mask(rng, x.shape[:-1] + (3,), 0.5) if drop else None
+
+        def run(op):
+            return lambda w, b, pos=None: op(x, w, b, pos, keep)
+
+        assert_fused_equals_unfused(run(embed), run(unfused_embed), arrays)
+
+    @pytest.mark.parametrize("instance_norm", [False, True])
+    @pytest.mark.parametrize("tokens", ["patches", "variates"])
+    def test_head_matches_unfused(self, tokens, instance_norm):
+        """b's gradient is a sum over a contiguous [B*C, T] copy for patch
+        tokens and over a transposed [B, C, T] view for variate tokens."""
+        rng = np.random.default_rng(14)
+        batch, channels, s, d, t = 3, 9, 4, 2, 5
+        if tokens == "patches":
+            arrays = [rand(rng, batch * channels, s, d), rand(rng, s * d, t),
+                      rand(rng, t)]
+        else:
+            arrays = [rand(rng, batch, channels, d), rand(rng, d, t), rand(rng, t)]
+        stats = []
+        if instance_norm:
+            stats = [rng.uniform(0.5, 2.0, size=(batch, 1, channels)),
+                     rand(rng, batch, 1, channels)]
+
+        def run(op):
+            return lambda h, w, b: op(h, w, b, channels, *stats)
+
+        assert_fused_equals_unfused(run(head), run(unfused_head), arrays)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_mse_loss_matches_unfused(self, layout):
+        rng = np.random.default_rng(16)
+        pred = (rand(rng, 3, 4, 5) if layout == "contiguous"
+                else rand(rng, 3, 5, 4).transpose(0, 2, 1))
+        target = rand(rng, 3, 4, 5)
+        results = []
+        for loss_fn in (mse_loss, unfused_mse_loss):
+            p = Tensor(pred, requires_grad=True)
+            with Tape() as tape:
+                loss = loss_fn(p, target)
+            tape.backward(loss)
+            results.append((loss.data, p.grad))
+        assert all(same_bits(a, b) for a, b in zip(*results))
+
+    def test_shape_errors(self):
+        w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError):
+            embed(np.zeros((2, 5, 3)), w, b)
+        with pytest.raises(ShapeError):
+            embed(np.zeros((2, 5, 4)), w, b, Tensor(np.zeros((4, 3))))
+        with pytest.raises(ShapeError):
+            embed(np.zeros((2, 5, 4)), w, b, keep=np.ones((2, 5, 4)))
+        with pytest.raises(ShapeError):
+            head(Tensor(np.zeros((6, 3, 2))), Tensor(np.zeros((5, 2))),
+                 Tensor(np.zeros(2)), 2)
+        with pytest.raises(ShapeError):
+            head(Tensor(np.zeros((5, 2, 2))), w, Tensor(np.zeros(3)), 2)
+
+
 class TestFusedModel:
     """A training step of the fused model against the unfused one."""
 
-    @pytest.mark.parametrize("mode, placement, activation", [
-        ("temporal_tokens", "pre", "gelu"), ("temporal_tokens", "post", "relu"),
-        ("variate_tokens", "post", "gelu"), ("variate_tokens", "pre", "relu")])
-    def test_training_step_matches_unfused(self, unfused_model, mode,
-                                           placement, activation):
-        cfg = ModelConfig(mode=mode, lookback=16, horizon=4, channels=3,
-                          d_model=8, d_ff=16, heads=2, layers=2, patch_len=8,
-                          patch_stride=4, dropout=0.1, activation=activation,
-                          norm_placement=placement)
+    @pytest.mark.parametrize("mode, placement, activation, instance_norm, heads", [
+        pytest.param("temporal_tokens", "pre", "gelu", True, 2,
+                     id="temporal_tokens-pre-gelu"),
+        pytest.param("temporal_tokens", "post", "relu", True, 2,
+                     id="temporal_tokens-post-relu"),
+        pytest.param("variate_tokens", "post", "gelu", True, 2,
+                     id="variate_tokens-post-gelu"),
+        pytest.param("variate_tokens", "pre", "relu", True, 2,
+                     id="variate_tokens-pre-relu"),
+        pytest.param("temporal_tokens", "post", "gelu", False, 8,
+                     id="temporal_tokens-post-gelu-no_instance_norm-d_head_1"),
+        pytest.param("variate_tokens", "pre", "gelu", False, 8,
+                     id="variate_tokens-pre-gelu-no_instance_norm-d_head_1")])
+    def test_training_step_matches_unfused(self, unfused_model, mode, placement,
+                                           activation, instance_norm, heads):
+        cfg = ModelConfig(mode=mode, lookback=16, horizon=4, channels=9,
+                          d_model=8, d_ff=16, heads=heads, layers=2,
+                          patch_len=8, patch_stride=4, dropout=0.1,
+                          activation=activation, norm_placement=placement,
+                          instance_norm=instance_norm)
         data = np.random.default_rng(7)
-        x, y = data.normal(size=(5, 16, 3)), data.normal(size=(5, 4, 3))
+        x, y = data.normal(size=(5, 16, 9)), data.normal(size=(5, 4, 9))
 
-        def step():
+        def step(loss_fn):
             model = Forecaster(cfg, seed=4)
             rng = np.random.default_rng(8)
             with Tape() as tape:
-                loss = mse_loss(model.forward(x, training=True, rng=rng), y)
+                pred = model.forward(x, training=True, rng=rng)
+                loss = loss_fn(pred, y)
             tape.backward(loss)
-            return ([loss.data] + [p.grad for p in model.parameters()],
+            return ([pred.data, loss.data] + [p.grad for p in model.parameters()],
                     rng.bit_generator.state)
 
-        fused, fused_rng = step()
+        fused, fused_rng = step(mse_loss)
         unfused_model()
-        unfused, unfused_rng = step()
+        unfused, unfused_rng = step(unfused_mse_loss)
         # the keep masks come from the same draws in the same order
         assert fused_rng == unfused_rng
         assert all(same_bits(a, b) for a, b in zip(fused, unfused))
 
     def test_synthetic_small_records_per_step(self, unfused_model):
-        """Per block, the norms go 3 -> 1 record each and the FFN 8 -> 1."""
+        """A step is 16 records: the embedding, per block two norms, the
+        attention sublayer and the FFN, the final norm, the head and the
+        loss. Unfused it is 128."""
         cfg = load_config(BUNDLED_CONFIG)
         model_cfg = cfg.model.to_model_config(
             cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels)
         x = np.random.default_rng(0).normal(
             size=(2, cfg.window.lookback, model_cfg.channels))
 
-        def records():
+        def records(loss_fn):
             model = Forecaster(model_cfg, seed=0)
             with Tape() as tape:
                 pred = model.forward(x, training=True,
                                      rng=np.random.default_rng(1))
-                mse_loss(pred, np.zeros_like(pred.data))
+                loss_fn(pred, np.zeros_like(pred.data))
             return len(tape)
 
-        assert records() == 57
+        assert records(mse_loss) == 16
         unfused_model()
-        assert records() == 92
+        assert records(unfused_mse_loss) == 128

@@ -1,13 +1,14 @@
 """Unfused references for the fused ops, and the autodiff pieces only they use.
 
-``tensor.layer_norm``, ``tensor.ffn`` and ``tensor.masked_attention`` each
-promise the bits of a composition of smaller ops. The compositions are
-here, with the ops they need that no model path records: a scalar scale, a
-row softmax, a batched matmul and a full sum. Each records on the active
-tape through ``spat.tensor._emit``, as the library ops do, and keeps the
-arithmetic the library once had, so the bitwise tests compare the same
-bytes as before. Acceptance 1 checks the four ops against finite
-differences.
+Each op of ``spat.tensor`` promises the bits of a composition of smaller
+ops. The compositions are here, with the ops they need that no model path
+records: the broadcasting ``add``, ``sub`` and ``mul``, ``matmul``,
+``transpose``, ``reshape``, ``mean`` and ``dropout`` that the library once
+had, a scalar scale, a row softmax, a batched matmul and a full sum. Each
+records on the active tape through ``spat.tensor._emit``, as the library
+ops do, and keeps the arithmetic the library once had, so the bitwise tests
+compare the same bytes as before. Acceptance 1 checks these ops against
+finite differences.
 """
 
 import math
@@ -17,10 +18,144 @@ from scipy.special import erf
 
 from spat import tensor
 from spat.errors import NumericError, ShapeError
-from spat.tensor import Tensor, dropout
+from spat.tensor import Tensor, keep_mask
 
 
 # -- the ops only the references record --------------------------------
+
+
+def check_broadcast(name, a_shape, b_shape):
+    for da, db in zip(reversed(a_shape), reversed(b_shape)):
+        if da != db and da != 1 and db != 1:
+            raise ShapeError(f"{name}: shapes {a_shape} and {b_shape} "
+                             "are not broadcast-compatible")
+
+
+def unbroadcast(g, shape):
+    """Sum ``g`` over broadcast axes so it matches ``shape``."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape))
+                 if sd == 1 and gd != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    check_broadcast("add", a.shape, b.shape)
+    out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        return (unbroadcast(g, a.shape) if need_a else None,
+                unbroadcast(g, b.shape) if need_b else None)
+
+    return tensor._emit("add", (a, b), out, grad_fn)
+
+
+def sub(a, b):
+    check_broadcast("sub", a.shape, b.shape)
+    out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        return (unbroadcast(g, a.shape) if need_a else None,
+                unbroadcast(-g, b.shape) if need_b else None)
+
+    return tensor._emit("sub", (a, b), out, grad_fn)
+
+
+def mul(a, b):
+    """Hadamard product with broadcasting."""
+    check_broadcast("mul", a.shape, b.shape)
+    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def grad_fn(g):
+        return (unbroadcast(g * b_data, a.shape) if need_a else None,
+                unbroadcast(g * a_data, b.shape) if need_b else None)
+
+    return tensor._emit("mul", (a, b), out, grad_fn)
+
+
+def matmul(a, b):
+    """Matrix product ``[.., m, k] x [k, n] -> [.., m, n]``.
+
+    The leading axes of ``a`` fold into one GEMM, so the gradient of ``b``
+    comes out summed over them.
+    """
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul takes [.., m, k] x [k, n] operands, got "
+                         f"shapes {a.shape} and {b.shape}")
+    b_data = b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    out = (a2 @ b_data).reshape(a.shape[:-1] + (n,))
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b_data.T).reshape(a.shape) if need_a else None
+        gb = a2.T @ g2 if need_b else None
+        return ga, gb
+
+    return tensor._emit("matmul", (a, b), out, grad_fn)
+
+
+def transpose(a, axes):
+    """Permute axes."""
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"transpose: {axes} is not a permutation of "
+                         f"axes for shape {a.shape}")
+    out = np.transpose(a.data, axes)
+    inverse = np.argsort(axes)
+
+    def grad_fn(g):
+        return (np.transpose(g, inverse),)
+
+    return tensor._emit("transpose", (a,), out, grad_fn)
+
+
+def reshape(a, shape):
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}") from e
+    in_shape = a.shape
+
+    def grad_fn(g):
+        return (g.reshape(in_shape),)
+
+    return tensor._emit("reshape", (a,), out, grad_fn)
+
+
+def mean(a):
+    """Average over every element."""
+    out = a.data.mean()
+    in_shape, n = a.shape, a.data.size
+
+    def grad_fn(g):
+        return (np.broadcast_to(g / n, in_shape).copy(),)
+
+    return tensor._emit("mean", (a,), out, grad_fn)
+
+
+def dropout(a, rate, rng):
+    """Inverted dropout; identity when rate is 0."""
+    if rate == 0.0:
+        return a
+    keep = keep_mask(rng, a.shape, rate)
+    out = a.data * keep
+
+    def grad_fn(g):
+        return (g * keep,)
+
+    return tensor._emit("dropout", (a,), out, grad_fn)
 
 
 def total(a):
@@ -49,7 +184,7 @@ def bmm(a, b):
     the batch axes broadcast."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} do not chain")
-    tensor._check_broadcast("bmm (batch dims)", a.shape[:-2], b.shape[:-2])
+    check_broadcast("bmm (batch dims)", a.shape[:-2], b.shape[:-2])
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     out = np.matmul(a_data, b_data)
@@ -57,10 +192,10 @@ def bmm(a, b):
     def grad_fn(g):
         ga = gb = None
         if need_a:
-            ga = tensor._unbroadcast(
+            ga = unbroadcast(
                 np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
         if need_b:
-            gb = tensor._unbroadcast(
+            gb = unbroadcast(
                 np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
         return ga, gb
 
@@ -122,18 +257,18 @@ def unfused_relu(a):
 
 
 def unfused_layer_norm(a, gamma, beta):
-    return unfused_norm(a) * gamma + beta
+    return add(mul(unfused_norm(a), gamma), beta)
 
 
 def unfused_ffn(h, x, w1, b1, w2, b2, activation, keep1=None, keep2=None):
     act = unfused_gelu if activation == "gelu" else unfused_relu
-    z = act(x @ w1 + b1)
+    z = act(add(matmul(x, w1), b1))
     if keep1 is not None:
-        z = z * Tensor(keep1)
-    z = z @ w2 + b2
+        z = mul(z, Tensor(keep1))
+    z = add(matmul(z, w2), b2)
     if keep2 is not None:
-        z = z * Tensor(keep2)
-    return h + z
+        z = mul(z, Tensor(keep2))
+    return add(h, z)
 
 
 def unfused_ffn_sublayer(self, h, training, rng):
@@ -142,13 +277,13 @@ def unfused_ffn_sublayer(self, h, training, rng):
     cfg = self.cfg
     x = self._norm2(h) if cfg.norm_placement == "pre" else h
     act = unfused_gelu if cfg.activation == "gelu" else unfused_relu
-    z = act(x @ self.w1 + self.b1)
+    z = act(add(matmul(x, self.w1), self.b1))
     if training and cfg.dropout > 0.0:
         z = dropout(z, cfg.dropout, rng)
-    z = z @ self.w2 + self.b2
+    z = add(matmul(z, self.w2), self.b2)
     if training and cfg.dropout > 0.0:
         z = dropout(z, cfg.dropout, rng)
-    out = h + z
+    out = add(h, z)
     return self._norm2(out) if cfg.norm_placement == "post" else out
 
 
@@ -158,24 +293,67 @@ def unfused_ffn_sublayer(self, h, training, rng):
 def split_heads(t, heads):
     """``[B, S, d]`` -> ``[B, H, S, d / H]``."""
     batch, s, d = t.shape
-    return t.reshape(batch, s, heads, d // heads).transpose(0, 2, 1, 3)
+    return transpose(reshape(t, (batch, s, heads, d // heads)), (0, 2, 1, 3))
 
 
 def merge_heads(t):
     """``[B, H, S, d_head]`` -> ``[B, S, H * d_head]``."""
     batch, heads, s, dh = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(batch, s, heads * dh)
+    return reshape(transpose(t, (0, 2, 1, 3)), (batch, s, heads * dh))
 
 
 def unfused_attention(q, k, v, heads, mask=None):
-    """``tensor.masked_attention`` with ``mask`` multiplied in: where the op
+    """Multi-head attention of ``[B, S, d]`` ``q``, ``k`` and ``v`` with
+    ``mask`` multiplied into the softmax: where ``tensor.attention_sublayer``
     takes a probe and never reads it, this reads its values, so finite
     differences can perturb them. No mask is an all-ones one."""
     dh = q.shape[-1] // heads
     scores = scale(bmm(split_heads(q, heads),
-                       split_heads(k, heads).transpose(0, 1, 3, 2)),
+                       transpose(split_heads(k, heads), (0, 1, 3, 2))),
                    1.0 / math.sqrt(dh))
     attn = row_softmax(scores)
     if mask is not None:
-        attn = attn * mask
+        attn = mul(attn, mask)
     return merge_heads(bmm(attn, split_heads(v, heads)))
+
+
+def unfused_attention_sublayer(h, x, w_q, b_q, w_k, b_k, w_v, b_v, w_e, b_e,
+                               heads, keep=None, probe=None):
+    """``tensor.attention_sublayer`` as the model composed it before fusion,
+    with the probe multiplied in as the mask."""
+    q = add(matmul(x, w_q), b_q)
+    k = add(matmul(x, w_k), b_k)
+    v = add(matmul(x, w_v), b_v)
+    out = add(matmul(unfused_attention(q, k, v, heads, probe), w_e), b_e)
+    if keep is not None:
+        out = mul(out, Tensor(keep))
+    return add(h, out)
+
+
+# -- the model's edges
+
+
+def unfused_embed(tokens, w, b, pos=None, keep=None):
+    out = add(matmul(Tensor(tokens), w), b)
+    if pos is not None:
+        out = add(out, pos)
+    if keep is not None:
+        out = mul(out, Tensor(keep))
+    return out
+
+
+def unfused_head(h, w, b, channels, sigma=None, mu=None):
+    if h.shape[1:] == (channels, w.shape[0]):  # variate tokens: [B, C, d]
+        out = add(matmul(h, w), b)
+    else:  # patch tokens: [B * C, S, d], each series flattened
+        flat = reshape(h, (h.shape[0], -1))
+        out = reshape(add(matmul(flat, w), b), (-1, channels, w.shape[1]))
+    out = transpose(out, (0, 2, 1))
+    if sigma is not None:
+        out = add(mul(out, Tensor(sigma)), Tensor(mu))
+    return out
+
+
+def unfused_mse_loss(pred, target):
+    diff = sub(pred, Tensor(target))
+    return mean(mul(diff, diff))
