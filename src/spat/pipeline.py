@@ -218,17 +218,22 @@ def prune(model: Forecaster, plan: PruningPlan) -> Forecaster:
     return pruned
 
 
-def iterative_prune(model: Forecaster, batches, k: int) -> tuple[Forecaster, list[int]]:
+def iterative_prune(model: Forecaster, batches, k: int,
+                    records: list | None = None) -> tuple[Forecaster, list[int]]:
     """Remove k layers one at a time, rescoring the remainder after each
     removal. Ties prune the higher layer index first, matching the
-    single-shot ranking rule."""
+    single-shot ranking rule. ``records``, if given, are
+    ``compute_sensitivity(model, batches)``'s, already computed: the first
+    removal uses them instead of scoring ``model`` again."""
     current = clone_model(model)
     removed = []
     for _ in range(k):
-        records = compute_sensitivity(current, batches)
+        if records is None:
+            records = compute_sensitivity(current, batches)
         worst = min(records, key=lambda r: (r.send, -r.layer_index))
         current.blocks[worst.layer_index].remove_attention()
         removed.append(worst.layer_index)
+        records = None
     return current, removed
 
 
@@ -345,8 +350,9 @@ class Prepared:
 
     def timed(self, stage_name: str, fn):
         """``fn()``, recording its wall time and resource use in ``timings``."""
-        # user CPU beyond the wall time is BLAS threads at work or spinning;
-        # system time and minor page faults show what the kernel cost
+        # user CPU beyond the wall time is spat's helper thread, or BLAS
+        # threads at work or spinning; system time and minor page faults
+        # show what the kernel cost
         r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.perf_counter()
         out = fn()
@@ -423,7 +429,7 @@ def ratio_stage(prep: Prepared, model: Forecaster, pretrained_row: dict,
     (out_dir / "send_report.txt").write_text(format_report(records, plan))
     if prep.cfg.pruning.rescore_between_removals:
         pruned_model, removed = prep.timed(
-            "prune", lambda: iterative_prune(model, batches, plan.k))
+            "prune", lambda: iterative_prune(model, batches, plan.k, records))
     else:
         pruned_model = prep.timed("prune", lambda: prune(model, plan))
         removed = plan.i_pruned

@@ -20,12 +20,25 @@ the heap keeps up to 1 GiB of free memory instead of trimming it. The
 activations ``Tape.backward`` frees as it replays the tape then stay in the
 heap for the next step instead of going back to the OS and being faulted
 in, zero-filled, all over again.
+
+Work that splits into large independent pieces of numpy work, which
+releases the GIL, runs on two threads (see :func:`_share`): the batch
+chunks of :func:`attention_sublayer`, forward and backward, and the GELU's
+``erf`` on large arrays in :func:`ffn`. The calling thread takes the even
+pieces and one helper thread, started the first time it is needed, the odd
+ones. Every piece does the arithmetic it does alone and sums keep their
+serial order, so outputs are the same bytes on one thread or two. When the
+process's CPU affinity holds one CPU (``taskset -c 0``), no thread is
+started and the pieces run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +96,111 @@ def _keep_freed_memory() -> bool:
 
 
 _MALLOC_POLICY_SET = _keep_freed_memory()
+
+
+def _forget_helper() -> None:
+    """Start without a helper thread: the next :func:`_slots` call that
+    could share work reads the CPU affinity again.
+
+    Runs at import and in a forked child, which inherits the parent's
+    executor but not its thread, so jobs handed to it would never run.
+    """
+    global _HELPER, _HELPER_LOCK
+    _HELPER = None        # None: not yet decided; False: one CPU, no thread
+    _HELPER_LOCK = threading.Lock()
+
+
+_forget_helper()
+if hasattr(os, "register_at_fork"):       # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _slots(pieces: int) -> int:
+    """The threads that :func:`_share` runs ``pieces`` pieces on: 2 when
+    there are two or more and the process may run on more than one CPU
+    (its affinity where the OS reports one, else the CPU count), else 1.
+    A caller allocates one set of scratch buffers per thread."""
+    global _HELPER
+    if pieces < 2:
+        return 1
+    if _HELPER is None:
+        with _HELPER_LOCK:
+            if _HELPER is None:
+                cpus = (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity")   # Linux only
+                        else os.cpu_count() or 1)
+                _HELPER = cpus > 1 and ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="spat")
+    return 2 if _HELPER else 1
+
+
+class _Baton:
+    """Whose turn it is to run an in-order step in :func:`_share`: the
+    index of the next piece, or -1 once either thread has failed."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self.turn = 0
+
+    def give(self, turn: int) -> None:
+        """Hand the turn on; after a failure it stays -1."""
+        with self._cond:
+            if self.turn >= 0:
+                self.turn = turn
+            self._cond.notify_all()
+
+    def take(self, i: int) -> bool:
+        """Wait for piece ``i``'s turn; False if a thread failed first."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.turn in (i, -1))
+            return self.turn == i
+
+
+def _share(work: Callable[[int, int], None], pieces: int, slots: int,
+           in_order: Callable[[int, int], None] | None = None) -> None:
+    """Run ``work(i, slot)`` and then ``in_order(i, slot)``, if given, for
+    each piece ``i`` in ``range(pieces)``.
+
+    With ``slots`` 1 (from :func:`_slots`) the calling thread runs every
+    piece in order as slot 0. With 2 it runs the even pieces as slot 0 and
+    the helper thread the odd ones as slot 1; ``in_order(i, ...)`` starts
+    only after ``in_order(i - 1, ...)`` has returned, so a running sum it
+    extends is added to in the serial order. A slot's pieces may share its
+    scratch buffers, one piece at a time. An exception on either thread
+    stops the other at its next piece or turn, and is raised here once
+    both have stopped (the calling thread's, if both raise). The pieces
+    must not touch the tape.
+    """
+    if slots == 1:
+        for i in range(pieces):
+            work(i, 0)
+            if in_order is not None:
+                in_order(i, 0)
+        return
+    baton = _Baton()
+
+    def run(slot):
+        try:
+            for i in range(slot, pieces, 2):
+                if baton.turn < 0:
+                    return
+                work(i, slot)
+                if in_order is not None:
+                    if not baton.take(i):
+                        return
+                    in_order(i, slot)
+                    baton.give(i + 1)
+        except BaseException:
+            baton.give(-1)
+            raise
+
+    helper = _HELPER.submit(run, 1)
+    try:
+        run(0)
+    finally:
+        wait([helper])
+    helper.result()
+
 
 _ACTIVE_TAPE: "Tape | None" = None
 
@@ -352,11 +470,16 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         return out
 
     qh, kh, vh = (split(linear(x2, w, b)) for w, b in linears[:3])
+    slots = _slots(len(chunks))
     att = np.empty((batch, heads, s, s)) if save else None
-    scratch = None if save else np.empty((n, heads, s, s))
+    scratch = None if save else np.empty((slots, n, heads, s, s))
     ctx = merged()
-    for sl in chunks:
-        a = att[sl] if save else scratch[:sl.stop - sl.start]
+    ctx_h = split(ctx)
+
+    def attend(i, slot):
+        """Chunk i's scores, softmax and context."""
+        sl = chunks[i]
+        a = att[sl] if save else scratch[slot][:sl.stop - sl.start]
         np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=a)
         a *= c
         if not np.isfinite(a).all():
@@ -365,7 +488,9 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         a -= a.max(axis=-1, keepdims=True)
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
-        np.matmul(a, vh[sl], out=split(ctx)[sl])
+        np.matmul(a, vh[sl], out=ctx_h[sl])
+
+    _share(attend, len(chunks), slots)
     ctx2 = ctx.reshape(-1, d)
     out = linear(ctx2, w_e, b_e)
     if keep is not None:
@@ -376,37 +501,49 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     def attend_backward(g_ctx):
         """The q, k, v and probe gradients from the context's."""
         gq, gv = (merged() if need else None for need in (need_q, need_v))
+        gq_h, gv_h = (None if g is None else split(g) for g in (gq, gv))
         # k's gradient keeps the unfused layout, a [B, S, d] view of
         # [B, H, d_head, S]: the bias gradient's sum over it depends on it
         gk_t = np.empty((batch, heads, dh, s)) if need_k else None
-        ga = np.empty((n, heads, s, s))
-        # rows 1.. hold a chunk's products g_A ⊙ A; row 0 carries the probe
-        # gradient's running sum into the next chunk's sum over the batch
-        prod = np.empty((n + 1, heads, s, s))
+        ga = np.empty((slots, n, heads, s, s))
+        # per thread: rows 1.. hold a chunk's products g_A ⊙ A; row 0
+        # carries the probe gradient's running sum into the chunk's sum
+        prod = np.empty((slots, n + 1, heads, s, s))
         gp = None
-        for sl in chunks:
+
+        def chunk_backward(i, slot):
+            """Chunk i's v gradient, products g_A ⊙ A, and q and k
+            gradients."""
+            sl = chunks[i]
             nb = sl.stop - sl.start
-            a, p, gac = att[sl], prod[1:nb + 1], ga[:nb]
+            a, p, gac = att[sl], prod[slot][1:nb + 1], ga[slot][:nb]
             if need_v:
-                np.matmul(np.swapaxes(a, -1, -2), g_ctx[sl], out=split(gv)[sl])
+                np.matmul(np.swapaxes(a, -1, -2), g_ctx[sl], out=gv_h[sl])
             np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA
             np.multiply(gac, a, out=p)
-            if need_probe:
-                if gp is None:
-                    gp = p.sum(axis=0)
-                else:
-                    prod[0] = gp
-                    gp = prod[:nb + 1].sum(axis=0)
             if not (need_q or need_k):
-                continue
+                return
             # the row-softmax and scale backward, in place
             gac -= p.sum(axis=-1, keepdims=True)
             gac *= a
             gac *= c
             if need_q:
-                np.matmul(gac, kh[sl], out=split(gq)[sl])
+                np.matmul(gac, kh[sl], out=gq_h[sl])
             if need_k:
                 np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
+
+        def probe_sum(i, slot):
+            """Add chunk i's products to the probe gradient's running sum."""
+            nonlocal gp
+            nb = chunks[i].stop - chunks[i].start
+            if gp is None:
+                gp = prod[slot][1:nb + 1].sum(axis=0)
+            else:
+                prod[slot][0] = gp
+                gp = prod[slot][:nb + 1].sum(axis=0)
+
+        _share(chunk_backward, len(chunks), slots,
+               probe_sum if need_probe else None)
         gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
               .reshape(batch, s, d) if need_k else None)
         return gq, gk, gv, gp
@@ -496,6 +633,12 @@ def keep_mask(rng: np.random.Generator, shape: tuple[int, ...],
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 ACTIVATIONS = ("gelu", "relu")
+# Elements from which ffn splits the GELU's erf into two row halves, one
+# per thread. scipy's erf takes 4-20 ns an element (more where |x| > 1) and
+# a hand-off to the helper thread tens of microseconds, so a batch-64 or
+# training FFN (172,032 elements at synthetic_small) gains and a batch-1
+# forecast (2,688 or 8,192) stays inline.
+_SHARED_ERF_SIZE = 2**16
 
 
 def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -542,7 +685,16 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     u += b1.data
     if gelu:
         phi = np.divide(u, _SQRT2)
-        erf(phi, out=phi)
+        if phi.size < _SHARED_ERF_SIZE:
+            erf(phi, out=phi)
+        else:
+            rows = phi.reshape(-1, f)
+            halves = (rows[:len(rows) // 2], rows[len(rows) // 2:])
+
+            def erf_half(i, slot):
+                erf(halves[i], out=halves[i])
+
+            _share(erf_half, 2, _slots(2))
         phi += 1.0
         phi *= 0.5
         z = u * phi if tracked else np.multiply(u, phi, out=phi)

@@ -6,7 +6,7 @@ import resource
 import numpy as np
 import pytest
 
-from spat import tensor
+from spat import pipeline, tensor
 from spat.checkpoint import load_checkpoint
 from spat.config import config_from_dict
 from spat.cost import build_cost_report
@@ -33,7 +33,7 @@ from spat.pipeline import (
     run_pipeline,
     zero_shot_eval,
 )
-from spat.send import build_plan
+from spat.send import build_plan, compute_sensitivity
 from spat.tensor import Tape, mse_loss
 from unfused import add, matmul, transpose
 
@@ -245,6 +245,11 @@ class TestPrune:
         assert len(removed) == 2 and len(set(removed)) == 2
         assert sorted(pruned.pruned_layers()) == sorted(removed)
         assert model.pruned_layers() == []
+        again, same = iterative_prune(model, batches, 2,
+                                      compute_sensitivity(model, batches))
+        assert same == removed
+        assert all(np.array_equal(a, b) for a, b in zip(
+            again.state_dict().values(), pruned.state_dict().values()))
 
 
 class TestZeroShot:
@@ -354,14 +359,38 @@ class TestRunPipeline:
         result = run_pipeline(cfg)
         assert list(result.metrics) == ["pretrained", "pruned", "finetuned"]
 
-    def test_rescore_between_removals(self, tmp_path):
-        cfg = tiny_experiment(tmp_path / "run3",
-                              **{"pruning.rescore_between_removals": True,
-                                 "pruning.alpha": 0.5})
-        result = run_pipeline(cfg)
-        assert len(result.removed) == 2
-        pruned, _ = load_checkpoint(tmp_path / "run3" / "pruned.ckpt")
-        assert result.removed == pruned.pruned_layers()
+    def test_rescore_between_removals(self, tmp_path, monkeypatch):
+        """k = 2 removals score twice: once in the score stage, whose
+        records the first removal reuses, and once after it. Rescoring
+        the unpruned model instead changes no byte of the outputs."""
+        calls = []
+
+        def counted(model, batches):
+            calls.append(model.pruned_layers())
+            return compute_sensitivity(model, batches)
+
+        monkeypatch.setattr(pipeline, "compute_sensitivity", counted)
+        def rescored(model, batches, k, records):
+            return iterative_prune(model, batches, k)
+
+        outputs = []
+        for name, prune_fn in (("reused", iterative_prune),
+                               ("rescored", rescored)):
+            monkeypatch.setattr(pipeline, "iterative_prune", prune_fn)
+            calls.clear()
+            cfg = tiny_experiment(tmp_path / name,
+                                  **{"pruning.rescore_between_removals": True,
+                                     "pruning.alpha": 0.5})
+            result = run_pipeline(cfg)
+            assert len(result.removed) == 2
+            pruned, _ = load_checkpoint(tmp_path / name / "pruned.ckpt")
+            assert result.removed == pruned.pruned_layers()
+            outputs.append([result.removed, len(calls)] + [
+                (tmp_path / name / f).read_bytes()
+                for f in ("metrics.csv", "send_report.txt", "pruned.ckpt")])
+        assert outputs[0][1] == 2 and outputs[1][1] == 3
+        assert outputs[0][0] == outputs[1][0]
+        assert outputs[0][2:] == outputs[1][2:]
 
     def test_load_dataset_csv_source(self, tmp_path):
         from spat.data import write_csv

@@ -1,5 +1,9 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
+import os
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,17 @@ def unfused_model(monkeypatch):
         monkeypatch.setattr(AttentionBlock, "ffn_sublayer", unfused_ffn_sublayer)
         monkeypatch.setattr(model_module, "head", unfused_head)
     return use
+
+
+@pytest.fixture(params=["serial", "two_threads"])
+def schedule(request, monkeypatch):
+    """Share ``spat.tensor``'s work as a process whose CPU affinity holds
+    one CPU (every piece on the calling thread) or two (a helper thread
+    takes the odd pieces) does."""
+    cpus = {0} if request.param == "serial" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(tensor, "_HELPER", None)
+    return request.param
 
 
 def same_bits(a, b):
@@ -365,6 +380,166 @@ class TestAttentionMemory:
                              Tensor(self.arrays[0])))
         assert traced_peak(lambda: tape.backward(loss)) < self.full
         assert all(t.grad is not None for t in ts) and probe.grad is not None
+
+    def test_bounds_hold_on_one_thread_or_two(self, schedule):
+        self.test_untracked_forward_keeps_no_scores()
+        self.test_backward_allocates_no_full_size_temporary()
+
+
+class TestTwoThreads:
+    """Work shared with the helper thread gives the bytes of the serial
+    schedule; a failure on either thread reaches the caller."""
+
+    b, s, heads = 5, 6, 2
+
+    @pytest.fixture(autouse=True)
+    def two_item_chunks(self, monkeypatch):
+        """The batch of 5 walks in chunks of 2, 2 and 1 items."""
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES",
+                            2 * self.heads * self.s * self.s * 8)
+
+    @pytest.mark.parametrize("dh", [1, 3])
+    @pytest.mark.parametrize("case", ["pre", "post", "scoring"])
+    def test_attention_matches_unfused(self, schedule, case, dh):
+        """Training pre- and post-norm (x is h), and scoring's first layer
+        (only the probe needs a gradient), taped and untaped."""
+        rng = np.random.default_rng(13)
+        d = self.heads * dh
+        h, x, *weights = attention_arrays(rng, self.b, self.s, d)
+        probe = np.ones((self.heads, self.s, self.s))
+        arrays = [h] + ([] if case == "post" else [x]) + weights + [probe]
+
+        def run(op):
+            if case == "post":
+                return lambda h, *w: op(h, h, *w[:8], self.heads, None, w[8])
+            return lambda h, x, *w: op(h, x, *w[:8], self.heads, None, w[8])
+
+        frozen = tuple(range(10)) if case == "scoring" else ()
+        assert_fused_equals_unfused(run(attention_sublayer),
+                                    run(unfused_attention_sublayer), arrays,
+                                    frozen=frozen)
+        untaped = attention_sublayer(*map(Tensor, [h, x] + weights), self.heads)
+        with Tape():
+            want = unfused_attention_sublayer(
+                *map(Tensor, [h, x] + weights), self.heads)
+        assert same_bits(untaped.data, want.data)
+
+    @pytest.mark.parametrize("placement", ["pre", "post"])
+    def test_gelu_in_halves_matches_unfused(self, schedule, monkeypatch,
+                                            placement):
+        monkeypatch.setattr(tensor, "_SHARED_ERF_SIZE", 1)
+        rng = np.random.default_rng(14)
+        b, s, d, f = 5, 3, 4, 8
+        arrays = [rand(rng, b, s, d)] + ([] if placement == "post" else
+                                         [rand(rng, b, s, d)])
+        arrays += [rand(rng, d, f), rand(rng, f), rand(rng, f, d), rand(rng, d)]
+
+        def run(op):
+            if placement == "post":
+                return lambda h, *w: op(h, h, *w, "gelu")
+            return lambda h, x, *w: op(h, x, *w, "gelu")
+
+        assert_fused_equals_unfused(run(ffn), run(unfused_ffn), arrays)
+
+    def test_non_finite_scores_in_a_helper_chunk(self, schedule,
+                                                 monkeypatch):
+        """In chunks of one item, item 1 is the helper's."""
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
+        x = np.ones((3, 2, 1))
+        x[1, 1, 0] = np.inf
+        w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        with pytest.raises(NumericError, match="NaN or Inf"):
+            attention_sublayer(Tensor(x), Tensor(x), *(w, b) * 4, 1)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_backward_failure_raises_without_hanging(self, schedule,
+                                                     monkeypatch, failing):
+        """A chunk's backward raises, on the calling thread (chunks 0 and
+        2) or the helper (chunk 1), while the other thread works on or
+        waits for its turn at the probe gradient's running sum."""
+        class Injected(RuntimeError):
+            pass
+
+        share = tensor._share
+
+        def failing_share(work, pieces, slots, in_order=None):
+            def maybe_fail(i, slot):
+                if in_order is not None and i == failing:
+                    raise Injected(f"chunk {i}")
+                work(i, slot)
+            share(maybe_fail, pieces, slots, in_order)
+
+        monkeypatch.setattr(tensor, "_share", failing_share)
+        ts = [Tensor(a, requires_grad=True) for a in attention_arrays(
+            np.random.default_rng(1), self.b, self.s, self.heads)]
+        probe = Tensor(np.ones((self.heads, self.s, self.s)),
+                       requires_grad=True)
+        with Tape() as tape:
+            loss = total(attention_sublayer(*ts, self.heads, probe=probe))
+        raised = []
+
+        def backward():
+            try:
+                tape.backward(loss)
+            except Injected as e:
+                raised.append(e)
+
+        worker = threading.Thread(target=backward, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "backward hung"
+        assert [str(e) for e in raised] == [f"chunk {failing}"]
+        # both threads stopped: the next shared op runs to the end
+        monkeypatch.setattr(tensor, "_share", share)
+        attention_sublayer(*ts, self.heads, probe=probe)
+
+    def test_forked_child_finishes(self, monkeypatch):
+        """The child of a fork taken while the helper thread is alive
+        starts its own, instead of handing chunks to the parent's executor,
+        whose thread it does not have."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        arrays = attention_arrays(np.random.default_rng(2), self.b, self.s, 4)
+        want = attention_sublayer(*map(Tensor, arrays), self.heads).data
+        assert tensor._HELPER
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                out = attention_sublayer(*map(Tensor, arrays), self.heads)
+                os.write(write, b"same" if same_bits(out.data, want) else b"diff")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as f:
+            assert f.read() == b"same"
+
+    @pytest.mark.parametrize("count, slots", [(1, 1), (2, 2), (None, 1)])
+    def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch,
+                                                        count, slots):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        assert tensor._slots(3) == slots
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        before = threading.active_count()
+        attention_sublayer(*map(Tensor, attention_arrays(
+            np.random.default_rng(3), self.b, self.s, 4)), self.heads)
+        assert tensor._HELPER is False and tensor._slots(3) == 1
+        assert threading.active_count() == before
 
 
 class TestGradModeAndInvariants:
