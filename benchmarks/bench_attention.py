@@ -7,8 +7,8 @@ chunk). ``one_chunk`` raises the chunk budget so the whole batch is one
 chunk, which is the order of work before the batch was chunked; the two
 give the same bits, so the pair isolates the effect of chunking.
 ``serial`` runs every chunk on the calling thread, as a process pinned to
-one CPU does; ``two_threads`` hands the odd chunks to spat's helper
-thread, as on two or more CPUs. They give the same bits too. Every input
+one CPU does; ``two_threads`` lets spat's helper thread take chunks
+too, as on two or more CPUs. They give the same bits too. Every input
 and the probe take a gradient, pre-norm form, no dropout. Pin the BLAS
 threads and write JSON to compare runs:
 

@@ -8,7 +8,7 @@ dropout as in scoring). Every input takes a gradient, and a training
 step's keep-mask draws are timed with it. Both shapes are large enough
 for ``ffn`` to split the GELU's ``erf`` into two halves: ``serial`` runs
 both on the calling thread, as a process pinned to one CPU does, and
-``two_threads`` hands one to spat's helper thread, as on two or more
+``two_threads`` lets spat's helper thread take one, as on two or more
 CPUs. Pin the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\

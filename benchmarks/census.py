@@ -1,7 +1,8 @@
 """Census of ``src/spat``: every function that no command and no benchmark
 workload enters.
 
-Under ``sys.settrace``, runs every ``spat`` subcommand on a tiny config:
+Under ``sys.settrace`` and ``threading.settrace``, so that work on spat's
+helper thread counts too, runs every ``spat`` subcommand on a tiny config:
 ``run`` three ways (variate tokens; temporal tokens with post-norm, relu
 and rescoring; a CSV dataset), then ``sweep``, ``pretrain``, ``score``,
 ``prune``, ``finetune``, ``eval``, ``zeroshot`` and ``synth-data``. Then
@@ -25,6 +26,7 @@ import inspect
 import io
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import yaml
@@ -109,6 +111,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         sys.settrace(trace)
+        threading.settrace(trace)
         try:
             from spat.cli import main as spat_main
             spec = importlib.util.spec_from_file_location(
@@ -126,6 +129,7 @@ def main() -> int:
                 if code != 0:
                     failures.append(f"{label} exited {code}")
         finally:
+            threading.settrace(None)
             sys.settrace(None)
 
     reached = {(Path(c.co_filename).name, c.co_firstlineno, c.co_name)

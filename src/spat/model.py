@@ -20,6 +20,7 @@ retained.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -28,12 +29,12 @@ import numpy as np
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import (
     ACTIVATIONS,
+    KeepMasks,
     Tensor,
     attention_sublayer,
     embed,
     ffn,
     head,
-    keep_mask,
     layer_norm,
 )
 
@@ -198,38 +199,35 @@ class AttentionBlock:
     def _norm2(self, h: Tensor) -> Tensor:
         return layer_norm(h, self.ln2_g, self.ln2_b)
 
-    def attention_sublayer(self, h: Tensor, training: bool,
-                           rng: np.random.Generator | None) -> Tensor:
-        """Multi-head self-attention on [batch, S, d_model] tokens."""
+    def attention_sublayer(self, h: Tensor,
+                           masks: KeepMasks | None = None) -> Tensor:
+        """Multi-head self-attention on [batch, S, d_model] tokens, with
+        dropout from ``masks`` where given."""
         cfg = self.cfg
         x = self._norm1(h) if cfg.norm_placement == "pre" else h
-        keep = None
-        if training and cfg.dropout > 0.0:
-            keep = keep_mask(rng, h.shape, cfg.dropout)
+        keep = None if masks is None else masks.take(h.shape)
         out = attention_sublayer(h, x, self.w_q, self.b_q, self.w_k, self.b_k,
                                  self.w_v, self.b_v, self.w_e, self.b_e,
                                  cfg.heads, keep, self.probe)
         return self._norm1(out) if cfg.norm_placement == "post" else out
 
-    def ffn_sublayer(self, h: Tensor, training: bool,
-                     rng: np.random.Generator | None) -> Tensor:
+    def ffn_sublayer(self, h: Tensor,
+                     masks: KeepMasks | None = None) -> Tensor:
         cfg = self.cfg
         x = self._norm2(h) if cfg.norm_placement == "pre" else h
         keep1 = keep2 = None
-        if training and cfg.dropout > 0.0:
-            # the draws, in order, of dropout after the activation and
-            # after the second linear
-            keep1 = keep_mask(rng, h.shape[:-1] + (cfg.d_ff,), cfg.dropout)
-            keep2 = keep_mask(rng, h.shape, cfg.dropout)
+        if masks is not None:
+            # dropout after the activation, then after the second linear
+            keep1 = masks.take(h.shape[:-1] + (cfg.d_ff,))
+            keep2 = masks.take(h.shape)
         out = ffn(h, x, self.w1, self.b1, self.w2, self.b2, cfg.activation,
                   keep1, keep2)
         return self._norm2(out) if cfg.norm_placement == "post" else out
 
-    def forward(self, h: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, h: Tensor, masks: KeepMasks | None = None) -> Tensor:
         if not self.pruned:
-            h = self.attention_sublayer(h, training, rng)
-        return self.ffn_sublayer(h, training, rng)
+            h = self.attention_sublayer(h, masks)
+        return self.ffn_sublayer(h, masks)
 
 
 class Forecaster:
@@ -295,8 +293,7 @@ class Forecaster:
             raise ShapeError(f"variate-token model expects {self.cfg.channels} "
                              f"channels, got {x.shape[2]}")
 
-    def _embed(self, x: np.ndarray, training: bool,
-               rng: np.random.Generator | None) -> Tensor:
+    def _embed(self, x: np.ndarray, masks: KeepMasks | None = None) -> Tensor:
         cfg = self.cfg
         batch, length, channels = x.shape
         if cfg.mode == "temporal_tokens":
@@ -313,18 +310,32 @@ class Forecaster:
         else:
             # each channel's full window is one token: [B, L, C] -> [B, C, L]
             tokens = np.transpose(x, (0, 2, 1))
-        keep = None
-        if training and cfg.dropout > 0.0:
-            keep = keep_mask(rng, tokens.shape[:-1] + (cfg.d_model,), cfg.dropout)
+        keep = (None if masks is None
+                else masks.take(tokens.shape[:-1] + (cfg.d_model,)))
         return embed(tokens, self.embed_w, self.embed_b, self.pos_emb, keep)
 
-    def encode(self, x: np.ndarray, training: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """Token embeddings after the encoder stack, before the head."""
+    def keep_shapes(self, x_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The shapes of a training forward's dropout keep masks over
+        ``[B, L, C]`` windows, in draw order: the embedding's, then per
+        block the attention sublayer's (unless it is pruned) and the FFN's
+        two, after the activation and after the second linear."""
+        cfg = self.cfg
+        batch, _, channels = x_shape
+        tokens = ((batch * channels, cfg.token_count)
+                  if cfg.mode == "temporal_tokens" else (batch, channels))
+        d, f = tokens + (cfg.d_model,), tokens + (cfg.d_ff,)
+        shapes = [d]
+        for blk in self.blocks:
+            shapes += ([] if blk.pruned else [d]) + [f, d]
+        return shapes
+
+    def encode(self, x: np.ndarray, masks: KeepMasks | None = None) -> Tensor:
+        """Token embeddings after the encoder stack, before the head, with
+        dropout from ``masks`` where given."""
         self._validate_input(x)
-        h = self._embed(x, training, rng)
+        h = self._embed(x, masks)
         for i, blk in enumerate(self.blocks):
-            h = blk.forward(h, training, rng)
+            h = blk.forward(h, masks)
             if np.isnan(h.data).any():
                 raise NumericError(f"NaN activations after encoder block {i}")
         if self.final_g is not None:
@@ -333,15 +344,21 @@ class Forecaster:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Differentiable forecast of shape [batch, T, C]."""
+        """Differentiable forecast of shape [batch, T, C]. In training
+        with dropout the keep masks are drawn from ``rng`` in the order of
+        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use."""
         self._validate_input(x)
-        sigma = mu = None
-        if self.cfg.instance_norm:
-            mu = x.mean(axis=1, keepdims=True)
-            sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
-            x = (x - mu) / sigma
-        out = head(self.encode(x, training, rng), self.head_w, self.head_b,
-                   x.shape[2], sigma, mu)
+        drawing = training and self.cfg.dropout > 0.0
+        with (KeepMasks(rng, self.keep_shapes(x.shape), self.cfg.dropout)
+              if drawing else contextlib.nullcontext()) as masks:
+            sigma = mu = None
+            if self.cfg.instance_norm:
+                mu = x.mean(axis=1, keepdims=True)
+                sigma = np.sqrt(x.var(axis=1, keepdims=True)
+                                + INSTANCE_NORM_EPS)
+                x = (x - mu) / sigma
+            out = head(self.encode(x, masks), self.head_w, self.head_b,
+                       x.shape[2], sigma, mu)
         if np.isnan(out.data).any():
             raise NumericError("NaN activations in forecast head")
         return out

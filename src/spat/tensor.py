@@ -21,15 +21,27 @@ activations ``Tape.backward`` frees as it replays the tape then stay in the
 heap for the next step instead of going back to the OS and being faulted
 in, zero-filled, all over again.
 
-Work that splits into large independent pieces of numpy work, which
-releases the GIL, runs on two threads (see :func:`_share`): the batch
-chunks of :func:`attention_sublayer`, forward and backward, and the GELU's
-``erf`` on large arrays in :func:`ffn`. The calling thread takes the even
-pieces and one helper thread, started the first time it is needed, the odd
-ones. Every piece does the arithmetic it does alone and sums keep their
-serial order, so outputs are the same bytes on one thread or two. When the
-process's CPU affinity holds one CPU (``taskset -c 0``), no thread is
-started and the pieces run in order on the calling thread.
+Work on numpy arrays that releases the GIL runs partly on one helper
+thread, a one-worker executor started the first time it is needed (see
+:func:`_helper`):
+
+* pieces of one op, shared with :func:`_share`: the batch chunks of
+  :func:`attention_sublayer`, forward and backward, and the two halves of
+  the GELU's ``erf`` on large arrays in :func:`ffn`. Each thread takes the
+  next piece not yet taken;
+* the leaf gradients of ``Tape.backward``: a record's parameter and probe
+  gradients are computed and accumulated on the helper while the calling
+  thread carries the other gradients down the tape;
+* the dropout keep masks of a training forward, drawn by
+  :class:`KeepMasks` ahead of use.
+
+Every piece of work does the arithmetic it does alone. The helper runs its
+jobs one at a time in the order they were handed over, so each leaf sums
+its gradients, and a generator makes its draws, in the serial order; sums
+across pieces keep their serial order too. So outputs, gradients and masks
+are the same bytes on one thread or two. When the process's CPU affinity
+holds one CPU (``taskset -c 0``), no thread is started and all of it runs
+in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 __all__ = [
     "ACTIVATIONS",
+    "KeepMasks",
     "Tape",
     "Tensor",
     "attention_sublayer",
@@ -71,6 +84,7 @@ class _Record(NamedTuple):
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> bool:
@@ -81,9 +95,13 @@ def _keep_freed_memory() -> bool:
     model's ``[32, 4, 128, 128]`` score tensor is 16 MiB; 32 MiB is
     glibc's cap on 64-bit), because each mmapped buffer is faulted in
     fresh on every use. The trim threshold must exceed one step's working
-    set, so the heap stops shrinking between steps. The policy is
-    process-wide, like the allocator. Where libc has no ``mallopt``,
-    nothing changes.
+    set, so the heap stops shrinking between steps. One arena serves every
+    thread: numpy allocates its buffers with the GIL held, so a second
+    arena buys no concurrency, and the helper thread's own arena would
+    keep a second pool of freed memory that the calling thread, which
+    frees the masks and gradients the helper allocates, cannot reuse. The
+    policy is process-wide, like the allocator. Where libc has no
+    ``mallopt``, nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -92,15 +110,16 @@ def _keep_freed_memory() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
-                and mallopt(_M_TRIM_THRESHOLD, 2**30))
+                and mallopt(_M_TRIM_THRESHOLD, 2**30)
+                and mallopt(_M_ARENA_MAX, 1))
 
 
 _MALLOC_POLICY_SET = _keep_freed_memory()
 
 
 def _forget_helper() -> None:
-    """Start without a helper thread: the next :func:`_slots` call that
-    could share work reads the CPU affinity again.
+    """Start without a helper thread: the next :func:`_helper` call reads
+    the CPU affinity again.
 
     Runs at import and in a forked child, which inherits the parent's
     executor but not its thread, so jobs handed to it would never run.
@@ -115,14 +134,11 @@ if hasattr(os, "register_at_fork"):       # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _slots(pieces: int) -> int:
-    """The threads that :func:`_share` runs ``pieces`` pieces on: 2 when
-    there are two or more and the process may run on more than one CPU
-    (its affinity where the OS reports one, else the CPU count), else 1.
-    A caller allocates one set of scratch buffers per thread."""
+def _helper() -> ThreadPoolExecutor | None:
+    """The helper thread's one-worker executor, started the first time it
+    is asked for, or None when the process may run on one CPU only (its
+    affinity where the OS reports one, else the CPU count)."""
     global _HELPER
-    if pieces < 2:
-        return 1
     if _HELPER is None:
         with _HELPER_LOCK:
             if _HELPER is None:
@@ -131,29 +147,49 @@ def _slots(pieces: int) -> int:
                         else os.cpu_count() or 1)
                 _HELPER = cpus > 1 and ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="spat")
-    return 2 if _HELPER else 1
+    return _HELPER or None
 
 
-class _Baton:
-    """Whose turn it is to run an in-order step in :func:`_share`: the
-    index of the next piece, or -1 once either thread has failed."""
+def _slots(pieces: int) -> int:
+    """The threads that :func:`_share` runs ``pieces`` pieces on: 2 when
+    there are two or more and there is a helper thread, else 1. A caller
+    allocates one set of scratch buffers per thread."""
+    return 2 if pieces >= 2 and _helper() else 1
 
-    def __init__(self):
+
+class _Pieces:
+    """The pieces of one :func:`_share` call, handed out in order to
+    whichever thread asks first: the next piece to hand out, and whose turn
+    it is to run an in-order step, or -1 once either thread has failed."""
+
+    def __init__(self, count: int):
         self._cond = threading.Condition()
+        self.count = count
+        self.next = 0
         self.turn = 0
 
+    def claim(self) -> int | None:
+        """The next piece, or None once every piece is handed out or a
+        thread has failed."""
+        with self._cond:
+            if self.turn < 0 or self.next == self.count:
+                return None
+            self.next += 1
+            return self.next - 1
+
+    def take(self, i: int) -> bool:
+        """Wait for piece ``i``'s in-order turn; False if a thread failed
+        first."""
+        with self._cond:
+            self._cond.wait_for(lambda: self.turn in (i, -1))
+            return self.turn == i
+
     def give(self, turn: int) -> None:
-        """Hand the turn on; after a failure it stays -1."""
+        """Hand the in-order turn on; after a failure it stays -1."""
         with self._cond:
             if self.turn >= 0:
                 self.turn = turn
             self._cond.notify_all()
-
-    def take(self, i: int) -> bool:
-        """Wait for piece ``i``'s turn; False if a thread failed first."""
-        with self._cond:
-            self._cond.wait_for(lambda: self.turn in (i, -1))
-            return self.turn == i
 
 
 def _share(work: Callable[[int, int], None], pieces: int, slots: int,
@@ -162,14 +198,17 @@ def _share(work: Callable[[int, int], None], pieces: int, slots: int,
     each piece ``i`` in ``range(pieces)``.
 
     With ``slots`` 1 (from :func:`_slots`) the calling thread runs every
-    piece in order as slot 0. With 2 it runs the even pieces as slot 0 and
-    the helper thread the odd ones as slot 1; ``in_order(i, ...)`` starts
-    only after ``in_order(i - 1, ...)`` has returned, so a running sum it
+    piece in order as slot 0. With 2 the calling thread, as slot 0, and the
+    helper thread, as slot 1, each take the next piece not yet taken until
+    none is left, so the calling thread runs them all while the helper is
+    busy with jobs handed to it earlier. ``in_order(i, ...)`` starts only
+    after ``in_order(i - 1, ...)`` has returned, so a running sum it
     extends is added to in the serial order. A slot's pieces may share its
     scratch buffers, one piece at a time. An exception on either thread
     stops the other at its next piece or turn, and is raised here once
-    both have stopped (the calling thread's, if both raise). The pieces
-    must not touch the tape.
+    the helper has stopped (the calling thread's, if both raise). The pieces
+    must not touch the tape, and the helper thread must not call
+    ``_share``: it would wait on itself.
     """
     if slots == 1:
         for i in range(pieces):
@@ -177,32 +216,43 @@ def _share(work: Callable[[int, int], None], pieces: int, slots: int,
             if in_order is not None:
                 in_order(i, 0)
         return
-    baton = _Baton()
+    shared = _Pieces(pieces)
 
     def run(slot):
         try:
-            for i in range(slot, pieces, 2):
-                if baton.turn < 0:
-                    return
+            while (i := shared.claim()) is not None:
                 work(i, slot)
                 if in_order is not None:
-                    if not baton.take(i):
+                    if not shared.take(i):
                         return
                     in_order(i, slot)
-                    baton.give(i + 1)
+                    shared.give(i + 1)
         except BaseException:
-            baton.give(-1)
+            shared.give(-1)
             raise
 
-    helper = _HELPER.submit(run, 1)
+    helper = _helper().submit(run, 1)
     try:
         run(0)
     finally:
-        wait([helper])
-    helper.result()
+        # a helper still busy with earlier jobs never starts this one
+        if not helper.cancel():
+            wait([helper])
+    if not helper.cancelled():
+        helper.result()
 
 
 _ACTIVE_TAPE: "Tape | None" = None
+
+# Leaf-gradient jobs Tape.backward lets wait on the helper thread at once.
+# A job holds the buffers its gradients are computed from, which a serial
+# backward frees with the record, so a helper that falls behind (when the
+# OS runs something else on its core) would hold those of every record it
+# has not reached. In 30 s runs of perfbench's pipeline_temporal on a
+# 2-core machine, peak RSS was 114.1-114.6 MB with a serial backward,
+# 116.4-119.3 MB with no bound and an arena per thread, and 115.5-116.1 MB
+# with this bound and one arena (see _keep_freed_memory).
+_LEAF_JOBS_WAITING = 2
 
 
 class Tape:
@@ -256,6 +306,24 @@ class Tape:
         afterwards the tape is empty and only leaves (parameters and probes)
         hold a ``grad``. A loss on this tape implies a record, so an empty
         tape was already replayed.
+
+        A ``grad_fn`` may return a leaf's gradient as a zero-argument
+        callable that computes it (the weight and bias gradients of the
+        model's ops), since no later record reads it. The calling thread
+        carries the gradients of non-leaf tensors down the tape, and each
+        record's leaf contributions, computed where they are callables, are
+        accumulated by one job on the helper thread (:func:`_helper`).
+        The helper runs its jobs one at a time in the order they were
+        handed over, which is the order of the records, so every leaf sums
+        its contributions in the serial order and ``grad`` holds the same
+        bytes on one thread or two. A job must not share work itself (with
+        :func:`_share`), since it would wait on the thread it runs on. With
+        one CPU each job runs on the calling thread as it is handed over.
+        At most ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling
+        thread waits for the oldest before it hands over another.
+        ``backward`` returns, or raises, only once every job has run. An
+        exception in a job is raised here once the calling thread waits for
+        that job (the calling thread's own, if it raises too).
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -265,16 +333,46 @@ class Tape:
         if not self._records:
             raise ContractError("tape already consumed by an earlier backward")
         loss.grad = np.ones((), dtype=np.float64)
-        while self._records:
-            rec = self._records.pop()
-            g_out = rec.output.grad
-            if g_out is None:
-                continue
-            rec.output.grad = None
-            for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
-                if g is None or not t.requires_grad:
+        helper = _helper()
+        jobs = []
+        try:
+            while self._records:
+                rec = self._records.pop()
+                g_out = rec.output.grad
+                if g_out is None:
                     continue
-                t.grad = g if t.grad is None else t.grad + g
+                rec.output.grad = None
+                leaves = []
+                for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
+                    if g is None or not t.requires_grad:
+                        continue
+                    if t._tape is None:
+                        leaves.append((t, g))
+                        continue
+                    if callable(g):
+                        g = g()
+                    t.grad = g if t.grad is None else t.grad + g
+                if not leaves:
+                    continue
+                if helper:
+                    if len(jobs) >= _LEAF_JOBS_WAITING:
+                        jobs[-_LEAF_JOBS_WAITING].result()
+                    jobs.append(helper.submit(_accumulate, leaves))
+                else:
+                    _accumulate(leaves)
+        finally:
+            wait(jobs)
+        for job in jobs:
+            job.result()
+
+
+def _accumulate(leaves: list[tuple["Tensor", object]]) -> None:
+    """Add each gradient, computed first where it is a callable, to its
+    leaf's ``grad``, in order."""
+    for t, g in leaves:
+        if callable(g):
+            g = g()
+        t.grad = g if t.grad is None else t.grad + g
 
 
 class Tensor:
@@ -326,6 +424,17 @@ def _emit(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> Callable[[], np.ndarray]:
+    """A weight's gradient ``a.T @ g``, computed when called.
+
+    ``np.dot`` gives the bits of the ``@`` product and, unlike ``matmul``,
+    releases the GIL for the whole BLAS call: ``matmul`` keeps it when the
+    product has at most 500 elements, so on the helper thread a ``[16,
+    16]`` weight's 0.2 ms product would stall the calling thread.
+    """
+    return lambda: np.dot(a.T, g)
+
+
 def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
           keep: np.ndarray | None = None) -> Tensor:
     """Token embedding ``drop(tokens @ w + b + pos)`` in one record.
@@ -357,9 +466,9 @@ def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
 
     def grad_fn(g):
         gd = g if keep is None else g * keep
-        return (t2.T @ gd.reshape(-1, d) if w.requires_grad else None,
-                gd.sum(axis=(0, 1)) if b.requires_grad else None,
-                gd.sum(axis=0) if pos is not None and pos.requires_grad
+        return (_weight_grad(t2, gd.reshape(-1, d)) if w.requires_grad else None,
+                (lambda: gd.sum(axis=(0, 1))) if b.requires_grad else None,
+                (lambda: gd.sum(axis=0)) if pos is not None and pos.requires_grad
                 else None)[:len(inputs)]
 
     return _emit("embed", inputs, out, grad_fn)
@@ -561,8 +670,8 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
             if gl is None:
                 return None, None, None
             gl2 = gl.reshape(-1, d)
-            return (x2.T @ gl2 if w.requires_grad else None,
-                    gl.sum(axis=(0, 1)) if b.requires_grad else None,
+            return (_weight_grad(x2, gl2) if w.requires_grad else None,
+                    (lambda: gl.sum(axis=(0, 1))) if b.requires_grad else None,
                     (gl2 @ w.data.T).reshape(x.shape) if need_x else None)
 
         gw_q, gb_q, gx_q = linear_backward(gq, w_q, b_q)
@@ -574,8 +683,8 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
             gx = ((g + gx_v if shared else gx_v) + gx_k) + gx_q
         if shared:
             gh, gx = gx, None
-        gw_e = ctx2.T @ gd2 if w_e.requires_grad else None
-        gb_e = gd.sum(axis=(0, 1)) if b_e.requires_grad else None
+        gw_e = _weight_grad(ctx2, gd2) if w_e.requires_grad else None
+        gb_e = (lambda: gd.sum(axis=(0, 1))) if b_e.requires_grad else None
         return (gh, gx, gw_q, gb_q, gw_k, gb_k, gw_v, gb_v, gw_e, gb_e,
                 gp)[:len(inputs)]
 
@@ -608,8 +717,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     need_g, need_b = gamma.requires_grad, beta.requires_grad
 
     def grad_fn(g):
-        gg = (g * y).sum(axis=lead) if need_g else None
-        gb = g.sum(axis=lead) if need_b else None
+        gg = (lambda: (g * y).sum(axis=lead)) if need_g else None
+        gb = (lambda: g.sum(axis=lead)) if need_b else None
         gy = g * g_data
         t = gy * y
         gym = t.mean(axis=-1, keepdims=True)
@@ -628,6 +737,58 @@ def keep_mask(rng: np.random.Generator, shape: tuple[int, ...],
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
     return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+class KeepMasks:
+    """The dropout keep masks of one training forward: the successive
+    draws ``keep_mask(rng, shape, rate)`` for each of ``shapes``, in order,
+    made on the helper thread (:func:`_helper`) while the calling thread
+    computes.
+
+    All the draws are handed to the helper at once (on a 2-core machine a
+    synthetic_small training step took 74 ms this way and 80 ms with one
+    draw handed over ahead of the mask in use). The helper runs its jobs
+    one at a time in the order they were handed over, so the masks are the
+    bytes of the serial draws and ``rng`` ends in the same state. With one
+    CPU each mask is drawn on the calling thread when it is taken. Each op
+    :meth:`take` s the next mask and names the shape it needs, and a shape
+    other than the one listed raises :class:`ContractError`. Used as a
+    context manager around the forward: on leaving it the draws still on
+    the helper are waited for, so ``rng`` is no longer in use, and a
+    forward that ran to its end must have taken every listed mask.
+    """
+
+    def __init__(self, rng: np.random.Generator,
+                 shapes: Sequence[tuple[int, ...]], rate: float):
+        self._rng, self._rate = rng, rate
+        self._shapes = [tuple(shape) for shape in shapes]
+        helper = _helper()
+        self._draws = None if helper is None else [
+            helper.submit(keep_mask, rng, shape, rate) for shape in self._shapes]
+        self._taken = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next mask, which must have ``shape``."""
+        i = self._taken
+        listed = self._shapes[i] if i < len(self._shapes) else None
+        if listed != tuple(shape):
+            raise ContractError(f"keep mask {i}: an op needs shape {shape}, "
+                                f"the forward listed {listed}")
+        self._taken += 1
+        if self._draws is None:
+            return keep_mask(self._rng, listed, self._rate)
+        return self._draws[i].result()
+
+    def __enter__(self) -> "KeepMasks":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._draws is not None:
+            wait(self._draws)
+        if exc_type is None and self._taken != len(self._shapes):
+            raise ContractError(f"the forward listed {len(self._shapes)} "
+                                f"keep masks and took {self._taken}")
+        return False
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -715,9 +876,9 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     def grad_fn(g):
         gv = g if keep2 is None else g * keep2
-        gb2 = gv.sum(axis=lead_axes) if need_b2 else None
+        gb2 = (lambda: gv.sum(axis=lead_axes)) if need_b2 else None
         gv2 = gv.reshape(-1, d)
-        gw2 = z2.T @ gv2 if need_w2 else None
+        gw2 = _weight_grad(z2, gv2) if need_w2 else None
         gh = g if need_h else None
         gu = (gv2 @ w2_data.T).reshape(lead + (f,))
         if keep1 is not None:
@@ -733,9 +894,9 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             gu *= t
         else:
             gu *= mask
-        gb1 = gu.sum(axis=lead_axes) if need_b1 else None
+        gb1 = (lambda: gu.sum(axis=lead_axes)) if need_b1 else None
         gu2 = gu.reshape(-1, f)
-        gw1 = x2.T @ gu2 if need_w1 else None
+        gw1 = _weight_grad(x2, gu2) if need_w1 else None
         gx = (gu2 @ w1_data.T).reshape(x.shape) if need_x else None
         return gh, gx, gw1, gb1, gw2, gb2
 
@@ -775,9 +936,10 @@ def head(h: Tensor, w: Tensor, b: Tensor, channels: int,
         g2 = g3.reshape(-1, t)
         gb = None
         if b.requires_grad:
-            gb = g3.sum(axis=(0, 1)) if per_token else g2.sum(axis=0)
+            gb = ((lambda: g3.sum(axis=(0, 1))) if per_token
+                  else lambda: g2.sum(axis=0))
         return ((g2 @ w.data.T).reshape(h.shape) if h.requires_grad else None,
-                rows.T @ g2 if w.requires_grad else None, gb)
+                _weight_grad(rows, g2) if w.requires_grad else None, gb)
 
     return _emit("head", (h, w, b), out, grad_fn)
 

@@ -7,10 +7,13 @@ they cannot inherit a bug from the reverse-mode implementation they check.
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from spat import tensor
 from spat.tensor import Tape, Tensor, mse_loss
 
 ACCEPTANCE_LINES: list[str] = []
@@ -21,6 +24,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(params=["serial", "two_threads"])
+def schedule(request, monkeypatch):
+    """Run ``spat.tensor``'s work as a process whose CPU affinity holds one
+    CPU (all of it on the calling thread) or two (shared pieces, leaf
+    gradients and keep-mask draws partly or wholly on the helper thread)
+    does."""
+    cpus = {0} if request.param == "serial" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(tensor, "_HELPER", None)
+    return request.param
 
 
 def traced_peak(fn):

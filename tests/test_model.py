@@ -1,19 +1,28 @@
 """Forecaster model tests: tokenization, attention semantics, pruning."""
 
+import inspect
 import math
+import os
+import threading
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import model_param_gradcheck
-from spat.errors import ConfigError, NumericError, ShapeError
+from spat import model as model_module
+from spat import tensor
+from spat.config import load_config
+from spat.errors import ConfigError, ContractError, NumericError, ShapeError
 from spat.model import (
     Forecaster,
     ModelConfig,
     clone_model,
     state_shapes,
 )
-from spat.tensor import Tape, Tensor, layer_norm, mse_loss
+from spat.tensor import Tape, Tensor, keep_mask, layer_norm, mse_loss
 from unfused import (
     add,
     bmm,
@@ -24,6 +33,8 @@ from unfused import (
     split_heads,
     transpose,
 )
+
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
 
 def small_cfg(**kw):
@@ -79,7 +90,7 @@ class TestTokenCounts:
         model.embed_b.data = np.zeros(4)
         model.pos_emb.data = np.zeros_like(model.pos_emb.data)
         x = np.random.default_rng(0).normal(size=(2, 11, 3))
-        tokens = model._embed(x, training=False, rng=None).data
+        tokens = model._embed(x).data
         assert tokens.shape == (2 * 3, cfg.token_count, 4)
         assert cfg.token_count == (5 if end_padding else 4)
         for b in range(2):
@@ -125,7 +136,7 @@ class TestAttentionForward:
         scores = q @ k.transpose(0, 2, 1) / np.sqrt(2.0)
         expected = h + np_softmax(scores) @ v              # identity W_E
 
-        got = blk.attention_sublayer(Tensor(h), False, None)
+        got = blk.attention_sublayer(Tensor(h))
         np.testing.assert_allclose(got.data, expected, rtol=1e-12)
 
     def test_all_ones_mask_matches_maskless_reference(self):
@@ -135,7 +146,7 @@ class TestAttentionForward:
         rng = np.random.default_rng(0)
         h = Tensor(rng.normal(size=(3, cfg.token_count, cfg.d_model)))
 
-        masked = blk.attention_sublayer(h, False, None)
+        masked = blk.attention_sublayer(h)
 
         # same primitives minus the mask product
         x = layer_norm(h, blk.ln1_g, blk.ln1_b)
@@ -168,7 +179,7 @@ class TestBlockForward:
         h = Tensor(np.random.default_rng(5).normal(size=(2, cfg.token_count, cfg.d_model)))
 
         full = blk.forward(h)
-        ffn_only = blk.ffn_sublayer(h, False, None)
+        ffn_only = blk.ffn_sublayer(h)
         assert not np.allclose(full.data, ffn_only.data)
 
         twin = clone_model(model).blocks[0]
@@ -320,3 +331,138 @@ class TestStateShapes:
         got = state_shapes(cfg, pruned)
         assert list(got) == list(want) and got == want
         assert not [name for name in got if name.endswith(".mask")]
+
+
+class TestKeepMasks:
+    """A training forward applies the masks of successive ``keep_mask``
+    draws from its ``rng``, drawn on the helper thread or not."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        """The keep masks the model's ops are given, as (op, mask), in
+        order."""
+        seen = []
+
+        def spy(op, name, *keys):
+            signature = inspect.signature(op)
+
+            def wrapped(*args, **kwargs):
+                given = signature.bind(*args, **kwargs).arguments
+                seen.extend((f"{name}.{k}", given.get(k)) for k in keys)
+                return op(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(model_module, "embed",
+                            spy(tensor.embed, "embed", "keep"))
+        monkeypatch.setattr(model_module, "attention_sublayer",
+                            spy(tensor.attention_sublayer, "attention", "keep"))
+        monkeypatch.setattr(model_module, "ffn",
+                            spy(tensor.ffn, "ffn", "keep1", "keep2"))
+        return seen
+
+    @staticmethod
+    def model(case):
+        if case == "synthetic_small":
+            cfg = load_config(BUNDLED_CONFIG)
+            return Forecaster(cfg.model.to_model_config(
+                cfg.window.lookback, cfg.window.horizon,
+                cfg.data.synthetic.channels), seed=1)
+        mode = "variate_tokens" if case == "variate" else "temporal_tokens"
+        model = Forecaster(small_cfg(mode=mode, patch_len=8, patch_stride=4,
+                                     layers=3, dropout=0.3), seed=1)
+        if case == "pruned":
+            model.blocks[1].remove_attention()
+        return model
+
+    @pytest.mark.parametrize("case, batch", [
+        ("temporal", 5), ("variate", 5), ("pruned", 5),
+        ("synthetic_small", 57)])
+    def test_masks_are_the_successive_draws(self, schedule, applied, case,
+                                            batch):
+        """The 57 windows are synthetic_small's last training batch."""
+        model = self.model(case)
+        cfg = model.cfg
+        x = np.random.default_rng(2).normal(
+            size=(batch, cfg.lookback, cfg.channels))
+        rng = np.random.default_rng(3)
+        with Tape():
+            model.forward(x, training=True, rng=rng)
+        names = ["embed.keep"]
+        for blk in model.blocks:
+            names += [] if blk.pruned else ["attention.keep"]
+            names += ["ffn.keep1", "ffn.keep2"]
+        assert [name for name, _ in applied] == names
+        draws = np.random.default_rng(3)
+        for _, mask in applied:
+            want = keep_mask(draws, mask.shape, cfg.dropout)
+            assert mask.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == draws.bit_generator.state
+
+    def test_no_dropout_draws_nothing(self, schedule, applied):
+        model = Forecaster(small_cfg(dropout=0.0), seed=1)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        model.forward(np.ones((2, 16, 4)), training=True, rng=rng)
+        assert rng.bit_generator.state == before
+        assert applied and all(mask is None for _, mask in applied)
+
+    def test_a_mask_of_another_shape_raises(self, schedule, monkeypatch):
+        model = Forecaster(small_cfg(dropout=0.1), seed=1)
+        x = np.ones((2, 16, 4))
+        listed = model.keep_shapes(x.shape)
+        monkeypatch.setattr(Forecaster, "keep_shapes",
+                            lambda self, shape: listed[:1] + [(2, 4, 9)])
+        with pytest.raises(ContractError, match=r"keep mask 1: .* \(2, 4, 9\)"):
+            model.forward(x, training=True, rng=np.random.default_rng(3))
+        monkeypatch.setattr(Forecaster, "keep_shapes",
+                            lambda self, shape: listed + [(1,)])
+        with pytest.raises(ContractError, match="listed 8 keep masks and took 7"):
+            model.forward(x, training=True, rng=np.random.default_rng(3))
+
+    @staticmethod
+    def train_step():
+        model = Forecaster(small_cfg(dropout=0.2, layers=3), seed=1)
+        data = np.random.default_rng(2)
+        x, y = data.normal(size=(6, 16, 4)), data.normal(size=(6, 4, 4))
+        with Tape() as tape:
+            loss = mse_loss(model.forward(x, training=True,
+                                          rng=np.random.default_rng(3)), y)
+        tape.backward(loss)
+        return b"".join(p.grad.tobytes() for p in model.parameters())
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        before = set(threading.enumerate())
+        self.train_step()
+        assert tensor._HELPER is False
+        assert set(threading.enumerate()) <= before
+
+    def test_forked_child_trains(self, monkeypatch):
+        """The child of a fork taken while the helper thread is alive
+        draws its masks and accumulates its gradients on a helper of its
+        own, and gets the parent's bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        want = self.train_step()
+        assert tensor._HELPER
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, b"same" if self.train_step() == want else b"diff")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as f:
+            assert f.read() == b"same"

@@ -198,10 +198,10 @@ class TestPrune:
         cfg = model.cfg
         mu = x.mean(axis=1, keepdims=True)
         sigma = np.sqrt(x.var(axis=1, keepdims=True) + 1e-5)
-        h = model._embed((x - mu) / sigma, False, None)
+        h = model._embed((x - mu) / sigma)
         for i, blk in enumerate(model.blocks):
             if i in plan.i_pruned:
-                h = blk.ffn_sublayer(h, False, None)
+                h = blk.ffn_sublayer(h)
             else:
                 h = blk.forward(h)
         h = tensor.layer_norm(h, model.final_g, model.final_b)

@@ -1,6 +1,7 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from conftest import analytic_grads, gradcheck, traced_peak
 from spat import model as model_module
 from spat import tensor
-from spat.config import load_config
+from spat.config import OptimizerConfig, load_config
 from spat.errors import ContractError, NumericError, ShapeError
 from spat.model import AttentionBlock, Forecaster, ModelConfig
+from spat.pipeline import Adam
+from spat.send import compute_sensitivity
 from spat.tensor import (
     Tape,
     Tensor,
@@ -67,17 +70,6 @@ def unfused_model(monkeypatch):
         monkeypatch.setattr(AttentionBlock, "ffn_sublayer", unfused_ffn_sublayer)
         monkeypatch.setattr(model_module, "head", unfused_head)
     return use
-
-
-@pytest.fixture(params=["serial", "two_threads"])
-def schedule(request, monkeypatch):
-    """Share ``spat.tensor``'s work as a process whose CPU affinity holds
-    one CPU (every piece on the calling thread) or two (a helper thread
-    takes the odd pieces) does."""
-    cpus = {0} if request.param == "serial" else {0, 1}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(tensor, "_HELPER", None)
-    return request.param
 
 
 def same_bits(a, b):
@@ -386,6 +378,26 @@ class TestAttentionMemory:
         self.test_backward_allocates_no_full_size_temporary()
 
 
+def helper_takes_piece_one(monkeypatch):
+    """Make the calling thread hold piece 0 of each shared op until the
+    helper has taken a piece, so that with two threads piece 1 is the
+    helper's."""
+    share = tensor._share
+
+    def ordered_share(work, pieces, slots, in_order=None):
+        taken = threading.Event()
+
+        def hold(i, slot):
+            if slot == 1:
+                taken.set()
+            elif i == 0 and slots == 2:
+                assert taken.wait(timeout=30), "the helper took no piece"
+            work(i, slot)
+        share(hold, pieces, slots, in_order)
+
+    monkeypatch.setattr(tensor, "_share", ordered_share)
+
+
 class TestTwoThreads:
     """Work shared with the helper thread gives the bytes of the serial
     schedule; a failure on either thread reaches the caller."""
@@ -445,6 +457,7 @@ class TestTwoThreads:
                                                  monkeypatch):
         """In chunks of one item, item 1 is the helper's."""
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
+        helper_takes_piece_one(monkeypatch)
         x = np.ones((3, 2, 1))
         x[1, 1, 0] = np.inf
         w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
@@ -454,12 +467,13 @@ class TestTwoThreads:
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_backward_failure_raises_without_hanging(self, schedule,
                                                      monkeypatch, failing):
-        """A chunk's backward raises, on the calling thread (chunks 0 and
-        2) or the helper (chunk 1), while the other thread works on or
-        waits for its turn at the probe gradient's running sum."""
+        """A chunk's backward raises, on the calling thread (chunk 0), the
+        helper (chunk 1) or either (chunk 2), while the other thread works
+        on or waits for its turn at the probe gradient's running sum."""
         class Injected(RuntimeError):
             pass
 
+        helper_takes_piece_one(monkeypatch)
         share = tensor._share
 
         def failing_share(work, pieces, slots, in_order=None):
@@ -492,6 +506,23 @@ class TestTwoThreads:
         # both threads stopped: the next shared op runs to the end
         monkeypatch.setattr(tensor, "_share", share)
         attention_sublayer(*ts, self.heads, probe=probe)
+
+    def test_every_piece_runs_once_and_in_order(self, schedule):
+        """Under a 1 µs switch interval, 300 pieces are each taken by one
+        thread, and their in-order steps run in piece order."""
+        ran, steps = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tensor._share(lambda i, slot: ran.append((i, slot)), 300,
+                          tensor._slots(300),
+                          lambda i, slot: steps.append(i))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(i for i, _ in ran) == list(range(300))
+        assert steps == list(range(300))
+        assert {slot for _, slot in ran} <= ({0} if schedule == "serial"
+                                             else {0, 1})
 
     def test_forked_child_finishes(self, monkeypatch):
         """The child of a fork taken while the helper thread is alive
@@ -535,11 +566,12 @@ class TestTwoThreads:
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(tensor, "_HELPER", None)
-        before = threading.active_count()
+        before = set(threading.enumerate())
         attention_sublayer(*map(Tensor, attention_arrays(
             np.random.default_rng(3), self.b, self.s, 4)), self.heads)
         assert tensor._HELPER is False and tensor._slots(3) == 1
-        assert threading.active_count() == before
+        # an earlier test's helper may exit meanwhile; none may start
+        assert set(threading.enumerate()) <= before
 
 
 class TestGradModeAndInvariants:
@@ -851,3 +883,143 @@ class TestFusedModel:
         assert records(mse_loss) == 16
         unfused_model()
         assert records(unfused_mse_loss) == 128
+
+
+class TestDeferredGradients:
+    """Leaf gradients computed and accumulated on the helper thread hold
+    the bytes of the serial schedule, and a failure among them reaches the
+    caller of ``backward``."""
+
+    @staticmethod
+    def cfg(mode="temporal_tokens", placement="pre", activation="gelu"):
+        return ModelConfig(mode=mode, lookback=16, horizon=4, channels=5,
+                           d_model=8, d_ff=16, heads=2, layers=3,
+                           patch_len=8, patch_stride=4, dropout=0.1,
+                           activation=activation, norm_placement=placement)
+
+    @staticmethod
+    def data(cfg, batch=6):
+        rng = np.random.default_rng(7)
+        return (rng.normal(size=(batch, cfg.lookback, cfg.channels)),
+                rng.normal(size=(batch, cfg.horizon, cfg.channels)))
+
+    @staticmethod
+    def step(model, x, y):
+        """A training step: forward, backward and Adam; every parameter's
+        gradient, then its updated value."""
+        with Tape() as tape:
+            loss = mse_loss(model.forward(x, training=True,
+                                          rng=np.random.default_rng(8)), y)
+        tape.backward(loss)
+        grads = [p.grad for p in model.parameters()]
+        Adam(model.named_parameters(), OptimizerConfig()).step(1e-3)
+        return grads + [p.data for p in model.parameters()]
+
+    @staticmethod
+    def same(got, want):
+        """Both steps gave the same bits, and the same parameters (a
+        pruned block's unused norm, under pre-norm) no gradient."""
+        return len(got) == len(want) and all(
+            a is b if a is None or b is None else same_bits(a, b)
+            for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("mode, placement, activation, pruned", [
+        pytest.param("temporal_tokens", "pre", "gelu", (1,),
+                     id="temporal-pre-pruned_block"),
+        pytest.param("variate_tokens", "post", "gelu", (), id="variate-post"),
+        pytest.param("temporal_tokens", "pre", "relu", (), id="relu")])
+    def test_training_step_matches_the_serial_schedule(
+            self, schedule, monkeypatch, mode, placement, activation, pruned):
+        """With the GELU's erf in halves and attention in one-item chunks,
+        so that every kind of shared work runs."""
+        monkeypatch.setattr(tensor, "_SHARED_ERF_SIZE", 1)
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
+        cfg = self.cfg(mode, placement, activation)
+        x, y = self.data(cfg)
+        accumulate, threads = tensor._accumulate, set()
+
+        def spy(leaves):
+            threads.add(threading.current_thread())
+            accumulate(leaves)
+        monkeypatch.setattr(tensor, "_accumulate", spy)
+
+        def run():
+            model = Forecaster(cfg, seed=4)
+            for i in pruned:
+                model.blocks[i].remove_attention()
+            return self.step(model, x, y)
+
+        got = run()
+        assert (threads == {threading.main_thread()}) == (schedule == "serial")
+        monkeypatch.setattr(tensor, "_HELPER", False)
+        want = run()
+        assert self.same(got, want)
+
+    def test_leaf_fed_by_several_records_sums_in_serial_order(self, schedule):
+        """``w`` feeds three records, which backward replays last first,
+        so ``w.grad`` is ``(c3 + c2) + c1``: here not ``(c1 + c2) + c3``."""
+        c1, c2, c3 = np.array([1.0, 3.0]), np.full(2, 1e16), np.full(2, -1e16)
+        w = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            loss = total(add(add(mul(w, Tensor(c1)), mul(w, Tensor(c2))),
+                             mul(w, Tensor(c3))))
+        tape.backward(loss)
+        assert same_bits(w.grad, (c3 + c2) + c1)
+        assert not same_bits(w.grad, (c1 + c2) + c3)
+
+    def test_failure_in_a_deferred_gradient_reaches_the_caller(
+            self, schedule, monkeypatch):
+        """The second weight gradient raises, on the helper while the
+        calling thread replays the rest of the tape, or on the calling
+        thread; the next backward works."""
+        class Injected(RuntimeError):
+            pass
+
+        weight_grad, calls = tensor._weight_grad, []
+
+        def failing(a, g):
+            compute = weight_grad(a, g)
+
+            def maybe_fail():
+                calls.append(None)
+                if len(calls) == 2:
+                    raise Injected("deferred")
+                return compute()
+            return maybe_fail
+
+        monkeypatch.setattr(tensor, "_weight_grad", failing)
+        cfg = self.cfg()
+        x, y = self.data(cfg)
+        model = Forecaster(cfg, seed=4)
+        raised = []
+
+        def step():
+            try:
+                self.step(model, x, y)
+            except Injected as e:
+                raised.append(e)
+
+        worker = threading.Thread(target=step, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "backward hung"
+        assert [str(e) for e in raised] == ["deferred"]
+        monkeypatch.setattr(tensor, "_weight_grad", weight_grad)
+        model = Forecaster(cfg, seed=4)
+        got = self.step(model, x, y)
+        monkeypatch.setattr(tensor, "_HELPER", False)
+        want = self.step(Forecaster(cfg, seed=4), x, y)
+        assert self.same(got, want)
+
+    def test_scoring_probe_gradients_match_the_serial_schedule(
+            self, schedule, monkeypatch):
+        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
+        cfg = self.cfg("variate_tokens")
+        model = Forecaster(cfg, seed=4)
+        batches = [self.data(cfg, batch) for batch in (3, 5)]
+        got = compute_sensitivity(model, batches)
+        monkeypatch.setattr(tensor, "_HELPER", False)
+        want = compute_sensitivity(model, batches)
+        assert [r.layer_index for r in got] == [r.layer_index for r in want]
+        assert all(same_bits(a.sen, b.sen) and a.send == b.send
+                   for a, b in zip(got, want))

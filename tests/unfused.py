@@ -271,18 +271,18 @@ def unfused_ffn(h, x, w1, b1, w2, b2, activation, keep1=None, keep2=None):
     return add(h, z)
 
 
-def unfused_ffn_sublayer(self, h, training, rng):
-    """``AttentionBlock.ffn_sublayer`` before fusion, drawing each dropout
+def unfused_ffn_sublayer(self, h, masks=None):
+    """``AttentionBlock.ffn_sublayer`` before fusion, taking each dropout
     mask where it is applied."""
     cfg = self.cfg
     x = self._norm2(h) if cfg.norm_placement == "pre" else h
     act = unfused_gelu if cfg.activation == "gelu" else unfused_relu
     z = act(add(matmul(x, self.w1), self.b1))
-    if training and cfg.dropout > 0.0:
-        z = dropout(z, cfg.dropout, rng)
+    if masks is not None:
+        z = mul(z, Tensor(masks.take(z.shape)))
     z = add(matmul(z, self.w2), self.b2)
-    if training and cfg.dropout > 0.0:
-        z = dropout(z, cfg.dropout, rng)
+    if masks is not None:
+        z = mul(z, Tensor(masks.take(z.shape)))
     out = add(h, z)
     return self._norm2(out) if cfg.norm_placement == "post" else out
 
