@@ -9,10 +9,11 @@ Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it. The model's GEMMs are small, and a second
 BLAS thread spends its time spinning, not computing. The setting only
 takes effect when ``spat`` is imported before numpy. Instead, spat hands
-large independent pieces of numpy work (attention's batch chunks and the
-GELU's ``erf`` on large arrays) to one helper thread of its own, when the
-process's CPU affinity holds more than one CPU; ``taskset -c 0`` runs
-everything on the calling thread. Raising ``OPENBLAS_NUM_THREADS`` makes
+numpy work to one helper thread of its own, when the process's CPU
+affinity holds more than one CPU: attention's batch chunks and the GELU's
+``erf`` on large arrays, backward's parameter and probe gradients, and a
+training forward's dropout keep masks. ``taskset -c 0`` runs everything on
+the calling thread. Raising ``OPENBLAS_NUM_THREADS`` makes
 BLAS threads compete with that helper for the cores. Outputs are the same
 bytes at any thread count.
 """

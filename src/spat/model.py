@@ -329,19 +329,6 @@ class Forecaster:
             shapes += ([] if blk.pruned else [d]) + [f, d]
         return shapes
 
-    def encode(self, x: np.ndarray, masks: KeepMasks | None = None) -> Tensor:
-        """Token embeddings after the encoder stack, before the head, with
-        dropout from ``masks`` where given."""
-        self._validate_input(x)
-        h = self._embed(x, masks)
-        for i, blk in enumerate(self.blocks):
-            h = blk.forward(h, masks)
-            if np.isnan(h.data).any():
-                raise NumericError(f"NaN activations after encoder block {i}")
-        if self.final_g is not None:
-            h = layer_norm(h, self.final_g, self.final_b)
-        return h
-
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]. In training
@@ -357,8 +344,15 @@ class Forecaster:
                 sigma = np.sqrt(x.var(axis=1, keepdims=True)
                                 + INSTANCE_NORM_EPS)
                 x = (x - mu) / sigma
-            out = head(self.encode(x, masks), self.head_w, self.head_b,
-                       x.shape[2], sigma, mu)
+            h = self._embed(x, masks)
+            for i, blk in enumerate(self.blocks):
+                h = blk.forward(h, masks)
+                if np.isnan(h.data).any():
+                    raise NumericError(
+                        f"NaN activations after encoder block {i}")
+            if self.final_g is not None:
+                h = layer_norm(h, self.final_g, self.final_b)
+            out = head(h, self.head_w, self.head_b, x.shape[2], sigma, mu)
         if np.isnan(out.data).any():
             raise NumericError("NaN activations in forecast head")
         return out

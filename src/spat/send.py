@@ -6,7 +6,8 @@ batches. Each layer's attention is one op that takes a probe, a leaf that
 stands for that mask; the probe's gradient, the upstream attention
 gradient Hadamard-multiplied with the attention scores and summed over the
 batch, is that sensitivity. Scoring attaches a probe to each unpruned
-layer and reads ``probe.grad`` after each backward.
+layer; the tape adds each batch's gradient to ``probe.grad``, like any
+leaf's, and scoring divides the sum by the batch count once.
 
 Scoring runs on frozen weights: the parameters stop requiring gradients
 for the scoring pass, so the tape records and replays only the path from
@@ -73,10 +74,12 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
 
     Each scored layer gets a probe, a ``[heads, S, S]`` leaf whose gradient
     is the mask gradient at the all-ones mask; its values are a broadcast
-    1.0 that nothing reads, so it holds no memory. The weights are frozen
-    while scoring: every parameter has ``requires_grad`` off and never
-    gets a ``.grad``, so only ops that lead from a probe to the loss are
-    recorded, and their backward skips the weight gradients. Afterwards,
+    1.0 that nothing reads, so it holds no memory. Each backward adds the
+    batch's gradient to the probe's ``grad``, so after the last batch it
+    holds the sum over batches. The weights are frozen while scoring:
+    every parameter has ``requires_grad`` off and never gets a ``.grad``,
+    so only ops that lead from a probe to the loss are recorded, and the
+    tape computes no weight gradient. Afterwards,
     also when a batch raises, no block holds a probe and the parameters
     require gradients again.
     """
@@ -91,7 +94,6 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     model.zero_grad()
     probes = {i: Tensor(np.broadcast_to(1.0, shape), requires_grad=True)
               for i in layers}
-    sen_sum = {i: np.zeros(shape) for i in layers}
     n_batches = 0
     try:
         for i, probe in probes.items():
@@ -100,9 +102,6 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
             with Tape() as tape:
                 loss = mse_loss(model.forward(x, training=False), y)
             tape.backward(loss)
-            for i, probe in probes.items():
-                sen_sum[i] += probe.grad
-                probe.zero_grad()
             n_batches += 1
     finally:
         for i in layers:
@@ -115,8 +114,8 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
         raise ContractError("compute_sensitivity needs at least one batch")
 
     records = []
-    for i in layers:
-        sen = sen_sum[i] / n_batches
+    for i, probe in probes.items():
+        sen = probe.grad / n_batches
         records.append(SensitivityRecord(
             layer_index=i,
             sen=sen,

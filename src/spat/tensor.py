@@ -294,8 +294,15 @@ class Tape:
         self._records.append(_Record(name, tuple(inputs), output, grad_fn))
 
     def backward(self, loss: "Tensor") -> None:
-        """Populate ``grad`` on every gradient-requiring leaf reachable
-        from ``loss``, accumulating additively across fan-out.
+        """Add to ``grad`` on every gradient-requiring leaf reachable from
+        ``loss``, accumulating additively across fan-out.
+
+        Only here is it decided which gradients run and how they add up: a
+        ``grad_fn`` returns a gradient or None for each input, backward
+        keeps those of inputs that require one, and :func:`_accumulate`
+        adds each to its tensor's ``grad``. A leaf's ``grad`` so sums over
+        backward passes until ``zero_grad``, as scoring's probes do over
+        batches.
 
         Gradients may be shared: a ``grad_fn`` may hand one array to
         several inputs or return a view of its incoming gradient, and a
@@ -307,23 +314,23 @@ class Tape:
         hold a ``grad``. A loss on this tape implies a record, so an empty
         tape was already replayed.
 
-        A ``grad_fn`` may return a leaf's gradient as a zero-argument
-        callable that computes it (the weight and bias gradients of the
-        model's ops), since no later record reads it. The calling thread
-        carries the gradients of non-leaf tensors down the tape, and each
-        record's leaf contributions, computed where they are callables, are
-        accumulated by one job on the helper thread (:func:`_helper`).
-        The helper runs its jobs one at a time in the order they were
-        handed over, which is the order of the records, so every leaf sums
-        its contributions in the serial order and ``grad`` holds the same
-        bytes on one thread or two. A job must not share work itself (with
-        :func:`_share`), since it would wait on the thread it runs on. With
-        one CPU each job runs on the calling thread as it is handed over.
-        At most ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling
-        thread waits for the oldest before it hands over another.
-        ``backward`` returns, or raises, only once every job has run. An
-        exception in a job is raised here once the calling thread waits for
-        that job (the calling thread's own, if it raises too).
+        A ``grad_fn`` returns the weight and bias gradients of the model's
+        ops as zero-argument callables, since no later record reads them;
+        those of frozen leaves are never called. The calling thread carries
+        the gradients of non-leaf tensors down the tape, and each record's
+        leaf contributions are computed and accumulated by one job on the
+        helper thread (:func:`_helper`). The helper runs its jobs one at a
+        time in the order they were handed over, which is the order of the
+        records, so every leaf sums its contributions in the serial order
+        and ``grad`` holds the same bytes on one thread or two. A job must
+        not share work itself (with :func:`_share`), since it would wait on
+        the thread it runs on. With one CPU each job runs on the calling
+        thread as it is handed over. At most ``_LEAF_JOBS_WAITING`` jobs
+        wait at once: the calling thread waits for the oldest before it
+        hands over another. ``backward`` returns, or raises, only once
+        every job has run. An exception in a job is raised here once the
+        calling thread waits for that job (the calling thread's own, if it
+        raises too).
         """
         if loss.data.shape != ():
             raise ContractError(
@@ -342,16 +349,10 @@ class Tape:
                 if g_out is None:
                     continue
                 rec.output.grad = None
-                leaves = []
-                for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
-                    if g is None or not t.requires_grad:
-                        continue
-                    if t._tape is None:
-                        leaves.append((t, g))
-                        continue
-                    if callable(g):
-                        g = g()
-                    t.grad = g if t.grad is None else t.grad + g
+                kept = [(t, g) for t, g in zip(rec.inputs, rec.grad_fn(g_out))
+                        if g is not None and t.requires_grad]
+                _accumulate([(t, g) for t, g in kept if t._tape is not None])
+                leaves = [(t, g) for t, g in kept if t._tape is None]
                 if not leaves:
                     continue
                 if helper:
@@ -366,10 +367,10 @@ class Tape:
             job.result()
 
 
-def _accumulate(leaves: list[tuple["Tensor", object]]) -> None:
+def _accumulate(grads: list[tuple["Tensor", object]]) -> None:
     """Add each gradient, computed first where it is a callable, to its
-    leaf's ``grad``, in order."""
-    for t, g in leaves:
+    tensor's ``grad``, in order."""
+    for t, g in grads:
         if callable(g):
             g = g()
         t.grad = g if t.grad is None else t.grad + g
@@ -466,10 +467,8 @@ def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
 
     def grad_fn(g):
         gd = g if keep is None else g * keep
-        return (_weight_grad(t2, gd.reshape(-1, d)) if w.requires_grad else None,
-                (lambda: gd.sum(axis=(0, 1))) if b.requires_grad else None,
-                (lambda: gd.sum(axis=0)) if pos is not None and pos.requires_grad
-                else None)[:len(inputs)]
+        return (_weight_grad(t2, gd.reshape(-1, d)),
+                lambda: gd.sum(axis=(0, 1)), lambda: gd.sum(axis=0))[:len(inputs)]
 
     return _emit("embed", inputs, out, grad_fn)
 
@@ -665,27 +664,26 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
             gq, gk, gv, gp = attend_backward(
                 split((gd2 @ w_e.data.T).reshape(batch, s, d)))
 
-        def linear_backward(gl, w, b):
-            """w's and b's gradients, and x's share, of a q, k or v linear."""
+        def linear_backward(gl, w):
+            """w's and its bias's gradients, and x's share, of a q, k or v
+            linear."""
             if gl is None:
                 return None, None, None
             gl2 = gl.reshape(-1, d)
-            return (_weight_grad(x2, gl2) if w.requires_grad else None,
-                    (lambda: gl.sum(axis=(0, 1))) if b.requires_grad else None,
+            return (_weight_grad(x2, gl2), lambda: gl.sum(axis=(0, 1)),
                     (gl2 @ w.data.T).reshape(x.shape) if need_x else None)
 
-        gw_q, gb_q, gx_q = linear_backward(gq, w_q, b_q)
-        gw_k, gb_k, gx_k = linear_backward(gk, w_k, b_k)
-        gw_v, gb_v, gx_v = linear_backward(gv, w_v, b_v)
+        gw_q, gb_q, gx_q = linear_backward(gq, w_q)
+        gw_k, gb_k, gx_k = linear_backward(gk, w_k)
+        gw_v, gb_v, gx_v = linear_backward(gv, w_v)
         gh, gx = g, None
         if need_x:
             # summed in the order the unfused tape accumulates them
             gx = ((g + gx_v if shared else gx_v) + gx_k) + gx_q
         if shared:
             gh, gx = gx, None
-        gw_e = _weight_grad(ctx2, gd2) if w_e.requires_grad else None
-        gb_e = (lambda: gd.sum(axis=(0, 1))) if b_e.requires_grad else None
-        return (gh, gx, gw_q, gb_q, gw_k, gb_k, gw_v, gb_v, gw_e, gb_e,
+        return (gh, gx, gw_q, gb_q, gw_k, gb_k, gw_v, gb_v,
+                _weight_grad(ctx2, gd2), lambda: gd.sum(axis=(0, 1)),
                 gp)[:len(inputs)]
 
     return _emit("attention_sublayer", inputs, out, grad_fn)
@@ -714,18 +712,15 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     np.multiply(y, gamma.data, out=out)
     out += beta.data
     g_data = gamma.data
-    need_g, need_b = gamma.requires_grad, beta.requires_grad
 
     def grad_fn(g):
-        gg = (lambda: (g * y).sum(axis=lead)) if need_g else None
-        gb = (lambda: g.sum(axis=lead)) if need_b else None
         gy = g * g_data
         t = gy * y
         gym = t.mean(axis=-1, keepdims=True)
         gy -= gy.mean(axis=-1, keepdims=True)
         gy -= np.multiply(y, gym, out=t)
         gy *= inv
-        return gy, gg, gb
+        return gy, lambda: (g * y).sum(axis=lead), lambda: g.sum(axis=lead)
 
     return _emit("layer_norm", (a, gamma, beta), out, grad_fn)
 
@@ -870,16 +865,11 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     if keep2 is not None:
         out *= keep2
     out += h.data
-    need_h, need_x = h.requires_grad, x.requires_grad
-    need_w1, need_b1 = w1.requires_grad, b1.requires_grad
-    need_w2, need_b2 = w2.requires_grad, b2.requires_grad
+    need_x = x.requires_grad
 
     def grad_fn(g):
         gv = g if keep2 is None else g * keep2
-        gb2 = (lambda: gv.sum(axis=lead_axes)) if need_b2 else None
         gv2 = gv.reshape(-1, d)
-        gw2 = _weight_grad(z2, gv2) if need_w2 else None
-        gh = g if need_h else None
         gu = (gv2 @ w2_data.T).reshape(lead + (f,))
         if keep1 is not None:
             gu *= keep1
@@ -894,11 +884,10 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             gu *= t
         else:
             gu *= mask
-        gb1 = (lambda: gu.sum(axis=lead_axes)) if need_b1 else None
         gu2 = gu.reshape(-1, f)
-        gw1 = _weight_grad(x2, gu2) if need_w1 else None
         gx = (gu2 @ w1_data.T).reshape(x.shape) if need_x else None
-        return gh, gx, gw1, gb1, gw2, gb2
+        return (g, gx, _weight_grad(x2, gu2), lambda: gu.sum(axis=lead_axes),
+                _weight_grad(z2, gv2), lambda: gv.sum(axis=lead_axes))
 
     return _emit("ffn", (h, x, w1, b1, w2, b2), out, grad_fn)
 
@@ -934,12 +923,10 @@ def head(h: Tensor, w: Tensor, b: Tensor, channels: int,
     def grad_fn(g):
         g3 = np.transpose(g if sigma is None else g * sigma, (0, 2, 1))
         g2 = g3.reshape(-1, t)
-        gb = None
-        if b.requires_grad:
-            gb = ((lambda: g3.sum(axis=(0, 1))) if per_token
-                  else lambda: g2.sum(axis=0))
         return ((g2 @ w.data.T).reshape(h.shape) if h.requires_grad else None,
-                _weight_grad(rows, g2) if w.requires_grad else None, gb)
+                _weight_grad(rows, g2),
+                (lambda: g3.sum(axis=(0, 1))) if per_token
+                else lambda: g2.sum(axis=0))
 
     return _emit("head", (h, w, b), out, grad_fn)
 

@@ -619,7 +619,9 @@ class TestRunAndStages:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
 
-    def test_run_matches_golden_ledger_and_report(self, workspace):
+    def test_run_matches_golden_ledger_and_report(self, workspace, schedule):
+        """The pinned bytes hold on one CPU, where every leaf gradient and
+        keep mask is computed inline, and on two."""
         tmp_path, cfg_path = workspace
         run_pipeline(load_config(cfg_path))
         assert (tmp_path / "run" / "metrics.csv").read_text() == GOLDEN_METRICS

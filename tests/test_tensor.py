@@ -748,9 +748,8 @@ class TestFusedEdges:
     """``embed``, ``head`` and ``mse_loss`` against their unfused
     compositions, bit for bit and layout for layout."""
 
-    @pytest.mark.parametrize("drop", [False, True])
-    @pytest.mark.parametrize("tokens", ["patches", "variates"])
-    def test_embed_matches_unfused(self, tokens, drop):
+    @staticmethod
+    def check_embed(tokens, drop, frozen=()):
         """Patch tokens are a C-order gather with positions; variate tokens
         a transposed view without."""
         rng = np.random.default_rng(13)
@@ -765,11 +764,11 @@ class TestFusedEdges:
         def run(op):
             return lambda w, b, pos=None: op(x, w, b, pos, keep)
 
-        assert_fused_equals_unfused(run(embed), run(unfused_embed), arrays)
+        assert_fused_equals_unfused(run(embed), run(unfused_embed), arrays,
+                                    frozen=frozen)
 
-    @pytest.mark.parametrize("instance_norm", [False, True])
-    @pytest.mark.parametrize("tokens", ["patches", "variates"])
-    def test_head_matches_unfused(self, tokens, instance_norm):
+    @staticmethod
+    def check_head(tokens, instance_norm, frozen=()):
         """b's gradient is a sum over a contiguous [B*C, T] copy for patch
         tokens and over a transposed [B, C, T] view for variate tokens."""
         rng = np.random.default_rng(14)
@@ -787,7 +786,33 @@ class TestFusedEdges:
         def run(op):
             return lambda h, w, b: op(h, w, b, channels, *stats)
 
-        assert_fused_equals_unfused(run(head), run(unfused_head), arrays)
+        assert_fused_equals_unfused(run(head), run(unfused_head), arrays,
+                                    frozen=frozen)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("tokens", ["patches", "variates"])
+    def test_embed_matches_unfused(self, tokens, drop):
+        self.check_embed(tokens, drop)
+
+    @pytest.mark.parametrize("tokens, frozen", [
+        ("patches", (0,)), ("patches", (1,)), ("patches", (2,)),
+        ("patches", (0, 1)), ("variates", (0,)), ("variates", (1,))])
+    def test_embed_frozen_inputs_match_unfused(self, tokens, frozen):
+        """A frozen weight, bias or position table gets no gradient and
+        leaves the others' bytes as they are."""
+        self.check_embed(tokens, True, frozen)
+
+    @pytest.mark.parametrize("instance_norm", [False, True])
+    @pytest.mark.parametrize("tokens", ["patches", "variates"])
+    def test_head_matches_unfused(self, tokens, instance_norm):
+        self.check_head(tokens, instance_norm)
+
+    @pytest.mark.parametrize("frozen", [(0,), (1,), (2,), (1, 2)])
+    @pytest.mark.parametrize("tokens", ["patches", "variates"])
+    def test_head_frozen_inputs_match_unfused(self, tokens, frozen):
+        """Scoring's case, frozen w and b with h tracked, and each input
+        frozen alone."""
+        self.check_head(tokens, True, frozen)
 
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
     def test_mse_loss_matches_unfused(self, layout):
