@@ -36,6 +36,8 @@ from .tensor import (
     ffn,
     head,
     layer_norm,
+    split_rows_alike,
+    two_lanes,
 )
 
 MODES = ("temporal_tokens", "variate_tokens")
@@ -314,26 +316,85 @@ class Forecaster:
                 else masks.take(tokens.shape[:-1] + (cfg.d_model,)))
         return embed(tokens, self.embed_w, self.embed_b, self.pos_emb, keep)
 
+    def _tokens(self, x_shape: tuple[int, ...]) -> tuple[int, int]:
+        """The leading axes of a forward's activations over ``[B, L, C]``
+        windows: ``(series, tokens)`` for temporal tokens, ``(windows,
+        channels)`` for variate tokens."""
+        batch, _, channels = x_shape
+        if self.cfg.mode == "temporal_tokens":
+            return batch * channels, self.cfg.token_count
+        return batch, channels
+
     def keep_shapes(self, x_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
         """The shapes of a training forward's dropout keep masks over
         ``[B, L, C]`` windows, in draw order: the embedding's, then per
         block the attention sublayer's (unless it is pruned) and the FFN's
         two, after the activation and after the second linear."""
-        cfg = self.cfg
-        batch, _, channels = x_shape
-        tokens = ((batch * channels, cfg.token_count)
-                  if cfg.mode == "temporal_tokens" else (batch, channels))
-        d, f = tokens + (cfg.d_model,), tokens + (cfg.d_ff,)
+        tokens = self._tokens(x_shape)
+        d, f = tokens + (self.cfg.d_model,), tokens + (self.cfg.d_ff,)
         shapes = [d]
         for blk in self.blocks:
             shapes += ([] if blk.pruned else [d]) + [f, d]
         return shapes
 
+    def _encode(self, x: np.ndarray, masks: KeepMasks | None = None) -> Tensor:
+        """The tokens of instance-normalized windows ``x`` through the
+        embedding, every block and the final norm."""
+        h = self._embed(x, masks)
+        for i, blk in enumerate(self.blocks):
+            h = blk.forward(h, masks)
+            if np.isnan(h.data).any():
+                raise NumericError(f"NaN activations after encoder block {i}")
+        if self.final_g is not None:
+            h = layer_norm(h, self.final_g, self.final_b)
+        return h
+
+    def _encode_in_lanes(self, x: np.ndarray) -> Tensor:
+        """``_encode(x)`` with no dropout, each half of the windows carried
+        through on its own thread where :func:`two_lanes` takes the work.
+
+        Each window's rows are computed apart from the others' (the model
+        is channel-independent) by row-wise reductions, elementwise maps,
+        per-item attention products and the linears' GEMMs. So lanes are
+        taken only where BLAS gives each row of every linear the same bits
+        on half of the rows (:func:`split_rows_alike`), and then the
+        halves' tokens, put back together, are the serial bytes in the
+        serial C-order layout. A lane takes two windows or more: the
+        token arrays of one window can reach a GEMM as a transposed view
+        (variate tokens, or a ``d_head`` of 1) where those of more windows
+        are C-ordered copies. If a lane raises, the whole batch is run
+        again on the calling thread, so the caller gets the serial
+        exception: a NaN first seen after block 1 in the second half and
+        after block 2 in the first is reported at block 1.
+        """
+        half = len(x) // 2
+        rows = math.prod(self._tokens(x.shape))
+        weights = [self.embed_w] + [w for blk in self.blocks
+                                    for w in (blk.w_q, blk.w1, blk.w2)
+                                    if w is not None]
+
+        def alike():
+            return all(split_rows_alike(rows, rows // len(x) * half, *w.shape)
+                       for w in weights)
+        lanes = None
+        if half >= 2:
+            try:
+                lanes = two_lanes(lambda part: self._encode(part).data,
+                                  (x[:half], x[half:]), rows * self.cfg.d_ff,
+                                  alike)
+            except Exception:
+                pass            # the serial run raises the serial exception
+        if lanes is None:
+            return self._encode(x)
+        return Tensor(np.concatenate(lanes))
+
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]. In training
         with dropout the keep masks are drawn from ``rng`` in the order of
-        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use."""
+        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use. Without
+        dropout and with no tape active, a large batch runs as two lanes
+        (see :meth:`forecast`)."""
         self._validate_input(x)
         drawing = training and self.cfg.dropout > 0.0
         with (KeepMasks(rng, self.keep_shapes(x.shape), self.cfg.dropout)
@@ -344,21 +405,27 @@ class Forecaster:
                 sigma = np.sqrt(x.var(axis=1, keepdims=True)
                                 + INSTANCE_NORM_EPS)
                 x = (x - mu) / sigma
-            h = self._embed(x, masks)
-            for i, blk in enumerate(self.blocks):
-                h = blk.forward(h, masks)
-                if np.isnan(h.data).any():
-                    raise NumericError(
-                        f"NaN activations after encoder block {i}")
-            if self.final_g is not None:
-                h = layer_norm(h, self.final_g, self.final_b)
+            h = self._encode(x, masks) if drawing else self._encode_in_lanes(x)
             out = head(h, self.head_w, self.head_b, x.shape[2], sigma, mu)
         if np.isnan(out.data).any():
             raise NumericError("NaN activations in forecast head")
         return out
 
     def forecast(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic eval-mode prediction (dropout disabled, no tape)."""
+        """Deterministic eval-mode prediction (dropout disabled, no tape).
+
+        A batch whose FFN activation has ``_SHARED_ERF_SIZE`` (2^16)
+        elements or more runs as two lanes (:func:`two_lanes`): the helper
+        thread carries the second half of the windows through the
+        embedding, the blocks and the final norm while the calling thread
+        carries the first, each with every op inline. At these shapes
+        splitting single ops across threads costs about what it saves,
+        while each lane keeps its half in one core's cache for the whole
+        encoder. The instance norm and the head run on the whole batch on
+        the calling thread, so the forecast is the serial bytes in the
+        serial ``[B, C, T]``-ordered layout. A batch-1 forecast stays
+        inline.
+        """
         return self.forward(x, training=False).data
 
     # -- state ------------------------------------------------------------

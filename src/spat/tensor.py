@@ -33,20 +33,26 @@ thread, a one-worker executor started the first time it is needed (see
   gradients are computed and accumulated on the helper while the calling
   thread carries the other gradients down the tape;
 * the dropout keep masks of a training forward, drawn by
-  :class:`KeepMasks` ahead of use.
+  :class:`KeepMasks` ahead of use;
+* one of the two lanes of :func:`two_lanes`: an untaped forecast of many
+  windows carries each half of them through the whole model on its own
+  thread.
 
 Every piece of work does the arithmetic it does alone. The helper runs its
 jobs one at a time in the order they were handed over, so each leaf sums
 its gradients, and a generator makes its draws, in the serial order; sums
 across pieces keep their serial order too. So outputs, gradients and masks
-are the same bytes on one thread or two. When the process's CPU affinity
-holds one CPU (``taskset -c 0``), no thread is started and all of it runs
-in order on the calling thread.
+are the same bytes on one thread or two. The helper thread, and a thread
+running a lane, works alone: :func:`_helper` is None on it, so whatever it
+runs, it runs inline. When the process's CPU affinity holds one CPU
+(``taskset -c 0``), no thread is started and all of it runs in order on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -70,6 +76,8 @@ __all__ = [
     "keep_mask",
     "layer_norm",
     "mse_loss",
+    "split_rows_alike",
+    "two_lanes",
 ]
 
 
@@ -134,11 +142,32 @@ if hasattr(os, "register_at_fork"):       # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_helper)
 
 
+class _ThreadState(threading.local):
+    """Per thread: whether it works alone, handing nothing to the helper.
+    True on the helper thread itself and on a thread while it runs a lane
+    of :func:`two_lanes`."""
+
+    def __init__(self):
+        self.alone = False
+
+
+_THREAD = _ThreadState()
+
+
+def _work_alone() -> None:
+    _THREAD.alone = True
+
+
 def _helper() -> ThreadPoolExecutor | None:
     """The helper thread's one-worker executor, started the first time it
     is asked for, or None when the process may run on one CPU only (its
-    affinity where the OS reports one, else the CPU count)."""
+    affinity where the OS reports one, else the CPU count) or the running
+    thread works alone: a job on the helper waiting for a job it handed to
+    itself would wait forever, and a lane's other half keeps the helper
+    busy."""
     global _HELPER
+    if _THREAD.alone:
+        return None
     if _HELPER is None:
         with _HELPER_LOCK:
             if _HELPER is None:
@@ -146,15 +175,72 @@ def _helper() -> ThreadPoolExecutor | None:
                         if hasattr(os, "sched_getaffinity")   # Linux only
                         else os.cpu_count() or 1)
                 _HELPER = cpus > 1 and ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="spat")
+                    max_workers=1, thread_name_prefix="spat",
+                    initializer=_work_alone)
     return _HELPER or None
 
 
 def _slots(pieces: int) -> int:
     """The threads that :func:`_share` runs ``pieces`` pieces on: 2 when
-    there are two or more and there is a helper thread, else 1. A caller
-    allocates one set of scratch buffers per thread."""
+    there are two or more and :func:`_helper` gives a helper thread, else
+    1 (always 1 on the helper and in a lane). A caller allocates one set of
+    scratch buffers per thread."""
     return 2 if pieces >= 2 and _helper() else 1
+
+
+@functools.lru_cache
+def split_rows_alike(rows: int, split: int, k: int, n: int) -> bool:
+    """Whether a ``[rows, k] @ [k, n]`` product gives every row the bits
+    it gets when the first ``split`` rows and the rest are multiplied
+    apart.
+
+    BLAS picks its kernel, and with it the order of each row's sums, by
+    the operands' sizes. With OpenBLAS 0.3.31 on a 2-core AVX-512 machine,
+    ``[5376, 16] @ [16, 12]`` halved at row 2688 changes bits, and so does
+    ``[64, 512] @ [512, 32]`` halved at row 32, while each product of the
+    synthetic_small forecaster does not. Tried once per shape, on C-ordered
+    random operands as the model's linears are.
+    """
+    rng = np.random.default_rng(0)
+    a, w = rng.standard_normal((rows, k)), rng.standard_normal((k, n))
+    return np.array_equal(a @ w, np.concatenate((a[:split] @ w,
+                                                 a[split:] @ w)))
+
+
+def two_lanes(work: Callable[[np.ndarray], np.ndarray],
+              halves: tuple[np.ndarray, np.ndarray], elements: int,
+              alike: Callable[[], bool]
+              ) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(work(halves[0]), work(halves[1]))``, the second run on the helper
+    thread while the calling thread runs the first; or None, having run
+    nothing, when the hand-off does not pay, cannot be made or would
+    change bits.
+
+    It pays from ``elements``, the size of the largest activation the work
+    makes on both halves together, of ``_SHARED_ERF_SIZE``: the size from
+    which :func:`ffn` hands half of one ``erf`` to the helper. Lanes need a
+    helper thread, which a process on one CPU, the helper itself and a lane
+    do not have, and no active tape: records from two threads would
+    interleave. ``alike()`` says whether the work gives each half the bits
+    it gives it as part of the whole; it is asked last, as it may try
+    products (see :func:`split_rows_alike`). Each lane works alone (see
+    :func:`_helper`), so no op in it shares pieces, and each half stays in
+    one core's cache. If either lane raises, the other is waited for and
+    the exception (the calling thread's, if both raise) is raised here.
+    """
+    if elements < _SHARED_ERF_SIZE or _ACTIVE_TAPE is not None:
+        return None
+    helper = _helper()
+    if helper is None or not alike():
+        return None
+    second = helper.submit(work, halves[1])
+    _THREAD.alone = True
+    try:
+        first = work(halves[0])
+    finally:
+        _THREAD.alone = False
+        wait([second])
+    return first, second.result()
 
 
 class _Pieces:
@@ -207,8 +293,7 @@ def _share(work: Callable[[int, int], None], pieces: int, slots: int,
     scratch buffers, one piece at a time. An exception on either thread
     stops the other at its next piece or turn, and is raised here once
     the helper has stopped (the calling thread's, if both raise). The pieces
-    must not touch the tape, and the helper thread must not call
-    ``_share``: it would wait on itself.
+    must not touch the tape.
     """
     if slots == 1:
         for i in range(pieces):
@@ -322,15 +407,14 @@ class Tape:
         helper thread (:func:`_helper`). The helper runs its jobs one at a
         time in the order they were handed over, which is the order of the
         records, so every leaf sums its contributions in the serial order
-        and ``grad`` holds the same bytes on one thread or two. A job must
-        not share work itself (with :func:`_share`), since it would wait on
-        the thread it runs on. With one CPU each job runs on the calling
-        thread as it is handed over. At most ``_LEAF_JOBS_WAITING`` jobs
-        wait at once: the calling thread waits for the oldest before it
-        hands over another. ``backward`` returns, or raises, only once
-        every job has run. An exception in a job is raised here once the
-        calling thread waits for that job (the calling thread's own, if it
-        raises too).
+        and ``grad`` holds the same bytes on one thread or two. A job works
+        alone, as everything on the helper does. With one CPU each job runs
+        on the calling thread as it is handed over. At most
+        ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling thread waits
+        for the oldest before it hands over another. ``backward`` returns,
+        or raises, only once every job has run. An exception in a job is
+        raised here once the calling thread waits for that job (the calling
+        thread's own, if it raises too).
         """
         if loss.data.shape != ():
             raise ContractError(

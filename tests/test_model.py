@@ -22,6 +22,7 @@ from spat.model import (
     clone_model,
     state_shapes,
 )
+from spat.pipeline import evaluate_loss, evaluate_metrics
 from spat.tensor import Tape, Tensor, keep_mask, layer_norm, mse_loss
 from unfused import (
     add,
@@ -468,3 +469,240 @@ class TestKeepMasks:
             time.sleep(0.01)
         with os.fdopen(read, "rb") as f:
             assert f.read() == b"same"
+
+
+class TestLanes:
+    """An untaped forecast of 25 windows or more (at these shapes) runs as
+    two lanes, one half of the windows per thread, and gives the bytes,
+    strides and exceptions of a forecast on one thread."""
+
+    @staticmethod
+    def model(mode="temporal_tokens", placement="pre", pruned=False,
+              instance_norm=True):
+        """synthetic_small's temporal model, or a variate model whose FFN
+        activation has as many elements per window (21 channels, d_ff
+        128): 2688, so a batch of 25 reaches the 2^16 limit and 24 does
+        not."""
+        variate = mode == "variate_tokens"
+        cfg = ModelConfig(mode=mode, lookback=96, horizon=24,
+                          channels=21 if variate else 7,
+                          d_model=32 if variate else 16,
+                          d_ff=128 if variate else 32, heads=2, layers=3,
+                          patch_len=16, patch_stride=8, dropout=0.1,
+                          activation="relu" if placement == "post" else "gelu",
+                          norm_placement=placement,
+                          instance_norm=instance_norm)
+        model = Forecaster(cfg, seed=5)
+        if pruned:
+            model.blocks[2].remove_attention()
+        return model
+
+    @staticmethod
+    def windows(model, batch):
+        return np.random.default_rng(6).normal(
+            size=(batch, model.cfg.lookback, model.cfg.channels))
+
+    @staticmethod
+    def one_cpu(monkeypatch, fn):
+        """``fn()`` run as a process on one CPU runs it."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            m.setattr(tensor, "_HELPER", None)
+            return fn()
+
+    @staticmethod
+    def raised(fn) -> str:
+        with pytest.raises(NumericError) as info:
+            fn()
+        return str(info.value)
+
+    @pytest.fixture
+    def lanes_ran(self, monkeypatch):
+        """The batch sizes of the forecasts that ran as lanes, in order."""
+        ran = []
+        two_lanes = tensor.two_lanes
+
+        def spy(work, halves, elements, alike):
+            threads = set()
+
+            def lane(part):
+                threads.add(threading.current_thread())
+                return work(part)
+            try:
+                return two_lanes(lane, halves, elements, alike)
+            finally:
+                if threads:
+                    assert len(threads) == 2
+                    ran.append(sum(map(len, halves)))
+        monkeypatch.setattr(model_module, "two_lanes", spy)
+        return ran
+
+    @pytest.mark.parametrize("batch", [1, 2, 25, 57, 64])
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("mode, placement", [
+        ("temporal_tokens", "pre"), ("temporal_tokens", "post"),
+        ("variate_tokens", "pre"), ("variate_tokens", "post")])
+    def test_matches_one_lane(self, schedule, monkeypatch, lanes_ran, mode,
+                              placement, pruned, batch):
+        model = self.model(mode, placement, pruned)
+        x = self.windows(model, batch)
+        want = self.one_cpu(monkeypatch, lambda: model.forecast(x))
+        del lanes_ran[:]
+        got = model.forecast(x)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        two = schedule == "two_threads"
+        assert lanes_ran == ([batch] if two and batch >= 25 else [])
+
+    @pytest.mark.parametrize("batch", [2, 3, 4])
+    def test_a_lane_takes_two_windows_or_more(self, schedule, monkeypatch,
+                                              lanes_ran, batch):
+        """256 variate channels reach the size limit at batch 2, but one
+        window's tokens reach the embedding's GEMM as a transposed view."""
+        model = Forecaster(ModelConfig(
+            mode="variate_tokens", lookback=96, horizon=24, channels=256,
+            d_model=16, d_ff=128, heads=2, layers=2), seed=5)
+        x = self.windows(model, batch)
+        want = self.one_cpu(monkeypatch, lambda: model.forecast(x))
+        del lanes_ran[:]
+        assert model.forecast(x).tobytes() == want.tobytes()
+        two = schedule == "two_threads"
+        assert lanes_ran == ([batch] if two and batch >= 4 else [])
+
+    def test_no_lanes_where_a_linear_would_change_bits(
+            self, schedule, monkeypatch, lanes_ran):
+        """Where BLAS gives one linear's rows other bits on half the rows,
+        the forecast runs on the calling thread."""
+        model = self.model()
+        x = self.windows(model, 64)
+        want = self.one_cpu(monkeypatch, lambda: model.forecast(x))
+        shapes = []
+
+        def alike(rows, split, k, n):
+            shapes.append((rows, split, k, n))
+            return (k, n) != (16, 32)
+        monkeypatch.setattr(model_module, "split_rows_alike", alike)
+        del lanes_ran[:]
+        assert model.forecast(x).tobytes() == want.tobytes()
+        assert lanes_ran == []
+        # tried only where lanes could run: 5376 rows, 2688 per lane
+        tried = [(5376, 2688, 16, 16)] * 2 + [(5376, 2688, 16, 32)]
+        assert shapes[:3] == (tried if schedule == "two_threads" else [])
+
+    def test_a_batch_below_the_limit_hands_nothing_over(self, schedule,
+                                                         monkeypatch):
+        model = self.model()
+        handed = []
+        helper = tensor._helper()
+        if helper:
+            submit = helper.submit
+
+            def spy(*args, **kwargs):
+                handed.append(args[0])
+                return submit(*args, **kwargs)
+            monkeypatch.setattr(helper, "submit", spy)
+        model.forecast(self.windows(model, 24))
+        assert handed == []
+        # one job for the second lane, and no op inside a lane hands over,
+        # not even the erf halves of a 32-window lane's FFN
+        for batch in (25, 64):
+            del handed[:]
+            model.forecast(self.windows(model, batch))
+            assert len(handed) == (schedule == "two_threads")
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    def test_nan_in_the_second_half(self, schedule, monkeypatch, lanes_ran,
+                                    pruned):
+        model = self.model(pruned=pruned)
+        x = self.windows(model, 64)
+        x[40, 10, 3] = np.nan
+        want = self.one_cpu(monkeypatch,
+                            lambda: self.raised(lambda: model.forecast(x)))
+        del lanes_ran[:]
+        assert self.raised(lambda: model.forecast(x)) == want
+        assert lanes_ran == ([64] if schedule == "two_threads" else [])
+
+    @pytest.mark.parametrize("late_first", [True, False])
+    def test_lanes_that_fail_at_different_blocks(self, schedule, monkeypatch,
+                                                 lanes_ran, late_first):
+        """Each block turns to NaN the series whose residual stream reaches
+        its limit: a window scaled by 1e8 fails after block 1, one scaled
+        by 1e6 after block 2. Whichever half holds which, the serial
+        forecast reports block 1, and so must the lanes."""
+        model = self.model(instance_norm=False)
+        limits = dict(zip(model.blocks, (np.inf, 1e7, 1e5)))
+        forward = model_module.AttentionBlock.forward
+
+        def poisoned(blk, h, masks=None):
+            out = forward(blk, h, masks)
+            rows = np.abs(h.data).max(axis=(1, 2)) >= limits[blk]
+            if not rows.any():
+                return out
+            data = out.data.copy()
+            data[rows] = np.nan
+            return Tensor(data)
+        monkeypatch.setattr(model_module.AttentionBlock, "forward", poisoned)
+        x = self.windows(model, 64)
+        x[10] *= 1e6 if late_first else 1e8
+        x[50] *= 1e8 if late_first else 1e6
+        want = self.one_cpu(monkeypatch,
+                            lambda: self.raised(lambda: model.forecast(x)))
+        assert want == "NaN activations after encoder block 1"
+        del lanes_ran[:]
+        assert self.raised(lambda: model.forecast(x)) == want
+        assert lanes_ran == ([64] if schedule == "two_threads" else [])
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        before = set(threading.enumerate())
+        model = self.model()
+        model.forecast(self.windows(model, 64))
+        assert tensor._HELPER is False
+        assert set(threading.enumerate()) <= before
+
+    def test_forked_child_forecasts(self, monkeypatch):
+        """The child of a fork taken while the helper thread is alive runs
+        its lanes on a helper of its own, and gets the parent's bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        model = self.model(pruned=True)
+        x = self.windows(model, 64)
+        want = model.forecast(x).tobytes()
+        assert tensor._HELPER
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                same = model.forecast(x).tobytes() == want
+                os.write(write, b"same" if same else b"diff")
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as f:
+            assert f.read() == b"same"
+
+    def test_evaluation_with_a_partial_last_batch(self, schedule,
+                                                  monkeypatch, lanes_ran):
+        """121 windows in batches of 64 and 57, both run as lanes."""
+        model = self.model(pruned=True)
+        x = self.windows(model, 121)
+        y = np.random.default_rng(7).normal(size=(121, 24, 7))
+
+        def evaluate():
+            metrics = evaluate_metrics(model, x, y, batch_size=64)
+            return [evaluate_loss(model, x, y, 64).hex(),
+                    metrics["mse"].hex(), metrics["mae"].hex()]
+        want = self.one_cpu(monkeypatch, evaluate)
+        del lanes_ran[:]
+        assert evaluate() == want
+        assert lanes_ran == ([64, 57] * 2 if schedule == "two_threads" else [])

@@ -555,6 +555,38 @@ class TestTwoThreads:
         with os.fdopen(read, "rb") as f:
             assert f.read() == b"same"
 
+    def test_a_helper_job_works_alone(self, monkeypatch):
+        """On the helper thread nothing is handed to the helper: a job
+        there that runs a 3-chunk attention sublayer and an FFN whose
+        ``erf`` would be halved gets the serial bytes with one slot each,
+        where the calling thread takes two."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        slots = []
+        share = tensor._share
+
+        def recorded(work, pieces, n, in_order=None):
+            slots.append(n)
+            share(work, pieces, n, in_order)
+        monkeypatch.setattr(tensor, "_share", recorded)
+        rng = np.random.default_rng(4)
+        heads_input = attention_arrays(rng, self.b, self.s, 4)
+        b, s, d, f = 64, 8, 4, 128            # 2^16 activation elements
+        ffn_input = [rand(rng, b, s, d), rand(rng, b, s, d), rand(rng, d, f),
+                     rand(rng, f), rand(rng, f, d), rand(rng, d)]
+
+        def run():
+            return (attention_sublayer(*map(Tensor, heads_input),
+                                       self.heads).data,
+                    ffn(*map(Tensor, ffn_input), "gelu").data,
+                    tensor._helper())
+
+        want = run()
+        assert slots == [2, 2]
+        got = tensor._helper().submit(run).result(timeout=30)
+        assert slots == [2, 2, 1, 1] and got[2] is None
+        assert all(same_bits(a, b) for a, b in zip(got[:2], want[:2]))
+
     @pytest.mark.parametrize("count, slots", [(1, 1), (2, 2), (None, 1)])
     def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch,
                                                         count, slots):
