@@ -5,9 +5,9 @@ a batch of 64 windows (lookback 96, 7 channels, so 448 series of 12
 patch tokens), dropout 0.1 with its keep masks drawn from the step's
 generator, the backward of the mean squared error and one Adam update.
 ``serial`` runs it all on the calling thread, as a process pinned to one
-CPU does. ``two_threads`` lets spat's helper thread draw the keep masks,
-compute and accumulate the parameter gradients and take its share of the
-GELU's ``erf``, as on two or more CPUs. Both give the same bits. Pin the
+CPU does. ``two_threads`` lets spat's helper thread draw the keep masks
+and compute and accumulate the parameter gradients, as on two or more
+CPUs. Both give the same bits. Pin the
 BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\

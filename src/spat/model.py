@@ -9,13 +9,13 @@ Two tokenizations are supported:
 Every tape record is one piece of the model (``spat.tensor``): the
 embedding, per block the attention sublayer, the FFN sublayer and their
 layer norms, the final norm, and the head with the instance
-de-normalization. Scoring sets a block's ``probe`` to a ``[heads, S, S]``
-leaf, which stands for an all-ones connection mask over the score matrix;
-its gradient is the per-position sensitivity of the loss to removing each
-attention score. The probe is not state: it is None outside scoring and is
-never saved. A block whose ``pruned`` flag is set computes the identity on
-its attention sublayer (residual path only); the FFN sublayer is always
-retained.
+de-normalization. A forward may pass a block's attention a probe, a
+``[heads, S, S]`` leaf that stands for an all-ones connection mask over
+the score matrix; its gradient is the per-position sensitivity of the loss
+to removing each attention score (:meth:`Forecaster.mask_gradients`). The
+probe is not state: no block holds one and none is saved. A block whose
+``pruned`` flag is set computes the identity on its attention sublayer
+(residual path only); the FFN sublayer is always retained.
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import (
     ACTIVATIONS,
     KeepMasks,
+    Tape,
     Tensor,
     attention_sublayer,
     embed,
     ffn,
     head,
     layer_norm,
+    mse_loss,
     split_rows_alike,
     two_lanes,
 )
@@ -175,8 +177,6 @@ class AttentionBlock:
         self.b2 = _param(np.zeros(d))
         self.ln2_g = _param(np.ones(d))
         self.ln2_b = _param(np.zeros(d))
-        # the mask-gradient probe passed to attention_sublayer while scoring
-        self.probe: Tensor | None = None
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
     OTHER_PARAMS = ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
@@ -201,16 +201,17 @@ class AttentionBlock:
     def _norm2(self, h: Tensor) -> Tensor:
         return layer_norm(h, self.ln2_g, self.ln2_b)
 
-    def attention_sublayer(self, h: Tensor,
-                           masks: KeepMasks | None = None) -> Tensor:
+    def attention_sublayer(self, h: Tensor, masks: KeepMasks | None = None,
+                           probe: Tensor | None = None) -> Tensor:
         """Multi-head self-attention on [batch, S, d_model] tokens, with
-        dropout from ``masks`` where given."""
+        dropout from ``masks`` where given, probed by ``probe`` where
+        given."""
         cfg = self.cfg
         x = self._norm1(h) if cfg.norm_placement == "pre" else h
         keep = None if masks is None else masks.take(h.shape)
         out = attention_sublayer(h, x, self.w_q, self.b_q, self.w_k, self.b_k,
                                  self.w_v, self.b_v, self.w_e, self.b_e,
-                                 cfg.heads, keep, self.probe)
+                                 cfg.heads, keep, probe)
         return self._norm1(out) if cfg.norm_placement == "post" else out
 
     def ffn_sublayer(self, h: Tensor,
@@ -226,9 +227,10 @@ class AttentionBlock:
                   keep1, keep2)
         return self._norm2(out) if cfg.norm_placement == "post" else out
 
-    def forward(self, h: Tensor, masks: KeepMasks | None = None) -> Tensor:
+    def forward(self, h: Tensor, masks: KeepMasks | None = None,
+                probe: Tensor | None = None) -> Tensor:
         if not self.pruned:
-            h = self.attention_sublayer(h, masks)
+            h = self.attention_sublayer(h, masks, probe)
         return self.ffn_sublayer(h, masks)
 
 
@@ -337,94 +339,181 @@ class Forecaster:
             shapes += ([] if blk.pruned else [d]) + [f, d]
         return shapes
 
-    def _encode(self, x: np.ndarray, masks: KeepMasks | None = None) -> Tensor:
+    def _instance_norm(self, x: np.ndarray):
+        """Windows ``x`` normalized per series, with their ``sigma`` and
+        ``mu``; or ``x`` and None, None without instance norm."""
+        if not self.cfg.instance_norm:
+            return x, None, None
+        mu = x.mean(axis=1, keepdims=True)
+        sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
+        return (x - mu) / sigma, sigma, mu
+
+    def _encode(self, x: np.ndarray, masks: KeepMasks | None = None,
+                probes: dict[int, Tensor] | None = None) -> Tensor:
         """The tokens of instance-normalized windows ``x`` through the
-        embedding, every block and the final norm."""
+        embedding, every block and the final norm; block ``i``'s attention
+        probed by ``probes[i]`` where given."""
+        probes = probes or {}
         h = self._embed(x, masks)
         for i, blk in enumerate(self.blocks):
-            h = blk.forward(h, masks)
+            h = blk.forward(h, masks, probes.get(i))
             if np.isnan(h.data).any():
                 raise NumericError(f"NaN activations after encoder block {i}")
         if self.final_g is not None:
             h = layer_norm(h, self.final_g, self.final_b)
         return h
 
-    def _encode_in_lanes(self, x: np.ndarray) -> Tensor:
-        """``_encode(x)`` with no dropout, each half of the windows carried
-        through on its own thread where :func:`two_lanes` takes the work.
+    def _head(self, h: Tensor, channels: int, sigma, mu) -> Tensor:
+        out = head(h, self.head_w, self.head_b, channels, sigma, mu)
+        if np.isnan(out.data).any():
+            raise NumericError("NaN activations in forecast head")
+        return out
+
+    def _in_lanes(self, work, halves: tuple, x_shape: tuple[int, ...]):
+        """:func:`two_lanes` of ``work`` over ``halves``, which split
+        ``[B, L, C]`` windows at ``B // 2``; None where lanes do not pay or
+        would change bits, or where a lane raised. The caller then runs the
+        whole batch on the calling thread, and so gets the serial
+        exception: a NaN first seen after block 1 in the second half and
+        after block 2 in the first is reported at block 1.
 
         Each window's rows are computed apart from the others' (the model
         is channel-independent) by row-wise reductions, elementwise maps,
-        per-item attention products and the linears' GEMMs. So lanes are
-        taken only where BLAS gives each row of every linear the same bits
+        per-item attention products and the linears' GEMMs, forward and
+        backward. So lanes are taken only where BLAS gives each row of
+        every linear, and of every linear's input gradient, the same bits
         on half of the rows (:func:`split_rows_alike`), and then the
-        halves' tokens, put back together, are the serial bytes in the
-        serial C-order layout. A lane takes two windows or more: the
-        token arrays of one window can reach a GEMM as a transposed view
-        (variate tokens, or a ``d_head`` of 1) where those of more windows
-        are C-ordered copies. If a lane raises, the whole batch is run
-        again on the calling thread, so the caller gets the serial
-        exception: a NaN first seen after block 1 in the second half and
-        after block 2 in the first is reported at block 1.
+        halves' tokens and gradients, put back together, are the serial
+        bytes in the serial C-order layout. A lane takes two windows or
+        more: the token arrays of one window can reach a GEMM as a
+        transposed view (variate tokens, or a ``d_head`` of 1) where those
+        of more windows are C-ordered copies.
         """
-        half = len(x) // 2
-        rows = math.prod(self._tokens(x.shape))
+        half = x_shape[0] // 2
+        if half < 2:
+            return None
+        rows = math.prod(self._tokens(x_shape))
         weights = [self.embed_w] + [w for blk in self.blocks
                                     for w in (blk.w_q, blk.w1, blk.w2)
                                     if w is not None]
 
         def alike():
-            return all(split_rows_alike(rows, rows // len(x) * half, *w.shape)
-                       for w in weights)
-        lanes = None
-        if half >= 2:
-            try:
-                lanes = two_lanes(lambda part: self._encode(part).data,
-                                  (x[:half], x[half:]), rows * self.cfg.d_ff,
-                                  alike)
-            except Exception:
-                pass            # the serial run raises the serial exception
-        if lanes is None:
-            return self._encode(x)
-        return Tensor(np.concatenate(lanes))
+            return all(split_rows_alike(rows, rows // x_shape[0] * half,
+                                        *w.shape) for w in weights)
+        try:
+            return two_lanes(work, halves, rows * self.cfg.d_ff, alike)
+        except Exception:
+            return None
+
+    def _encode_in_lanes(self, x: np.ndarray) -> Tensor:
+        """``_encode(x)`` with no dropout, each half of the windows carried
+        through on its own thread where :meth:`_in_lanes` takes the work."""
+        half = len(x) // 2
+        lanes = self._in_lanes(lambda part: self._encode(part).data,
+                               (x[:half], x[half:]), x.shape)
+        return self._encode(x) if lanes is None else Tensor(np.concatenate(lanes))
 
     def forward(self, x: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None) -> Tensor:
+                rng: np.random.Generator | None = None,
+                probes: dict[int, Tensor] | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]. In training
         with dropout the keep masks are drawn from ``rng`` in the order of
-        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use. Without
-        dropout and with no tape active, a large batch runs as two lanes
+        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use. Block
+        ``i``'s attention is probed by ``probes[i]`` where given. Without
+        dropout, probes and an active tape, a large batch runs as two lanes
         (see :meth:`forecast`)."""
         self._validate_input(x)
         drawing = training and self.cfg.dropout > 0.0
         with (KeepMasks(rng, self.keep_shapes(x.shape), self.cfg.dropout)
               if drawing else contextlib.nullcontext()) as masks:
-            sigma = mu = None
-            if self.cfg.instance_norm:
-                mu = x.mean(axis=1, keepdims=True)
-                sigma = np.sqrt(x.var(axis=1, keepdims=True)
-                                + INSTANCE_NORM_EPS)
-                x = (x - mu) / sigma
-            h = self._encode(x, masks) if drawing else self._encode_in_lanes(x)
-            out = head(h, self.head_w, self.head_b, x.shape[2], sigma, mu)
-        if np.isnan(out.data).any():
-            raise NumericError("NaN activations in forecast head")
-        return out
+            xn, sigma, mu = self._instance_norm(x)
+            h = (self._encode(xn, masks, probes) if drawing or probes
+                 else self._encode_in_lanes(xn))
+            return self._head(h, x.shape[2], sigma, mu)
+
+    def mask_gradients(self, x: np.ndarray, y: np.ndarray
+                       ) -> dict[int, np.ndarray]:
+        """Per unpruned block, the gradient of the MSE loss of the
+        dropout-free forecast of windows ``x`` against ``y`` with respect to
+        an all-ones connection mask on its attention scores: the
+        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``, each the
+        serial bytes. Where :meth:`_in_lanes` takes the work, each half of
+        the windows runs its forward and backward on its own thread (see
+        :meth:`_mask_gradients_in_lanes`)."""
+        layers = [i for i, blk in enumerate(self.blocks) if not blk.pruned]
+        shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
+
+        def probes(*items):
+            return {i: Tensor(np.broadcast_to(1.0, items + shape),
+                              requires_grad=True) for i in layers}
+
+        grads = self._mask_gradients_in_lanes(x, y, probes)
+        if grads is None:
+            whole = probes()
+            with Tape() as tape:
+                loss = mse_loss(self.forward(x, probes=whole), y)
+            tape.backward(loss)
+            grads = {i: p.grad for i, p in whole.items()}
+        return grads
+
+    def _mask_gradients_in_lanes(self, x, y, probes):
+        """:meth:`mask_gradients` as two lanes, or None where
+        :meth:`_in_lanes` gives None.
+
+        Each half of the windows runs its forward and backward through the
+        encoder on its own thread and tape, with probes of its own; the
+        instance norm, the head, the loss and the head's backward run on
+        the whole batch on the calling thread. The first half's probes sum
+        its attention items (windows, or series for temporal tokens) in
+        batch order. The second half's have one mask per item, whose
+        gradients are kept in the buffer of that lane's scores and added
+        to the first half's sum one at a time, so each sum is the serial
+        ``((p_0 + p_1) + p_2) ...``. Neither the normalized windows nor the
+        whole batch's tokens are kept past their use, so the two half tapes
+        hold what one serial tape holds.
+        """
+        self._validate_input(x)
+        xn, sigma, mu = self._instance_norm(x)
+        half = len(x) // 2
+        first, second = probes(), probes(self._tokens(xn[half:].shape)[0])
+
+        def forward(part):
+            with Tape() as tape:
+                h = self._encode(part[0], probes=part[1])
+            return tape, h
+        lanes = self._in_lanes(forward, ((xn[:half], first),
+                                         (xn[half:], second)), x.shape)
+        xn = None
+        if lanes is None:
+            return None
+        whole = Tensor(np.concatenate([h.data for _, h in lanes]),
+                       requires_grad=True)
+        with Tape() as tape:
+            loss = mse_loss(self._head(whole, x.shape[2], sigma, mu), y)
+        tape.backward(loss)
+        g, whole = whole.grad, None
+        cut = len(lanes[0][1].data)
+        if self._in_lanes(lambda lane: lane[0].backward_from(*lane[1:]),
+                          (lanes[0] + (g[:cut],), lanes[1] + (g[cut:],)),
+                          x.shape) is None:
+            return None
+        for i, p in first.items():
+            for item in second[i].grad:
+                np.add(p.grad, item, out=p.grad)
+        return {i: p.grad for i, p in first.items()}
 
     def forecast(self, x: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode prediction (dropout disabled, no tape).
 
-        A batch whose FFN activation has ``_SHARED_ERF_SIZE`` (2^16)
+        A batch whose FFN activation has ``_LANE_ELEMENTS`` (2^16)
         elements or more runs as two lanes (:func:`two_lanes`): the helper
         thread carries the second half of the windows through the
         embedding, the blocks and the final norm while the calling thread
-        carries the first, each with every op inline. At these shapes
-        splitting single ops across threads costs about what it saves,
-        while each lane keeps its half in one core's cache for the whole
-        encoder. The instance norm and the head run on the whole batch on
-        the calling thread, so the forecast is the serial bytes in the
-        serial ``[B, C, T]``-ordered layout. A batch-1 forecast stays
-        inline.
+        carries the first, each with every op inline. Each lane keeps its
+        half in one core's cache for the whole encoder. The instance norm
+        and the head run on the whole batch on the calling thread, so the
+        forecast is the serial bytes in the serial ``[B, C, T]``-ordered
+        layout. A batch-1 forecast stays inline.
         """
         return self.forward(x, training=False).data
 

@@ -5,9 +5,9 @@ connection mask, taken at the all-ones mask, is accumulated over scoring
 batches. Each layer's attention is one op that takes a probe, a leaf that
 stands for that mask; the probe's gradient, the upstream attention
 gradient Hadamard-multiplied with the attention scores and summed over the
-batch, is that sensitivity. Scoring attaches a probe to each unpruned
-layer; the tape adds each batch's gradient to ``probe.grad``, like any
-leaf's, and scoring divides the sum by the batch count once.
+batch, is that sensitivity (``Forecaster.mask_gradients``). Scoring adds
+each batch's gradients to one running sum per layer, in batch order, and
+divides the sum by the batch count once.
 
 Scoring runs on frozen weights: the parameters stop requiring gradients
 for the scoring pass, so the tape records and replays only the path from
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .model import Forecaster
-from .tensor import Tape, Tensor, mse_loss
 
 REPORT_VERSION = 1
 _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
@@ -72,40 +71,37 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     so the result is a deterministic function of weights and data. Layers
     whose attention was already removed are skipped.
 
-    Each scored layer gets a probe, a ``[heads, S, S]`` leaf whose gradient
-    is the mask gradient at the all-ones mask; its values are a broadcast
-    1.0 that nothing reads, so it holds no memory. Each backward adds the
-    batch's gradient to the probe's ``grad``, so after the last batch it
-    holds the sum over batches. The weights are frozen while scoring:
-    every parameter has ``requires_grad`` off and never gets a ``.grad``,
-    so only ops that lead from a probe to the loss are recorded, and the
-    tape computes no weight gradient. Afterwards,
-    also when a batch raises, no block holds a probe and the parameters
+    Each batch gives every scored layer's ``[heads, S, S]`` mask gradient
+    at the all-ones mask (:meth:`Forecaster.mask_gradients`, which runs a
+    batch of four windows or more as two lanes, one half of the windows
+    per thread, where that keeps the serial bits). Each layer's running
+    sum is one buffer, allocated before the first batch: the first
+    batch's gradient is copied into it, and each later one is added into
+    it in place, in batch order: ``((g_0 + g_1) + g_2) ...``. The
+    weights are frozen while scoring: every parameter has
+    ``requires_grad`` off and never gets a ``.grad``, so only ops that
+    lead from a probe to the loss are recorded, and the tape computes no
+    weight gradient. Afterwards, also when a batch raises, the parameters
     require gradients again.
     """
     layers = [i for i, blk in enumerate(model.blocks) if not blk.pruned]
     if not layers:
         raise ContractError("model has no attention layers left to score")
 
-    shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
     params = model.parameters()
     for p in params:
         p.requires_grad = False
     model.zero_grad()
-    probes = {i: Tensor(np.broadcast_to(1.0, shape), requires_grad=True)
-              for i in layers}
+    # allocated before any batch's tape, so the sums do not pin memory in
+    # the middle of the heap that later batches' tapes reuse
+    shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
+    totals = {i: np.empty(shape) for i in layers}
     n_batches = 0
     try:
-        for i, probe in probes.items():
-            model.blocks[i].probe = probe
         for x, y in batches:
-            with Tape() as tape:
-                loss = mse_loss(model.forward(x, training=False), y)
-            tape.backward(loss)
+            _add_batch(totals, model.mask_gradients(x, y), n_batches == 0)
             n_batches += 1
     finally:
-        for i in layers:
-            model.blocks[i].probe = None
         for p in params:
             p.requires_grad = True
         model.zero_grad()
@@ -114,8 +110,8 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
         raise ContractError("compute_sensitivity needs at least one batch")
 
     records = []
-    for i, probe in probes.items():
-        sen = probe.grad / n_batches
+    for i in layers:
+        sen = totals[i] / n_batches
         records.append(SensitivityRecord(
             layer_index=i,
             sen=sen,
@@ -123,6 +119,18 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
             batches_accumulated=n_batches,
         ))
     return records
+
+
+def _add_batch(totals: dict[int, np.ndarray], grads: dict,
+               first: bool) -> None:
+    """Copy each layer's first batch gradient into its running sum, or add
+    a later one in place, with the bits of ``total + g``. No batch's
+    gradient outlives the call."""
+    for i, g in grads.items():
+        if first:
+            np.copyto(totals[i], g)
+        else:
+            np.add(totals[i], g, out=totals[i])
 
 
 def normalize_sensitivity(sen: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every differentiable operation records itself on the active :class:`Tape`;
-``Tape.backward`` replays the records in exact reverse order, accumulating
-gradients additively; afterwards only leaves (parameters, probes) keep one.
-Data buffers are row-major ``numpy`` arrays and stay immutable after
-creation (only ``grad`` is assigned during backward).
+Every differentiable operation records itself on its thread's active
+:class:`Tape`; ``Tape.backward`` replays the records in exact reverse
+order, accumulating gradients additively; afterwards only leaves
+(parameters, probes) keep one. Data buffers are row-major ``numpy`` arrays
+and stay immutable after creation (only ``grad`` is assigned during
+backward).
 
 Each op is one piece of the forecaster with a hand-derived backward:
 :func:`embed`, :func:`attention_sublayer`, :func:`layer_norm`, :func:`ffn`,
@@ -21,32 +22,27 @@ activations ``Tape.backward`` frees as it replays the tape then stay in the
 heap for the next step instead of going back to the OS and being faulted
 in, zero-filled, all over again.
 
-Work on numpy arrays that releases the GIL runs partly on one helper
-thread, a one-worker executor started the first time it is needed (see
-:func:`_helper`):
+Work runs partly on one helper thread, a one-worker executor started the
+first time it is needed (see :func:`_helper`):
 
-* pieces of one op, shared with :func:`_share`: the batch chunks of
-  :func:`attention_sublayer`, forward and backward, and the two halves of
-  the GELU's ``erf`` on large arrays in :func:`ffn`. Each thread takes the
-  next piece not yet taken;
 * the leaf gradients of ``Tape.backward``: a record's parameter and probe
   gradients are computed and accumulated on the helper while the calling
   thread carries the other gradients down the tape;
 * the dropout keep masks of a training forward, drawn by
   :class:`KeepMasks` ahead of use;
-* one of the two lanes of :func:`two_lanes`: an untaped forecast of many
-  windows carries each half of them through the whole model on its own
-  thread.
+* one of the two lanes of :func:`two_lanes`: a forecast or a scoring
+  batch of many windows carries each half of them through the whole
+  encoder on its own thread, scoring on one tape per lane.
 
 Every piece of work does the arithmetic it does alone. The helper runs its
 jobs one at a time in the order they were handed over, so each leaf sums
-its gradients, and a generator makes its draws, in the serial order; sums
-across pieces keep their serial order too. So outputs, gradients and masks
-are the same bytes on one thread or two. The helper thread, and a thread
-running a lane, works alone: :func:`_helper` is None on it, so whatever it
-runs, it runs inline. When the process's CPU affinity holds one CPU
-(``taskset -c 0``), no thread is started and all of it runs in order on
-the calling thread.
+its gradients, and a generator makes its draws, in the serial order. So
+outputs, gradients and masks are the same bytes on one thread or two. The
+active tape is per thread, so a lane records on its own. The helper
+thread, and a thread running a lane, works alone: :func:`_helper` is None
+on it, so whatever it runs, it runs inline. When the process's CPU
+affinity holds one CPU (``taskset -c 0``), no thread is started and all of
+it runs in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -143,11 +139,13 @@ if hasattr(os, "register_at_fork"):       # absent where there is no fork
 
 
 class _ThreadState(threading.local):
-    """Per thread: whether it works alone, handing nothing to the helper.
-    True on the helper thread itself and on a thread while it runs a lane
-    of :func:`two_lanes`."""
+    """Per thread: the tape that records its ops, if any, and whether it
+    works alone, handing nothing to the helper. A thread works alone on
+    the helper thread itself and while it runs a lane of
+    :func:`two_lanes`."""
 
     def __init__(self):
+        self.tape: Tape | None = None
         self.alone = False
 
 
@@ -180,55 +178,58 @@ def _helper() -> ThreadPoolExecutor | None:
     return _HELPER or None
 
 
-def _slots(pieces: int) -> int:
-    """The threads that :func:`_share` runs ``pieces`` pieces on: 2 when
-    there are two or more and :func:`_helper` gives a helper thread, else
-    1 (always 1 on the helper and in a lane). A caller allocates one set of
-    scratch buffers per thread."""
-    return 2 if pieces >= 2 and _helper() else 1
+# Elements of a work's largest activation (the FFN's) from which
+# two_lanes splits it. A hand-off to the helper thread costs tens of
+# microseconds, so a batch-64 synthetic_small forecast (172,032 elements)
+# or a 32-window variate scoring batch gains, and a batch-1 forecast
+# (2,688 or 8,192) stays inline.
+_LANE_ELEMENTS = 2**16
 
 
 @functools.lru_cache
 def split_rows_alike(rows: int, split: int, k: int, n: int) -> bool:
     """Whether a ``[rows, k] @ [k, n]`` product gives every row the bits
     it gets when the first ``split`` rows and the rest are multiplied
-    apart.
+    apart, with the ``[k, n]`` operand stored in C order (a linear's
+    weight) and as the transpose of a C-ordered ``[n, k]`` (the weight of
+    a linear whose input gradient is ``g @ w.T``).
 
     BLAS picks its kernel, and with it the order of each row's sums, by
-    the operands' sizes. With OpenBLAS 0.3.31 on a 2-core AVX-512 machine,
-    ``[5376, 16] @ [16, 12]`` halved at row 2688 changes bits, and so does
-    ``[64, 512] @ [512, 32]`` halved at row 32, while each product of the
-    synthetic_small forecaster does not. Tried once per shape, on C-ordered
-    random operands as the model's linears are.
+    the operands' sizes and layouts. With OpenBLAS 0.3.31 on a 2-core
+    AVX-512 machine, ``[5376, 16] @ [16, 12]`` halved at row 2688 changes
+    bits, and so does ``[64, 512] @ [512, 32]`` halved at row 32, while
+    each product of the synthetic_small forecaster and of a 128-channel
+    variate model at batches of 32 and 21 does not. Tried once per shape,
+    on random operands.
     """
     rng = np.random.default_rng(0)
-    a, w = rng.standard_normal((rows, k)), rng.standard_normal((k, n))
-    return np.array_equal(a @ w, np.concatenate((a[:split] @ w,
-                                                 a[split:] @ w)))
+    a = rng.standard_normal((rows, k))
+    return all(np.array_equal(a @ w, np.concatenate((a[:split] @ w,
+                                                     a[split:] @ w)))
+               for w in (rng.standard_normal((k, n)),
+                         rng.standard_normal((n, k)).T))
 
 
-def two_lanes(work: Callable[[np.ndarray], np.ndarray],
-              halves: tuple[np.ndarray, np.ndarray], elements: int,
-              alike: Callable[[], bool]
-              ) -> tuple[np.ndarray, np.ndarray] | None:
+def two_lanes(work: Callable, halves: tuple, elements: int,
+              alike: Callable[[], bool]) -> tuple | None:
     """``(work(halves[0]), work(halves[1]))``, the second run on the helper
     thread while the calling thread runs the first; or None, having run
     nothing, when the hand-off does not pay, cannot be made or would
     change bits.
 
     It pays from ``elements``, the size of the largest activation the work
-    makes on both halves together, of ``_SHARED_ERF_SIZE``: the size from
-    which :func:`ffn` hands half of one ``erf`` to the helper. Lanes need a
+    makes on both halves together, of ``_LANE_ELEMENTS``. Lanes need a
     helper thread, which a process on one CPU, the helper itself and a lane
-    do not have, and no active tape: records from two threads would
-    interleave. ``alike()`` says whether the work gives each half the bits
-    it gives it as part of the whole; it is asked last, as it may try
-    products (see :func:`split_rows_alike`). Each lane works alone (see
-    :func:`_helper`), so no op in it shares pieces, and each half stays in
-    one core's cache. If either lane raises, the other is waited for and
-    the exception (the calling thread's, if both raise) is raised here.
+    do not have, and no tape active on the calling thread: the helper's
+    ops would not record on it. ``alike()`` says whether the work gives
+    each half the bits it gives it as part of the whole; it is asked last,
+    as it may try products (see :func:`split_rows_alike`). Each lane works
+    alone (see :func:`_helper`) and may record on a tape of its own, and
+    each half stays in one core's cache. If either lane raises, the other
+    is waited for and the exception (the calling thread's, if both raise)
+    is raised here.
     """
-    if elements < _SHARED_ERF_SIZE or _ACTIVE_TAPE is not None:
+    if elements < _LANE_ELEMENTS or _THREAD.tape is not None:
         return None
     helper = _helper()
     if helper is None or not alike():
@@ -242,92 +243,6 @@ def two_lanes(work: Callable[[np.ndarray], np.ndarray],
         wait([second])
     return first, second.result()
 
-
-class _Pieces:
-    """The pieces of one :func:`_share` call, handed out in order to
-    whichever thread asks first: the next piece to hand out, and whose turn
-    it is to run an in-order step, or -1 once either thread has failed."""
-
-    def __init__(self, count: int):
-        self._cond = threading.Condition()
-        self.count = count
-        self.next = 0
-        self.turn = 0
-
-    def claim(self) -> int | None:
-        """The next piece, or None once every piece is handed out or a
-        thread has failed."""
-        with self._cond:
-            if self.turn < 0 or self.next == self.count:
-                return None
-            self.next += 1
-            return self.next - 1
-
-    def take(self, i: int) -> bool:
-        """Wait for piece ``i``'s in-order turn; False if a thread failed
-        first."""
-        with self._cond:
-            self._cond.wait_for(lambda: self.turn in (i, -1))
-            return self.turn == i
-
-    def give(self, turn: int) -> None:
-        """Hand the in-order turn on; after a failure it stays -1."""
-        with self._cond:
-            if self.turn >= 0:
-                self.turn = turn
-            self._cond.notify_all()
-
-
-def _share(work: Callable[[int, int], None], pieces: int, slots: int,
-           in_order: Callable[[int, int], None] | None = None) -> None:
-    """Run ``work(i, slot)`` and then ``in_order(i, slot)``, if given, for
-    each piece ``i`` in ``range(pieces)``.
-
-    With ``slots`` 1 (from :func:`_slots`) the calling thread runs every
-    piece in order as slot 0. With 2 the calling thread, as slot 0, and the
-    helper thread, as slot 1, each take the next piece not yet taken until
-    none is left, so the calling thread runs them all while the helper is
-    busy with jobs handed to it earlier. ``in_order(i, ...)`` starts only
-    after ``in_order(i - 1, ...)`` has returned, so a running sum it
-    extends is added to in the serial order. A slot's pieces may share its
-    scratch buffers, one piece at a time. An exception on either thread
-    stops the other at its next piece or turn, and is raised here once
-    the helper has stopped (the calling thread's, if both raise). The pieces
-    must not touch the tape.
-    """
-    if slots == 1:
-        for i in range(pieces):
-            work(i, 0)
-            if in_order is not None:
-                in_order(i, 0)
-        return
-    shared = _Pieces(pieces)
-
-    def run(slot):
-        try:
-            while (i := shared.claim()) is not None:
-                work(i, slot)
-                if in_order is not None:
-                    if not shared.take(i):
-                        return
-                    in_order(i, slot)
-                    shared.give(i + 1)
-        except BaseException:
-            shared.give(-1)
-            raise
-
-    helper = _helper().submit(run, 1)
-    try:
-        run(0)
-    finally:
-        # a helper still busy with earlier jobs never starts this one
-        if not helper.cancel():
-            wait([helper])
-    if not helper.cancelled():
-        helper.result()
-
-
-_ACTIVE_TAPE: "Tape | None" = None
 
 # Leaf-gradient jobs Tape.backward lets wait on the helper thread at once.
 # A job holds the buffers its gradients are computed from, which a serial
@@ -353,21 +268,21 @@ class Tape:
     construction; backward visits records in exact reverse order, so two
     backward passes over the same graph are bit-identical. Backward
     consumes the tape, freeing each record's saved buffers once it has run.
+    A tape records the ops of the thread that entered it, and each thread
+    has at most one active tape.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _THREAD.tape is not None:
             raise ContractError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        _THREAD.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _THREAD.tape = None
         return False
 
     def __len__(self) -> int:
@@ -380,14 +295,23 @@ class Tape:
 
     def backward(self, loss: "Tensor") -> None:
         """Add to ``grad`` on every gradient-requiring leaf reachable from
-        ``loss``, accumulating additively across fan-out.
+        the scalar ``loss``: :meth:`backward_from` its gradient, 1."""
+        if loss.data.shape != ():
+            raise ContractError(
+                f"backward requires a scalar loss, got shape {loss.shape}")
+        self.backward_from(loss, np.ones((), dtype=np.float64))
+
+    def backward_from(self, out: "Tensor", grad: np.ndarray) -> None:
+        """Add to ``grad`` on every gradient-requiring leaf reachable from
+        ``out``, given ``grad``, the gradient of some scalar with respect to
+        ``out`` (a scoring lane's share of the loss gradient of the whole
+        batch's forecast), accumulating additively across fan-out.
 
         Only here is it decided which gradients run and how they add up: a
         ``grad_fn`` returns a gradient or None for each input, backward
         keeps those of inputs that require one, and :func:`_accumulate`
         adds each to its tensor's ``grad``. A leaf's ``grad`` so sums over
-        backward passes until ``zero_grad``, as scoring's probes do over
-        batches.
+        backward passes until ``zero_grad``.
 
         Gradients may be shared: a ``grad_fn`` may hand one array to
         several inputs or return a view of its incoming gradient, and a
@@ -396,8 +320,8 @@ class Tape:
         contributions accumulate out of place. Each record is popped, with
         its output gradient and saved buffers, as soon as it has run, so
         afterwards the tape is empty and only leaves (parameters and probes)
-        hold a ``grad``. A loss on this tape implies a record, so an empty
-        tape was already replayed.
+        hold a ``grad``. An output on this tape implies a record, so an
+        empty tape was already replayed.
 
         A ``grad_fn`` returns the weight and bias gradients of the model's
         ops as zero-argument callables, since no later record reads them;
@@ -408,22 +332,22 @@ class Tape:
         time in the order they were handed over, which is the order of the
         records, so every leaf sums its contributions in the serial order
         and ``grad`` holds the same bytes on one thread or two. A job works
-        alone, as everything on the helper does. With one CPU each job runs
-        on the calling thread as it is handed over. At most
-        ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling thread waits
-        for the oldest before it hands over another. ``backward`` returns,
+        alone, as everything on the helper does. With one CPU, or in a
+        lane, each job runs on the calling thread as it is handed over. At
+        most ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling thread
+        waits for the oldest before it hands over another. This returns,
         or raises, only once every job has run. An exception in a job is
         raised here once the calling thread waits for that job (the calling
         thread's own, if it raises too).
         """
-        if loss.data.shape != ():
-            raise ContractError(
-                f"backward requires a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
-            raise ContractError("loss does not live on this tape")
+        if out._tape is not self:
+            raise ContractError("output does not live on this tape")
         if not self._records:
             raise ContractError("tape already consumed by an earlier backward")
-        loss.grad = np.ones((), dtype=np.float64)
+        if grad.shape != out.shape:
+            raise ShapeError(f"backward: gradient shape {grad.shape} != "
+                             f"output shape {out.shape}")
+        out.grad = grad
         helper = _helper()
         jobs = []
         try:
@@ -497,7 +421,7 @@ class Tensor:
 
 
 def _tracked(*tensors: Tensor) -> bool:
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in tensors)
+    return _THREAD.tape is not None and any(t.requires_grad for t in tensors)
 
 
 def _emit(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
@@ -505,7 +429,7 @@ def _emit(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     out = Tensor(out_data)
     if _tracked(*inputs):
         out.requires_grad = True
-        _ACTIVE_TAPE.record(name, inputs, out, grad_fn)
+        _THREAD.tape.record(name, inputs, out, grad_fn)
     return out
 
 
@@ -587,7 +511,9 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     ``M = 1``. The op never reads its values. Its gradient is the
     derivative of the loss with respect to that all-ones mask,
     ``Σ_batch g_A ⊙ A``: the sensitivity of the loss to each attention
-    score.
+    score. A ``[B, heads, S, S]`` probe stands for one mask per item, and
+    its gradient is each item's ``g_A ⊙ A``, kept in the buffer of the
+    scores, which backward no longer needs by then.
 
     Every product and reduction runs in the order and memory layout of the
     unfused composition of the linears, the head split and merge, batched
@@ -601,8 +527,9 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     scores, forward and backward. Every GEMM on the scores is still one
     BLAS call per ``(b, h)`` slice and every row reduction stays within its
     row, so the chunking changes no bits. The probe gradient's sum over the
-    batch keeps its sequential order: each chunk's sum starts from the
-    running sum as its row 0, rather than adding per-chunk partial sums.
+    batch keeps its sequential order, ``((p_0 + p_1) + p_2) ...``: each
+    chunk's sum starts from the running sum as its row 0, rather than
+    adding per-chunk partial sums.
     Only a taped op keeps the ``[B, H, S, S]`` scores; backward works on
     chunk-sized temporaries.
 
@@ -625,11 +552,12 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention_sublayer: width {d} does not split into "
                          f"{heads} heads")
-    for name, a, shape in (("probe", probe, (heads, s, s)),
-                           ("keep", keep, x.shape)):
-        if a is not None and a.shape != shape:
+    for name, a, shapes in (("probe", probe, ((heads, s, s),
+                                              (batch, heads, s, s))),
+                            ("keep", keep, (x.shape,))):
+        if a is not None and a.shape not in shapes:
             raise ShapeError(f"attention_sublayer: {name} shape {a.shape} "
-                             f"!= {shape}")
+                             f"!= {' or '.join(map(str, shapes))}")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     n = max(1, min(batch, _ATTENTION_CHUNK_BYTES // (heads * s * s * 8)))
@@ -651,6 +579,7 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     need_q, need_k, need_v = (need_x or w.requires_grad or b.requires_grad
                               for w, b in linears[:3])
     need_probe = probe is not None and probe.requires_grad
+    per_item = need_probe and probe.ndim == 4
     need_ctx = need_q or need_k or need_v or need_probe
     save = _tracked(*inputs) and need_ctx
 
@@ -662,16 +591,13 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         return out
 
     qh, kh, vh = (split(linear(x2, w, b)) for w, b in linears[:3])
-    slots = _slots(len(chunks))
     att = np.empty((batch, heads, s, s)) if save else None
-    scratch = None if save else np.empty((slots, n, heads, s, s))
+    scratch = None if save else np.empty((n, heads, s, s))
     ctx = merged()
     ctx_h = split(ctx)
-
-    def attend(i, slot):
-        """Chunk i's scores, softmax and context."""
-        sl = chunks[i]
-        a = att[sl] if save else scratch[slot][:sl.stop - sl.start]
+    for sl in chunks:
+        # the chunk's scores, softmax and context
+        a = att[sl] if save else scratch[:sl.stop - sl.start]
         np.matmul(qh[sl], np.swapaxes(kh[sl], -1, -2), out=a)
         a *= c
         if not np.isfinite(a).all():
@@ -681,8 +607,6 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         np.exp(a, out=a)
         a /= a.sum(axis=-1, keepdims=True)
         np.matmul(a, vh[sl], out=ctx_h[sl])
-
-    _share(attend, len(chunks), slots)
     ctx2 = ctx.reshape(-1, d)
     out = linear(ctx2, w_e, b_e)
     if keep is not None:
@@ -697,45 +621,34 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         # k's gradient keeps the unfused layout, a [B, S, d] view of
         # [B, H, d_head, S]: the bias gradient's sum over it depends on it
         gk_t = np.empty((batch, heads, dh, s)) if need_k else None
-        ga = np.empty((slots, n, heads, s, s))
-        # per thread: rows 1.. hold a chunk's products g_A ⊙ A; row 0
-        # carries the probe gradient's running sum into the chunk's sum
-        prod = np.empty((slots, n + 1, heads, s, s))
-        gp = None
-
-        def chunk_backward(i, slot):
-            """Chunk i's v gradient, products g_A ⊙ A, and q and k
-            gradients."""
-            sl = chunks[i]
+        ga = np.empty((n, heads, s, s))
+        # rows 1.. hold a chunk's products g_A ⊙ A; row 0 carries the
+        # probe gradient's running sum into the chunk's sum
+        prod = np.empty((n + 1, heads, s, s))
+        gp = att if per_item else None
+        for sl in chunks:
             nb = sl.stop - sl.start
-            a, p, gac = att[sl], prod[slot][1:nb + 1], ga[slot][:nb]
+            a, p, gac = att[sl], prod[1:nb + 1], ga[:nb]
             if need_v:
                 np.matmul(np.swapaxes(a, -1, -2), g_ctx[sl], out=gv_h[sl])
             np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA
             np.multiply(gac, a, out=p)
-            if not (need_q or need_k):
-                return
-            # the row-softmax and scale backward, in place
-            gac -= p.sum(axis=-1, keepdims=True)
-            gac *= a
-            gac *= c
-            if need_q:
-                np.matmul(gac, kh[sl], out=gq_h[sl])
-            if need_k:
-                np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
-
-        def probe_sum(i, slot):
-            """Add chunk i's products to the probe gradient's running sum."""
-            nonlocal gp
-            nb = chunks[i].stop - chunks[i].start
-            if gp is None:
-                gp = prod[slot][1:nb + 1].sum(axis=0)
-            else:
-                prod[slot][0] = gp
-                gp = prod[slot][:nb + 1].sum(axis=0)
-
-        _share(chunk_backward, len(chunks), slots,
-               probe_sum if need_probe else None)
+            if need_q or need_k:
+                # the row-softmax and scale backward, in place
+                gac -= p.sum(axis=-1, keepdims=True)
+                gac *= a
+                gac *= c
+                if need_q:
+                    np.matmul(gac, kh[sl], out=gq_h[sl])
+                if need_k:
+                    np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
+            if per_item:
+                a[...] = p
+            elif need_probe and gp is None:
+                gp = p.sum(axis=0)
+            elif need_probe:
+                prod[0] = gp
+                gp = prod[:nb + 1].sum(axis=0)
         gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
               .reshape(batch, s, d) if need_k else None)
         return gq, gk, gv, gp
@@ -873,12 +786,6 @@ class KeepMasks:
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 ACTIVATIONS = ("gelu", "relu")
-# Elements from which ffn splits the GELU's erf into two row halves, one
-# per thread. scipy's erf takes 4-20 ns an element (more where |x| > 1) and
-# a hand-off to the helper thread tens of microseconds, so a batch-64 or
-# training FFN (172,032 elements at synthetic_small) gains and a batch-1
-# forecast (2,688 or 8,192) stays inline.
-_SHARED_ERF_SIZE = 2**16
 
 
 def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -925,16 +832,7 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     u += b1.data
     if gelu:
         phi = np.divide(u, _SQRT2)
-        if phi.size < _SHARED_ERF_SIZE:
-            erf(phi, out=phi)
-        else:
-            rows = phi.reshape(-1, f)
-            halves = (rows[:len(rows) // 2], rows[len(rows) // 2:])
-
-            def erf_half(i, slot):
-                erf(halves[i], out=halves[i])
-
-            _share(erf_half, 2, _slots(2))
+        erf(phi, out=phi)
         phi += 1.0
         phi *= 0.5
         z = u * phi if tracked else np.multiply(u, phi, out=phi)

@@ -13,7 +13,7 @@ from conftest import traced_peak
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
 from spat.model import Forecaster, ModelConfig, state_shapes
-from spat.tensor import Tensor
+from spat.tensor import Tape, Tensor
 
 
 def make_model(seed=0, layers=3):
@@ -46,14 +46,15 @@ class TestRoundTrip:
 
     def test_pruned_flags_survive_masks_do_not(self, tmp_path):
         """Pruned flags are saved; masks are not state, so a probe that
-        stands for one is not saved and a loaded model holds none."""
+        stands for one is never held by a block, nor saved, nor loaded."""
         model = make_model(seed=3)
         model.blocks[1].remove_attention()
         x = np.random.default_rng(0).normal(size=(2, 16, 3))
         expected = model.forecast(x)
         s = model.cfg.token_count
-        model.blocks[0].probe = Tensor(np.ones((model.cfg.heads, s, s)),
-                                       requires_grad=True)
+        probe = Tensor(np.ones((model.cfg.heads, s, s)), requires_grad=True)
+        with Tape():
+            model.forward(x, probes={0: probe})
         path = tmp_path / "pruned.ckpt"
         save_checkpoint(path, model)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
@@ -61,7 +62,8 @@ class TestRoundTrip:
         loaded, _ = load_checkpoint(path)
         assert loaded.pruned_layers() == [1]
         assert loaded.blocks[1].w_q is None
-        assert all(blk.probe is None for blk in loaded.blocks)
+        assert not any(hasattr(blk, "probe")
+                       for blk in model.blocks + loaded.blocks)
         np.testing.assert_array_equal(loaded.forecast(x), expected)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -266,15 +266,15 @@ class TestForecast:
         cfg = small_cfg()
         model = Forecaster(cfg, seed=21)
         s = cfg.token_count
-        for blk in model.blocks:
-            blk.probe = Tensor(np.ones((cfg.heads, s, s)), requires_grad=True)
+        probes = {i: Tensor(np.ones((cfg.heads, s, s)), requires_grad=True)
+                  for i in range(cfg.layers)}
         x = np.random.default_rng(8).normal(size=(4, cfg.lookback, cfg.channels))
         y = np.random.default_rng(9).normal(size=(4, cfg.horizon, cfg.channels))
         with Tape() as tape:
-            loss = mse_loss(model.forward(x), y)
+            loss = mse_loss(model.forward(x, probes=probes), y)
         tape.backward(loss)
-        for blk in model.blocks:
-            assert blk.probe.grad is not None and np.abs(blk.probe.grad).max() > 0
+        for probe in probes.values():
+            assert probe.grad is not None and np.abs(probe.grad).max() > 0
 
 
 class TestMseLoss:
@@ -602,8 +602,7 @@ class TestLanes:
             monkeypatch.setattr(helper, "submit", spy)
         model.forecast(self.windows(model, 24))
         assert handed == []
-        # one job for the second lane, and no op inside a lane hands over,
-        # not even the erf halves of a 32-window lane's FFN
+        # one job for the second lane, and no op inside a lane hands over
         for batch in (25, 64):
             del handed[:]
             model.forecast(self.windows(model, batch))
@@ -632,8 +631,8 @@ class TestLanes:
         limits = dict(zip(model.blocks, (np.inf, 1e7, 1e5)))
         forward = model_module.AttentionBlock.forward
 
-        def poisoned(blk, h, masks=None):
-            out = forward(blk, h, masks)
+        def poisoned(blk, h, masks=None, probe=None):
+            out = forward(blk, h, masks, probe)
             rows = np.abs(h.data).max(axis=(1, 2)) >= limits[blk]
             if not rows.any():
                 return out

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from spat.errors import (
     ParseError,
     ShapeError,
 )
+from conftest import traced_peak
+from spat import model as model_module
+from spat import pipeline
 from spat.model import Forecaster, ModelConfig
 from spat.send import (
     aggregate_heads,
@@ -43,24 +48,21 @@ def toy_setup(layers=2, seed=0, n_batches=2, batch=3):
     return model, batches
 
 
-def dataset_loss(model, batches):
+def dataset_loss(model, batches, probes=None):
     """Average of per-batch MSE losses, the quantity scoring differentiates."""
     total = 0.0
     for x, y in batches:
-        pred = model.forward(x).data
+        pred = model.forward(x, probes=probes).data
         total += float(np.mean((pred - y) ** 2))
     return total / len(batches)
 
 
-def attach_probes(model):
-    """Give every unpruned block an all-ones probe that needs a gradient,
-    as scoring does; returns them by layer index."""
+def all_probes(model):
+    """An all-ones probe that needs a gradient for every unpruned block, as
+    scoring makes them, by layer index."""
     shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
-    probes = {}
-    for i, blk in enumerate(model.blocks):
-        if not blk.pruned:
-            blk.probe = probes[i] = Tensor(np.ones(shape), requires_grad=True)
-    return probes
+    return {i: Tensor(np.ones(shape), requires_grad=True)
+            for i, blk in enumerate(model.blocks) if not blk.pruned}
 
 
 def assert_fused_equals_unfused(batch, s, heads, dh):
@@ -69,8 +71,8 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
     equal bit for bit and share their memory layout. The op's probe
     gradient is checked against the reference's gradient of an all-ones
     mask, with every input needing a gradient and with x and the q and k
-    weights frozen, so only v needs one; without a probe, the reference
-    multiplies in no mask."""
+    weights frozen, so only v needs one; so is a per-item probe's, one
+    mask per item; without a probe, the reference multiplies in no mask."""
     rng = np.random.default_rng(5)
     d = heads * dh
     arrays = ([rng.normal(size=(batch, s, d)) for _ in range(2)]
@@ -79,12 +81,14 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
     w = rng.normal(size=(batch, s, d))
     qk_side = (1, 2, 3, 4, 5)  # x, w_q, b_q, w_k, b_k
 
-    for need_qk, probed in [(True, True), (False, True), (True, False)]:
+    whole, per_item = (heads, s, s), (batch, heads, s, s)
+    for need_qk, probed in [(True, whole), (False, whole), (True, None),
+                            (True, per_item), (False, per_item)]:
         grads = []
         for attend in (attention_sublayer, unfused_attention_sublayer):
             ts = [Tensor(a, requires_grad=need_qk or i not in qk_side)
                   for i, a in enumerate(arrays)]
-            probe = (Tensor(np.ones((heads, s, s)), requires_grad=True)
+            probe = (Tensor(np.ones(probed), requires_grad=True)
                      if probed else None)
             with Tape() as tape:
                 out = attend(*ts, heads, probe=probe)
@@ -113,18 +117,16 @@ class TestSensitivityOracle:
                             unfused_attention_sublayer)
         delta = 1e-4
         for rec in records:
-            probe = Tensor(np.ones_like(rec.sen))
-            model.blocks[rec.layer_index].probe = probe
-            mask = probe.data
+            probes = {rec.layer_index: Tensor(np.ones_like(rec.sen))}
+            mask = probes[rec.layer_index].data
             fd = np.zeros_like(mask)
             for h, i, j in np.ndindex(mask.shape):
                 mask[h, i, j] = 1.0 + delta
-                up = dataset_loss(model, batches)
+                up = dataset_loss(model, batches, probes)
                 mask[h, i, j] = 1.0 - delta
-                down = dataset_loss(model, batches)
+                down = dataset_loss(model, batches, probes)
                 mask[h, i, j] = 1.0
                 fd[h, i, j] = (up - down) / (2.0 * delta)
-            model.blocks[rec.layer_index].probe = None
             scale = max(np.abs(fd).max(), 1e-12)
             rel = np.abs(rec.sen - fd) / np.maximum(np.abs(fd), 1e-3 * scale)
             assert rel.max() < 1e-3, f"layer {rec.layer_index}: {rel.max():.2e}"
@@ -163,9 +165,9 @@ class TestSensitivityOracle:
         model, batches = toy_setup(n_batches=1)
         records = compute_sensitivity(model, batches[:1])
         x, y = batches[0]
-        probes = attach_probes(model)
+        probes = all_probes(model)
         with Tape() as tape:
-            loss = mse_loss(model.forward(x), y)
+            loss = mse_loss(model.forward(x, probes=probes), y)
         tape.backward(loss)
         for rec in records:
             np.testing.assert_array_equal(rec.sen, probes[rec.layer_index].grad)
@@ -181,13 +183,17 @@ class TestSensitivityOracle:
         seen = []
 
         def checked(tape, loss):
-            assert all(blk.probe is not None for blk in model.blocks)
+            probed = [r.inputs[-1] for r in tape._records
+                      if r.name == "attention_sublayer"]
+            assert len(probed) == len(model.blocks)
+            assert all(p.shape == (2, 4, 4) and p.requires_grad
+                       for p in probed)
             backward(tape, loss)
             seen.append([n for n, p in model.named_parameters()
                          if p.grad is not None])
 
         def assert_restored():
-            assert all(blk.probe is None for blk in model.blocks)
+            assert not any(hasattr(blk, "probe") for blk in model.blocks)
             assert all(p.requires_grad and p.grad is None
                        for p in model.parameters())
 
@@ -228,9 +234,9 @@ class TestSensitivityOracle:
         records = compute_sensitivity(model, [(x, y)])
         monkeypatch.undo()
         assert first_ops == ["attention_sublayer"]
-        probes = attach_probes(model)
+        probes = all_probes(model)
         with Tape() as tape:
-            loss = mse_loss(model.forward(x), y)
+            loss = mse_loss(model.forward(x, probes=probes), y)
         tape.backward(loss)
         assert model.embed_w.grad is not None
         assert [r.layer_index for r in records] == [
@@ -254,6 +260,167 @@ class TestSensitivityOracle:
         model.blocks[0].remove_attention()
         with pytest.raises(ContractError):
             compute_sensitivity(model, batches)
+
+
+class TestScoringLanes:
+    """A scoring batch of four windows or more (and, at these shapes, 13 or
+    more) runs as two lanes, one half of the windows per thread, forward
+    and backward, and gives the sensitivities, scores and exceptions of
+    scoring on one CPU, byte for byte."""
+
+    @staticmethod
+    def model(mode="temporal_tokens", placement="pre", pruned=False):
+        """Temporal tokens (7 channels of 12 patches) or variate tokens (21
+        channels): 5376 FFN elements per window either way, so a batch of
+        13 reaches the 2^16 limit for lanes."""
+        variate = mode == "variate_tokens"
+        cfg = ModelConfig(mode=mode, lookback=96, horizon=24,
+                          channels=21 if variate else 7, d_model=16,
+                          d_ff=256 if variate else 64, heads=2, layers=3,
+                          patch_len=16, patch_stride=8, dropout=0.1,
+                          activation="relu" if placement == "post" else "gelu",
+                          norm_placement=placement)
+        model = Forecaster(cfg, seed=5)
+        if pruned:
+            model.blocks[1].remove_attention()
+        return model
+
+    @staticmethod
+    def batches(model, sizes=(64, 21, 3, 1)):
+        rng = np.random.default_rng(6)
+        c = model.cfg
+        return [(rng.normal(size=(n, c.lookback, c.channels)),
+                 rng.normal(size=(n, c.horizon, c.channels))) for n in sizes]
+
+    @staticmethod
+    def one_cpu(monkeypatch, fn):
+        """``fn()`` as a process on one CPU runs it."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            m.setattr(tensor, "_HELPER", None)
+            return fn()
+
+    @staticmethod
+    def scored(records):
+        return [(r.layer_index, r.sen.tobytes(), r.sen.strides, r.send.hex(),
+                 r.batches_accumulated) for r in records]
+
+    @pytest.fixture
+    def lanes_ran(self, monkeypatch):
+        """The sizes of the batches scored as lanes, in order; each ran its
+        forwards and its backwards on two threads."""
+        ran, threads = [], []
+        two_lanes = tensor.two_lanes
+
+        def spy(work, halves, elements, alike):
+            used = set()
+
+            def lane(part):
+                used.add(threading.current_thread())
+                return work(part)
+            try:
+                return two_lanes(lane, halves, elements, alike)
+            finally:
+                threads.append(len(used))
+
+        in_lanes = Forecaster._mask_gradients_in_lanes
+
+        def batch(self, x, y, probes):
+            del threads[:]
+            grads = in_lanes(self, x, y, probes)
+            if grads is not None:
+                assert threads == [2, 2]
+                ran.append(len(x))
+            return grads
+        monkeypatch.setattr(model_module, "two_lanes", spy)
+        monkeypatch.setattr(Forecaster, "_mask_gradients_in_lanes", batch)
+        return ran
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize("mode, placement", [
+        ("temporal_tokens", "pre"), ("temporal_tokens", "post"),
+        ("variate_tokens", "pre"), ("variate_tokens", "post")])
+    def test_matches_one_cpu(self, schedule, monkeypatch, lanes_ran, mode,
+                             placement, pruned):
+        """Pre-norm with gelu and post-norm with relu; batches of 64, 21
+        (split 10 / 11), 3 and 1 windows."""
+        model = self.model(mode, placement, pruned)
+        batches = self.batches(model)
+        want = self.one_cpu(monkeypatch,
+                            lambda: compute_sensitivity(model, batches))
+        assert lanes_ran == []
+        got = compute_sensitivity(model, batches)
+        assert self.scored(got) == self.scored(want)
+        assert lanes_ran == ([64, 21] if schedule == "two_threads" else [])
+
+    def test_nan_in_the_second_half(self, schedule, monkeypatch, lanes_ran):
+        model = self.model()
+        batches = self.batches(model, (64,))
+        batches[0][0][40, 10, 3] = np.nan
+
+        def raised():
+            with pytest.raises(NumericError) as info:
+                compute_sensitivity(model, batches)
+            return str(info.value)
+        want = self.one_cpu(monkeypatch, raised)
+        assert raised() == want
+        assert lanes_ran == []
+
+    def test_a_shape_that_splits_unlike_keeps_scoring_serial(
+            self, schedule, monkeypatch, lanes_ran):
+        """Where BLAS would give one linear (or its input gradient) other
+        bits on half of the rows, every batch is scored on the calling
+        thread."""
+        model = self.model("variate_tokens")
+        batches = self.batches(model, (64, 21))
+        want = self.one_cpu(monkeypatch,
+                            lambda: compute_sensitivity(model, batches))
+        monkeypatch.setattr(model_module, "split_rows_alike",
+                            lambda rows, split, k, n: (k, n) != (256, 16))
+        assert self.scored(compute_sensitivity(model, batches)) == \
+            self.scored(want)
+        assert lanes_ran == []
+
+    def test_iterative_prune_with_rescoring(self, schedule, monkeypatch,
+                                            lanes_ran):
+        """Two removals, rescoring the remaining layers each time."""
+        model = self.model("variate_tokens")
+        batches = self.batches(model, (32, 32))
+        scores = []
+        score = pipeline.compute_sensitivity
+
+        def spy(net, batches):
+            records = score(net, batches)
+            scores.append(self.scored(records))
+            return records
+        monkeypatch.setattr(pipeline, "compute_sensitivity", spy)
+
+        def prune():
+            net, removed = pipeline.iterative_prune(model, batches, 2)
+            return removed, net.state_dict().keys()
+        want = self.one_cpu(monkeypatch, prune)
+        got = prune()
+        assert got == want and len(scores) == 4
+        assert scores[2:] == scores[:2]
+        assert lanes_ran == ([32] * 4 if schedule == "two_threads" else [])
+
+    def test_lanes_hold_no_more_memory(self, monkeypatch, lanes_ran):
+        """The traced peak of scoring on two threads stays within 2% of one
+        CPU's: a lane records only its half of the batch, so the two tapes
+        together hold what one tape of the batch holds. Running whole
+        batches alternately on two threads, each on its own tape, would
+        hold two batches' tapes at once."""
+        model = Forecaster(ModelConfig(
+            mode="variate_tokens", lookback=96, horizon=24, channels=64,
+            d_model=32, d_ff=64, heads=4, layers=3), seed=7)
+        batches = self.batches(model, (32, 32))
+        one = self.one_cpu(monkeypatch, lambda: traced_peak(
+            lambda: compute_sensitivity(model, batches)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        two = traced_peak(lambda: compute_sensitivity(model, batches))
+        assert lanes_ran == [32, 32]
+        assert two <= 1.02 * one, f"{two / 2**20:.1f} MiB vs {one / 2**20:.1f} MiB"
 
 
 class TestNormalization:

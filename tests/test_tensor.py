@@ -1,7 +1,6 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
 import os
-import sys
 import threading
 import time
 import warnings
@@ -378,29 +377,18 @@ class TestAttentionMemory:
         self.test_backward_allocates_no_full_size_temporary()
 
 
-def helper_takes_piece_one(monkeypatch):
-    """Make the calling thread hold piece 0 of each shared op until the
-    helper has taken a piece, so that with two threads piece 1 is the
-    helper's."""
-    share = tensor._share
-
-    def ordered_share(work, pieces, slots, in_order=None):
-        taken = threading.Event()
-
-        def hold(i, slot):
-            if slot == 1:
-                taken.set()
-            elif i == 0 and slots == 2:
-                assert taken.wait(timeout=30), "the helper took no piece"
-            work(i, slot)
-        share(hold, pieces, slots, in_order)
-
-    monkeypatch.setattr(tensor, "_share", ordered_share)
+def in_lanes(work, halves):
+    """``work`` on each of ``halves``: as two lanes, the second on the
+    helper thread, where :func:`tensor.two_lanes` takes them, else in
+    turn on the calling thread."""
+    return (tensor.two_lanes(work, halves, tensor._LANE_ELEMENTS, lambda: True)
+            or tuple(map(work, halves)))
 
 
 class TestTwoThreads:
-    """Work shared with the helper thread gives the bytes of the serial
-    schedule; a failure on either thread reaches the caller."""
+    """Ops run alone on each thread, and two lanes of one batch give the
+    bytes of the serial schedule; a failure on either thread reaches the
+    caller, and the helper never waits on itself."""
 
     b, s, heads = 5, 6, 2
 
@@ -437,101 +425,104 @@ class TestTwoThreads:
         assert same_bits(untaped.data, want.data)
 
     @pytest.mark.parametrize("placement", ["pre", "post"])
-    def test_gelu_in_halves_matches_unfused(self, schedule, monkeypatch,
-                                            placement):
-        monkeypatch.setattr(tensor, "_SHARED_ERF_SIZE", 1)
+    def test_gelu_in_halves_matches_unfused(self, schedule, placement):
+        """An FFN whose two halves of the batch each run as a lane, forward
+        on its own tape and backward from its share of the output
+        gradient, gives the unfused whole batch's output and input
+        gradients, the weights frozen as in scoring."""
         rng = np.random.default_rng(14)
-        b, s, d, f = 5, 3, 4, 8
-        arrays = [rand(rng, b, s, d)] + ([] if placement == "post" else
-                                         [rand(rng, b, s, d)])
-        arrays += [rand(rng, d, f), rand(rng, f), rand(rng, f, d), rand(rng, d)]
+        b, s, d, f = 6, 3, 4, 8
+        hx = [rand(rng, b, s, d) for _ in range(1 if placement == "post" else 2)]
+        weights = [Tensor(a) for a in (rand(rng, d, f), rand(rng, f),
+                                       rand(rng, f, d), rand(rng, d))]
+        g = rand(rng, b, s, d)
 
-        def run(op):
-            if placement == "post":
-                return lambda h, *w: op(h, h, *w, "gelu")
-            return lambda h, x, *w: op(h, x, *w, "gelu")
+        def run(op, rows):
+            ts = [Tensor(a[rows], requires_grad=True) for a in hx]
+            with Tape() as tape:
+                out = op(ts[0], ts[-1], *weights, "gelu")
+            tape.backward_from(out, g[rows])
+            return [out.data] + [t.grad for t in ts]
 
-        assert_fused_equals_unfused(run(ffn), run(unfused_ffn), arrays)
+        halves = in_lanes(lambda rows: run(ffn, rows),
+                          (slice(0, b // 2), slice(b // 2, b)))
+        want = run(unfused_ffn, slice(0, b))
+        assert all(same_bits(np.concatenate(got), w)
+                   for got, w in zip(zip(*halves), want))
 
-    def test_non_finite_scores_in_a_helper_chunk(self, schedule,
-                                                 monkeypatch):
-        """In chunks of one item, item 1 is the helper's."""
-        monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
-        helper_takes_piece_one(monkeypatch)
-        x = np.ones((3, 2, 1))
-        x[1, 1, 0] = np.inf
+    def test_non_finite_scores_in_a_helper_chunk(self, schedule):
+        """Item 3 is in the second lane, which is the helper's on two
+        threads."""
+        x = np.ones((4, 2, 1))
+        x[3, 1, 0] = np.inf
         w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
         with pytest.raises(NumericError, match="NaN or Inf"):
-            attention_sublayer(Tensor(x), Tensor(x), *(w, b) * 4, 1)
+            in_lanes(lambda part: attention_sublayer(
+                Tensor(part), Tensor(part), *(w, b) * 4, 1), (x[:2], x[2:]))
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_backward_failure_raises_without_hanging(self, schedule,
-                                                     monkeypatch, failing):
-        """A chunk's backward raises, on the calling thread (chunk 0), the
-        helper (chunk 1) or either (chunk 2), while the other thread works
-        on or waits for its turn at the probe gradient's running sum."""
+                                                     failing):
+        """Each lane runs a probed attention backward on its own tape; the
+        first lane's (the calling thread's), the second's (the helper's,
+        on two threads) or both raise. The calling thread's exception
+        reaches the caller when both raise, and the next lanes run to the
+        end with the serial bits."""
         class Injected(RuntimeError):
             pass
 
-        helper_takes_piece_one(monkeypatch)
-        share = tensor._share
+        arrays = attention_arrays(np.random.default_rng(1), 2 * self.b,
+                                  self.s, self.heads)
 
-        def failing_share(work, pieces, slots, in_order=None):
-            def maybe_fail(i, slot):
-                if in_order is not None and i == failing:
-                    raise Injected(f"chunk {i}")
-                work(i, slot)
-            share(maybe_fail, pieces, slots, in_order)
+        def lane(rows, fail=False):
+            ts = [Tensor(a[rows] if a.ndim == 3 else a, requires_grad=True)
+                  for a in arrays]
+            probe = Tensor(np.ones((self.heads, self.s, self.s)),
+                           requires_grad=True)
+            with Tape() as tape:
+                out = attention_sublayer(*ts, self.heads, probe=probe)
+                if fail:
+                    def raise_(g):
+                        raise Injected(f"lane {rows.start // self.b}")
+                    out = tensor._emit("fail", (out,), out.data, raise_)
+            tape.backward_from(out, np.ones(out.shape))
+            return probe.grad
 
-        monkeypatch.setattr(tensor, "_share", failing_share)
-        ts = [Tensor(a, requires_grad=True) for a in attention_arrays(
-            np.random.default_rng(1), self.b, self.s, self.heads)]
-        probe = Tensor(np.ones((self.heads, self.s, self.s)),
-                       requires_grad=True)
-        with Tape() as tape:
-            loss = total(attention_sublayer(*ts, self.heads, probe=probe))
+        halves = (slice(0, self.b), slice(self.b, 2 * self.b))
         raised = []
 
-        def backward():
+        def run():
             try:
-                tape.backward(loss)
+                in_lanes(lambda rows: lane(rows, failing in (
+                    rows.start // self.b, 2)), halves)
             except Injected as e:
                 raised.append(e)
 
-        worker = threading.Thread(target=backward, daemon=True)
+        worker = threading.Thread(target=run, daemon=True)
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive(), "backward hung"
-        assert [str(e) for e in raised] == [f"chunk {failing}"]
-        # both threads stopped: the next shared op runs to the end
-        monkeypatch.setattr(tensor, "_share", share)
-        attention_sublayer(*ts, self.heads, probe=probe)
-
-    def test_every_piece_runs_once_and_in_order(self, schedule):
-        """Under a 1 µs switch interval, 300 pieces are each taken by one
-        thread, and their in-order steps run in piece order."""
-        ran, steps = [], []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            tensor._share(lambda i, slot: ran.append((i, slot)), 300,
-                          tensor._slots(300),
-                          lambda i, slot: steps.append(i))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(i for i, _ in ran) == list(range(300))
-        assert steps == list(range(300))
-        assert {slot for _, slot in ran} <= ({0} if schedule == "serial"
-                                             else {0, 1})
+        assert [str(e) for e in raised] == [f"lane {failing % 2}"]
+        got = in_lanes(lane, halves)
+        want = tuple(map(lane, halves))
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
     def test_forked_child_finishes(self, monkeypatch):
         """The child of a fork taken while the helper thread is alive
-        starts its own, instead of handing chunks to the parent's executor,
+        starts its own, instead of handing a lane to the parent's executor,
         whose thread it does not have."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tensor, "_HELPER", None)
-        arrays = attention_arrays(np.random.default_rng(2), self.b, self.s, 4)
-        want = attention_sublayer(*map(Tensor, arrays), self.heads).data
+        arrays = attention_arrays(np.random.default_rng(2), 2 * self.b,
+                                  self.s, 4)
+
+        def forward():
+            halves = in_lanes(lambda rows: attention_sublayer(
+                *(Tensor(a[rows] if a.ndim == 3 else a) for a in arrays),
+                self.heads).data, (slice(0, self.b), slice(self.b, None)))
+            return np.concatenate(halves)
+
+        want = forward()
         assert tensor._HELPER
         read, write = os.pipe()
         with warnings.catch_warnings():
@@ -540,8 +531,8 @@ class TestTwoThreads:
             pid = os.fork()
         if pid == 0:
             try:
-                out = attention_sublayer(*map(Tensor, arrays), self.heads)
-                os.write(write, b"same" if same_bits(out.data, want) else b"diff")
+                same = same_bits(forward(), want) and tensor._HELPER
+                os.write(write, b"same" if same else b"diff")
             finally:
                 os._exit(0)
         os.close(write)
@@ -557,35 +548,36 @@ class TestTwoThreads:
 
     def test_a_helper_job_works_alone(self, monkeypatch):
         """On the helper thread nothing is handed to the helper: a job
-        there that runs a 3-chunk attention sublayer and an FFN whose
-        ``erf`` would be halved gets the serial bytes with one slot each,
-        where the calling thread takes two."""
+        there gets no helper and its lanes run nothing, so a scoring batch
+        that the calling thread runs as two lanes runs inline there, with
+        the same bits."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tensor, "_HELPER", None)
-        slots = []
-        share = tensor._share
-
-        def recorded(work, pieces, n, in_order=None):
-            slots.append(n)
-            share(work, pieces, n, in_order)
-        monkeypatch.setattr(tensor, "_share", recorded)
+        # 8 windows of 16 channels and d_ff 512: 2^16 FFN elements
+        model = Forecaster(ModelConfig(
+            mode="variate_tokens", lookback=12, horizon=3, channels=16,
+            d_model=8, d_ff=512, heads=2, layers=2), seed=3)
         rng = np.random.default_rng(4)
-        heads_input = attention_arrays(rng, self.b, self.s, 4)
-        b, s, d, f = 64, 8, 4, 128            # 2^16 activation elements
-        ffn_input = [rand(rng, b, s, d), rand(rng, b, s, d), rand(rng, d, f),
-                     rand(rng, f), rand(rng, f, d), rand(rng, d)]
+        x, y = rng.normal(size=(8, 12, 16)), rng.normal(size=(8, 3, 16))
+        ran = []
+        two_lanes = tensor.two_lanes
 
-        def run():
-            return (attention_sublayer(*map(Tensor, heads_input),
-                                       self.heads).data,
-                    ffn(*map(Tensor, ffn_input), "gelu").data,
-                    tensor._helper())
+        def spy(*args):
+            out = two_lanes(*args)
+            ran.append(out is not None)
+            return out
+        monkeypatch.setattr(model_module, "two_lanes", spy)
 
-        want = run()
-        assert slots == [2, 2]
-        got = tensor._helper().submit(run).result(timeout=30)
-        assert slots == [2, 2, 1, 1] and got[2] is None
-        assert all(same_bits(a, b) for a, b in zip(got[:2], want[:2]))
+        def job():
+            return (tensor._helper(),
+                    tensor.two_lanes(len, ("a", "b"), 2**20, lambda: True),
+                    compute_sensitivity(model, [(x, y)])[0].sen)
+
+        want = job()
+        assert want[0] and want[1] == (1, 1) and ran == [True, True]
+        got = tensor._helper().submit(job).result(timeout=30)
+        assert got[:2] == (None, None) and ran[2:] == [False]
+        assert same_bits(got[2], want[2])
 
     @pytest.mark.parametrize("count, slots", [(1, 1), (2, 2), (None, 1)])
     def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch,
@@ -593,15 +585,14 @@ class TestTwoThreads:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         monkeypatch.setattr(tensor, "_HELPER", None)
-        assert tensor._slots(3) == slots
+        assert bool(tensor._helper()) == (slots == 2)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(tensor, "_HELPER", None)
         before = set(threading.enumerate())
-        attention_sublayer(*map(Tensor, attention_arrays(
-            np.random.default_rng(3), self.b, self.s, 4)), self.heads)
-        assert tensor._HELPER is False and tensor._slots(3) == 1
+        assert in_lanes(len, ("a", "bc")) == (1, 2)
+        assert tensor._HELPER is False and tensor._helper() is None
         # an earlier test's helper may exit meanwhile; none may start
         assert set(threading.enumerate()) <= before
 
@@ -625,6 +616,35 @@ class TestGradModeAndInvariants:
             with pytest.raises(ContractError):
                 with Tape():
                     pass
+
+    def test_each_thread_records_on_its_own_tape(self):
+        """Another thread's ops are not recorded on this thread's tape,
+        and a tape may be active on each thread at once."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        other = []
+
+        def record():
+            assert not mul(x, x).requires_grad
+            with Tape() as tape:
+                mul(x, x)
+            other.append(len(tape))
+
+        with Tape() as tape:
+            worker = threading.Thread(target=record)
+            worker.start()
+            worker.join(timeout=30)
+        assert len(tape) == 0 and other == [1]
+
+    def test_backward_from_a_given_gradient(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        with Tape() as tape:
+            y = mul(x, Tensor(np.array([2.0, 3.0, 4.0])))
+        with pytest.raises(ShapeError, match=r"\(2,\) != output shape \(3,\)"):
+            tape.backward_from(y, np.ones(2))
+        with pytest.raises(ContractError, match="does not live on this tape"):
+            tape.backward_from(x, np.ones(3))
+        tape.backward_from(y, np.array([1.0, 0.5, -1.0]))
+        np.testing.assert_array_equal(x.grad, [2.0, 1.5, -4.0])
 
     def test_backward_consumes_the_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -987,9 +1007,7 @@ class TestDeferredGradients:
         pytest.param("temporal_tokens", "pre", "relu", (), id="relu")])
     def test_training_step_matches_the_serial_schedule(
             self, schedule, monkeypatch, mode, placement, activation, pruned):
-        """With the GELU's erf in halves and attention in one-item chunks,
-        so that every kind of shared work runs."""
-        monkeypatch.setattr(tensor, "_SHARED_ERF_SIZE", 1)
+        """With attention in one-item chunks."""
         monkeypatch.setattr(tensor, "_ATTENTION_CHUNK_BYTES", 1)
         cfg = self.cfg(mode, placement, activation)
         x, y = self.data(cfg)
