@@ -6,7 +6,7 @@ Times ``Forecaster.forecast`` at the two batch sizes perfbench's
 block 2's attention, the layer SEND removes on ``configs/synthetic_small.yaml``.
 ``serial`` runs everything on the calling thread, as a process pinned to
 one CPU does. ``two_lanes`` lets spat's helper thread carry the second
-half of a batch-64 forecast's windows through the encoder while the
+half of a batch-64 forecast's windows through the whole model while the
 calling thread carries the first, as on two or more CPUs; a batch-1
 forecast stays on the calling thread either way. Both give the same bits.
 Pin the BLAS threads and write JSON to compare runs:

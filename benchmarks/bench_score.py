@@ -4,9 +4,9 @@ Times the scoring pass of perfbench's ``score_variate`` workload: a
 128-channel variate-token model (lookback 96, horizon 24, d_model 32,
 d_ff 64, 4 heads, 4 layers) over 181 windows in batches of 32, the last
 of 21. ``serial`` scores every batch on the calling thread, as a process
-pinned to one CPU does. ``two_lanes`` lets spat's helper thread carry the
-second half of each batch's windows through the encoder, forward and
-backward, while the calling thread carries the first, as on two or more
+pinned to one CPU does. ``two_lanes`` lets spat's helper thread score the
+second half of each batch's windows, forward, its share of the loss and
+backward, while the calling thread scores the first, as on two or more
 CPUs. Both give the same bits. Pin the BLAS threads and write JSON to
 compare runs:
 

@@ -13,7 +13,7 @@ numpy work to one helper thread of its own, when the process's CPU
 affinity holds more than one CPU: backward's parameter and probe
 gradients, a training forward's dropout keep masks, and the second half of
 the windows of a large forecast or scoring batch, carried through the
-whole encoder.
+whole model (and, scoring, back).
 ``taskset -c 0`` runs everything on the calling thread. Raising
 ``OPENBLAS_NUM_THREADS`` makes BLAS threads compete with that helper for
 the cores. Outputs are the same bytes at any thread count.

@@ -50,6 +50,9 @@ class DataConfig:
                               f"got {self.source!r}")
         if self.source == "csv" and not self.path:
             raise ConfigError("data.path is required when data.source is 'csv'")
+        if self.synthetic.seed < 0:
+            raise ConfigError(f"data.synthetic.seed must be >= 0, "
+                              f"got {self.synthetic.seed}")
         check_split(self.split_ratios, self.split_counts, self.SPLIT_FIELDS)
         if self.split_ratios is not None:
             self.split_ratios = tuple(float(r) for r in self.split_ratios)
@@ -128,6 +131,10 @@ class ExperimentConfig:
     model: ArchitectureConfig = field(default_factory=ArchitectureConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     pruning: PruningConfig = field(default_factory=PruningConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # Fields that hold a section of their own, by annotation

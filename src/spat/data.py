@@ -270,6 +270,12 @@ class SyntheticSpec:
             raise ConfigError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}")
         self.frequencies = tuple(float(f) for f in self.frequencies)
+        for name, values in (("frequencies", self.frequencies),
+                             ("trend", (self.trend,)),
+                             ("phase_shift", (self.phase_shift,))):
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
 
 def generate_synthetic(spec: SyntheticSpec, name: str = "synthetic") -> RawSeries:

@@ -20,7 +20,6 @@ probe is not state: no block holds one and none is saved. A block whose
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -36,6 +35,7 @@ from .tensor import (
     embed,
     ffn,
     head,
+    lanes_open,
     layer_norm,
     mse_loss,
     split_rows_alike,
@@ -46,6 +46,13 @@ MODES = ("temporal_tokens", "variate_tokens")
 NORM_PLACEMENTS = ("pre", "post")
 
 INSTANCE_NORM_EPS = 1e-5
+
+# Elements of a batch's largest activation (the FFN's) from which
+# Forecaster._in_parts halves it into lanes. A hand-off to the helper
+# thread costs tens of microseconds, so a batch-64 synthetic_small forecast
+# (172,032 elements) or a 32-window variate scoring batch gains, and a
+# batch-1 forecast (2,688 or 8,192) stays inline.
+_LANE_ELEMENTS = 2**16
 
 
 @dataclass
@@ -339,20 +346,17 @@ class Forecaster:
             shapes += ([] if blk.pruned else [d]) + [f, d]
         return shapes
 
-    def _instance_norm(self, x: np.ndarray):
-        """Windows ``x`` normalized per series, with their ``sigma`` and
-        ``mu``; or ``x`` and None, None without instance norm."""
-        if not self.cfg.instance_norm:
-            return x, None, None
-        mu = x.mean(axis=1, keepdims=True)
-        sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
-        return (x - mu) / sigma, sigma, mu
-
-    def _encode(self, x: np.ndarray, masks: KeepMasks | None = None,
-                probes: dict[int, Tensor] | None = None) -> Tensor:
-        """The tokens of instance-normalized windows ``x`` through the
-        embedding, every block and the final norm; block ``i``'s attention
-        probed by ``probes[i]`` where given."""
+    def _forward(self, x: np.ndarray, masks: KeepMasks | None = None,
+                 probes: dict[int, Tensor] | None = None) -> Tensor:
+        """The forecast of windows ``x`` on the calling thread: the instance
+        norm (where configured), the embedding, every block, the final norm
+        and the head, with dropout from ``masks`` where given and block
+        ``i``'s attention probed by ``probes[i]`` where given."""
+        sigma = mu = None
+        if self.cfg.instance_norm:
+            mu = x.mean(axis=1, keepdims=True)
+            sigma = np.sqrt(x.var(axis=1, keepdims=True) + INSTANCE_NORM_EPS)
+            x = (x - mu) / sigma
         probes = probes or {}
         h = self._embed(x, masks)
         for i, blk in enumerate(self.blocks):
@@ -361,57 +365,52 @@ class Forecaster:
                 raise NumericError(f"NaN activations after encoder block {i}")
         if self.final_g is not None:
             h = layer_norm(h, self.final_g, self.final_b)
-        return h
-
-    def _head(self, h: Tensor, channels: int, sigma, mu) -> Tensor:
-        out = head(h, self.head_w, self.head_b, channels, sigma, mu)
+        out = head(h, self.head_w, self.head_b, x.shape[2], sigma, mu)
         if np.isnan(out.data).any():
             raise NumericError("NaN activations in forecast head")
         return out
 
-    def _in_lanes(self, work, halves: tuple, x_shape: tuple[int, ...]):
-        """:func:`two_lanes` of ``work`` over ``halves``, which split
-        ``[B, L, C]`` windows at ``B // 2``; None where lanes do not pay or
-        would change bits, or where a lane raised. The caller then runs the
-        whole batch on the calling thread, and so gets the serial
+    def _in_parts(self, run, x: np.ndarray):
+        """``run(parts)``, with ``parts`` the windows ``x`` cut for
+        :func:`two_lanes`: two halves, ``x[:B // 2]`` and the rest, where
+        they may run as lanes, else ``(x,)``. Where ``run`` raised on two
+        halves, it runs again on ``(x,)``, so the caller gets the one-part
         exception: a NaN first seen after block 1 in the second half and
         after block 2 in the first is reported at block 1.
 
-        Each window's rows are computed apart from the others' (the model
-        is channel-independent) by row-wise reductions, elementwise maps,
-        per-item attention products and the linears' GEMMs, forward and
-        backward. So lanes are taken only where BLAS gives each row of
-        every linear, and of every linear's input gradient, the same bits
-        on half of the rows (:func:`split_rows_alike`), and then the
-        halves' tokens and gradients, put back together, are the serial
-        bytes in the serial C-order layout. A lane takes two windows or
-        more: the token arrays of one window can reach a GEMM as a
-        transposed view (variate tokens, or a ``d_head`` of 1) where those
-        of more windows are C-ordered copies.
+        Lanes need :func:`lanes_open`, and pay from ``_LANE_ELEMENTS``
+        elements of FFN activation. Each window's rows are computed apart
+        from the others' (the model is channel-independent) by row-wise
+        reductions, elementwise maps, per-item attention products and the
+        GEMMs of the linears and the head, forward and backward. So a batch
+        is halved only where BLAS gives each row of those GEMMs, and of
+        their input gradients, the same bits on half of the rows
+        (:func:`split_rows_alike`). The halves' forecasts and gradients are
+        then the one-part bytes, and their forecasts, concatenated, keep
+        its ``[B, C, T]``-ordered layout. A lane takes two windows or more:
+        the token arrays of one window can reach a GEMM as a transposed
+        view (variate tokens, or a ``d_head`` of 1) where those of more
+        windows are C-ordered copies.
         """
-        half = x_shape[0] // 2
-        if half < 2:
-            return None
-        rows = math.prod(self._tokens(x_shape))
+        half = len(x) // 2
+        rows = math.prod(self._tokens(x.shape))
+        series = len(x) * x.shape[2]      # the head's rows
+
+        def alike(m, k, n):
+            return split_rows_alike(m, m // len(x) * half, k, n)
         weights = [self.embed_w] + [w for blk in self.blocks
                                     for w in (blk.w_q, blk.w1, blk.w2)
                                     if w is not None]
-
-        def alike():
-            return all(split_rows_alike(rows, rows // x_shape[0] * half,
-                                        *w.shape) for w in weights)
+        k, t = self.head_w.shape
+        if not (half >= 2 and rows * self.cfg.d_ff >= _LANE_ELEMENTS
+                and lanes_open()
+                and all(alike(rows, *w.shape) for w in weights)
+                and alike(series, k, t) and alike(series, t, k)):
+            return run((x,))
         try:
-            return two_lanes(work, halves, rows * self.cfg.d_ff, alike)
+            return run((x[:half], x[half:]))
         except Exception:
-            return None
-
-    def _encode_in_lanes(self, x: np.ndarray) -> Tensor:
-        """``_encode(x)`` with no dropout, each half of the windows carried
-        through on its own thread where :meth:`_in_lanes` takes the work."""
-        half = len(x) // 2
-        lanes = self._in_lanes(lambda part: self._encode(part).data,
-                               (x[:half], x[half:]), x.shape)
-        return self._encode(x) if lanes is None else Tensor(np.concatenate(lanes))
+            return run((x,))
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None,
@@ -419,27 +418,47 @@ class Forecaster:
         """Differentiable forecast of shape [batch, T, C]. In training
         with dropout the keep masks are drawn from ``rng`` in the order of
         :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use. Block
-        ``i``'s attention is probed by ``probes[i]`` where given. Without
-        dropout, probes and an active tape, a large batch runs as two lanes
-        (see :meth:`forecast`)."""
+        ``i``'s attention is probed by ``probes[i]`` where given, a
+        ``[heads, S, S]`` probe or one per attention item (see
+        :func:`attention_sublayer`). Without dropout and probes, the batch
+        runs in the parts :meth:`_in_parts` cuts, each part's forecast
+        through the whole model (see :meth:`forecast`)."""
         self._validate_input(x)
-        drawing = training and self.cfg.dropout > 0.0
-        with (KeepMasks(rng, self.keep_shapes(x.shape), self.cfg.dropout)
-              if drawing else contextlib.nullcontext()) as masks:
-            xn, sigma, mu = self._instance_norm(x)
-            h = (self._encode(xn, masks, probes) if drawing or probes
-                 else self._encode_in_lanes(xn))
-            return self._head(h, x.shape[2], sigma, mu)
+        if training and self.cfg.dropout > 0.0:
+            with KeepMasks(rng, self.keep_shapes(x.shape),
+                           self.cfg.dropout) as masks:
+                return self._forward(x, masks, probes)
+        if probes:
+            return self._forward(x, probes=probes)
+
+        def forecast(parts):
+            preds = two_lanes(self._forward, parts)
+            if len(preds) == 1:
+                return preds[0]
+            return Tensor(np.concatenate([p.data for p in preds]))
+        return self._in_parts(forecast, x)
 
     def mask_gradients(self, x: np.ndarray, y: np.ndarray
                        ) -> dict[int, np.ndarray]:
         """Per unpruned block, the gradient of the MSE loss of the
         dropout-free forecast of windows ``x`` against ``y`` with respect to
         an all-ones connection mask on its attention scores: the
-        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``, each the
-        serial bytes. Where :meth:`_in_lanes` takes the work, each half of
-        the windows runs its forward and backward on its own thread (see
-        :meth:`_mask_gradients_in_lanes`)."""
+        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``, the one-part
+        bytes.
+
+        Each part that :meth:`_in_parts` cuts runs its forward, its share
+        of the batch's loss (its squared errors over the batch's element
+        count, see :func:`mse_loss`) and its backward on a tape of its own,
+        with probes of its own; one part is the whole batch on one tape.
+        The first part's probes sum its attention items (windows, or series
+        for temporal tokens) in batch order. A second part's have one mask
+        per item, whose gradients are kept in the buffer of that lane's
+        scores and added to the first part's sums one at a time, so each
+        sum is the one-part ``((p_0 + p_1) + p_2) ...``. A lane's tape holds
+        its half of the batch, so the two tapes hold what one tape of the
+        batch holds.
+        """
+        self._validate_input(x)
         layers = [i for i, blk in enumerate(self.blocks) if not blk.pruned]
         shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
 
@@ -447,73 +466,36 @@ class Forecaster:
             return {i: Tensor(np.broadcast_to(1.0, items + shape),
                               requires_grad=True) for i in layers}
 
-        grads = self._mask_gradients_in_lanes(x, y, probes)
-        if grads is None:
-            whole = probes()
+        def score(lane):
+            part, target, lane_probes = lane
             with Tape() as tape:
-                loss = mse_loss(self.forward(x, probes=whole), y)
+                loss = mse_loss(self.forward(part, probes=lane_probes),
+                                target, np.size(y))
             tape.backward(loss)
-            grads = {i: p.grad for i, p in whole.items()}
-        return grads
 
-    def _mask_gradients_in_lanes(self, x, y, probes):
-        """:meth:`mask_gradients` as two lanes, or None where
-        :meth:`_in_lanes` gives None.
-
-        Each half of the windows runs its forward and backward through the
-        encoder on its own thread and tape, with probes of its own; the
-        instance norm, the head, the loss and the head's backward run on
-        the whole batch on the calling thread. The first half's probes sum
-        its attention items (windows, or series for temporal tokens) in
-        batch order. The second half's have one mask per item, whose
-        gradients are kept in the buffer of that lane's scores and added
-        to the first half's sum one at a time, so each sum is the serial
-        ``((p_0 + p_1) + p_2) ...``. Neither the normalized windows nor the
-        whole batch's tokens are kept past their use, so the two half tapes
-        hold what one serial tape holds.
-        """
-        self._validate_input(x)
-        xn, sigma, mu = self._instance_norm(x)
-        half = len(x) // 2
-        first, second = probes(), probes(self._tokens(xn[half:].shape)[0])
-
-        def forward(part):
-            with Tape() as tape:
-                h = self._encode(part[0], probes=part[1])
-            return tape, h
-        lanes = self._in_lanes(forward, ((xn[:half], first),
-                                         (xn[half:], second)), x.shape)
-        xn = None
-        if lanes is None:
-            return None
-        whole = Tensor(np.concatenate([h.data for _, h in lanes]),
-                       requires_grad=True)
-        with Tape() as tape:
-            loss = mse_loss(self._head(whole, x.shape[2], sigma, mu), y)
-        tape.backward(loss)
-        g, whole = whole.grad, None
-        cut = len(lanes[0][1].data)
-        if self._in_lanes(lambda lane: lane[0].backward_from(*lane[1:]),
-                          (lanes[0] + (g[:cut],), lanes[1] + (g[cut:],)),
-                          x.shape) is None:
-            return None
-        for i, p in first.items():
-            for item in second[i].grad:
-                np.add(p.grad, item, out=p.grad)
-        return {i: p.grad for i, p in first.items()}
+        def run(parts):
+            lane_probes = [probes()] + [probes(self._tokens(p.shape)[0])
+                                        for p in parts[1:]]
+            targets = np.split(y, np.cumsum([len(p) for p in parts[:-1]]))
+            two_lanes(score, tuple(zip(parts, targets, lane_probes)))
+            first = lane_probes[0]
+            for later in lane_probes[1:]:
+                for i, p in first.items():
+                    for item in later[i].grad:
+                        np.add(p.grad, item, out=p.grad)
+            return {i: p.grad for i, p in first.items()}
+        return self._in_parts(run, x)
 
     def forecast(self, x: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode prediction (dropout disabled, no tape).
 
         A batch whose FFN activation has ``_LANE_ELEMENTS`` (2^16)
-        elements or more runs as two lanes (:func:`two_lanes`): the helper
-        thread carries the second half of the windows through the
-        embedding, the blocks and the final norm while the calling thread
-        carries the first, each with every op inline. Each lane keeps its
-        half in one core's cache for the whole encoder. The instance norm
-        and the head run on the whole batch on the calling thread, so the
-        forecast is the serial bytes in the serial ``[B, C, T]``-ordered
-        layout. A batch-1 forecast stays inline.
+        elements or more runs as two lanes (:meth:`_in_parts`): the helper
+        thread carries the second half of the windows through the whole
+        model while the calling thread carries the first, each with every
+        op inline, and each lane keeps its half in one core's cache. The
+        halves' forecasts, concatenated, are the one-part bytes in its
+        ``[B, C, T]``-ordered layout. A batch-1 forecast stays inline.
         """
         return self.forward(x, training=False).data
 

@@ -72,9 +72,10 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     whose attention was already removed are skipped.
 
     Each batch gives every scored layer's ``[heads, S, S]`` mask gradient
-    at the all-ones mask (:meth:`Forecaster.mask_gradients`, which runs a
-    batch of four windows or more as two lanes, one half of the windows
-    per thread, where that keeps the serial bits). Each layer's running
+    at the all-ones mask (:meth:`Forecaster.mask_gradients`). Where that
+    keeps the one-CPU bits, a batch of four windows or more runs as two
+    lanes: each half of the windows runs its forward, its share of the
+    loss and its backward on a thread of its own. Each layer's running
     sum is one buffer, allocated before the first batch: the first
     batch's gradient is copied into it, and each later one is added into
     it in place, in batch order: ``((g_0 + g_1) + g_2) ...``. The

@@ -30,9 +30,9 @@ first time it is needed (see :func:`_helper`):
   thread carries the other gradients down the tape;
 * the dropout keep masks of a training forward, drawn by
   :class:`KeepMasks` ahead of use;
-* one of the two lanes of :func:`two_lanes`: a forecast or a scoring
-  batch of many windows carries each half of them through the whole
-  encoder on its own thread, scoring on one tape per lane.
+* the second of the two parts of :func:`two_lanes`: a forecast or a
+  scoring batch of many windows carries each half of them through the
+  whole model on its own thread, scoring on one tape per lane.
 
 Every piece of work does the arithmetic it does alone. The helper runs its
 jobs one at a time in the order they were handed over, so each leaf sums
@@ -70,6 +70,7 @@ __all__ = [
     "ffn",
     "head",
     "keep_mask",
+    "lanes_open",
     "layer_norm",
     "mse_loss",
     "split_rows_alike",
@@ -178,14 +179,6 @@ def _helper() -> ThreadPoolExecutor | None:
     return _HELPER or None
 
 
-# Elements of a work's largest activation (the FFN's) from which
-# two_lanes splits it. A hand-off to the helper thread costs tens of
-# microseconds, so a batch-64 synthetic_small forecast (172,032 elements)
-# or a 32-window variate scoring batch gains, and a batch-1 forecast
-# (2,688 or 8,192) stays inline.
-_LANE_ELEMENTS = 2**16
-
-
 @functools.lru_cache
 def split_rows_alike(rows: int, split: int, k: int, n: int) -> bool:
     """Whether a ``[rows, k] @ [k, n]`` product gives every row the bits
@@ -210,34 +203,30 @@ def split_rows_alike(rows: int, split: int, k: int, n: int) -> bool:
                          rng.standard_normal((n, k)).T))
 
 
-def two_lanes(work: Callable, halves: tuple, elements: int,
-              alike: Callable[[], bool]) -> tuple | None:
-    """``(work(halves[0]), work(halves[1]))``, the second run on the helper
-    thread while the calling thread runs the first; or None, having run
-    nothing, when the hand-off does not pay, cannot be made or would
-    change bits.
+def lanes_open() -> bool:
+    """Whether :func:`two_lanes` runs two parts at once on this thread: it
+    has a helper thread (see :func:`_helper`), which a process on one CPU,
+    the helper itself and a lane do not have, and no active tape, on which
+    the helper's ops would not record."""
+    return _THREAD.tape is None and _helper() is not None
 
-    It pays from ``elements``, the size of the largest activation the work
-    makes on both halves together, of ``_LANE_ELEMENTS``. Lanes need a
-    helper thread, which a process on one CPU, the helper itself and a lane
-    do not have, and no tape active on the calling thread: the helper's
-    ops would not record on it. ``alike()`` says whether the work gives
-    each half the bits it gives it as part of the whole; it is asked last,
-    as it may try products (see :func:`split_rows_alike`). Each lane works
-    alone (see :func:`_helper`) and may record on a tape of its own, and
-    each half stays in one core's cache. If either lane raises, the other
-    is waited for and the exception (the calling thread's, if both raise)
-    is raised here.
+
+def two_lanes(work: Callable, parts: tuple) -> tuple:
+    """``tuple(map(work, parts))`` for one part or two.
+
+    One part runs inline. Of two, where :func:`lanes_open`, the second runs
+    on the helper thread while the calling thread runs the first; elsewhere
+    they run in turn. Each lane works alone (see :func:`_helper`) and may
+    record on a tape of its own, and each part stays in one core's cache.
+    If either lane raises, the other is waited for and the exception (the
+    calling thread's, if both raise) is raised here.
     """
-    if elements < _LANE_ELEMENTS or _THREAD.tape is not None:
-        return None
-    helper = _helper()
-    if helper is None or not alike():
-        return None
-    second = helper.submit(work, halves[1])
+    if len(parts) == 1 or not lanes_open():
+        return tuple(map(work, parts))
+    second = _helper().submit(work, parts[1])
     _THREAD.alone = True
     try:
-        first = work(halves[0])
+        first = work(parts[0])
     finally:
         _THREAD.alone = False
         wait([second])
@@ -304,8 +293,7 @@ class Tape:
     def backward_from(self, out: "Tensor", grad: np.ndarray) -> None:
         """Add to ``grad`` on every gradient-requiring leaf reachable from
         ``out``, given ``grad``, the gradient of some scalar with respect to
-        ``out`` (a scoring lane's share of the loss gradient of the whole
-        batch's forecast), accumulating additively across fan-out.
+        ``out``, accumulating additively across fan-out.
 
         Only here is it decided which gradients run and how they add up: a
         ``grad_fn`` returns a gradient or None for each input, backward
@@ -913,18 +901,24 @@ def head(h: Tensor, w: Tensor, b: Tensor, channels: int,
     return _emit("head", (h, w, b), out, grad_fn)
 
 
-def mse_loss(pred: Tensor, target) -> Tensor:
+def mse_loss(pred: Tensor, target, count: int | None = None) -> Tensor:
     """Mean squared error over every element, against a constant
     ``target``, in one record with the bits of the unfused ``sub``, ``mul``
-    and ``mean``: the gradient adds the square's two equal halves."""
+    and ``mean``: the gradient adds the square's two equal halves.
+
+    Given ``count``, the squared errors are summed and divided by
+    ``count``: one part's share of the mean over a batch of ``count``
+    elements, whose gradient is that batch's, bit for bit.
+    """
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: prediction shape {pred.shape} != "
                          f"target shape {target.shape}")
     diff = pred.data - target
     square = diff * diff
-    out = square.mean()
-    shape, size = square.shape, square.size
+    shape = square.shape
+    size = square.size if count is None else count
+    out = square.sum() / size
 
     def grad_fn(g):
         half = np.broadcast_to(g / size, shape).copy() * diff

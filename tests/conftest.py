@@ -8,11 +8,13 @@ they cannot inherit a bug from the reverse-mode implementation they check.
 from __future__ import annotations
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spat import model as model_module
 from spat import tensor
 from spat.tensor import Tape, Tensor, mse_loss
 
@@ -36,6 +38,36 @@ def schedule(request, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(tensor, "_HELPER", None)
     return request.param
+
+
+@pytest.fixture
+def lanes_ran(monkeypatch):
+    """The window counts of the batches that ran as two lanes, in order,
+    each part on a thread of its own. A forecast, whose parts are windows,
+    counts once its lanes ran, also when one raised; a scored batch, whose
+    parts are windows, targets and probes, counts only once both lanes
+    returned, each having run its forward and its backward."""
+    ran = []
+    two_lanes = tensor.two_lanes
+
+    def spy(work, parts):
+        threads = set()
+
+        def lane(part):
+            threads.add(threading.current_thread())
+            return work(part)
+        forecast = isinstance(parts[0], np.ndarray)
+        returned = False
+        try:
+            out = two_lanes(lane, parts)
+            returned = True
+            return out
+        finally:
+            assert len(threads) == len(parts)
+            if len(threads) == 2 and (forecast or returned):
+                ran.append(sum(len(p if forecast else p[0]) for p in parts))
+    monkeypatch.setattr(model_module, "two_lanes", spy)
+    return ran
 
 
 def traced_peak(fn):

@@ -243,7 +243,8 @@ class TestExitCodes:
             "optimizer.lr=.nan", "optimizer.lr=.inf", "optimizer.finetune_lr=.nan",
             "optimizer.finetune_lr=-0.5", "optimizer.lr_min=-1.0",
             "optimizer.beta1=2.0", "optimizer.beta2=1.0", "optimizer.eps=-1.0",
-            "optimizer.eps=0.0", "optimizer.finetune_epochs=-1"]),
+            "optimizer.eps=0.0", "optimizer.finetune_epochs=-1", "seed=-1",
+            "data.synthetic.seed=-1"]),
         ("data.split_ratios=[0.7, .nan, 0.2]", "ratios must be three non-negative"),
         ("data.split_ratios=[0.7, -0.1, 0.2]", "ratios must be three non-negative"),
         ("data.split_ratios=[0.7, 0.3]", "ratios must be three non-negative")])
@@ -494,7 +495,10 @@ class TestExitCodes:
         ("model.heads=3", "d_model 8 not divisible by heads 3"),
         ("optimizer.finetune_epochs=-1", "optimizer.finetune_epochs must"),
         ("data.synthetic.noise_std=-1.0", "noise_std must be finite"),
-        ("data.synthetic.noise_std=.nan", "noise_std must be finite")])
+        ("data.synthetic.noise_std=.nan", "noise_std must be finite"),
+        ("data.synthetic.frequencies=[5.0, 1e999]", "frequencies must be finite"),
+        ("data.synthetic.trend=-.inf", "trend must be finite"),
+        ("data.synthetic.phase_shift=.nan", "phase_shift must be finite")])
     @pytest.mark.parametrize("command", ["run", "sweep", "pretrain"])
     def test_bad_config_fails_before_the_run_directory(self, workspace, capsys,
                                                        command, item, message):

@@ -516,27 +516,6 @@ class TestLanes:
             fn()
         return str(info.value)
 
-    @pytest.fixture
-    def lanes_ran(self, monkeypatch):
-        """The batch sizes of the forecasts that ran as lanes, in order."""
-        ran = []
-        two_lanes = tensor.two_lanes
-
-        def spy(work, halves, elements, alike):
-            threads = set()
-
-            def lane(part):
-                threads.add(threading.current_thread())
-                return work(part)
-            try:
-                return two_lanes(lane, halves, elements, alike)
-            finally:
-                if threads:
-                    assert len(threads) == 2
-                    ran.append(sum(map(len, halves)))
-        monkeypatch.setattr(model_module, "two_lanes", spy)
-        return ran
-
     @pytest.mark.parametrize("batch", [1, 2, 25, 57, 64])
     @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
     @pytest.mark.parametrize("mode, placement", [

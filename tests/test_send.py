@@ -305,37 +305,6 @@ class TestScoringLanes:
         return [(r.layer_index, r.sen.tobytes(), r.sen.strides, r.send.hex(),
                  r.batches_accumulated) for r in records]
 
-    @pytest.fixture
-    def lanes_ran(self, monkeypatch):
-        """The sizes of the batches scored as lanes, in order; each ran its
-        forwards and its backwards on two threads."""
-        ran, threads = [], []
-        two_lanes = tensor.two_lanes
-
-        def spy(work, halves, elements, alike):
-            used = set()
-
-            def lane(part):
-                used.add(threading.current_thread())
-                return work(part)
-            try:
-                return two_lanes(lane, halves, elements, alike)
-            finally:
-                threads.append(len(used))
-
-        in_lanes = Forecaster._mask_gradients_in_lanes
-
-        def batch(self, x, y, probes):
-            del threads[:]
-            grads = in_lanes(self, x, y, probes)
-            if grads is not None:
-                assert threads == [2, 2]
-                ran.append(len(x))
-            return grads
-        monkeypatch.setattr(model_module, "two_lanes", spy)
-        monkeypatch.setattr(Forecaster, "_mask_gradients_in_lanes", batch)
-        return ran
-
     @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
     @pytest.mark.parametrize("mode, placement", [
         ("temporal_tokens", "pre"), ("temporal_tokens", "post"),
@@ -364,6 +333,47 @@ class TestScoringLanes:
             return str(info.value)
         want = self.one_cpu(monkeypatch, raised)
         assert raised() == want
+        assert lanes_ran == []
+
+    @pytest.mark.parametrize("once", [True, False], ids=["once", "always"])
+    def test_a_lane_that_fails_in_its_backward(self, schedule, monkeypatch,
+                                               lanes_ran, once):
+        """Both lanes' forwards run to the loss, then the second lane's
+        backward raises: only this once, and the batch scored again as one
+        part gives the one-CPU bytes; or on every backward that reaches
+        window 40's targets, and scoring raises the one-CPU exception."""
+        model = self.model()
+        batches = self.batches(model, (64,))
+        batches[0][1][40, 0, 0] = 1e6
+        loss, losses, raised = model_module.mse_loss, [], []
+
+        def failing(pred, target, count=None):
+            out = loss(pred, target, count)
+            losses.append(len(target))
+            if not (target == 1e6).any():
+                return out
+
+            def fail(g):
+                main = threading.current_thread() is threading.main_thread()
+                if once and (raised or main):
+                    return (g,)
+                raised.append(len(target))
+                raise NumericError("backward failed at window 40")
+            return tensor._emit("fail", (out,), out.data, fail)
+
+        def score():
+            try:
+                return self.scored(compute_sensitivity(model, batches))
+            except NumericError as e:
+                return str(e)
+        monkeypatch.setattr(model_module, "mse_loss", failing)
+        want = self.one_cpu(monkeypatch, score)
+        assert (want == "backward failed at window 40") != once
+        del losses[:], raised[:]
+        assert score() == want
+        two = schedule == "two_threads"
+        assert losses == ([32, 32, 64] if two else [64])
+        assert raised == ([32] if two else []) + ([] if once else [64])
         assert lanes_ran == []
 
     def test_a_shape_that_splits_unlike_keeps_scoring_serial(

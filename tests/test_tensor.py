@@ -377,14 +377,6 @@ class TestAttentionMemory:
         self.test_backward_allocates_no_full_size_temporary()
 
 
-def in_lanes(work, halves):
-    """``work`` on each of ``halves``: as two lanes, the second on the
-    helper thread, where :func:`tensor.two_lanes` takes them, else in
-    turn on the calling thread."""
-    return (tensor.two_lanes(work, halves, tensor._LANE_ELEMENTS, lambda: True)
-            or tuple(map(work, halves)))
-
-
 class TestTwoThreads:
     """Ops run alone on each thread, and two lanes of one batch give the
     bytes of the serial schedule; a failure on either thread reaches the
@@ -444,8 +436,8 @@ class TestTwoThreads:
             tape.backward_from(out, g[rows])
             return [out.data] + [t.grad for t in ts]
 
-        halves = in_lanes(lambda rows: run(ffn, rows),
-                          (slice(0, b // 2), slice(b // 2, b)))
+        halves = tensor.two_lanes(lambda rows: run(ffn, rows),
+                                  (slice(0, b // 2), slice(b // 2, b)))
         want = run(unfused_ffn, slice(0, b))
         assert all(same_bits(np.concatenate(got), w)
                    for got, w in zip(zip(*halves), want))
@@ -457,7 +449,7 @@ class TestTwoThreads:
         x[3, 1, 0] = np.inf
         w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
         with pytest.raises(NumericError, match="NaN or Inf"):
-            in_lanes(lambda part: attention_sublayer(
+            tensor.two_lanes(lambda part: attention_sublayer(
                 Tensor(part), Tensor(part), *(w, b) * 4, 1), (x[:2], x[2:]))
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -493,7 +485,7 @@ class TestTwoThreads:
 
         def run():
             try:
-                in_lanes(lambda rows: lane(rows, failing in (
+                tensor.two_lanes(lambda rows: lane(rows, failing in (
                     rows.start // self.b, 2)), halves)
             except Injected as e:
                 raised.append(e)
@@ -503,7 +495,7 @@ class TestTwoThreads:
         worker.join(timeout=30)
         assert not worker.is_alive(), "backward hung"
         assert [str(e) for e in raised] == [f"lane {failing % 2}"]
-        got = in_lanes(lane, halves)
+        got = tensor.two_lanes(lane, halves)
         want = tuple(map(lane, halves))
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
@@ -517,7 +509,7 @@ class TestTwoThreads:
                                   self.s, 4)
 
         def forward():
-            halves = in_lanes(lambda rows: attention_sublayer(
+            halves = tensor.two_lanes(lambda rows: attention_sublayer(
                 *(Tensor(a[rows] if a.ndim == 3 else a) for a in arrays),
                 self.heads).data, (slice(0, self.b), slice(self.b, None)))
             return np.concatenate(halves)
@@ -548,9 +540,9 @@ class TestTwoThreads:
 
     def test_a_helper_job_works_alone(self, monkeypatch):
         """On the helper thread nothing is handed to the helper: a job
-        there gets no helper and its lanes run nothing, so a scoring batch
-        that the calling thread runs as two lanes runs inline there, with
-        the same bits."""
+        there gets no helper and runs both parts of two lanes in turn on
+        its own thread, and a scoring batch that the calling thread halves
+        into lanes runs there as one part, with the same bits."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tensor, "_HELPER", None)
         # 8 windows of 16 channels and d_ff 512: 2^16 FFN elements
@@ -562,22 +554,25 @@ class TestTwoThreads:
         ran = []
         two_lanes = tensor.two_lanes
 
-        def spy(*args):
-            out = two_lanes(*args)
-            ran.append(out is not None)
-            return out
+        def spy(work, parts):
+            ran.append(len(parts))
+            return two_lanes(work, parts)
         monkeypatch.setattr(model_module, "two_lanes", spy)
 
         def job():
-            return (tensor._helper(),
-                    tensor.two_lanes(len, ("a", "b"), 2**20, lambda: True),
-                    compute_sensitivity(model, [(x, y)])[0].sen)
+            threads = set()
+
+            def lane(part):
+                threads.add(threading.current_thread())
+                return len(part)
+            return (tensor._helper(), tensor.two_lanes(lane, ("a", "bc")),
+                    len(threads), compute_sensitivity(model, [(x, y)])[0].sen)
 
         want = job()
-        assert want[0] and want[1] == (1, 1) and ran == [True, True]
+        assert want[0] and want[1:3] == ((1, 2), 2) and ran == [2]
         got = tensor._helper().submit(job).result(timeout=30)
-        assert got[:2] == (None, None) and ran[2:] == [False]
-        assert same_bits(got[2], want[2])
+        assert got[:3] == (None, (1, 2), 1) and ran[1:] == [1]
+        assert same_bits(got[3], want[3])
 
     @pytest.mark.parametrize("count, slots", [(1, 1), (2, 2), (None, 1)])
     def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch,
@@ -591,7 +586,7 @@ class TestTwoThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(tensor, "_HELPER", None)
         before = set(threading.enumerate())
-        assert in_lanes(len, ("a", "bc")) == (1, 2)
+        assert tensor.two_lanes(len, ("a", "bc")) == (1, 2)
         assert tensor._HELPER is False and tensor._helper() is None
         # an earlier test's helper may exit meanwhile; none may start
         assert set(threading.enumerate()) <= before
@@ -880,6 +875,27 @@ class TestFusedEdges:
             tape.backward(loss)
             results.append((loss.data, p.grad))
         assert all(same_bits(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_mse_loss_shares_give_the_batch_gradient(self, layout):
+        """Two parts of a batch, each taking its share of the batch's mean
+        on a tape of its own, get the batch's gradient, bit for bit."""
+        rng = np.random.default_rng(17)
+        pred = (rand(rng, 5, 4, 3) if layout == "contiguous"
+                else rand(rng, 5, 3, 4).transpose(0, 2, 1))
+        target = rand(rng, 5, 4, 3)
+
+        def grad(rows, count=None):
+            p = Tensor(pred[rows], requires_grad=True)
+            with Tape() as tape:
+                loss = mse_loss(p, target[rows], count)
+            tape.backward(loss)
+            return loss.item(), p.grad
+        whole = grad(slice(None))
+        parts = [grad(rows, pred.size) for rows in (slice(0, 2), slice(2, 5))]
+        assert same_bits(np.concatenate([g for _, g in parts]), whole[1])
+        assert sum(v for v, _ in parts) == pytest.approx(whole[0], rel=1e-12)
+        assert same_bits(grad(slice(None), pred.size)[1], whole[1])
 
     def test_shape_errors(self):
         w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
