@@ -2,28 +2,43 @@
 
 Each side (the parent commit and the change) is a checkout whose
 ``perfbench/run.py`` wrote ``perfbench/_work/<workload>-seed<s>-trace<t>-
-result.json``. Run both sides on the same seeds, back to back for each
-seed, alternating which side runs first, then:
+result.json``. Both sides run on the same seeds, back to back for each
+seed, alternating which side runs first. ``--run`` runs those pairs here,
+one child process per run, and records each run's process CPU time over
+its wall time (``getrusage(RUSAGE_CHILDREN)`` around the child) in the
+side's ``bench_cpu_wall.json``; then, or for pairs run earlier:
 
     python benchmarks/bench_record.py --n 8 --sha 1d41cb6 \\
-        --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT
+        --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \\
+        [--run pipeline_temporal --seeds 7301-7310 --seconds 30]
 
 For every workload and every end-to-end metric in ``BENCHMARK.json`` the
-file holds the per-run values of both sides in seed order, their medians
+file holds the per-run values of both sides in seed order (seeds where
+either side's run failed and wrote no metrics are listed apart), their medians
 and interquartile ranges, the ratio of the medians and the number of seed
 pairs in which the change was better. ``first`` says which side ran
 first for each seed, read from the result files' modification times.
-Traced runs (``--trace 1``), where present, add their per-layer metrics
-the same way. ``machine`` is the environment record of the runs (CPU,
-Python, numpy, BLAS, BLAS threads).
+``cpu_per_wall`` holds each run's CPU/wall where recorded. A second core
+helps only where the machine lets two threads of one process run at once
+(which a virtual machine may allow only at times), so ``by_overlap`` gives the
+ratio of medians and the pairs better again, apart, for the pairs whose
+change ran with overlap (CPU/wall >= ``OVERLAP``) and those whose change
+ran without. Traced runs (``--trace 1``), where present, add their
+per-layer metrics the same way. ``machine`` is the environment record of
+the runs (CPU, Python, numpy, BLAS, BLAS threads).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import resource
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +46,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 RESULT = re.compile(r"(?P<workload>\w+)-seed(?P<seed>\d+)-trace(?P<trace>[01])"
                     r"-result\.json$")
+CPU_WALL = "bench_cpu_wall.json"
+OVERLAP = 1.2
 
 
 def load_runs(checkout: Path) -> dict:
@@ -46,12 +63,65 @@ def load_runs(checkout: Path) -> dict:
     return runs
 
 
+def load_cpu_wall(checkout: Path) -> dict:
+    path = checkout / CPU_WALL
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` child in ``checkout``, with its wall time
+    and the CPU time it and its threads used."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    if proc.returncode != 0:
+        # the run wrote no result, so its seed drops out of the comparison
+        print(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
+              f"{proc.stderr}", file=sys.stderr)
+    return {"wall_s": wall, "cpu_s": cpu, "cpu_per_wall": cpu / wall,
+            "exit": proc.returncode}
+
+
+def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
+              seconds: float) -> None:
+    """Run each seed on both sides back to back, the parent first for
+    every other seed, adding each run's CPU/wall to the side's record."""
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            record = load_cpu_wall(sides[side])
+            record[f"{workload}-seed{seed}"] = run_once(
+                sides[side], workload, seed, seconds)
+            (sides[side] / CPU_WALL).write_text(json.dumps(record, indent=1) + "\n")
+            print(f"{workload} seed {seed} {side}: CPU/wall "
+                  f"{record[f'{workload}-seed{seed}']['cpu_per_wall']:.2f}",
+                  file=sys.stderr)
+
+
 def summary(values: list[float]) -> dict:
     q1, q3 = np.percentile(values, [25, 75])
     return {"median": statistics.median(values), "iqr": float(q3 - q1)}
 
 
-def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> dict:
+def ratio(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """Ratio of the medians and pairs better, change against parent."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    better = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med = statistics.median(parent)
+    return {"ratio_of_medians": (statistics.median(change) / p_med
+                                 if p_med else None),
+            "pairs_better": f"{better}/{len(parent)}"}
+
+
+def compare(metrics: list[dict], parent: list[dict], change: list[dict],
+            overlap: list[bool | None]) -> dict:
     out = {}
     for spec in metrics:
         name = spec["name"]
@@ -59,20 +129,33 @@ def compare(metrics: list[dict], parent: list[dict], change: list[dict]) -> dict
             continue
         sides = {side: [r["result"]["metrics"][name]["value"] for r in runs]
                  for side, runs in (("parent", parent), ("change", change))}
-        sign = 1.0 if spec["better"] == "higher" else -1.0
-        better = sum(sign * (c - p) > 0
-                     for p, c in zip(sides["parent"], sides["change"]))
         p_sum, c_sum = summary(sides["parent"]), summary(sides["change"])
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "parent": sides["parent"], "change": sides["change"],
             "parent_median": p_sum["median"], "parent_iqr": p_sum["iqr"],
             "change_median": c_sum["median"], "change_iqr": c_sum["iqr"],
-            "ratio_of_medians": (c_sum["median"] / p_sum["median"]
-                                 if p_sum["median"] else None),
-            "pairs_better": f"{better}/{len(sides['parent'])}",
+            **ratio(spec, sides["parent"], sides["change"]),
         }
+        by_overlap = {}
+        for label, state in (("overlap", True), ("no_overlap", False)):
+            pairs = [i for i, o in enumerate(overlap) if o is state]
+            if pairs:
+                by_overlap[label] = ratio(
+                    spec, [sides["parent"][i] for i in pairs],
+                    [sides["change"][i] for i in pairs])
+        if by_overlap:
+            out[name]["by_overlap"] = by_overlap
     return out
+
+
+def seed_list(text: str) -> list[int]:
+    """``"7301-7305,7401"`` -> [7301, ..., 7305, 7401]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
 
 
 def main(argv=None) -> None:
@@ -81,14 +164,30 @@ def main(argv=None) -> None:
     parser.add_argument("--sha", required=True, help="short sha of the parent")
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--run", help="workload to run pairs of first")
+    parser.add_argument("--seeds", type=seed_list, default=[],
+                        help="seeds of the pairs to run, e.g. 7301-7310")
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="closed-loop seconds per run "
+                             "(default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent, change = load_runs(args.parent), load_runs(args.change)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.run:
+        run_pairs(sides, args.run, args.seeds,
+                  args.seconds or bench["run_seconds"])
+    parent, change = load_runs(sides["parent"]), load_runs(sides["change"])
+    cpu_wall = {side: load_cpu_wall(path) for side, path in sides.items()}
     workloads, machine = {}, None
     for (workload, trace), p_runs in sorted(parent.items()):
         c_runs = change.get((workload, trace), {})
-        seeds = sorted(set(p_runs) & set(c_runs))
+        key = "per_layer" if trace else "end_to_end"
+        names = {spec["name"] for spec in bench[key]}
+        incomplete = {side: sorted(s for s, (r, _) in runs.items()
+                                   if not names <= set(r["result"]["metrics"]))
+                      for side, runs in (("parent", p_runs), ("change", c_runs))}
+        seeds = sorted(set(p_runs) & set(c_runs) - set(sum(incomplete.values(), [])))
         if not seeds:
             continue
         first = ["parent" if p_runs[s][1] < c_runs[s][1] else "change"
@@ -97,22 +196,29 @@ def main(argv=None) -> None:
         machine = machine or {k: v for k, v in p[0]["env"].items()
                               if k not in ("seed", "git_commit",
                                            "spat_source_sha256")}
+        ratios = {side: [cpu_wall[side].get(f"{workload}-seed{s}", {})
+                         .get("cpu_per_wall") for s in seeds]
+                  for side in sides}
+        overlap = [None if r is None or trace else r >= OVERLAP
+                   for r in ratios["change"]]
         entry = workloads.setdefault(workload, {})
-        key = "per_layer" if trace else "end_to_end"
         entry[key] = {
             "seeds": seeds,
+            "incomplete_runs": incomplete,
             "first": first,
             "spat_source_sha256": {"parent": p[0]["env"]["spat_source_sha256"],
                                    "change": c[0]["env"]["spat_source_sha256"]},
             "failed": {"parent": [r["result"]["failed"] for r in p],
                        "change": [r["result"]["failed"] for r in c]},
-            "metrics": compare(bench[key], p, c),
+            **({} if trace else {"cpu_per_wall": ratios}),
+            "metrics": compare(bench[key], p, c, overlap),
         }
     record = {
         "bench": args.n,
         "parent": args.sha,
         "command": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {bench['run_seconds']} --trace T"),
+                    f"--seconds {args.seconds or bench['run_seconds']} --trace T"),
+        "overlap_threshold": OVERLAP,
         "machine": machine,
         "workloads": workloads,
     }

@@ -4,11 +4,14 @@ Times the step ``pipeline.pretrain`` takes on ``configs/synthetic_small.yaml``:
 a batch of 64 windows (lookback 96, 7 channels, so 448 series of 12
 patch tokens), dropout 0.1 with its keep masks drawn from the step's
 generator, the backward of the mean squared error and one Adam update.
-``serial`` runs it all on the calling thread, as a process pinned to one
-CPU does. ``two_threads`` lets spat's helper thread draw the keep masks
-and compute and accumulate the parameter gradients, as on two or more
-CPUs. Both give the same bits. Pin the
-BLAS threads and write JSON to compare runs:
+``serial`` runs the batch as one part on the calling thread, as a process
+pinned to one CPU does. ``two_threads`` runs it as one part too, and lets
+spat's helper thread draw the keep masks and compute and accumulate the
+parameter gradients. ``laned`` is the step ``pipeline.pretrain`` takes on
+two or more CPUs, ``Forecaster.backprop``: each half of the windows runs
+forward and backward on a thread of its own, and each parameter gradient
+is computed once from both halves' operands joined. All three give the
+same bits. Pin the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_step.py --benchmark-json=bench_step.json
@@ -31,7 +34,7 @@ from spat.tensor import Tape, mse_loss
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
 
-@pytest.mark.parametrize("threads", ["serial", "two_threads"])
+@pytest.mark.parametrize("threads", ["serial", "two_threads", "laned"])
 def test_training_step(benchmark, monkeypatch, threads):
     cpus = {0} if threads == "serial" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -49,11 +52,15 @@ def test_training_step(benchmark, monkeypatch, threads):
 
     def step():
         rng = np.random.default_rng([0, 1, 2, next(steps)])
-        with Tape() as tape:
-            loss = mse_loss(model.forward(x, training=True, rng=rng), y)
-        tape.backward(loss)
+        if threads == "laned":
+            loss, _ = model.backprop(x, y, rng)
+        else:
+            with Tape() as tape:
+                taped = mse_loss(model.forward(x, training=True, rng=rng), y)
+            tape.backward(taped)
+            loss = taped.item()
         optimizer.step(cfg.optimizer.lr)
         model.zero_grad()
-        return loss.item()
+        return loss
 
     assert np.isfinite(benchmark(step))

@@ -10,10 +10,11 @@ environment already sets it. The model's GEMMs are small, and a second
 BLAS thread spends its time spinning, not computing. The setting only
 takes effect when ``spat`` is imported before numpy. Instead, spat hands
 numpy work to one helper thread of its own, when the process's CPU
-affinity holds more than one CPU: backward's parameter and probe
-gradients, a training forward's dropout keep masks, and the second half of
-the windows of a large forecast or scoring batch, carried through the
-whole model (and, scoring, back).
+affinity holds more than one CPU: the second half of the windows of a
+large forecast, training or scoring batch, carried through the whole model
+(and, training and scoring, back), and, for a batch that runs as one part,
+backward's parameter and probe gradients and a training forward's dropout
+keep masks.
 ``taskset -c 0`` runs everything on the calling thread. Raising
 ``OPENBLAS_NUM_THREADS`` makes BLAS threads compete with that helper for
 the cores. Outputs are the same bytes at any thread count.

@@ -9,10 +9,13 @@ Two tokenizations are supported:
 Every tape record is one piece of the model (``spat.tensor``): the
 embedding, per block the attention sublayer, the FFN sublayer and their
 layer norms, the final norm, and the head with the instance
-de-normalization. A forward may pass a block's attention a probe, a
-``[heads, S, S]`` leaf that stands for an all-ones connection mask over
-the score matrix; its gradient is the per-position sensitivity of the loss
-to removing each attention score (:meth:`Forecaster.mask_gradients`). The
+de-normalization. Training steps and scoring backpropagate a batch's loss
+through one path, :meth:`Forecaster.backprop`, which runs a batch of many
+windows as two lanes of half its windows each. A forward may pass a
+block's attention a probe, a ``[heads, S, S]`` leaf that stands for an
+all-ones connection mask over the score matrix; its gradient is the
+per-position sensitivity of the loss to removing each attention score
+(:meth:`Forecaster.mask_gradients`). The
 probe is not state: no block holds one and none is saved. A block whose
 ``pruned`` flag is set computes the identity on its attention sublayer
 (residual path only); the FFN sublayer is always retained.
@@ -20,6 +23,7 @@ probe is not state: no block holds one and none is saved. A block whose
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -29,6 +33,7 @@ from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import (
     ACTIVATIONS,
     KeepMasks,
+    LeafMerge,
     Tape,
     Tensor,
     attention_sublayer,
@@ -38,6 +43,7 @@ from .tensor import (
     lanes_open,
     layer_norm,
     mse_loss,
+    skip_draws,
     split_rows_alike,
     two_lanes,
 )
@@ -385,9 +391,11 @@ class Forecaster:
         GEMMs of the linears and the head, forward and backward. So a batch
         is halved only where BLAS gives each row of those GEMMs, and of
         their input gradients, the same bits on half of the rows
-        (:func:`split_rows_alike`). The halves' forecasts and gradients are
-        then the one-part bytes, and their forecasts, concatenated, keep
-        its ``[B, C, T]``-ordered layout. A lane takes two windows or more:
+        (:func:`split_rows_alike`). The halves' forecasts, keep masks and
+        input gradients are then the one-part bytes, and their forecasts,
+        concatenated, keep its ``[B, C, T]``-ordered layout; a parameter's
+        gradient, a sum over every row, is computed once over the whole
+        batch (:class:`LeafMerge`). A lane takes two windows or more:
         the token arrays of one window can reach a GEMM as a transposed
         view (variate tokens, or a ``d_head`` of 1) where those of more
         windows are C-ordered copies.
@@ -414,19 +422,23 @@ class Forecaster:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None,
-                probes: dict[int, Tensor] | None = None) -> Tensor:
+                probes: dict[int, Tensor] | None = None,
+                rows: tuple[int, int, int] | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]. In training
         with dropout the keep masks are drawn from ``rng`` in the order of
-        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use. Block
-        ``i``'s attention is probed by ``probes[i]`` where given, a
-        ``[heads, S, S]`` probe or one per attention item (see
-        :func:`attention_sublayer`). Without dropout and probes, the batch
-        runs in the parts :meth:`_in_parts` cuts, each part's forecast
-        through the whole model (see :meth:`forecast`)."""
+        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use; given
+        ``rows = (start, stop, batch)``, ``x`` holds windows ``start`` to
+        ``stop`` of a batch of ``batch``, and takes those rows of the
+        batch's masks. Block ``i``'s attention is probed by ``probes[i]``
+        where given, a ``[heads, S, S]`` probe or one per attention item
+        (see :func:`attention_sublayer`). Without dropout and probes, the
+        batch runs in the parts :meth:`_in_parts` cuts, each part's
+        forecast through the whole model (see :meth:`forecast`)."""
         self._validate_input(x)
         if training and self.cfg.dropout > 0.0:
-            with KeepMasks(rng, self.keep_shapes(x.shape),
-                           self.cfg.dropout) as masks:
+            batch = len(x) if rows is None else rows[2]
+            with KeepMasks(rng, self.keep_shapes((batch,) + x.shape[1:]),
+                           self.cfg.dropout, rows) as masks:
                 return self._forward(x, masks, probes)
         if probes:
             return self._forward(x, probes=probes)
@@ -438,53 +450,87 @@ class Forecaster:
             return Tensor(np.concatenate([p.data for p in preds]))
         return self._in_parts(forecast, x)
 
+    def backprop(self, x: np.ndarray, y: np.ndarray,
+                 rng: np.random.Generator | None = None, probed=()
+                 ) -> tuple[float, dict[int, np.ndarray]]:
+        """Add to ``grad`` on every gradient-requiring parameter the
+        gradient of the MSE loss of the forecast of windows ``x`` against
+        ``y``: the training forecast, with dropout drawn from ``rng``, where
+        ``rng`` is given, else the dropout-free one. Returns the loss and,
+        for each block ``i`` in ``probed``, the gradient of the loss with
+        respect to an all-ones connection mask on its attention scores, the
+        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``. All of it has
+        the one-part bytes, and ``rng`` ends where the one-part draws leave
+        it.
+
+        Each part that :meth:`_in_parts` cuts runs its forward, its share
+        of the batch's loss (its squared errors over the batch's element
+        count, see :func:`mse_loss`) and its backward on a tape of its own;
+        one part is the whole batch on one tape. The loss is that of the
+        parts' forecasts joined. Two parts are lanes: each takes its rows
+        of the batch's keep masks, and a :class:`LeafMerge` computes every
+        parameter gradient once, from both lanes' operands joined, and adds
+        it to ``grad`` once both lanes have returned, so a lane that raises
+        leaves ``grad`` as it was. A lane's tape holds its half of the
+        batch, so the two tapes hold what one tape of the batch holds.
+
+        The first part's probes sum its attention items (windows, or series
+        for temporal tokens) in batch order. A second part's have one mask
+        per item, whose gradients are kept in the buffer of that lane's
+        scores and added to the first part's sums one at a time, so each
+        sum is the one-part ``((p_0 + p_1) + p_2) ...``.
+        """
+        self._validate_input(x)
+        shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
+
+        def probes(*items):
+            return {i: Tensor(np.broadcast_to(1.0, items + shape),
+                              requires_grad=True) for i in probed}
+
+        def lane(part):
+            windows, start, lane_probes, merge = part
+            stop, index = start + len(windows), int(start > 0)
+            rows = None if merge is None else (start, stop, len(x))
+            lane_of = contextlib.nullcontext() if merge is None else merge.lane(index)
+            with lane_of:
+                with Tape(merge, index) as tape:
+                    pred = self.forward(windows, rng is not None, rng,
+                                        lane_probes, rows)
+                    loss = mse_loss(pred, y[start:stop], np.size(y))
+                tape.backward(loss)
+            return pred.data, loss
+
+        def run(parts):
+            merge = LeafMerge() if len(parts) == 2 else None
+            lanes = ((parts[0], 0, probes(), merge),) + tuple(
+                (p, len(parts[0]), probes(self._tokens(p.shape)[0]), merge)
+                for p in parts[1:])
+            outs = two_lanes(lane, lanes)
+            first = lanes[0][2]
+            if merge is None:
+                loss = outs[0][1]
+            else:
+                merge.apply()
+                if rng is not None and self.cfg.dropout > 0.0:
+                    skip_draws(rng, sum(map(math.prod,
+                                            self.keep_shapes(x.shape))))
+                for i, p in first.items():
+                    for item in lanes[1][2][i].grad:
+                        np.add(p.grad, item, out=p.grad)
+                loss = mse_loss(Tensor(np.concatenate([d for d, _ in outs])), y)
+            return loss.item(), {i: p.grad for i, p in first.items()}
+        return self._in_parts(run, x)
+
     def mask_gradients(self, x: np.ndarray, y: np.ndarray
                        ) -> dict[int, np.ndarray]:
         """Per unpruned block, the gradient of the MSE loss of the
         dropout-free forecast of windows ``x`` against ``y`` with respect to
         an all-ones connection mask on its attention scores: the
         ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``, the one-part
-        bytes.
-
-        Each part that :meth:`_in_parts` cuts runs its forward, its share
-        of the batch's loss (its squared errors over the batch's element
-        count, see :func:`mse_loss`) and its backward on a tape of its own,
-        with probes of its own; one part is the whole batch on one tape.
-        The first part's probes sum its attention items (windows, or series
-        for temporal tokens) in batch order. A second part's have one mask
-        per item, whose gradients are kept in the buffer of that lane's
-        scores and added to the first part's sums one at a time, so each
-        sum is the one-part ``((p_0 + p_1) + p_2) ...``. A lane's tape holds
-        its half of the batch, so the two tapes hold what one tape of the
-        batch holds.
-        """
-        self._validate_input(x)
-        layers = [i for i, blk in enumerate(self.blocks) if not blk.pruned]
-        shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
-
-        def probes(*items):
-            return {i: Tensor(np.broadcast_to(1.0, items + shape),
-                              requires_grad=True) for i in layers}
-
-        def score(lane):
-            part, target, lane_probes = lane
-            with Tape() as tape:
-                loss = mse_loss(self.forward(part, probes=lane_probes),
-                                target, np.size(y))
-            tape.backward(loss)
-
-        def run(parts):
-            lane_probes = [probes()] + [probes(self._tokens(p.shape)[0])
-                                        for p in parts[1:]]
-            targets = np.split(y, np.cumsum([len(p) for p in parts[:-1]]))
-            two_lanes(score, tuple(zip(parts, targets, lane_probes)))
-            first = lane_probes[0]
-            for later in lane_probes[1:]:
-                for i, p in first.items():
-                    for item in later[i].grad:
-                        np.add(p.grad, item, out=p.grad)
-            return {i: p.grad for i, p in first.items()}
-        return self._in_parts(run, x)
+        bytes (:meth:`backprop`). Parameters that require a gradient get it
+        added to their ``grad``, as in training."""
+        return self.backprop(x, y, probed=[
+            i for i, blk in enumerate(self.blocks) if not blk.pruned])[1]
 
     def forecast(self, x: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode prediction (dropout disabled, no tape).

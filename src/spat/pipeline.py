@@ -43,7 +43,6 @@ from .data import (
 from .errors import ConfigError, ContractError, NumericError
 from .model import Forecaster, ModelConfig, clone_model
 from .send import PruningPlan, compute_sensitivity, format_report, plan_from_records
-from .tensor import Tape, mse_loss
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +106,13 @@ class TrainResult:
 def _train_loop(model: Forecaster, train_windows, val_windows,
                 opt: OptimizerConfig, epochs: int, lr: float,
                 seeds: SeedStreams, stage: int, stage_name: str) -> TrainResult:
+    """Train ``model`` with Adam for up to ``epochs`` epochs of shuffled
+    batches. Each step is :meth:`Forecaster.backprop` of the batch's MSE
+    loss with dropout drawn from the step's generator, which runs a batch
+    of many windows as two lanes with the one-CPU bytes; a non-finite loss
+    raises :class:`NumericError`. With validation windows, the best
+    validation state is restored at the end, and ``patience`` epochs
+    without improvement stop early."""
     x_train, y_train = train_windows
     x_val, y_val = val_windows
     if len(x_train) == 0:
@@ -125,16 +131,12 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
         batch_losses = []
         for batch in batch_iterator(x_train, y_train, opt.batch_size,
                                     shuffle_seed=seeds.shuffle(stage, epoch)):
-            rng = seeds.dropout_rng(stage, step)
-            with Tape() as tape:
-                loss = mse_loss(model.forward(batch.x, training=True, rng=rng),
-                                batch.y)
-            value = loss.item()
+            value, _ = model.backprop(batch.x, batch.y,
+                                      seeds.dropout_rng(stage, step))
             if not math.isfinite(value):
                 raise NumericError(
                     f"{stage_name} diverged: loss {value} at epoch {epoch}, "
                     f"step {step}")
-            tape.backward(loss)
             optimizer.step(lr_epoch)
             model.zero_grad()
             batch_losses.append(value)

@@ -25,14 +25,19 @@ in, zero-filled, all over again.
 Work runs partly on one helper thread, a one-worker executor started the
 first time it is needed (see :func:`_helper`):
 
-* the leaf gradients of ``Tape.backward``: a record's parameter and probe
-  gradients are computed and accumulated on the helper while the calling
-  thread carries the other gradients down the tape;
-* the dropout keep masks of a training forward, drawn by
-  :class:`KeepMasks` ahead of use;
-* the second of the two parts of :func:`two_lanes`: a forecast or a
-  scoring batch of many windows carries each half of them through the
-  whole model on its own thread, scoring on one tape per lane.
+* the second of the two parts of :func:`two_lanes`: a forecast, a
+  training step or a scoring batch of many windows carries each half of
+  them through the whole model on its own thread, and a step or a scoring
+  batch backpropagates it there too, on the lane's own tape; a
+  :class:`LeafMerge` computes each parameter gradient once, from both
+  halves' operands joined in batch order;
+* where a batch runs as one part, the leaf gradients of ``Tape.backward``:
+  a record's parameter and probe gradients are computed and accumulated on
+  the helper while the calling thread carries the other gradients down the
+  tape;
+* and the dropout keep masks of such a training forward, drawn by
+  :class:`KeepMasks` ahead of use. A lane draws its rows of each mask
+  itself, from a copy of the generator moved past the draws before them.
 
 Every piece of work does the arithmetic it does alone. The helper runs its
 jobs one at a time in the order they were handed over, so each leaf sums
@@ -47,6 +52,9 @@ it runs in order on the calling thread.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import copy
 import ctypes
 import functools
 import math
@@ -63,6 +71,7 @@ from .errors import ContractError, NumericError, ShapeError
 __all__ = [
     "ACTIVATIONS",
     "KeepMasks",
+    "LeafMerge",
     "Tape",
     "Tensor",
     "attention_sublayer",
@@ -73,6 +82,7 @@ __all__ = [
     "lanes_open",
     "layer_norm",
     "mse_loss",
+    "skip_draws",
     "split_rows_alike",
     "two_lanes",
 ]
@@ -258,11 +268,13 @@ class Tape:
     backward passes over the same graph are bit-identical. Backward
     consumes the tape, freeing each record's saved buffers once it has run.
     A tape records the ops of the thread that entered it, and each thread
-    has at most one active tape.
+    has at most one active tape. Given a :class:`LeafMerge`, the tape is
+    ``lane`` of the two that backpropagate the halves of one batch.
     """
 
-    def __init__(self):
+    def __init__(self, merge: "LeafMerge | None" = None, lane: int = 0):
         self._records: list[_Record] = []
+        self._merge, self._lane = merge, lane
 
     def __enter__(self) -> "Tape":
         if _THREAD.tape is not None:
@@ -327,6 +339,12 @@ class Tape:
         or raises, only once every job has run. An exception in a job is
         raised here once the calling thread waits for that job (the calling
         thread's own, if it raises too).
+
+        A tape with a :class:`LeafMerge` collects instead: each record's
+        leaf gradients that are :class:`_Leaf` s go to the merge, which
+        computes them once over the whole batch and leaves ``grad`` alone
+        until :meth:`LeafMerge.apply`; the others (a lane's own probes')
+        are accumulated here.
         """
         if out._tape is not self:
             raise ContractError("output does not live on this tape")
@@ -349,6 +367,13 @@ class Tape:
                         if g is not None and t.requires_grad]
                 _accumulate([(t, g) for t, g in kept if t._tape is not None])
                 leaves = [(t, g) for t, g in kept if t._tape is None]
+                if self._merge is not None:
+                    _accumulate([(t, g) for t, g in leaves
+                                 if not isinstance(g, _Leaf)])
+                    leaves = [(t, g) for t, g in leaves if isinstance(g, _Leaf)]
+                    if leaves:
+                        self._merge.add(self._lane, leaves)
+                    continue
                 if not leaves:
                     continue
                 if helper:
@@ -370,6 +395,122 @@ def _accumulate(grads: list[tuple["Tensor", object]]) -> None:
         if callable(g):
             g = g()
         t.grad = g if t.grad is None else t.grad + g
+
+
+class LeafMerge:
+    """The leaf gradients of two lanes' backwards, over the first and the
+    second half of one batch's windows, each computed once from the two
+    halves' operands joined in batch order.
+
+    Lane ``i`` records and backpropagates its half on ``Tape(merge, i)``.
+    Both tapes hold the same records, so a lane's ``k``-th record with leaf
+    gradients is the other's ``k``-th too. Once both lanes have handed it
+    over (:meth:`add`), its gradients are computed from the joined
+    operands (``np.concatenate`` of each :class:`_Leaf`'s operands, once
+    per operand of a record), which are those of the one-part backward, so
+    each has the one-part bits.
+
+    A record's gradients are computed by the lane that is ahead: the lane
+    that hands it over second passes it to the other, which computes it
+    when it next hands one over, or, once its own backward is done, as it
+    is passed. So the lanes share this work, the one ahead is slowed, and a
+    record's operands are held only until both lanes are past it. Each
+    lane runs inside :meth:`lane`, which keeps a lane that is done serving
+    the other until that one is done too, and lets a lane that raised
+    drop out. Nothing writes a ``grad`` until :meth:`apply`, so a lane
+    that raises leaves every ``grad`` as it was.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._handed = [0, 0]                  # records each lane handed over
+        self._waiting: dict[int, list] = {}    # record -> the first lane's
+        self._passed: tuple[list, list] = ([], [])   # jobs for each lane
+        self._started = [False, False]
+        self._running = [False, False]         # in its own forward, backward
+        self._gone = [False, False]            # raised, or done serving
+        self._grads: dict[int, list] = {}      # record -> (tensor, gradient)
+
+    @contextlib.contextmanager
+    def lane(self, lane: int):
+        """Run lane ``lane``'s forward and backward inside. On leaving, the
+        lane computes what is passed to it for as long as the other lane
+        runs; a lane that raises leaves at once. A lane waits only for one
+        that has started, so lanes run one after the other finish too."""
+        other = 1 - lane
+        with self._cond:
+            self._started[lane] = self._running[lane] = True
+        try:
+            yield
+            with self._cond:
+                self._running[lane] = False
+                self._cond.notify_all()
+            while True:
+                with self._cond:
+                    while (not self._passed[lane] and self._started[other]
+                           and self._running[other]):
+                        self._cond.wait()
+                    mine = self._take(lane)
+                    if not mine:
+                        self._gone[lane] = True
+                        return
+                while mine:
+                    self._join(*mine.pop(0))
+        finally:
+            with self._cond:
+                self._running[lane], self._gone[lane] = False, True
+                self._cond.notify_all()
+
+    def _take(self, lane: int) -> list:
+        mine = self._passed[lane][:]
+        del self._passed[lane][:]
+        return mine
+
+    def add(self, lane: int, leaves: list[tuple["Tensor", _Leaf]]) -> None:
+        """Lane ``lane``'s leaf gradients of its next record."""
+        other = 1 - lane
+        with self._cond:
+            k = self._handed[lane]
+            self._handed[lane] += 1
+            first = self._waiting.pop(k, None)
+            mine = self._take(lane)
+            if first is None:
+                self._waiting[k] = leaves
+            else:
+                job = (k, first, leaves) if lane else (k, leaves, first)
+                (mine if self._gone[other] else self._passed[other]).append(job)
+                self._cond.notify_all()
+        while mine:
+            self._join(*mine.pop(0))
+
+    def _join(self, k: int, first: list, second: list) -> None:
+        if len(first) != len(second) or any(
+                a is not b for (a, _), (b, _) in zip(first, second)):
+            raise ContractError(f"record {k}: the lanes' leaves differ")
+        # each operand is joined once, and it and its halves are dropped
+        # after its last use
+        uses = collections.Counter(id(a) for _, g in first for a in g.operands)
+        joined: dict[int, np.ndarray] = {}
+
+        def join(a, b):
+            if id(a) not in joined:
+                joined[id(a)] = np.concatenate((a, b))
+            uses[id(a)] -= 1
+            return joined[id(a)] if uses[id(a)] else joined.pop(id(a))
+        grads = self._grads[k] = []
+        while first:
+            (t, g), (_, h) = first.pop(0), second.pop(0)
+            grads.append((t, g.fn(*map(join, g.operands, h.operands))))
+
+    def apply(self) -> None:
+        """Add the gradients to their tensors' ``grad``, record by record
+        in the order backward reached them, as one backward adds them.
+        Call once both lanes' backwards returned."""
+        if (self._waiting or self._handed[0] != self._handed[1]
+                or len(self._grads) != self._handed[0]):
+            raise ContractError("the lanes handed over different records")
+        for k in range(len(self._grads)):
+            _accumulate(self._grads.pop(k))
 
 
 class Tensor:
@@ -421,15 +562,53 @@ def _emit(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     return out
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> Callable[[], np.ndarray]:
-    """A weight's gradient ``a.T @ g``, computed when called.
+class _Leaf(NamedTuple):
+    """A leaf's gradient ``fn(*operands)``, computed when called.
+
+    Each operand is batch-major: its axis 0 runs over the batch's rows in
+    order (windows, or series or tokens, which a window's rows follow in
+    turn), and it is laid out as an axis permutation of a C-ordered array
+    with axis 0 outermost. ``np.concatenate`` gives two halves' operands,
+    joined, that layout too, so :class:`LeafMerge` computes a batch's
+    gradient from its halves' operands with the bits ``fn`` gives on the
+    whole batch's.
+    """
+
+    fn: Callable
+    operands: tuple
+
+    def __call__(self) -> np.ndarray:
+        return self.fn(*self.operands)
+
+
+def _leaf(fn: Callable, *operands: np.ndarray) -> _Leaf:
+    return _Leaf(fn, operands)
+
+
+def _weight_product(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g`` over the rows of ``a`` and ``g``, their leading axes
+    folded (a C-ordered copy where they do not fold into a view).
 
     ``np.dot`` gives the bits of the ``@`` product and, unlike ``matmul``,
     releases the GIL for the whole BLAS call: ``matmul`` keeps it when the
     product has at most 500 elements, so on the helper thread a ``[16,
     16]`` weight's 0.2 ms product would stall the calling thread.
     """
-    return lambda: np.dot(a.T, g)
+    return np.dot(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> _Leaf:
+    """A weight's gradient ``a.T @ g``, computed when called."""
+    return _leaf(_weight_product, a, g)
+
+
+def _leading_sum(g: np.ndarray) -> np.ndarray:
+    """``g`` summed over every axis but the last: a bias's gradient."""
+    return g.sum(axis=tuple(range(g.ndim - 1)))
+
+
+def _first_axis_sum(g: np.ndarray) -> np.ndarray:
+    return g.sum(axis=0)
 
 
 def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
@@ -463,8 +642,8 @@ def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
 
     def grad_fn(g):
         gd = g if keep is None else g * keep
-        return (_weight_grad(t2, gd.reshape(-1, d)),
-                lambda: gd.sum(axis=(0, 1)), lambda: gd.sum(axis=0))[:len(inputs)]
+        return (_weight_grad(t2, gd), _leaf(_leading_sum, gd),
+                _leaf(_first_axis_sum, gd))[:len(inputs)]
 
     return _emit("embed", inputs, out, grad_fn)
 
@@ -654,9 +833,9 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
             linear."""
             if gl is None:
                 return None, None, None
-            gl2 = gl.reshape(-1, d)
-            return (_weight_grad(x2, gl2), lambda: gl.sum(axis=(0, 1)),
-                    (gl2 @ w.data.T).reshape(x.shape) if need_x else None)
+            return (_weight_grad(x2, gl), _leaf(_leading_sum, gl),
+                    (gl.reshape(-1, d) @ w.data.T).reshape(x.shape)
+                    if need_x else None)
 
         gw_q, gb_q, gx_q = linear_backward(gq, w_q)
         gw_k, gb_k, gx_k = linear_backward(gk, w_k)
@@ -668,7 +847,7 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         if shared:
             gh, gx = gx, None
         return (gh, gx, gw_q, gb_q, gw_k, gb_k, gw_v, gb_v,
-                _weight_grad(ctx2, gd2), lambda: gd.sum(axis=(0, 1)),
+                _weight_grad(ctx2, gd), _leaf(_leading_sum, gd),
                 gp)[:len(inputs)]
 
     return _emit("attention_sublayer", inputs, out, grad_fn)
@@ -689,7 +868,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != d or beta.shape != d:
         raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta "
                          f"{beta.shape} must both be {d} for input {a.shape}")
-    lead = tuple(range(a.ndim - 1))
     y = a.data - a.data.mean(axis=-1, keepdims=True)
     out = np.square(y)
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
@@ -705,7 +883,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor,
         gy -= gy.mean(axis=-1, keepdims=True)
         gy -= np.multiply(y, gym, out=t)
         gy *= inv
-        return gy, lambda: (g * y).sum(axis=lead), lambda: g.sum(axis=lead)
+        # gamma's gradient sums g * y, formed here where gamma needs one:
+        # a lane's merge then joins that one operand, not g and y apart
+        return (gy, _leaf(_leading_sum, g * y) if gamma.requires_grad else None,
+                _leaf(_leading_sum, g))
 
     return _emit("layer_norm", (a, gamma, beta), out, grad_fn)
 
@@ -719,33 +900,80 @@ def keep_mask(rng: np.random.Generator, shape: tuple[int, ...],
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+@functools.lru_cache
+def _advances_by_doubles(kind: type) -> bool:
+    """Whether ``advance(n)`` on a bit generator of type ``kind`` passes
+    over the outputs of ``n`` doubles of ``Generator.random`` (it does for
+    PCG64 and PCG64DXSM, whose doubles take one 64-bit output each, and
+    not for Philox). Tried once per type."""
+    if not hasattr(kind, "advance"):
+        return False
+    drawn, skipped = (np.random.Generator(kind(0)) for _ in range(2))
+    skipped.bit_generator.advance(3)
+    return drawn.random(4)[3] == skipped.random()
+
+
+def skip_draws(rng: np.random.Generator, n: int) -> None:
+    """Move ``rng`` past ``n`` doubles of ``rng.random``: by ``advance``,
+    which is exact and cheap, where it counts doubles, else by drawing
+    them."""
+    if _advances_by_doubles(type(rng.bit_generator)):
+        rng.bit_generator.advance(n)
+    else:
+        for start in range(0, n, 2**20):
+            rng.random(min(2**20, n - start))
+
+
 class KeepMasks:
     """The dropout keep masks of one training forward: the successive
-    draws ``keep_mask(rng, shape, rate)`` for each of ``shapes``, in order,
-    made on the helper thread (:func:`_helper`) while the calling thread
-    computes.
+    draws ``keep_mask(rng, shape, rate)`` for each of ``shapes``, in order.
 
-    All the draws are handed to the helper at once (on a 2-core machine a
-    synthetic_small training step took 74 ms this way and 80 ms with one
-    draw handed over ahead of the mask in use). The helper runs its jobs
-    one at a time in the order they were handed over, so the masks are the
-    bytes of the serial draws and ``rng`` ends in the same state. With one
-    CPU each mask is drawn on the calling thread when it is taken. Each op
-    :meth:`take` s the next mask and names the shape it needs, and a shape
-    other than the one listed raises :class:`ContractError`. Used as a
-    context manager around the forward: on leaving it the draws still on
-    the helper are waited for, so ``rng`` is no longer in use, and a
-    forward that ran to its end must have taken every listed mask.
+    Given ``rows = (start, stop, batch)``, the forward holds windows
+    ``start`` to ``stop`` of a batch of ``batch`` whose masks have
+    ``shapes``: each mask is that lane's rows of the batch's mask (axis 0
+    runs over windows, or over each window's series, in order), drawn from
+    a copy of ``rng`` moved past the draws before them
+    (:func:`skip_draws`), so the lanes' masks, joined, are the batch's
+    bytes. ``rng`` itself is left as it is.
+
+    On the whole batch, all the draws are handed to the helper thread
+    (:func:`_helper`) at once, while the calling thread computes (on a
+    2-core machine a synthetic_small training step took 74 ms this way and
+    80 ms with one draw handed over ahead of the mask in use). The helper
+    runs its jobs one at a time in the order they were handed over, so the
+    masks are the bytes of the serial draws and ``rng`` ends in the same
+    state. With one CPU, and in a lane, which works alone, each mask is
+    drawn when it is taken. Each op :meth:`take` s the next mask and names
+    the shape it needs, and a shape other than the one listed raises
+    :class:`ContractError`. Used as a context manager around the forward:
+    on leaving it the draws still on the helper are waited for, so ``rng``
+    is no longer in use, and a forward that ran to its end must have taken
+    every listed mask.
     """
 
     def __init__(self, rng: np.random.Generator,
-                 shapes: Sequence[tuple[int, ...]], rate: float):
-        self._rng, self._rate = rng, rate
+                 shapes: Sequence[tuple[int, ...]], rate: float,
+                 rows: tuple[int, int, int] | None = None):
+        self._rate = rate
         self._shapes = [tuple(shape) for shape in shapes]
+        self._skips = [0] * len(self._shapes)
+        if rows is not None:
+            start, stop, batch = rows
+            rng, after = copy.deepcopy(rng), 0
+            for i, shape in enumerate(self._shapes):
+                per_window = math.prod(shape) // batch
+                self._skips[i] = after + start * per_window
+                after = (batch - stop) * per_window
+                self._shapes[i] = ((stop - start) * shape[0] // batch,) + shape[1:]
+        self._rng = rng
         helper = _helper()
         self._draws = None if helper is None else [
-            helper.submit(keep_mask, rng, shape, rate) for shape in self._shapes]
+            helper.submit(self._draw, i) for i in range(len(self._shapes))]
         self._taken = 0
+
+    def _draw(self, i: int) -> np.ndarray:
+        skip_draws(self._rng, self._skips[i])
+        return keep_mask(self._rng, self._shapes[i], self._rate)
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next mask, which must have ``shape``."""
@@ -756,7 +984,7 @@ class KeepMasks:
                                 f"the forward listed {listed}")
         self._taken += 1
         if self._draws is None:
-            return keep_mask(self._rng, listed, self._rate)
+            return self._draw(i)
         return self._draws[i].result()
 
     def __enter__(self) -> "KeepMasks":
@@ -801,7 +1029,6 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                             f"got {activation!r}")
     d, f = w1.shape if w1.ndim == 2 else (-1, -1)
     lead = x.shape[:-1]
-    lead_axes = tuple(range(len(lead)))
     if (x.shape[-1:] != (d,) or b1.shape != (f,) or w2.shape != (f, d)
             or b2.shape != (d,) or h.shape != x.shape):
         raise ShapeError(
@@ -856,8 +1083,8 @@ def ffn(h: Tensor, x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             gu *= mask
         gu2 = gu.reshape(-1, f)
         gx = (gu2 @ w1_data.T).reshape(x.shape) if need_x else None
-        return (g, gx, _weight_grad(x2, gu2), lambda: gu.sum(axis=lead_axes),
-                _weight_grad(z2, gv2), lambda: gv.sum(axis=lead_axes))
+        return (g, gx, _weight_grad(x2, gu), _leaf(_leading_sum, gu),
+                _weight_grad(z2, gv), _leaf(_leading_sum, gv))
 
     return _emit("ffn", (h, x, w1, b1, w2, b2), out, grad_fn)
 
@@ -894,9 +1121,8 @@ def head(h: Tensor, w: Tensor, b: Tensor, channels: int,
         g3 = np.transpose(g if sigma is None else g * sigma, (0, 2, 1))
         g2 = g3.reshape(-1, t)
         return ((g2 @ w.data.T).reshape(h.shape) if h.requires_grad else None,
-                _weight_grad(rows, g2),
-                (lambda: g3.sum(axis=(0, 1))) if per_token
-                else lambda: g2.sum(axis=0))
+                _weight_grad(rows, g3), _leaf(_leading_sum, g3 if per_token
+                                              else g2))
 
     return _emit("head", (h, w, b), out, grad_fn)
 

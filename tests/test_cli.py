@@ -15,6 +15,7 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spat import model as model_module
 from spat.cli import main, resolve_run_dir
 from spat.config import (
     ExperimentConfig,
@@ -628,11 +629,30 @@ class TestRunAndStages:
         keep mask is computed inline, and on two."""
         tmp_path, cfg_path = workspace
         run_pipeline(load_config(cfg_path))
-        assert (tmp_path / "run" / "metrics.csv").read_text() == GOLDEN_METRICS
-        assert (tmp_path / "run" / "send_report.txt").read_text() == GOLDEN_REPORT
+        self.assert_golden(tmp_path / "run")
+
+    @staticmethod
+    def assert_golden(run_dir):
+        assert (run_dir / "metrics.csv").read_text() == GOLDEN_METRICS
+        assert (run_dir / "send_report.txt").read_text() == GOLDEN_REPORT
         for name, digest in GOLDEN_CHECKPOINTS.items():
-            data = (tmp_path / "run" / name).read_bytes()
+            data = (run_dir / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_run_in_lanes_matches_golden_ledger_and_report(
+            self, workspace, schedule, monkeypatch, lanes_ran):
+        """With the lanes' size limit lowered to one FFN element, the tiny
+        config's batches of four windows or more run as lanes on two CPUs:
+        every training step, evaluation and scoring batch. The run still
+        writes the pinned bytes of one CPU."""
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
+        tmp_path, cfg_path = workspace
+        run_pipeline(load_config(cfg_path))
+        self.assert_golden(tmp_path / "run")
+        train, score = [64, 64, 63], [64, 64, 63]
+        evaluate = [27, 57]                   # validation, then test windows
+        assert lanes_ran == (train + evaluate + score + evaluate[1:] + train
+                             + evaluate if schedule == "two_threads" else [])
 
     def test_stagewise_chain(self, workspace):
         """pretrain -> score -> prune -> finetune reproduces ``run``, and so

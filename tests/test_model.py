@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import pickle
 import threading
 import time
 import warnings
@@ -22,8 +23,17 @@ from spat.model import (
     clone_model,
     state_shapes,
 )
-from spat.pipeline import evaluate_loss, evaluate_metrics
-from spat.tensor import Tape, Tensor, keep_mask, layer_norm, mse_loss
+from spat.config import OptimizerConfig
+from spat.pipeline import Adam, evaluate_loss, evaluate_metrics
+from spat.tensor import (
+    KeepMasks,
+    Tape,
+    Tensor,
+    keep_mask,
+    layer_norm,
+    mse_loss,
+    skip_draws,
+)
 from unfused import (
     add,
     bmm,
@@ -422,6 +432,38 @@ class TestKeepMasks:
         with pytest.raises(ContractError, match="listed 8 keep masks and took 7"):
             model.forward(x, training=True, rng=np.random.default_rng(3))
 
+    @pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937,
+                                      np.random.Philox],
+                             ids=["PCG64", "MT19937", "Philox"])
+    @pytest.mark.parametrize("case", ["temporal", "variate", "pruned"])
+    def test_lanes_take_their_rows_of_the_batch_masks(self, schedule, case,
+                                                      kind):
+        """For every split ``_in_parts`` makes (a batch of ``B >= 4``
+        windows at ``B // 2``), the two lanes' masks, joined, are the
+        batch's draws, the lanes leave the step's generator as it is, and
+        moved past the batch's draws it ends where they leave it. PCG64
+        moves by ``advance``; MT19937 has none, and Philox's does not count
+        doubles, so those draw what they pass over."""
+        model = self.model(case)
+        cfg = model.cfg
+        for batch in range(4, 65):
+            shapes = model.keep_shapes((batch, cfg.lookback, cfg.channels))
+            serial = np.random.Generator(kind(9))
+            want = [keep_mask(serial, shape, cfg.dropout) for shape in shapes]
+            rng = np.random.Generator(kind(9))
+            start = pickle.dumps(rng.bit_generator.state)
+            lanes = []
+            for lo, hi in ((0, batch // 2), (batch // 2, batch)):
+                with KeepMasks(rng, shapes, cfg.dropout, (lo, hi, batch)) as masks:
+                    lanes.append([masks.take(((hi - lo) * s[0] // batch,) + s[1:])
+                                  for s in shapes])
+            assert pickle.dumps(rng.bit_generator.state) == start
+            for mask, first, second in zip(want, *lanes):
+                assert np.concatenate((first, second)).tobytes() == mask.tobytes()
+            skip_draws(rng, sum(map(math.prod, shapes)))
+            assert pickle.dumps(rng.bit_generator.state) == \
+                pickle.dumps(serial.bit_generator.state)
+
     @staticmethod
     def train_step():
         model = Forecaster(small_cfg(dropout=0.2, layers=3), seed=1)
@@ -684,3 +726,218 @@ class TestLanes:
         del lanes_ran[:]
         assert evaluate() == want
         assert lanes_ran == ([64, 57] * 2 if schedule == "two_threads" else [])
+
+
+class TestTrainingLanes:
+    """A training batch of 13 windows or more (at these shapes) runs as two
+    lanes, one half of the windows per thread, forward and backward, and
+    gives the loss, every parameter gradient, the weights after Adam and
+    the generator state of a step on one CPU, byte for byte."""
+
+    @staticmethod
+    def model(mode="temporal_tokens", placement="pre", activation="gelu",
+              pruned=False, heads=2):
+        """Temporal tokens (7 channels of 12 patches) or variate tokens (21
+        channels): 5376 FFN elements per window either way. 16 heads give
+        a ``d_head`` of 1."""
+        variate = mode == "variate_tokens"
+        cfg = ModelConfig(mode=mode, lookback=96, horizon=24,
+                          channels=21 if variate else 7, d_model=16,
+                          d_ff=256 if variate else 64, heads=heads, layers=3,
+                          patch_len=16, patch_stride=8, dropout=0.1,
+                          activation=activation, norm_placement=placement)
+        model = Forecaster(cfg, seed=5)
+        if pruned:
+            model.blocks[1].remove_attention()
+        return model
+
+    @staticmethod
+    def data(model, batch):
+        rng = np.random.default_rng(6)
+        c = model.cfg
+        return (rng.normal(size=(batch, c.lookback, c.channels)),
+                rng.normal(size=(batch, c.horizon, c.channels)))
+
+    @staticmethod
+    def one_cpu(monkeypatch, fn):
+        """``fn()`` as a process on one CPU runs it."""
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            m.setattr(tensor, "_HELPER", None)
+            return fn()
+
+    @staticmethod
+    def state(model, loss, rng):
+        """The step's bytes: loss, gradients, weights, generator."""
+        return ([loss.hex()]
+                + [None if p.grad is None else p.grad.tobytes()
+                   for p in model.parameters()]
+                + [p.data.tobytes() for p in model.parameters()]
+                + [rng.bit_generator.state])
+
+    def serial_step(self, model, x, y, seed=8):
+        """A step as the one-part tape runs it: forward, loss, backward."""
+        rng = np.random.default_rng(seed)
+        with Tape() as tape:
+            loss = mse_loss(model.forward(x, training=True, rng=rng), y)
+        tape.backward(loss)
+        Adam(model.named_parameters(), OptimizerConfig()).step(1e-3)
+        return self.state(model, loss.item(), rng)
+
+    def step(self, model, x, y, seed=8):
+        rng = np.random.default_rng(seed)
+        loss, _ = model.backprop(x, y, rng)
+        Adam(model.named_parameters(), OptimizerConfig()).step(1e-3)
+        return self.state(model, loss, rng)
+
+    @pytest.mark.parametrize("mode, placement, activation, pruned, heads, batch", [
+        ("temporal_tokens", "pre", "gelu", False, 2, 64),
+        ("temporal_tokens", "post", "relu", False, 2, 57),
+        ("temporal_tokens", "pre", "gelu", True, 16, 57),
+        ("variate_tokens", "pre", "relu", True, 2, 64),
+        ("variate_tokens", "post", "gelu", False, 2, 57),
+        ("variate_tokens", "pre", "gelu", False, 16, 64),
+    ], ids=["temporal-pre-gelu", "temporal-post-relu",
+            "temporal-pruned-d_head_1", "variate-pre-relu-pruned",
+            "variate-post-gelu", "variate-d_head_1"])
+    def test_matches_one_cpu(self, schedule, monkeypatch, lanes_ran, mode,
+                             placement, activation, pruned, heads, batch):
+        """The odd batch of 57 (synthetic_small's last training batch)
+        splits 28 / 29."""
+        def model():
+            return self.model(mode, placement, activation, pruned, heads)
+        x, y = self.data(model(), batch)
+        want = self.one_cpu(monkeypatch,
+                            lambda: self.serial_step(model(), x, y))
+        assert lanes_ran == []
+        assert self.step(model(), x, y) == want
+        assert lanes_ran == ([batch] if schedule == "two_threads" else [])
+
+    def test_below_the_limit_and_on_a_taped_thread_stays_one_part(
+            self, schedule, monkeypatch, lanes_ran):
+        """12 windows stay below the 2^16 FFN elements lanes need."""
+        x, y = self.data(self.model(), 12)
+        want = self.one_cpu(monkeypatch,
+                            lambda: self.serial_step(self.model(), x, y))
+        assert self.step(self.model(), x, y) == want
+        assert lanes_ran == []
+
+    @pytest.mark.parametrize("window", [10, 40])
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    @pytest.mark.parametrize("once", [True, False], ids=["once", "always"])
+    def test_a_lane_that_raises(self, schedule, monkeypatch, lanes_ran,
+                                where, once, window):
+        """The lane that holds window 10 (the first) or 40 (the second)
+        raises in its forward or at the start of its backward, while the
+        other lane runs its forward and backward to the end: only this
+        once, and the batch rerun as one part gives the one-CPU bytes; or
+        whenever the window is in its part, and the rerun raises the
+        one-CPU exception. Either way the lanes leave every ``grad`` as it
+        was: the step starts from gradients already held, which one CPU
+        adds to. The step runs on a thread of its own, which must end
+        within 60 s: the lane that did not raise must not wait for the one
+        that did."""
+        model = self.model()
+        x, y = self.data(model, 64)
+        (x if where == "forward" else y)[window, 0, 0] = 1e6
+        failure = f"{where} failed at window {window}"
+        raised = []
+
+        def fails(marked):
+            """Once: in a lane, the first time. Always: in a lane and in
+            the whole batch."""
+            if not (marked == 1e6).any() or (
+                    once and (raised or len(marked) == len(x))):
+                return False
+            raised.append(len(marked))
+            return True
+
+        forward, loss = Forecaster._forward, model_module.mse_loss
+
+        def failing_forward(self, x, masks=None, probes=None):
+            if fails(x):
+                raise NumericError(failure)
+            return forward(self, x, masks, probes)
+
+        def failing_loss(pred, target, count=None):
+            out = loss(pred, target, count)
+            if count is None or not fails(target):
+                return out
+
+            def fail(g):
+                raise NumericError(failure)
+            return tensor._emit("fail", (out,), out.data, fail)
+        if where == "forward":
+            monkeypatch.setattr(Forecaster, "_forward", failing_forward)
+        else:
+            monkeypatch.setattr(model_module, "mse_loss", failing_loss)
+
+        def step():
+            net = self.model()
+            held = [np.full(p.shape, 0.5) for p in net.parameters()]
+            for p, g in zip(net.parameters(), held):
+                p.grad = g
+            try:
+                return self.step(net, x, y)
+            except NumericError as e:
+                assert all(p.grad is g for p, g in zip(net.parameters(), held))
+                return str(e)
+
+        def in_a_thread():
+            out = []
+            worker = threading.Thread(target=lambda: out.append(step()),
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "a lane hung"
+            return out[0]
+        want = self.one_cpu(monkeypatch, in_a_thread)
+        assert (want == failure) != once
+        del raised[:]
+        assert in_a_thread() == want
+        two = schedule == "two_threads"
+        assert raised == ([32] if two else []) + ([] if once else [64])
+        assert lanes_ran == []
+
+    def test_mask_gradients_on_trainable_weights(self, schedule, monkeypatch,
+                                                 lanes_ran):
+        """Scoring a 64-window variate batch with weights that require
+        gradients: each parameter gradient is computed once over the whole
+        batch, not summed from the two lanes' halves on two threads."""
+        model = self.model("variate_tokens")
+        x, y = self.data(model, 64)
+
+        def scored():
+            net = self.model("variate_tokens")
+            probes = net.mask_gradients(x, y)
+            return ([g.tobytes() for g in probes.values()]
+                    + [p.grad.tobytes() for p in net.parameters()])
+        want = self.one_cpu(monkeypatch, scored)
+        assert scored() == want
+        assert lanes_ran == ([64] if schedule == "two_threads" else [])
+
+    def test_leaf_operands_join_to_the_one_part_layout(self, monkeypatch):
+        """Every parameter gradient's operands are laid out as an axis
+        permutation of a C-ordered array with the batch outermost, which
+        ``np.concatenate`` gives two halves joined: for temporal and variate
+        tokens, with a ``d_head`` of 1 and not."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(tensor, "_HELPER", None)
+        seen = []
+        accumulate = tensor._accumulate
+
+        def spy(grads):
+            seen.extend(g.operands for _, g in grads
+                        if isinstance(g, tensor._Leaf))
+            accumulate(grads)
+        monkeypatch.setattr(tensor, "_accumulate", spy)
+        for mode, heads in (("temporal_tokens", 2), ("temporal_tokens", 16),
+                            ("variate_tokens", 2), ("variate_tokens", 16)):
+            model = self.model(mode, heads=heads)
+            x, y = self.data(model, 8)
+            model.backprop(x, y, np.random.default_rng(1))
+        assert len(seen) > 100
+        for operands in seen:
+            for a in operands:
+                joined = np.concatenate((a[:4], a[4:]))
+                assert joined.strides == a.strides, (a.shape, a.strides)

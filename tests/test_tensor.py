@@ -1,6 +1,7 @@
 """Unit and gradient-oracle tests for the autodiff tensor core."""
 
 import os
+import sys
 import threading
 import time
 import warnings
@@ -590,6 +591,95 @@ class TestTwoThreads:
         assert tensor._HELPER is False and tensor._helper() is None
         # an earlier test's helper may exit meanwhile; none may start
         assert set(threading.enumerate()) <= before
+
+
+class TestLeafMerge:
+    """Two lanes hand their leaf gradients to one :class:`LeafMerge`,
+    which computes each once from both halves' operands joined."""
+
+    @staticmethod
+    def lanes(merge, tensors, halves):
+        """Lane ``i`` hands over record ``k``'s gradient of
+        ``tensors[k]``, the leading sum of ``halves[k][i]``, then
+        finishes."""
+        def lane(i):
+            with merge.lane(i):
+                for t, pair in zip(tensors, halves):
+                    merge.add(i, [(t, tensor._leaf(tensor._leading_sum,
+                                                   pair[i]))])
+        return [threading.Thread(target=lane, args=(i,)) for i in (0, 1)]
+
+    def test_gradients_under_contention(self):
+        """Three merges at once, six lane threads on two cores, the
+        interpreter switching threads every microsecond: every record's
+        gradient is the one-part sum of its joined halves, added once,
+        after what ``grad`` held."""
+        rng = np.random.default_rng(3)
+        merges, expected, threads = [], [], []
+        for _ in range(3):
+            tensors = [Tensor(np.zeros(4), requires_grad=True)
+                       for _ in range(200)]
+            halves = [(rng.normal(size=(5, 3, 4)), rng.normal(size=(6, 3, 4)))
+                      for _ in tensors]
+            for t in tensors[::2]:
+                t.grad = np.ones(4)
+            expected.append([(t, (0.0 if t.grad is None else t.grad)
+                              + np.concatenate(pair).sum(axis=(0, 1)))
+                             for t, pair in zip(tensors, halves)])
+            merge = tensor.LeafMerge()
+            merges.append(merge)
+            threads += self.lanes(merge, tensors, halves)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for merge, want in zip(merges, expected):
+            merge.apply()
+            for t, grad in want:
+                assert t.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("at_once", [True, False])
+    def test_lanes_that_hand_over_different_records(self, at_once):
+        """Lanes at once, or one after the other, as ``two_lanes`` runs
+        them without a helper: a record whose tensors differ raises on
+        the lane that joins it, and lanes that handed over different
+        counts of records raise in ``apply``, leaving ``grad`` alone."""
+        t, u = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        a = np.ones((2, 2))
+
+        def run(merge, handed):
+            raised = []
+
+            def lane(i):
+                try:
+                    with merge.lane(i):
+                        for v in handed[i]:
+                            merge.add(i, [(v, tensor._leaf(tensor._leading_sum, a))])
+                except ContractError as e:
+                    raised.append(str(e))
+            threads = [threading.Thread(target=lane, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+                if not at_once:
+                    thread.join(timeout=30)
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            return raised
+
+        assert run(tensor.LeafMerge(), ([t], [u])) == [
+            "record 0: the lanes' leaves differ"]
+        merge = tensor.LeafMerge()
+        assert run(merge, ([t], [])) == []
+        with pytest.raises(ContractError, match="different records"):
+            merge.apply()
+        assert t.grad is None
 
 
 class TestGradModeAndInvariants:
