@@ -4,17 +4,20 @@ Each side (the parent commit and the change) is a checkout whose
 ``perfbench/run.py`` wrote ``perfbench/_work/<workload>-seed<s>-trace<t>-
 result.json``. Both sides run on the same seeds, back to back for each
 seed, alternating which side runs first. ``--run`` runs those pairs here,
-one child process per run, and records each run's process CPU time over
-its wall time (``getrusage(RUSAGE_CHILDREN)`` around the child) in the
-side's ``bench_cpu_wall.json``; then, or for pairs run earlier:
+one child process per run of ``BENCHMARK.json``'s ``run_seconds``, and
+records each run's process CPU time over its wall time
+(``getrusage(RUSAGE_CHILDREN)`` around the child) in the side's
+``bench_cpu_wall.json``; a child's result file from an earlier run is
+deleted before it starts. Then, or for pairs run earlier:
 
     python benchmarks/bench_record.py --n 8 --sha 1d41cb6 \\
         --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \\
-        [--run pipeline_temporal --seeds 7301-7310 --seconds 30]
+        [--run pipeline_temporal --seeds 7301-7310]
 
 For every workload and every end-to-end metric in ``BENCHMARK.json`` the
 file holds the per-run values of both sides in seed order (seeds where
-either side's run failed and wrote no metrics are listed apart), their medians
+either side's run wrote no result, or one without every metric, are
+listed apart under ``incomplete_runs``), their medians
 and interquartile ranges, the ratio of the medians and the number of seed
 pairs in which the change was better. ``first`` says which side ran
 first for each seed, read from the result files' modification times.
@@ -50,6 +53,11 @@ CPU_WALL = "bench_cpu_wall.json"
 OVERLAP = 1.2
 
 
+def result_path(checkout: Path, workload: str, seed: int, trace: int) -> Path:
+    return (checkout / "perfbench" / "_work"
+            / f"{workload}-seed{seed}-trace{trace}-result.json")
+
+
 def load_runs(checkout: Path) -> dict:
     """(workload, trace) -> {seed: (result record, mtime)} under
     ``checkout``."""
@@ -70,7 +78,9 @@ def load_cpu_wall(checkout: Path) -> dict:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` child in ``checkout``, with its wall time
-    and the CPU time it and its threads used."""
+    and the CPU time it and its threads used. Its seed's result file from
+    an earlier run goes first, so a child that writes none leaves none."""
+    result_path(checkout, workload, seed, 0).unlink(missing_ok=True)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
     proc = subprocess.run(
@@ -82,7 +92,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     if proc.returncode != 0:
-        # the run wrote no result, so its seed drops out of the comparison
         print(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n"
               f"{proc.stderr}", file=sys.stderr)
     return {"wall_s": wall, "cpu_s": cpu, "cpu_per_wall": cpu / wall,
@@ -167,16 +176,12 @@ def main(argv=None) -> None:
     parser.add_argument("--run", help="workload to run pairs of first")
     parser.add_argument("--seeds", type=seed_list, default=[],
                         help="seeds of the pairs to run, e.g. 7301-7310")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="closed-loop seconds per run "
-                             "(default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.run:
-        run_pairs(sides, args.run, args.seeds,
-                  args.seconds or bench["run_seconds"])
+        run_pairs(sides, args.run, args.seeds, bench["run_seconds"])
     parent, change = load_runs(sides["parent"]), load_runs(sides["change"])
     cpu_wall = {side: load_cpu_wall(path) for side, path in sides.items()}
     workloads, machine = {}, None
@@ -184,9 +189,10 @@ def main(argv=None) -> None:
         c_runs = change.get((workload, trace), {})
         key = "per_layer" if trace else "end_to_end"
         names = {spec["name"] for spec in bench[key]}
-        incomplete = {side: sorted(s for s, (r, _) in runs.items()
-                                   if not names <= set(r["result"]["metrics"]))
-                      for side, runs in (("parent", p_runs), ("change", c_runs))}
+        incomplete = {side: sorted(
+            s for s in set(p_runs) | set(c_runs) if s not in runs
+            or not names <= set(runs[s][0]["result"]["metrics"]))
+            for side, runs in (("parent", p_runs), ("change", c_runs))}
         seeds = sorted(set(p_runs) & set(c_runs) - set(sum(incomplete.values(), [])))
         if not seeds:
             continue
@@ -217,7 +223,7 @@ def main(argv=None) -> None:
         "bench": args.n,
         "parent": args.sha,
         "command": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds or bench['run_seconds']} --trace T"),
+                    f"--seconds {bench['run_seconds']} --trace T"),
         "overlap_threshold": OVERLAP,
         "machine": machine,
         "workloads": workloads,

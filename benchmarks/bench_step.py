@@ -5,13 +5,11 @@ a batch of 64 windows (lookback 96, 7 channels, so 448 series of 12
 patch tokens), dropout 0.1 with its keep masks drawn from the step's
 generator, the backward of the mean squared error and one Adam update.
 ``serial`` runs the batch as one part on the calling thread, as a process
-pinned to one CPU does. ``two_threads`` runs it as one part too, and lets
-spat's helper thread draw the keep masks and compute and accumulate the
-parameter gradients. ``laned`` is the step ``pipeline.pretrain`` takes on
-two or more CPUs, ``Forecaster.backprop``: each half of the windows runs
-forward and backward on a thread of its own, and each parameter gradient
-is computed once from both halves' operands joined. All three give the
-same bits. Pin the BLAS threads and write JSON to compare runs:
+pinned to one CPU, or a batch too small for lanes, does. ``laned`` is the
+step ``pipeline.pretrain`` takes on two or more CPUs,
+``Forecaster.backprop``: each half of the windows runs forward and
+backward on a thread of its own, and each parameter gradient is computed
+once from both halves' operands joined. Both give the same bits. Pin the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_step.py --benchmark-json=bench_step.json
@@ -29,14 +27,13 @@ from spat import tensor
 from spat.config import load_config
 from spat.model import Forecaster
 from spat.pipeline import Adam
-from spat.tensor import Tape, mse_loss
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
 
-@pytest.mark.parametrize("threads", ["serial", "two_threads", "laned"])
+@pytest.mark.parametrize("threads", ["serial", "laned"])
 def test_training_step(benchmark, monkeypatch, threads):
-    cpus = {0} if threads == "serial" else {0, 1}
+    cpus = {0, 1} if threads == "laned" else {0}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(tensor, "_HELPER", None)
     cfg = load_config(CONFIG)
@@ -51,14 +48,8 @@ def test_training_step(benchmark, monkeypatch, threads):
     steps = iter(range(10**9))
 
     def step():
-        rng = np.random.default_rng([0, 1, 2, next(steps)])
-        if threads == "laned":
-            loss, _ = model.backprop(x, y, rng)
-        else:
-            with Tape() as tape:
-                taped = mse_loss(model.forward(x, training=True, rng=rng), y)
-            tape.backward(taped)
-            loss = taped.item()
+        loss, _ = model.backprop(x, y, np.random.default_rng(
+            [0, 1, 2, next(steps)]))
         optimizer.step(cfg.optimizer.lr)
         model.zero_grad()
         return loss

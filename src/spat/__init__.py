@@ -12,10 +12,8 @@ takes effect when ``spat`` is imported before numpy. Instead, spat hands
 numpy work to one helper thread of its own, when the process's CPU
 affinity holds more than one CPU: the second half of the windows of a
 large forecast, training or scoring batch, carried through the whole model
-(and, training and scoring, back), and, for a batch that runs as one part,
-backward's parameter and probe gradients and a training forward's dropout
-keep masks.
-``taskset -c 0`` runs everything on the calling thread. Raising
+(and, training and scoring, back). A batch that runs as one part runs on
+the calling thread, and ``taskset -c 0`` runs everything there. Raising
 ``OPENBLAS_NUM_THREADS`` makes BLAS threads compete with that helper for
 the cores. Outputs are the same bytes at any thread count.
 """

@@ -426,7 +426,7 @@ class Forecaster:
                 rows: tuple[int, int, int] | None = None) -> Tensor:
         """Differentiable forecast of shape [batch, T, C]. In training
         with dropout the keep masks are drawn from ``rng`` in the order of
-        :meth:`keep_shapes`, by :class:`KeepMasks` ahead of use; given
+        :meth:`keep_shapes` (:class:`KeepMasks`); given
         ``rows = (start, stop, batch)``, ``x`` holds windows ``start`` to
         ``stop`` of a batch of ``batch``, and takes those rows of the
         batch's masks. Block ``i``'s attention is probed by ``probes[i]``

@@ -22,32 +22,24 @@ activations ``Tape.backward`` frees as it replays the tape then stay in the
 heap for the next step instead of going back to the OS and being faulted
 in, zero-filled, all over again.
 
-Work runs partly on one helper thread, a one-worker executor started the
-first time it is needed (see :func:`_helper`):
+The second of the two parts of :func:`two_lanes` runs on one helper
+thread, a one-worker executor started the first time it is needed (see
+:func:`_helper`): a forecast, a training step or a scoring batch of many
+windows carries each half of them through the whole model on its own
+thread, and a step or a scoring batch backpropagates it there too, on the
+lane's own tape. A :class:`LeafMerge` computes each parameter gradient
+once, from both halves' operands joined in batch order, and each lane
+draws its rows of every dropout keep mask (:class:`KeepMasks`) from a copy
+of the generator moved past the draws before them. A batch that runs as
+one part runs all of it on the calling thread.
 
-* the second of the two parts of :func:`two_lanes`: a forecast, a
-  training step or a scoring batch of many windows carries each half of
-  them through the whole model on its own thread, and a step or a scoring
-  batch backpropagates it there too, on the lane's own tape; a
-  :class:`LeafMerge` computes each parameter gradient once, from both
-  halves' operands joined in batch order;
-* where a batch runs as one part, the leaf gradients of ``Tape.backward``:
-  a record's parameter and probe gradients are computed and accumulated on
-  the helper while the calling thread carries the other gradients down the
-  tape;
-* and the dropout keep masks of such a training forward, drawn by
-  :class:`KeepMasks` ahead of use. A lane draws its rows of each mask
-  itself, from a copy of the generator moved past the draws before them.
-
-Every piece of work does the arithmetic it does alone. The helper runs its
-jobs one at a time in the order they were handed over, so each leaf sums
-its gradients, and a generator makes its draws, in the serial order. So
-outputs, gradients and masks are the same bytes on one thread or two. The
-active tape is per thread, so a lane records on its own. The helper
-thread, and a thread running a lane, works alone: :func:`_helper` is None
-on it, so whatever it runs, it runs inline. When the process's CPU
-affinity holds one CPU (``taskset -c 0``), no thread is started and all of
-it runs in order on the calling thread.
+Every piece of work does the arithmetic it does alone, so outputs,
+gradients and masks are the same bytes on one thread or two. The active
+tape is per thread, so a lane records on its own. The helper thread, and
+a thread running a lane, works alone: :func:`_helper` is None on it, so
+whatever it runs, it runs inline. When the process's CPU affinity holds
+one CPU (``taskset -c 0``), no thread is started and both parts run in
+turn on the calling thread.
 """
 
 from __future__ import annotations
@@ -114,8 +106,8 @@ def _keep_freed_memory() -> bool:
     thread: numpy allocates its buffers with the GIL held, so a second
     arena buys no concurrency, and the helper thread's own arena would
     keep a second pool of freed memory that the calling thread, which
-    frees the masks and gradients the helper allocates, cannot reuse. The
-    policy is process-wide, like the allocator. Where libc has no
+    frees the forecasts and gradients the helper's lane allocates, cannot
+    reuse. The policy is process-wide, like the allocator. Where libc has no
     ``mallopt``, nothing changes.
     """
     try:
@@ -243,17 +235,6 @@ def two_lanes(work: Callable, parts: tuple) -> tuple:
     return first, second.result()
 
 
-# Leaf-gradient jobs Tape.backward lets wait on the helper thread at once.
-# A job holds the buffers its gradients are computed from, which a serial
-# backward frees with the record, so a helper that falls behind (when the
-# OS runs something else on its core) would hold those of every record it
-# has not reached. In 30 s runs of perfbench's pipeline_temporal on a
-# 2-core machine, peak RSS was 114.1-114.6 MB with a serial backward,
-# 116.4-119.3 MB with no bound and an arena per thread, and 115.5-116.1 MB
-# with this bound and one arena (see _keep_freed_memory).
-_LEAF_JOBS_WAITING = 2
-
-
 class Tape:
     """Ordered record of differentiable operations.
 
@@ -324,27 +305,13 @@ class Tape:
         empty tape was already replayed.
 
         A ``grad_fn`` returns the weight and bias gradients of the model's
-        ops as zero-argument callables, since no later record reads them;
-        those of frozen leaves are never called. The calling thread carries
-        the gradients of non-leaf tensors down the tape, and each record's
-        leaf contributions are computed and accumulated by one job on the
-        helper thread (:func:`_helper`). The helper runs its jobs one at a
-        time in the order they were handed over, which is the order of the
-        records, so every leaf sums its contributions in the serial order
-        and ``grad`` holds the same bytes on one thread or two. A job works
-        alone, as everything on the helper does. With one CPU, or in a
-        lane, each job runs on the calling thread as it is handed over. At
-        most ``_LEAF_JOBS_WAITING`` jobs wait at once: the calling thread
-        waits for the oldest before it hands over another. This returns,
-        or raises, only once every job has run. An exception in a job is
-        raised here once the calling thread waits for that job (the calling
-        thread's own, if it raises too).
-
-        A tape with a :class:`LeafMerge` collects instead: each record's
-        leaf gradients that are :class:`_Leaf` s go to the merge, which
-        computes them once over the whole batch and leaves ``grad`` alone
-        until :meth:`LeafMerge.apply`; the others (a lane's own probes')
-        are accumulated here.
+        ops as :class:`_Leaf` s, computed when accumulated, since no later
+        record reads them; those of frozen leaves are never computed. A
+        tape with a :class:`LeafMerge` collects them instead: each record's
+        leaf gradients that are ``_Leaf`` s go to the merge, which computes
+        them once over the whole batch and leaves ``grad`` alone until
+        :meth:`LeafMerge.apply`; the others (a lane's own probes') are
+        accumulated here.
         """
         if out._tape is not self:
             raise ContractError("output does not live on this tape")
@@ -354,38 +321,20 @@ class Tape:
             raise ShapeError(f"backward: gradient shape {grad.shape} != "
                              f"output shape {out.shape}")
         out.grad = grad
-        helper = _helper()
-        jobs = []
-        try:
-            while self._records:
-                rec = self._records.pop()
-                g_out = rec.output.grad
-                if g_out is None:
-                    continue
-                rec.output.grad = None
-                kept = [(t, g) for t, g in zip(rec.inputs, rec.grad_fn(g_out))
-                        if g is not None and t.requires_grad]
-                _accumulate([(t, g) for t, g in kept if t._tape is not None])
-                leaves = [(t, g) for t, g in kept if t._tape is None]
-                if self._merge is not None:
-                    _accumulate([(t, g) for t, g in leaves
-                                 if not isinstance(g, _Leaf)])
-                    leaves = [(t, g) for t, g in leaves if isinstance(g, _Leaf)]
-                    if leaves:
-                        self._merge.add(self._lane, leaves)
-                    continue
-                if not leaves:
-                    continue
-                if helper:
-                    if len(jobs) >= _LEAF_JOBS_WAITING:
-                        jobs[-_LEAF_JOBS_WAITING].result()
-                    jobs.append(helper.submit(_accumulate, leaves))
-                else:
-                    _accumulate(leaves)
-        finally:
-            wait(jobs)
-        for job in jobs:
-            job.result()
+        while self._records:
+            rec = self._records.pop()
+            g_out = rec.output.grad
+            if g_out is None:
+                continue
+            rec.output.grad = None
+            now, merged = [], []
+            for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
+                if g is not None and t.requires_grad:
+                    (merged if self._merge is not None and t._tape is None
+                     and isinstance(g, _Leaf) else now).append((t, g))
+            _accumulate(now)
+            if merged:
+                self._merge.add(self._lane, merged)
 
 
 def _accumulate(grads: list[tuple["Tensor", object]]) -> None:
@@ -591,8 +540,8 @@ def _weight_product(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     ``np.dot`` gives the bits of the ``@`` product and, unlike ``matmul``,
     releases the GIL for the whole BLAS call: ``matmul`` keeps it when the
-    product has at most 500 elements, so on the helper thread a ``[16,
-    16]`` weight's 0.2 ms product would stall the calling thread.
+    product has at most 500 elements, so a ``[16, 16]`` weight's 0.2 ms
+    product, joined by one lane, would stall the other.
     """
     return np.dot(a.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
 
@@ -936,19 +885,10 @@ class KeepMasks:
     (:func:`skip_draws`), so the lanes' masks, joined, are the batch's
     bytes. ``rng`` itself is left as it is.
 
-    On the whole batch, all the draws are handed to the helper thread
-    (:func:`_helper`) at once, while the calling thread computes (on a
-    2-core machine a synthetic_small training step took 74 ms this way and
-    80 ms with one draw handed over ahead of the mask in use). The helper
-    runs its jobs one at a time in the order they were handed over, so the
-    masks are the bytes of the serial draws and ``rng`` ends in the same
-    state. With one CPU, and in a lane, which works alone, each mask is
-    drawn when it is taken. Each op :meth:`take` s the next mask and names
-    the shape it needs, and a shape other than the one listed raises
+    Each op :meth:`take` s the next mask, drawn then, and names the shape
+    it needs; a shape other than the one listed raises
     :class:`ContractError`. Used as a context manager around the forward:
-    on leaving it the draws still on the helper are waited for, so ``rng``
-    is no longer in use, and a forward that ran to its end must have taken
-    every listed mask.
+    a forward that ran to its end must have taken every listed mask.
     """
 
     def __init__(self, rng: np.random.Generator,
@@ -966,14 +906,7 @@ class KeepMasks:
                 after = (batch - stop) * per_window
                 self._shapes[i] = ((stop - start) * shape[0] // batch,) + shape[1:]
         self._rng = rng
-        helper = _helper()
-        self._draws = None if helper is None else [
-            helper.submit(self._draw, i) for i in range(len(self._shapes))]
         self._taken = 0
-
-    def _draw(self, i: int) -> np.ndarray:
-        skip_draws(self._rng, self._skips[i])
-        return keep_mask(self._rng, self._shapes[i], self._rate)
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """The next mask, which must have ``shape``."""
@@ -983,16 +916,13 @@ class KeepMasks:
             raise ContractError(f"keep mask {i}: an op needs shape {shape}, "
                                 f"the forward listed {listed}")
         self._taken += 1
-        if self._draws is None:
-            return self._draw(i)
-        return self._draws[i].result()
+        skip_draws(self._rng, self._skips[i])
+        return keep_mask(self._rng, listed, self._rate)
 
     def __enter__(self) -> "KeepMasks":
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self._draws is not None:
-            wait(self._draws)
         if exc_type is None and self._taken != len(self._shapes):
             raise ContractError(f"the forward listed {len(self._shapes)} "
                                 f"keep masks and took {self._taken}")

@@ -31,9 +31,8 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(params=["serial", "two_threads"])
 def schedule(request, monkeypatch):
     """Run ``spat.tensor``'s work as a process whose CPU affinity holds one
-    CPU (all of it on the calling thread) or two (leaf gradients,
-    keep-mask draws and the second lane of a large batch on the helper
-    thread) does."""
+    CPU (all of it on the calling thread) or two (the second lane of a
+    large batch on the helper thread) does."""
     cpus = {0} if request.param == "serial" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(tensor, "_HELPER", None)

@@ -348,7 +348,7 @@ class TestStateShapes:
 
 class TestKeepMasks:
     """A training forward applies the masks of successive ``keep_mask``
-    draws from its ``rng``, drawn on the helper thread or not."""
+    draws from its ``rng``, on one thread or in two lanes."""
 
     @pytest.fixture
     def applied(self, monkeypatch):
@@ -466,16 +466,15 @@ class TestKeepMasks:
 
     @staticmethod
     def train_step():
+        """A step of 6 windows, in two lanes where there are two CPUs."""
         model = Forecaster(small_cfg(dropout=0.2, layers=3), seed=1)
         data = np.random.default_rng(2)
         x, y = data.normal(size=(6, 16, 4)), data.normal(size=(6, 4, 4))
-        with Tape() as tape:
-            loss = mse_loss(model.forward(x, training=True,
-                                          rng=np.random.default_rng(3)), y)
-        tape.backward(loss)
+        model.backprop(x, y, np.random.default_rng(3))
         return b"".join(p.grad.tobytes() for p in model.parameters())
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(tensor, "_HELPER", None)
         before = set(threading.enumerate())
@@ -483,14 +482,15 @@ class TestKeepMasks:
         assert tensor._HELPER is False
         assert set(threading.enumerate()) <= before
 
-    def test_forked_child_trains(self, monkeypatch):
+    def test_forked_child_trains(self, monkeypatch, lanes_ran):
         """The child of a fork taken while the helper thread is alive
-        draws its masks and accumulates its gradients on a helper of its
-        own, and gets the parent's bytes."""
+        runs its second lane on a helper of its own, and gets the parent's
+        bytes."""
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(tensor, "_HELPER", None)
         want = self.train_step()
-        assert tensor._HELPER
+        assert tensor._HELPER and lanes_ran == [6]
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 warns about forking a process that has threads

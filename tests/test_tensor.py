@@ -1069,9 +1069,9 @@ class TestFusedModel:
 
 
 class TestDeferredGradients:
-    """Leaf gradients computed and accumulated on the helper thread hold
-    the bytes of the serial schedule, and a failure among them reaches the
-    caller of ``backward``."""
+    """Leaf gradients, computed when accumulated, hold the bytes of the
+    serial schedule, a one-part step computes them all on the calling
+    thread, and a failure among them reaches the caller of ``backward``."""
 
     @staticmethod
     def cfg(mode="temporal_tokens", placement="pre", activation="gelu"):
@@ -1131,7 +1131,7 @@ class TestDeferredGradients:
             return self.step(model, x, y)
 
         got = run()
-        assert (threads == {threading.main_thread()}) == (schedule == "serial")
+        assert threads == {threading.main_thread()}
         monkeypatch.setattr(tensor, "_HELPER", False)
         want = run()
         assert self.same(got, want)
@@ -1150,9 +1150,8 @@ class TestDeferredGradients:
 
     def test_failure_in_a_deferred_gradient_reaches_the_caller(
             self, schedule, monkeypatch):
-        """The second weight gradient raises, on the helper while the
-        calling thread replays the rest of the tape, or on the calling
-        thread; the next backward works."""
+        """The second weight gradient raises as backward accumulates it;
+        the next backward works."""
         class Injected(RuntimeError):
             pass
 
