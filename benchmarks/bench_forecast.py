@@ -5,9 +5,9 @@ Times ``Forecaster.forecast`` at the two batch sizes perfbench's
 7 channels, so 448 series of 12 patch tokens). The pruned model has lost
 block 2's attention, the layer SEND removes on ``configs/synthetic_small.yaml``.
 ``serial`` runs everything on the calling thread, as a process pinned to
-one CPU does. ``two_lanes`` lets spat's helper thread carry the second
-half of a batch-64 forecast's windows through the whole model while the
-calling thread carries the first, as on two or more CPUs; a batch-1
+one CPU does. ``two_lanes`` lets a thread spat starts for the batch carry
+the second half of a batch-64 forecast's windows through the whole model
+while the calling thread carries the first, as on two or more CPUs; a batch-1
 forecast stays on the calling thread either way. Both give the same bits.
 Pin the BLAS threads and write JSON to compare runs:
 
@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spat import tensor
 from spat.config import load_config
 from spat.model import Forecaster
 
@@ -36,7 +35,6 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml
 def test_forecast(benchmark, monkeypatch, threads, pruned, batch):
     cpus = {0} if threads == "serial" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(tensor, "_HELPER", None)
     cfg = load_config(CONFIG)
     model = Forecaster(cfg.model.to_model_config(
         cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels))

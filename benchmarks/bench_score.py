@@ -4,10 +4,10 @@ Times the scoring pass of perfbench's ``score_variate`` workload: a
 128-channel variate-token model (lookback 96, horizon 24, d_model 32,
 d_ff 64, 4 heads, 4 layers) over 181 windows in batches of 32, the last
 of 21. ``serial`` scores every batch on the calling thread, as a process
-pinned to one CPU does. ``two_lanes`` lets spat's helper thread score the
-second half of each batch's windows, forward, its share of the loss and
-backward, while the calling thread scores the first, as on two or more
-CPUs. Both give the same bits. Pin the BLAS threads and write JSON to
+pinned to one CPU does. ``two_lanes`` lets a thread spat starts for each
+batch score the second half of its windows, forward, its share of the
+loss and backward, while the calling thread scores the first, as on two
+or more CPUs. Both give the same bits. Pin the BLAS threads and write JSON to
 compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
@@ -21,7 +21,6 @@ import os
 import numpy as np
 import pytest
 
-from spat import tensor
 from spat.model import Forecaster, ModelConfig
 from spat.send import compute_sensitivity
 
@@ -32,7 +31,6 @@ WINDOWS, BATCH, CHANNELS = 181, 32, 128
 def test_compute_sensitivity(benchmark, monkeypatch, threads):
     cpus = {0} if threads == "serial" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(tensor, "_HELPER", None)
     model = Forecaster(ModelConfig(
         mode="variate_tokens", lookback=96, horizon=24, channels=CHANNELS,
         d_model=32, d_ff=64, heads=4, layers=4, dropout=0.1), seed=0)

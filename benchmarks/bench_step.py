@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spat import tensor
 from spat.config import load_config
 from spat.model import Forecaster
 from spat.pipeline import Adam
@@ -35,7 +34,6 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml
 def test_training_step(benchmark, monkeypatch, threads):
     cpus = {0, 1} if threads == "laned" else {0}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(tensor, "_HELPER", None)
     cfg = load_config(CONFIG)
     model = Forecaster(cfg.model.to_model_config(
         cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels))

@@ -1,8 +1,8 @@
 """Census of ``src/spat``: every function that no command and no benchmark
 workload enters.
 
-Under ``sys.settrace`` and ``threading.settrace``, so that work on spat's
-helper thread counts too, runs every ``spat`` subcommand on a tiny config:
+Under ``sys.settrace`` and ``threading.settrace``, so that work on the
+thread spat starts for a batch's second lane counts too, runs every ``spat`` subcommand on a tiny config:
 ``run`` three ways (variate tokens; temporal tokens with post-norm, relu
 and rescoring; a CSV dataset), then ``sweep``, ``pretrain``, ``score``,
 ``prune``, ``finetune``, ``eval``, ``zeroshot`` and ``synth-data``. Then

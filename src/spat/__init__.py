@@ -8,14 +8,14 @@ cost deltas.
 Importing the package sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
 environment already sets it. The model's GEMMs are small, and a second
 BLAS thread spends its time spinning, not computing. The setting only
-takes effect when ``spat`` is imported before numpy. Instead, spat hands
-numpy work to one helper thread of its own, when the process's CPU
-affinity holds more than one CPU: the second half of the windows of a
-large forecast, training or scoring batch, carried through the whole model
-(and, training and scoring, back). A batch that runs as one part runs on
-the calling thread, and ``taskset -c 0`` runs everything there. Raising
-``OPENBLAS_NUM_THREADS`` makes BLAS threads compete with that helper for
-the cores. Outputs are the same bytes at any thread count.
+takes effect when ``spat`` is imported before numpy. Instead, spat runs
+the second half of the windows of a large forecast, training or scoring
+batch on a thread it starts for that batch, when the process's CPU
+affinity holds more than one CPU: carried through the whole model (and,
+training and scoring, back). A batch that runs as one part runs on the
+calling thread, and ``taskset -c 0`` runs everything there. Raising
+``OPENBLAS_NUM_THREADS`` makes BLAS threads compete with that lane thread
+for the cores. Outputs are the same bytes at any thread count.
 """
 
 import os

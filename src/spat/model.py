@@ -54,8 +54,8 @@ NORM_PLACEMENTS = ("pre", "post")
 INSTANCE_NORM_EPS = 1e-5
 
 # Elements of a batch's largest activation (the FFN's) from which
-# Forecaster._in_parts halves it into lanes. A hand-off to the helper
-# thread costs tens of microseconds, so a batch-64 synthetic_small forecast
+# Forecaster._in_parts halves it into lanes. Starting and joining a lane's
+# thread costs about 0.2 ms, so a batch-64 synthetic_small forecast
 # (172,032 elements) or a 32-window variate scoring batch gains, and a
 # batch-1 forecast (2,688 or 8,192) stays inline.
 _LANE_ELEMENTS = 2**16
@@ -379,10 +379,11 @@ class Forecaster:
     def _in_parts(self, run, x: np.ndarray):
         """``run(parts)``, with ``parts`` the windows ``x`` cut for
         :func:`two_lanes`: two halves, ``x[:B // 2]`` and the rest, where
-        they may run as lanes, else ``(x,)``. Where ``run`` raised on two
-        halves, it runs again on ``(x,)``, so the caller gets the one-part
-        exception: a NaN first seen after block 1 in the second half and
-        after block 2 in the first is reported at block 1.
+        they may run as lanes, else ``(x,)``. Where ``run`` raised a
+        :class:`NumericError` on two halves, it runs again on ``(x,)``, so
+        the caller gets the one-part message: a NaN first seen after block 1
+        in the second half and after block 2 in the first is reported at
+        block 1. Any other exception from a lane is raised as it is.
 
         Lanes need :func:`lanes_open`, and pay from ``_LANE_ELEMENTS``
         elements of FFN activation. Each window's rows are computed apart
@@ -417,7 +418,7 @@ class Forecaster:
             return run((x,))
         try:
             return run((x[:half], x[half:]))
-        except Exception:
+        except NumericError:
             return run((x,))
 
     def forward(self, x: np.ndarray, training: bool = False,
@@ -536,12 +537,13 @@ class Forecaster:
         """Deterministic eval-mode prediction (dropout disabled, no tape).
 
         A batch whose FFN activation has ``_LANE_ELEMENTS`` (2^16)
-        elements or more runs as two lanes (:meth:`_in_parts`): the helper
-        thread carries the second half of the windows through the whole
-        model while the calling thread carries the first, each with every
-        op inline, and each lane keeps its half in one core's cache. The
-        halves' forecasts, concatenated, are the one-part bytes in its
-        ``[B, C, T]``-ordered layout. A batch-1 forecast stays inline.
+        elements or more runs as two lanes (:meth:`_in_parts`): a thread
+        started for the batch carries the second half of the windows
+        through the whole model while the calling thread carries the first,
+        each with every op inline, and each lane keeps its half in one
+        core's cache. The halves' forecasts, concatenated, are the one-part
+        bytes in its ``[B, C, T]``-ordered layout. A batch-1 forecast stays
+        inline.
         """
         return self.forward(x, training=False).data
 

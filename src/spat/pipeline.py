@@ -352,7 +352,7 @@ class Prepared:
 
     def timed(self, stage_name: str, fn):
         """``fn()``, recording its wall time and resource use in ``timings``."""
-        # user CPU beyond the wall time is spat's helper thread, or BLAS
+        # user CPU beyond the wall time is spat's lane threads, or BLAS
         # threads at work or spinning; system time and minor page faults
         # show what the kernel cost
         r0 = resource.getrusage(resource.RUSAGE_SELF)

@@ -22,24 +22,24 @@ activations ``Tape.backward`` frees as it replays the tape then stay in the
 heap for the next step instead of going back to the OS and being faulted
 in, zero-filled, all over again.
 
-The second of the two parts of :func:`two_lanes` runs on one helper
-thread, a one-worker executor started the first time it is needed (see
-:func:`_helper`): a forecast, a training step or a scoring batch of many
-windows carries each half of them through the whole model on its own
-thread, and a step or a scoring batch backpropagates it there too, on the
-lane's own tape. A :class:`LeafMerge` computes each parameter gradient
-once, from both halves' operands joined in batch order, and each lane
-draws its rows of every dropout keep mask (:class:`KeepMasks`) from a copy
-of the generator moved past the draws before them. A batch that runs as
-one part runs all of it on the calling thread.
+The second of the two parts of :func:`two_lanes` runs on a thread started
+for it and joined before the call returns: a forecast, a training step or
+a scoring batch of many windows carries each half of them through the
+whole model on its own thread, and a step or a scoring batch
+backpropagates it there too, on the lane's own tape. A :class:`LeafMerge`
+computes each parameter gradient once, from both halves' operands joined
+in batch order, and each lane draws its rows of every dropout keep mask
+(:class:`KeepMasks`) from a copy of the generator moved past the draws
+before them. A batch that runs as one part runs all of it on the calling
+thread.
 
 Every piece of work does the arithmetic it does alone, so outputs,
 gradients and masks are the same bytes on one thread or two. The active
-tape is per thread, so a lane records on its own. The helper thread, and
-a thread running a lane, works alone: :func:`_helper` is None on it, so
-whatever it runs, it runs inline. When the process's CPU affinity holds
-one CPU (``taskset -c 0``), no thread is started and both parts run in
-turn on the calling thread.
+tape is per thread, so a lane records on its own. No lane starts lanes: a
+forecast lane runs the model inline, and a lane that backpropagates holds
+a tape (:func:`lanes_open`). When the process's CPU affinity holds one CPU
+(``taskset -c 0``), no thread is started and both parts run in turn on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,11 +103,11 @@ def _keep_freed_memory() -> bool:
     fresh on every use. The trim threshold must exceed one step's working
     set, so the heap stops shrinking between steps. One arena serves every
     thread: numpy allocates its buffers with the GIL held, so a second
-    arena buys no concurrency, and the helper thread's own arena would
-    keep a second pool of freed memory that the calling thread, which
-    frees the forecasts and gradients the helper's lane allocates, cannot
-    reuse. The policy is process-wide, like the allocator. Where libc has no
-    ``mallopt``, nothing changes.
+    arena buys no concurrency, and each lane thread's own arena would
+    keep a pool of freed memory that the calling thread, which frees the
+    forecasts and gradients the lane allocates, cannot reuse. The policy
+    is process-wide, like the allocator. Where libc has no ``mallopt``,
+    nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -124,61 +123,14 @@ def _keep_freed_memory() -> bool:
 _MALLOC_POLICY_SET = _keep_freed_memory()
 
 
-def _forget_helper() -> None:
-    """Start without a helper thread: the next :func:`_helper` call reads
-    the CPU affinity again.
-
-    Runs at import and in a forked child, which inherits the parent's
-    executor but not its thread, so jobs handed to it would never run.
-    """
-    global _HELPER, _HELPER_LOCK
-    _HELPER = None        # None: not yet decided; False: one CPU, no thread
-    _HELPER_LOCK = threading.Lock()
-
-
-_forget_helper()
-if hasattr(os, "register_at_fork"):       # absent where there is no fork
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
 class _ThreadState(threading.local):
-    """Per thread: the tape that records its ops, if any, and whether it
-    works alone, handing nothing to the helper. A thread works alone on
-    the helper thread itself and while it runs a lane of
-    :func:`two_lanes`."""
+    """Per thread: the tape that records its ops, if any."""
 
     def __init__(self):
         self.tape: Tape | None = None
-        self.alone = False
 
 
 _THREAD = _ThreadState()
-
-
-def _work_alone() -> None:
-    _THREAD.alone = True
-
-
-def _helper() -> ThreadPoolExecutor | None:
-    """The helper thread's one-worker executor, started the first time it
-    is asked for, or None when the process may run on one CPU only (its
-    affinity where the OS reports one, else the CPU count) or the running
-    thread works alone: a job on the helper waiting for a job it handed to
-    itself would wait forever, and a lane's other half keeps the helper
-    busy."""
-    global _HELPER
-    if _THREAD.alone:
-        return None
-    if _HELPER is None:
-        with _HELPER_LOCK:
-            if _HELPER is None:
-                cpus = (len(os.sched_getaffinity(0))
-                        if hasattr(os, "sched_getaffinity")   # Linux only
-                        else os.cpu_count() or 1)
-                _HELPER = cpus > 1 and ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="spat",
-                    initializer=_work_alone)
-    return _HELPER or None
 
 
 @functools.lru_cache
@@ -207,32 +159,45 @@ def split_rows_alike(rows: int, split: int, k: int, n: int) -> bool:
 
 def lanes_open() -> bool:
     """Whether :func:`two_lanes` runs two parts at once on this thread: it
-    has a helper thread (see :func:`_helper`), which a process on one CPU,
-    the helper itself and a lane do not have, and no active tape, on which
-    the helper's ops would not record."""
-    return _THREAD.tape is None and _helper() is not None
+    has no active tape, on which a lane thread's ops would not record, and
+    the process may run on more than one CPU (its affinity where the OS
+    reports one, else the CPU count), read on every call."""
+    if _THREAD.tape is not None:
+        return False
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")   # Linux only
+            else os.cpu_count() or 1)
+    return cpus > 1
 
 
 def two_lanes(work: Callable, parts: tuple) -> tuple:
     """``tuple(map(work, parts))`` for one part or two.
 
     One part runs inline. Of two, where :func:`lanes_open`, the second runs
-    on the helper thread while the calling thread runs the first; elsewhere
-    they run in turn. Each lane works alone (see :func:`_helper`) and may
-    record on a tape of its own, and each part stays in one core's cache.
-    If either lane raises, the other is waited for and the exception (the
+    on a thread started for it while the calling thread runs the first;
+    elsewhere they run in turn. Each lane may record on a tape of its own,
+    and each part stays in one core's cache. The thread is joined before
+    this returns or raises: if either lane raises, the exception (the
     calling thread's, if both raise) is raised here.
     """
     if len(parts) == 1 or not lanes_open():
         return tuple(map(work, parts))
-    second = _helper().submit(work, parts[1])
-    _THREAD.alone = True
+    second, raised = [], []
+
+    def lane():
+        try:
+            second.append(work(parts[1]))
+        except BaseException as e:          # raised on the calling thread
+            raised.append(e)
+    thread = threading.Thread(target=lane, name="spat-lane")
+    thread.start()
     try:
         first = work(parts[0])
     finally:
-        _THREAD.alone = False
-        wait([second])
-    return first, second.result()
+        thread.join()
+    if raised:
+        raise raised[0]
+    return first, second[0]
 
 
 class Tape:
@@ -375,7 +340,6 @@ class LeafMerge:
         self._handed = [0, 0]                  # records each lane handed over
         self._waiting: dict[int, list] = {}    # record -> the first lane's
         self._passed: tuple[list, list] = ([], [])   # jobs for each lane
-        self._started = [False, False]
         self._running = [False, False]         # in its own forward, backward
         self._gone = [False, False]            # raised, or done serving
         self._grads: dict[int, list] = {}      # record -> (tensor, gradient)
@@ -385,10 +349,10 @@ class LeafMerge:
         """Run lane ``lane``'s forward and backward inside. On leaving, the
         lane computes what is passed to it for as long as the other lane
         runs; a lane that raises leaves at once. A lane waits only for one
-        that has started, so lanes run one after the other finish too."""
+        that is running, so lanes run one after the other finish too."""
         other = 1 - lane
         with self._cond:
-            self._started[lane] = self._running[lane] = True
+            self._running[lane] = True
         try:
             yield
             with self._cond:
@@ -396,8 +360,7 @@ class LeafMerge:
                 self._cond.notify_all()
             while True:
                 with self._cond:
-                    while (not self._passed[lane] and self._started[other]
-                           and self._running[other]):
+                    while not self._passed[lane] and self._running[other]:
                         self._cond.wait()
                     mine = self._take(lane)
                     if not mine:

@@ -32,10 +32,9 @@ def pytest_terminal_summary(terminalreporter):
 def schedule(request, monkeypatch):
     """Run ``spat.tensor``'s work as a process whose CPU affinity holds one
     CPU (all of it on the calling thread) or two (the second lane of a
-    large batch on the helper thread) does."""
+    large batch on a thread of its own) does."""
     cpus = {0} if request.param == "serial" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(tensor, "_HELPER", None)
     return request.param
 
 
@@ -45,7 +44,9 @@ def lanes_ran(monkeypatch):
     each part on a thread of its own. A forecast, whose parts are windows,
     counts once its lanes ran, also when one raised; a scored batch, whose
     parts are windows, targets and probes, counts only once both lanes
-    returned, each having run its forward and its backward."""
+    returned, each having run its forward and its backward. Every call
+    leaves ``threading.enumerate()`` as it found it, also when a lane
+    raises: no lane's thread outlives it."""
     ran = []
     two_lanes = tensor.two_lanes
 
@@ -56,13 +57,14 @@ def lanes_ran(monkeypatch):
             threads.add(threading.current_thread())
             return work(part)
         forecast = isinstance(parts[0], np.ndarray)
-        returned = False
+        returned, before = False, threading.enumerate()
         try:
             out = two_lanes(lane, parts)
             returned = True
             return out
         finally:
             assert len(threads) == len(parts)
+            assert threading.enumerate() == before
             if len(threads) == 2 and (forecast or returned):
                 ran.append(sum(len(p if forecast else p[0]) for p in parts))
     monkeypatch.setattr(model_module, "two_lanes", spy)

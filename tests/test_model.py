@@ -473,24 +473,24 @@ class TestKeepMasks:
         model.backprop(x, y, np.random.default_rng(3))
         return b"".join(p.grad.tobytes() for p in model.parameters())
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(tensor, "_HELPER", None)
-        before = set(threading.enumerate())
-        self.train_step()
-        assert tensor._HELPER is False
-        assert set(threading.enumerate()) <= before
-
-    def test_forked_child_trains(self, monkeypatch, lanes_ran):
-        """The child of a fork taken while the helper thread is alive
-        runs its second lane on a helper of its own, and gets the parent's
-        bytes."""
+    def test_one_cpu_starts_no_thread(self, monkeypatch, lanes_ran):
+        """The CPU affinity is read for every step: narrowed to one CPU
+        after a step ran as two lanes, the next runs as one part on the
+        calling thread, with the same bytes."""
         monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor, "_HELPER", None)
         want = self.train_step()
-        assert tensor._HELPER and lanes_ran == [6]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.train_step() == want
+        assert lanes_ran == [6]
+
+    def test_forked_child_trains(self, monkeypatch, lanes_ran):
+        """A forked child runs its second lane on a thread of its own and
+        gets the parent's bytes."""
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        want = self.train_step()
+        assert lanes_ran == [6]
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 warns about forking a process that has threads
@@ -498,7 +498,8 @@ class TestKeepMasks:
             pid = os.fork()
         if pid == 0:
             try:
-                os.write(write, b"same" if self.train_step() == want else b"diff")
+                same = self.train_step() == want and lanes_ran == [6, 6]
+                os.write(write, b"same" if same else b"diff")
             finally:
                 os._exit(0)
         os.close(write)
@@ -549,7 +550,6 @@ class TestLanes:
         """``fn()`` run as a process on one CPU runs it."""
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            m.setattr(tensor, "_HELPER", None)
             return fn()
 
     @staticmethod
@@ -612,22 +612,19 @@ class TestLanes:
     def test_a_batch_below_the_limit_hands_nothing_over(self, schedule,
                                                          monkeypatch):
         model = self.model()
-        handed = []
-        helper = tensor._helper()
-        if helper:
-            submit = helper.submit
+        started, start = [], threading.Thread.start
 
-            def spy(*args, **kwargs):
-                handed.append(args[0])
-                return submit(*args, **kwargs)
-            monkeypatch.setattr(helper, "submit", spy)
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", spy)
         model.forecast(self.windows(model, 24))
-        assert handed == []
-        # one job for the second lane, and no op inside a lane hands over
+        assert started == []
+        # one thread for the second lane, and no op inside a lane starts one
         for batch in (25, 64):
-            del handed[:]
+            del started[:]
             model.forecast(self.windows(model, batch))
-            assert len(handed) == (schedule == "two_threads")
+            assert len(started) == (schedule == "two_threads")
 
     @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
     def test_nan_in_the_second_half(self, schedule, monkeypatch, lanes_ran,
@@ -671,24 +668,26 @@ class TestLanes:
         assert self.raised(lambda: model.forecast(x)) == want
         assert lanes_ran == ([64] if schedule == "two_threads" else [])
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(tensor, "_HELPER", None)
-        before = set(threading.enumerate())
+    def test_one_cpu_starts_no_thread(self, monkeypatch, lanes_ran):
+        """The CPU affinity is read for every batch: narrowed to one CPU
+        after a batch ran as two lanes, the next runs as one part on the
+        calling thread, with the same bytes."""
         model = self.model()
-        model.forecast(self.windows(model, 64))
-        assert tensor._HELPER is False
-        assert set(threading.enumerate()) <= before
-
-    def test_forked_child_forecasts(self, monkeypatch):
-        """The child of a fork taken while the helper thread is alive runs
-        its lanes on a helper of its own, and gets the parent's bytes."""
+        x = self.windows(model, 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor, "_HELPER", None)
+        want = model.forecast(x).tobytes()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert model.forecast(x).tobytes() == want
+        assert lanes_ran == [64]
+
+    def test_forked_child_forecasts(self, monkeypatch, lanes_ran):
+        """A forked child runs its second lane on a thread of its own and
+        gets the parent's bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         model = self.model(pruned=True)
         x = self.windows(model, 64)
         want = model.forecast(x).tobytes()
-        assert tensor._HELPER
+        assert lanes_ran == [64]
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 warns about forking a process that has threads
@@ -696,7 +695,8 @@ class TestLanes:
             pid = os.fork()
         if pid == 0:
             try:
-                same = model.forecast(x).tobytes() == want
+                same = (model.forecast(x).tobytes() == want
+                        and lanes_ran == [64, 64])
                 os.write(write, b"same" if same else b"diff")
             finally:
                 os._exit(0)
@@ -763,7 +763,6 @@ class TestTrainingLanes:
         """``fn()`` as a process on one CPU runs it."""
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            m.setattr(tensor, "_HELPER", None)
             return fn()
 
     @staticmethod
@@ -899,6 +898,30 @@ class TestTrainingLanes:
         assert raised == ([32] if two else []) + ([] if once else [64])
         assert lanes_ran == []
 
+    def test_a_lane_defect_is_raised(self, monkeypatch, lanes_ran):
+        """A lane that raises anything but a :class:`NumericError` shows a
+        defect, not a numeric failure: a step and a forecast raise it as it
+        is, and never run the whole batch as one part to hide it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        model = self.model()
+        x, y = self.data(model, 64)
+        forward, ran = Forecaster._forward, []
+
+        def failing(self, x, masks=None, probes=None):
+            ran.append(len(x))
+            if len(x) == 32:
+                raise RuntimeError("lane defect")
+            return forward(self, x, masks, probes)
+        monkeypatch.setattr(Forecaster, "_forward", failing)
+        for run in (lambda: model.backprop(x, y, np.random.default_rng(8)),
+                    lambda: model.forecast(x)):
+            del ran[:]
+            with pytest.raises(RuntimeError, match="lane defect"):
+                run()
+            assert ran == [32, 32]
+        assert lanes_ran == [64]
+        assert all(p.grad is None for p in model.parameters())
+
     def test_mask_gradients_on_trainable_weights(self, schedule, monkeypatch,
                                                  lanes_ran):
         """Scoring a 64-window variate batch with weights that require
@@ -922,7 +945,6 @@ class TestTrainingLanes:
         ``np.concatenate`` gives two halves joined: for temporal and variate
         tokens, with a ``d_head`` of 1 and not."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(tensor, "_HELPER", None)
         seen = []
         accumulate = tensor._accumulate
 

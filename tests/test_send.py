@@ -297,7 +297,6 @@ class TestScoringLanes:
         """``fn()`` as a process on one CPU runs it."""
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            m.setattr(tensor, "_HELPER", None)
             return fn()
 
     @staticmethod
@@ -427,7 +426,6 @@ class TestScoringLanes:
         one = self.one_cpu(monkeypatch, lambda: traced_peak(
             lambda: compute_sensitivity(model, batches)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor, "_HELPER", None)
         two = traced_peak(lambda: compute_sensitivity(model, batches))
         assert lanes_ran == [32, 32]
         assert two <= 1.02 * one, f"{two / 2**20:.1f} MiB vs {one / 2**20:.1f} MiB"

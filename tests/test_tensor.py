@@ -381,7 +381,7 @@ class TestAttentionMemory:
 class TestTwoThreads:
     """Ops run alone on each thread, and two lanes of one batch give the
     bytes of the serial schedule; a failure on either thread reaches the
-    caller, and the helper never waits on itself."""
+    caller, and no lane's thread outlives the call."""
 
     b, s, heads = 5, 6, 2
 
@@ -444,8 +444,8 @@ class TestTwoThreads:
                    for got, w in zip(zip(*halves), want))
 
     def test_non_finite_scores_in_a_helper_chunk(self, schedule):
-        """Item 3 is in the second lane, which is the helper's on two
-        threads."""
+        """Item 3 is in the second lane, which runs on a thread of its own
+        on two CPUs."""
         x = np.ones((4, 2, 1))
         x[3, 1, 0] = np.inf
         w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
@@ -457,10 +457,11 @@ class TestTwoThreads:
     def test_backward_failure_raises_without_hanging(self, schedule,
                                                      failing):
         """Each lane runs a probed attention backward on its own tape; the
-        first lane's (the calling thread's), the second's (the helper's,
-        on two threads) or both raise. The calling thread's exception
-        reaches the caller when both raise, and the next lanes run to the
-        end with the serial bits."""
+        first lane's (the calling thread's), the second's (its own
+        thread's, on two CPUs) or both raise. The calling thread's
+        exception reaches the caller when both raise, no thread outlives
+        the call, and the next lanes run to the end with the serial
+        bits."""
         class Injected(RuntimeError):
             pass
 
@@ -482,41 +483,50 @@ class TestTwoThreads:
             return probe.grad
 
         halves = (slice(0, self.b), slice(self.b, 2 * self.b))
-        raised = []
+        raised, joined = [], []
 
         def run():
+            before = threading.enumerate()
             try:
                 tensor.two_lanes(lambda rows: lane(rows, failing in (
                     rows.start // self.b, 2)), halves)
             except Injected as e:
                 raised.append(e)
+            joined.append(threading.enumerate() == before)
 
         worker = threading.Thread(target=run, daemon=True)
         worker.start()
         worker.join(timeout=30)
         assert not worker.is_alive(), "backward hung"
         assert [str(e) for e in raised] == [f"lane {failing % 2}"]
+        assert joined == [True]
+        before = threading.enumerate()
         got = tensor.two_lanes(lane, halves)
+        assert threading.enumerate() == before
         want = tuple(map(lane, halves))
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
     def test_forked_child_finishes(self, monkeypatch):
-        """The child of a fork taken while the helper thread is alive
-        starts its own, instead of handing a lane to the parent's executor,
-        whose thread it does not have."""
+        """A forked child runs its second lane on a thread of its own and
+        gets the parent's bits."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor, "_HELPER", None)
         arrays = attention_arrays(np.random.default_rng(2), 2 * self.b,
                                   self.s, 4)
 
         def forward():
-            halves = tensor.two_lanes(lambda rows: attention_sublayer(
-                *(Tensor(a[rows] if a.ndim == 3 else a) for a in arrays),
-                self.heads).data, (slice(0, self.b), slice(self.b, None)))
-            return np.concatenate(halves)
+            threads = set()
 
-        want = forward()
-        assert tensor._HELPER
+            def lane(rows):
+                threads.add(threading.current_thread())
+                return attention_sublayer(
+                    *(Tensor(a[rows] if a.ndim == 3 else a) for a in arrays),
+                    self.heads).data
+            halves = tensor.two_lanes(lane, (slice(0, self.b),
+                                             slice(self.b, None)))
+            return np.concatenate(halves), len(threads)
+
+        want, threads = forward()
+        assert threads == 2
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12 warns about forking a process that has threads
@@ -524,7 +534,8 @@ class TestTwoThreads:
             pid = os.fork()
         if pid == 0:
             try:
-                same = same_bits(forward(), want) and tensor._HELPER
+                got, threads = forward()
+                same = same_bits(got, want) and threads == 2
                 os.write(write, b"same" if same else b"diff")
             finally:
                 os._exit(0)
@@ -539,58 +550,23 @@ class TestTwoThreads:
         with os.fdopen(read, "rb") as f:
             assert f.read() == b"same"
 
-    def test_a_helper_job_works_alone(self, monkeypatch):
-        """On the helper thread nothing is handed to the helper: a job
-        there gets no helper and runs both parts of two lanes in turn on
-        its own thread, and a scoring batch that the calling thread halves
-        into lanes runs there as one part, with the same bits."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tensor, "_HELPER", None)
-        # 8 windows of 16 channels and d_ff 512: 2^16 FFN elements
-        model = Forecaster(ModelConfig(
-            mode="variate_tokens", lookback=12, horizon=3, channels=16,
-            d_model=8, d_ff=512, heads=2, layers=2), seed=3)
-        rng = np.random.default_rng(4)
-        x, y = rng.normal(size=(8, 12, 16)), rng.normal(size=(8, 3, 16))
-        ran = []
-        two_lanes = tensor.two_lanes
-
-        def spy(work, parts):
-            ran.append(len(parts))
-            return two_lanes(work, parts)
-        monkeypatch.setattr(model_module, "two_lanes", spy)
-
-        def job():
-            threads = set()
-
-            def lane(part):
-                threads.add(threading.current_thread())
-                return len(part)
-            return (tensor._helper(), tensor.two_lanes(lane, ("a", "bc")),
-                    len(threads), compute_sensitivity(model, [(x, y)])[0].sen)
-
-        want = job()
-        assert want[0] and want[1:3] == ((1, 2), 2) and ran == [2]
-        got = tensor._helper().submit(job).result(timeout=30)
-        assert got[:3] == (None, (1, 2), 1) and ran[1:] == [1]
-        assert same_bits(got[3], want[3])
-
     @pytest.mark.parametrize("count, slots", [(1, 1), (2, 2), (None, 1)])
     def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch,
                                                         count, slots):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        monkeypatch.setattr(tensor, "_HELPER", None)
-        assert bool(tensor._helper()) == (slots == 2)
+        assert tensor.lanes_open() == (slots == 2)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(tensor, "_HELPER", None)
-        before = set(threading.enumerate())
-        assert tensor.two_lanes(len, ("a", "bc")) == (1, 2)
-        assert tensor._HELPER is False and tensor._helper() is None
-        # an earlier test's helper may exit meanwhile; none may start
-        assert set(threading.enumerate()) <= before
+        threads = set()
+
+        def lane(part):
+            threads.add(threading.current_thread())
+            return len(part)
+        assert not tensor.lanes_open()
+        assert tensor.two_lanes(lane, ("a", "bc")) == (1, 2)
+        assert threads == {threading.current_thread()}
 
 
 class TestLeafMerge:
@@ -647,7 +623,7 @@ class TestLeafMerge:
     @pytest.mark.parametrize("at_once", [True, False])
     def test_lanes_that_hand_over_different_records(self, at_once):
         """Lanes at once, or one after the other, as ``two_lanes`` runs
-        them without a helper: a record whose tensors differ raises on
+        them on one CPU: a record whose tensors differ raises on
         the lane that joins it, and lanes that handed over different
         counts of records raise in ``apply``, leaving ``grad`` alone."""
         t, u = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
@@ -1132,7 +1108,7 @@ class TestDeferredGradients:
 
         got = run()
         assert threads == {threading.main_thread()}
-        monkeypatch.setattr(tensor, "_HELPER", False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         want = run()
         assert self.same(got, want)
 
@@ -1187,7 +1163,7 @@ class TestDeferredGradients:
         monkeypatch.setattr(tensor, "_weight_grad", weight_grad)
         model = Forecaster(cfg, seed=4)
         got = self.step(model, x, y)
-        monkeypatch.setattr(tensor, "_HELPER", False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         want = self.step(Forecaster(cfg, seed=4), x, y)
         assert self.same(got, want)
 
@@ -1198,7 +1174,7 @@ class TestDeferredGradients:
         model = Forecaster(cfg, seed=4)
         batches = [self.data(cfg, batch) for batch in (3, 5)]
         got = compute_sensitivity(model, batches)
-        monkeypatch.setattr(tensor, "_HELPER", False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         want = compute_sensitivity(model, batches)
         assert [r.layer_index for r in got] == [r.layer_index for r in want]
         assert all(same_bits(a.sen, b.sen) and a.send == b.send
