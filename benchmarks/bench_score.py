@@ -7,8 +7,10 @@ of 21. ``serial`` scores every batch on the calling thread, as a process
 pinned to one CPU does. ``two_lanes`` lets a thread spat starts for each
 batch score the second half of its windows, forward, its share of the
 loss and backward, while the calling thread scores the first, as on two
-or more CPUs. Both give the same bits. Pin the BLAS threads and write JSON to
-compare runs:
+or more CPUs. The lanes share one probe per layer, whose gradient sums the
+batch's attention items in batch order once both lanes are done with them,
+as a parameter's gradient sums its rows (``tensor.LeafMerge``). Both give
+the same bits. Pin the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_score.py --benchmark-json=bench_score.json

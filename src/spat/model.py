@@ -395,8 +395,9 @@ class Forecaster:
         (:func:`split_rows_alike`). The halves' forecasts, keep masks and
         input gradients are then the one-part bytes, and their forecasts,
         concatenated, keep its ``[B, C, T]``-ordered layout; a parameter's
-        gradient, a sum over every row, is computed once over the whole
-        batch (:class:`LeafMerge`). A lane takes two windows or more:
+        gradient, a sum over every row, and a probe's, a sum over every
+        attention item, are computed once over the whole batch
+        (:class:`LeafMerge`). A lane takes two windows or more:
         the token arrays of one window can reach a GEMM as a transposed
         view (variate tokens, or a ``d_head`` of 1) where those of more
         windows are C-ordered copies.
@@ -431,8 +432,8 @@ class Forecaster:
         ``rows = (start, stop, batch)``, ``x`` holds windows ``start`` to
         ``stop`` of a batch of ``batch``, and takes those rows of the
         batch's masks. Block ``i``'s attention is probed by ``probes[i]``
-        where given, a ``[heads, S, S]`` probe or one per attention item
-        (see :func:`attention_sublayer`). Without dropout and probes, the
+        where given, a ``[heads, S, S]`` probe (see
+        :func:`attention_sublayer`). Without dropout and probes, the
         batch runs in the parts :meth:`_in_parts` cuts, each part's
         forecast through the whole model (see :meth:`forecast`)."""
         self._validate_input(x)
@@ -475,39 +476,34 @@ class Forecaster:
         leaves ``grad`` as it was. A lane's tape holds its half of the
         batch, so the two tapes hold what one tape of the batch holds.
 
-        The first part's probes sum its attention items (windows, or series
-        for temporal tokens) in batch order. A second part's have one mask
-        per item, whose gradients are kept in the buffer of that lane's
-        scores and added to the first part's sums one at a time, so each
-        sum is the one-part ``((p_0 + p_1) + p_2) ...``.
+        Both parts share one probe per block in ``probed``, a leaf like a
+        parameter: its gradient sums ``g_A ⊙ A`` over the batch's attention
+        items (windows, or series for temporal tokens) in batch order,
+        ``((p_0 + p_1) + p_2) ...``, and two lanes' go through the merge.
         """
         self._validate_input(x)
         shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
 
-        def probes(*items):
-            return {i: Tensor(np.broadcast_to(1.0, items + shape),
-                              requires_grad=True) for i in probed}
-
         def lane(part):
-            windows, start, lane_probes, merge = part
+            windows, start, probes, merge = part
             stop, index = start + len(windows), int(start > 0)
             rows = None if merge is None else (start, stop, len(x))
             lane_of = contextlib.nullcontext() if merge is None else merge.lane(index)
             with lane_of:
                 with Tape(merge, index) as tape:
                     pred = self.forward(windows, rng is not None, rng,
-                                        lane_probes, rows)
+                                        probes, rows)
                     loss = mse_loss(pred, y[start:stop], np.size(y))
                 tape.backward(loss)
             return pred.data, loss
 
         def run(parts):
             merge = LeafMerge() if len(parts) == 2 else None
-            lanes = ((parts[0], 0, probes(), merge),) + tuple(
-                (p, len(parts[0]), probes(self._tokens(p.shape)[0]), merge)
-                for p in parts[1:])
-            outs = two_lanes(lane, lanes)
-            first = lanes[0][2]
+            probes = {i: Tensor(np.broadcast_to(1.0, shape),
+                                requires_grad=True) for i in probed}
+            outs = two_lanes(lane, tuple(
+                (p, k * len(parts[0]), probes, merge)
+                for k, p in enumerate(parts)))
             if merge is None:
                 loss = outs[0][1]
             else:
@@ -515,11 +511,8 @@ class Forecaster:
                 if rng is not None and self.cfg.dropout > 0.0:
                     skip_draws(rng, sum(map(math.prod,
                                             self.keep_shapes(x.shape))))
-                for i, p in first.items():
-                    for item in lanes[1][2][i].grad:
-                        np.add(p.grad, item, out=p.grad)
                 loss = mse_loss(Tensor(np.concatenate([d for d, _ in outs])), y)
-            return loss.item(), {i: p.grad for i, p in first.items()}
+            return loss.item(), {i: p.grad for i, p in probes.items()}
         return self._in_parts(run, x)
 
     def mask_gradients(self, x: np.ndarray, y: np.ndarray

@@ -27,11 +27,11 @@ for it and joined before the call returns: a forecast, a training step or
 a scoring batch of many windows carries each half of them through the
 whole model on its own thread, and a step or a scoring batch
 backpropagates it there too, on the lane's own tape. A :class:`LeafMerge`
-computes each parameter gradient once, from both halves' operands joined
-in batch order, and each lane draws its rows of every dropout keep mask
-(:class:`KeepMasks`) from a copy of the generator moved past the draws
-before them. A batch that runs as one part runs all of it on the calling
-thread.
+computes each parameter and probe gradient once, from both halves'
+operands joined in batch order, and each lane draws its rows of every
+dropout keep mask (:class:`KeepMasks`) from a copy of the generator moved
+past the draws before them. A batch that runs as one part runs all of it
+on the calling thread.
 
 Every piece of work does the arithmetic it does alone, so outputs,
 gradients and masks are the same bytes on one thread or two. The active
@@ -269,14 +269,14 @@ class Tape:
         hold a ``grad``. An output on this tape implies a record, so an
         empty tape was already replayed.
 
-        A ``grad_fn`` returns the weight and bias gradients of the model's
-        ops as :class:`_Leaf` s, computed when accumulated, since no later
-        record reads them; those of frozen leaves are never computed. A
-        tape with a :class:`LeafMerge` collects them instead: each record's
-        leaf gradients that are ``_Leaf`` s go to the merge, which computes
-        them once over the whole batch and leaves ``grad`` alone until
-        :meth:`LeafMerge.apply`; the others (a lane's own probes') are
-        accumulated here.
+        A ``grad_fn`` returns the gradients of the model's leaves, its
+        weights, biases and probes, as :class:`_Leaf` s, computed when
+        accumulated, since no later record reads them; those of frozen
+        leaves are never computed. A tape with a :class:`LeafMerge` collects
+        them instead: each record's leaf gradients go to the merge, which
+        computes them once over the whole batch and leaves ``grad`` alone
+        until :meth:`LeafMerge.apply`, so no leaf gradient is left for a
+        lane to accumulate itself.
         """
         if out._tape is not self:
             raise ContractError("output does not live on this tape")
@@ -296,7 +296,7 @@ class Tape:
             for t, g in zip(rec.inputs, rec.grad_fn(g_out)):
                 if g is not None and t.requires_grad:
                     (merged if self._merge is not None and t._tape is None
-                     and isinstance(g, _Leaf) else now).append((t, g))
+                     else now).append((t, g))
             _accumulate(now)
             if merged:
                 self._merge.add(self._lane, merged)
@@ -321,8 +321,9 @@ class LeafMerge:
     gradients is the other's ``k``-th too. Once both lanes have handed it
     over (:meth:`add`), its gradients are computed from the joined
     operands (``np.concatenate`` of each :class:`_Leaf`'s operands, once
-    per operand of a record), which are those of the one-part backward, so
-    each has the one-part bits.
+    per operand of a record, or, for an operand that is a tuple of item
+    blocks, the two tuples concatenated, which copies no item), which are
+    those of the one-part backward, so each has the one-part bits.
 
     A record's gradients are computed by the lane that is ahead: the lane
     that hands it over second passes it to the other, which computes it
@@ -406,7 +407,8 @@ class LeafMerge:
 
         def join(a, b):
             if id(a) not in joined:
-                joined[id(a)] = np.concatenate((a, b))
+                joined[id(a)] = (a + b if isinstance(a, tuple)
+                                 else np.concatenate((a, b)))
             uses[id(a)] -= 1
             return joined[id(a)] if uses[id(a)] else joined.pop(id(a))
         grads = self._grads[k] = []
@@ -483,7 +485,9 @@ class _Leaf(NamedTuple):
     with axis 0 outermost. ``np.concatenate`` gives two halves' operands,
     joined, that layout too, so :class:`LeafMerge` computes a batch's
     gradient from its halves' operands with the bits ``fn`` gives on the
-    whole batch's.
+    whole batch's. An operand may instead be a tuple of such arrays, blocks
+    of items in batch order (a probe's ``g_A ⊙ A``), which two halves join
+    by tuple concatenation, with no copy; ``fn`` then walks the blocks.
     """
 
     fn: Callable
@@ -521,6 +525,17 @@ def _leading_sum(g: np.ndarray) -> np.ndarray:
 
 def _first_axis_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0)
+
+
+def _item_sum(blocks: tuple) -> np.ndarray:
+    """The sum over the items of ``blocks``, arrays of items in batch
+    order, in that order, ``((p_0 + p_1) + p_2) ...``: the first block's
+    sum over its first axis, then each later item added in place."""
+    total = blocks[0].sum(axis=0)
+    for block in blocks[1:]:
+        for item in block:
+            total += item
+    return total
 
 
 def embed(tokens: np.ndarray, w: Tensor, b: Tensor, pos: Tensor | None = None,
@@ -590,9 +605,10 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     ``M = 1``. The op never reads its values. Its gradient is the
     derivative of the loss with respect to that all-ones mask,
     ``Σ_batch g_A ⊙ A``: the sensitivity of the loss to each attention
-    score. A ``[B, heads, S, S]`` probe stands for one mask per item, and
-    its gradient is each item's ``g_A ⊙ A``, kept in the buffer of the
-    scores, which backward no longer needs by then.
+    score. Backward keeps each item's ``g_A ⊙ A`` in the buffer of the
+    scores, which it no longer needs by then, and hands the probe a
+    :class:`_Leaf` that sums them in batch order, ``((p_0 + p_1) + p_2)
+    ...``, when called.
 
     Every product and reduction runs in the order and memory layout of the
     unfused composition of the linears, the head split and merge, batched
@@ -605,10 +621,7 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     The batch is walked in chunks of ``_ATTENTION_CHUNK_BYTES`` worth of
     scores, forward and backward. Every GEMM on the scores is still one
     BLAS call per ``(b, h)`` slice and every row reduction stays within its
-    row, so the chunking changes no bits. The probe gradient's sum over the
-    batch keeps its sequential order, ``((p_0 + p_1) + p_2) ...``: each
-    chunk's sum starts from the running sum as its row 0, rather than
-    adding per-chunk partial sums.
+    row, so the chunking changes no bits.
     Only a taped op keeps the ``[B, H, S, S]`` scores; backward works on
     chunk-sized temporaries.
 
@@ -631,12 +644,11 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention_sublayer: width {d} does not split into "
                          f"{heads} heads")
-    for name, a, shapes in (("probe", probe, ((heads, s, s),
-                                              (batch, heads, s, s))),
-                            ("keep", keep, (x.shape,))):
-        if a is not None and a.shape not in shapes:
+    for name, a, shape in (("probe", probe, (heads, s, s)),
+                           ("keep", keep, x.shape)):
+        if a is not None and a.shape != shape:
             raise ShapeError(f"attention_sublayer: {name} shape {a.shape} "
-                             f"!= {' or '.join(map(str, shapes))}")
+                             f"!= {shape}")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     n = max(1, min(batch, _ATTENTION_CHUNK_BYTES // (heads * s * s * 8)))
@@ -658,7 +670,6 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
     need_q, need_k, need_v = (need_x or w.requires_grad or b.requires_grad
                               for w, b in linears[:3])
     need_probe = probe is not None and probe.requires_grad
-    per_item = need_probe and probe.ndim == 4
     need_ctx = need_q or need_k or need_v or need_probe
     save = _tracked(*inputs) and need_ctx
 
@@ -700,14 +711,10 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
         # k's gradient keeps the unfused layout, a [B, S, d] view of
         # [B, H, d_head, S]: the bias gradient's sum over it depends on it
         gk_t = np.empty((batch, heads, dh, s)) if need_k else None
-        ga = np.empty((n, heads, s, s))
-        # rows 1.. hold a chunk's products g_A ⊙ A; row 0 carries the
-        # probe gradient's running sum into the chunk's sum
-        prod = np.empty((n + 1, heads, s, s))
-        gp = att if per_item else None
+        ga, prod = np.empty((n, heads, s, s)), np.empty((n, heads, s, s))
         for sl in chunks:
             nb = sl.stop - sl.start
-            a, p, gac = att[sl], prod[1:nb + 1], ga[:nb]
+            a, p, gac = att[sl], prod[:nb], ga[:nb]
             if need_v:
                 np.matmul(np.swapaxes(a, -1, -2), g_ctx[sl], out=gv_h[sl])
             np.matmul(g_ctx[sl], np.swapaxes(vh[sl], -1, -2), out=gac)  # dL/dA
@@ -721,16 +728,11 @@ def attention_sublayer(h: Tensor, x: Tensor, w_q: Tensor, b_q: Tensor,
                     np.matmul(gac, kh[sl], out=gq_h[sl])
                 if need_k:
                     np.matmul(np.swapaxes(qh[sl], -1, -2), gac, out=gk_t[sl])
-            if per_item:
+            if need_probe:
                 a[...] = p
-            elif need_probe and gp is None:
-                gp = p.sum(axis=0)
-            elif need_probe:
-                prod[0] = gp
-                gp = prod[:nb + 1].sum(axis=0)
         gk = (np.swapaxes(gk_t, -1, -2).transpose(0, 2, 1, 3)
               .reshape(batch, s, d) if need_k else None)
-        return gq, gk, gv, gp
+        return gq, gk, gv, _leaf(_item_sum, (att,)) if need_probe else None
 
     def grad_fn(g):
         gd = g if keep is None else g * keep

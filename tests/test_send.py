@@ -71,8 +71,8 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
     equal bit for bit and share their memory layout. The op's probe
     gradient is checked against the reference's gradient of an all-ones
     mask, with every input needing a gradient and with x and the q and k
-    weights frozen, so only v needs one; so is a per-item probe's, one
-    mask per item; without a probe, the reference multiplies in no mask."""
+    weights frozen, so only v needs one; without a probe, the reference
+    multiplies in no mask."""
     rng = np.random.default_rng(5)
     d = heads * dh
     arrays = ([rng.normal(size=(batch, s, d)) for _ in range(2)]
@@ -81,9 +81,8 @@ def assert_fused_equals_unfused(batch, s, heads, dh):
     w = rng.normal(size=(batch, s, d))
     qk_side = (1, 2, 3, 4, 5)  # x, w_q, b_q, w_k, b_k
 
-    whole, per_item = (heads, s, s), (batch, heads, s, s)
-    for need_qk, probed in [(True, whole), (False, whole), (True, None),
-                            (True, per_item), (False, per_item)]:
+    whole = (heads, s, s)
+    for need_qk, probed in [(True, whole), (False, whole), (True, None)]:
         grads = []
         for attend in (attention_sublayer, unfused_attention_sublayer):
             ts = [Tensor(a, requires_grad=need_qk or i not in qk_side)

@@ -325,7 +325,9 @@ class TestMaskedAttention:
             attention_sublayer(h, x, *w, 3)
         with pytest.raises(ShapeError):
             attention_sublayer(h, x, *w, 2, keep=np.ones((2, 3, 3)))
-        for bad in (np.ones((1, 3, 3)), np.ones((2, 3, 4)), np.ones((3, 3))):
+        # [B, heads, S, S]: one mask per item is no probe
+        for bad in (np.ones((1, 3, 3)), np.ones((2, 3, 4)), np.ones((3, 3)),
+                    np.ones((2, 2, 3, 3))):
             with pytest.raises(ShapeError):
                 attention_sublayer(h, x, *w, 2,
                                    probe=Tensor(bad, requires_grad=True))
@@ -656,6 +658,47 @@ class TestLeafMerge:
         with pytest.raises(ContractError, match="different records"):
             merge.apply()
         assert t.grad is None
+
+    def test_item_blocks_sum_in_batch_order(self, monkeypatch):
+        """Two lanes hand over one probe's item blocks, next to a weight
+        gradient's halves, in one record. The blocks join into a tuple,
+        with no copy: ``np.concatenate`` joins the weight's halves and
+        never an item block. The probe's gradient is the in-order sum over
+        all items, ``((p_0 + p_1) + p_2) + p_3``, which rounds apart from
+        the sum of the halves' sums."""
+        probe, w = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        first = np.array([[1e16, 1.0], [1.0, 1e16]])
+        second = np.array([[-1e16, -1e16], [1.0, 1.0]])
+        halves = np.ones((2, 2)), np.ones((3, 2))
+        in_order = ((first[0] + first[1]) + second[0]) + second[1]
+        assert in_order.tolist() == [1.0, 1.0]
+        assert not np.array_equal(in_order, first.sum(0) + second.sum(0))
+        joined = []
+        concatenate = np.concatenate
+
+        def spy(arrays, *args, **kwargs):
+            joined.append(arrays)
+            return concatenate(arrays, *args, **kwargs)
+        monkeypatch.setattr(np, "concatenate", spy)
+        merge = tensor.LeafMerge()
+
+        def lane(i):
+            with merge.lane(i):
+                merge.add(i, [
+                    (w, tensor._leaf(tensor._leading_sum, halves[i])),
+                    (probe, tensor._leaf(tensor._item_sum,
+                                         ((first, second)[i],)))])
+        threads = [threading.Thread(target=lane, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        merge.apply()
+        assert probe.grad.tobytes() == in_order.tobytes()
+        assert w.grad.tolist() == [5.0, 5.0]
+        assert len(joined) == 1 and all(
+            a is halves[k] for k, a in enumerate(joined[0]))
 
 
 class TestGradModeAndInvariants:
