@@ -7,10 +7,11 @@ of 21. ``serial`` scores every batch on the calling thread, as a process
 pinned to one CPU does. ``two_lanes`` lets a thread spat starts for each
 batch score the second half of its windows, forward, its share of the
 loss and backward, while the calling thread scores the first, as on two
-or more CPUs. The lanes share one probe per layer, whose gradient sums the
-batch's attention items in batch order once both lanes are done with them,
-as a parameter's gradient sums its rows (``tensor.LeafMerge``). Both give
-the same bits. Pin the BLAS threads and write JSON to compare runs:
+or more CPUs. Scoring makes one probe per layer for the whole pass, and the
+lanes share it: its gradient sums the batch's attention items in batch
+order once both lanes are done with them, as a parameter's gradient sums
+its rows (``tensor.LeafMerge``), and then adds to the probe's ``grad``.
+Both give the same bits. Pin the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_score.py --benchmark-json=bench_score.json

@@ -14,11 +14,11 @@ through one path, :meth:`Forecaster.backprop`, which runs a batch of many
 windows as two lanes of half its windows each. A forward may pass a
 block's attention a probe, a ``[heads, S, S]`` leaf that stands for an
 all-ones connection mask over the score matrix; its gradient is the
-per-position sensitivity of the loss to removing each attention score
-(:meth:`Forecaster.mask_gradients`). The
-probe is not state: no block holds one and none is saved. A block whose
-``pruned`` flag is set computes the identity on its attention sublayer
-(residual path only); the FFN sublayer is always retained.
+per-position sensitivity of the loss to removing each attention score,
+summed in its ``grad`` over every batch :meth:`Forecaster.backprop` runs
+with it. The probe is not state: no block holds one and none is saved. A
+block whose ``pruned`` flag is set computes the identity on its attention
+sublayer (residual path only); the FFN sublayer is always retained.
 """
 
 from __future__ import annotations
@@ -453,17 +453,15 @@ class Forecaster:
         return self._in_parts(forecast, x)
 
     def backprop(self, x: np.ndarray, y: np.ndarray,
-                 rng: np.random.Generator | None = None, probed=()
-                 ) -> tuple[float, dict[int, np.ndarray]]:
-        """Add to ``grad`` on every gradient-requiring parameter the
-        gradient of the MSE loss of the forecast of windows ``x`` against
-        ``y``: the training forecast, with dropout drawn from ``rng``, where
-        ``rng`` is given, else the dropout-free one. Returns the loss and,
-        for each block ``i`` in ``probed``, the gradient of the loss with
-        respect to an all-ones connection mask on its attention scores, the
-        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``. All of it has
-        the one-part bytes, and ``rng`` ends where the one-part draws leave
-        it.
+                 rng: np.random.Generator | None = None,
+                 probes: dict[int, Tensor] | None = None) -> float:
+        """Add to ``grad`` on every gradient-requiring leaf the gradient of
+        the MSE loss of the forecast of windows ``x`` against ``y``: the
+        training forecast, with dropout drawn from ``rng``, where ``rng``
+        is given, else the dropout-free one, with block ``i``'s attention
+        probed by ``probes[i]`` where given. Returns the loss. The loss
+        and the gradients have the one-part bytes, and ``rng`` ends where
+        the one-part draws leave it.
 
         Each part that :meth:`_in_parts` cuts runs its forward, its share
         of the batch's loss (its squared errors over the batch's element
@@ -471,21 +469,22 @@ class Forecaster:
         one part is the whole batch on one tape. The loss is that of the
         parts' forecasts joined. Two parts are lanes: each takes its rows
         of the batch's keep masks, and a :class:`LeafMerge` computes every
-        parameter gradient once, from both lanes' operands joined, and adds
-        it to ``grad`` once both lanes have returned, so a lane that raises
+        leaf gradient once, from both lanes' operands joined, and adds it
+        to ``grad`` once both lanes have returned, so a lane that raises
         leaves ``grad`` as it was. A lane's tape holds its half of the
         batch, so the two tapes hold what one tape of the batch holds.
 
-        Both parts share one probe per block in ``probed``, a leaf like a
-        parameter: its gradient sums ``g_A ⊙ A`` over the batch's attention
-        items (windows, or series for temporal tokens) in batch order,
-        ``((p_0 + p_1) + p_2) ...``, and two lanes' go through the merge.
+        A probe is a leaf like a parameter, shared by both parts: its
+        gradient, the ``[heads, S, S]`` gradient of the loss with respect
+        to an all-ones connection mask on the block's attention scores,
+        sums ``g_A ⊙ A`` over the batch's attention items (windows, or
+        series for temporal tokens) in batch order, ``((p_0 + p_1) + p_2)
+        ...``, and adds to the probe's ``grad`` as any leaf's does.
         """
         self._validate_input(x)
-        shape = (self.cfg.heads,) + (self.cfg.token_count,) * 2
 
         def lane(part):
-            windows, start, probes, merge = part
+            windows, start, merge = part
             stop, index = start + len(windows), int(start > 0)
             rows = None if merge is None else (start, stop, len(x))
             lane_of = contextlib.nullcontext() if merge is None else merge.lane(index)
@@ -499,32 +498,16 @@ class Forecaster:
 
         def run(parts):
             merge = LeafMerge() if len(parts) == 2 else None
-            probes = {i: Tensor(np.broadcast_to(1.0, shape),
-                                requires_grad=True) for i in probed}
-            outs = two_lanes(lane, tuple(
-                (p, k * len(parts[0]), probes, merge)
-                for k, p in enumerate(parts)))
+            outs = two_lanes(lane, tuple((p, k * len(parts[0]), merge)
+                                         for k, p in enumerate(parts)))
             if merge is None:
-                loss = outs[0][1]
-            else:
-                merge.apply()
-                if rng is not None and self.cfg.dropout > 0.0:
-                    skip_draws(rng, sum(map(math.prod,
-                                            self.keep_shapes(x.shape))))
-                loss = mse_loss(Tensor(np.concatenate([d for d, _ in outs])), y)
-            return loss.item(), {i: p.grad for i, p in probes.items()}
+                return outs[0][1].item()
+            merge.apply()
+            if rng is not None and self.cfg.dropout > 0.0:
+                skip_draws(rng, sum(map(math.prod, self.keep_shapes(x.shape))))
+            return mse_loss(Tensor(np.concatenate([d for d, _ in outs])),
+                            y).item()
         return self._in_parts(run, x)
-
-    def mask_gradients(self, x: np.ndarray, y: np.ndarray
-                       ) -> dict[int, np.ndarray]:
-        """Per unpruned block, the gradient of the MSE loss of the
-        dropout-free forecast of windows ``x`` against ``y`` with respect to
-        an all-ones connection mask on its attention scores: the
-        ``[heads, S, S]`` sum over the batch of ``g_A ⊙ A``, the one-part
-        bytes (:meth:`backprop`). Parameters that require a gradient get it
-        added to their ``grad``, as in training."""
-        return self.backprop(x, y, probed=[
-            i for i, blk in enumerate(self.blocks) if not blk.pruned])[1]
 
     def forecast(self, x: np.ndarray) -> np.ndarray:
         """Deterministic eval-mode prediction (dropout disabled, no tape).

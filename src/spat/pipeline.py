@@ -131,8 +131,8 @@ def _train_loop(model: Forecaster, train_windows, val_windows,
         batch_losses = []
         for batch in batch_iterator(x_train, y_train, opt.batch_size,
                                     shuffle_seed=seeds.shuffle(stage, epoch)):
-            value, _ = model.backprop(batch.x, batch.y,
-                                      seeds.dropout_rng(stage, step))
+            value = model.backprop(batch.x, batch.y,
+                                   seeds.dropout_rng(stage, step))
             if not math.isfinite(value):
                 raise NumericError(
                     f"{stage_name} diverged: loss {value} at epoch {epoch}, "

@@ -5,8 +5,9 @@ connection mask, taken at the all-ones mask, is accumulated over scoring
 batches. Each layer's attention is one op that takes a probe, a leaf that
 stands for that mask; the probe's gradient, the upstream attention
 gradient Hadamard-multiplied with the attention scores and summed over the
-batch, is that sensitivity (``Forecaster.mask_gradients``). Scoring adds
-each batch's gradients to one running sum per layer, in batch order, and
+batch, is that sensitivity. Scoring keeps one probe per layer for the
+whole pass, so the tape sums each batch's gradient into the probe's
+``grad`` in batch order, as it sums any leaf's over backward passes, and
 divides the sum by the batch count once.
 
 Scoring runs on frozen weights: the parameters stop requiring gradients
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NumericError, ParseError
 from .model import Forecaster
+from .tensor import Tensor
 
 REPORT_VERSION = 1
 _HEADER_KEYS = ("send_report_version", "layers", "alpha", "k", "batches")
@@ -71,15 +73,13 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     so the result is a deterministic function of weights and data. Layers
     whose attention was already removed are skipped.
 
-    Each batch gives every scored layer's ``[heads, S, S]`` mask gradient
-    at the all-ones mask (:meth:`Forecaster.mask_gradients`). Where that
-    keeps the one-CPU bits, a batch of four windows or more runs as two
-    lanes: each half of the windows runs its forward, its share of the
-    loss and its backward on a thread of its own. Each layer's running
-    sum is one buffer, allocated before the first batch: the first
-    batch's gradient is copied into it, and each later one is added into
-    it in place, in batch order: ``((g_0 + g_1) + g_2) ...``. The
-    weights are frozen while scoring: every parameter has
+    Each scored layer gets one all-ones ``[heads, S, S]`` probe for the
+    whole pass, and each batch's :meth:`Forecaster.backprop` adds its
+    mask gradient to the probe's ``grad``, in batch order: ``((g_0 + g_1)
+    + g_2) ...``. Where that keeps the one-CPU bits, a batch of four
+    windows or more runs as two lanes: each half of the windows runs its
+    forward, its share of the loss and its backward on a thread of its
+    own. The weights are frozen while scoring: every parameter has
     ``requires_grad`` off and never gets a ``.grad``, so only ops that
     lead from a probe to the loss are recorded, and the tape computes no
     weight gradient. Afterwards, also when a batch raises, the parameters
@@ -93,14 +93,13 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
     for p in params:
         p.requires_grad = False
     model.zero_grad()
-    # allocated before any batch's tape, so the sums do not pin memory in
-    # the middle of the heap that later batches' tapes reuse
     shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
-    totals = {i: np.empty(shape) for i in layers}
+    probes = {i: Tensor(np.broadcast_to(1.0, shape), requires_grad=True)
+              for i in layers}
     n_batches = 0
     try:
         for x, y in batches:
-            _add_batch(totals, model.mask_gradients(x, y), n_batches == 0)
+            model.backprop(x, y, probes=probes)
             n_batches += 1
     finally:
         for p in params:
@@ -112,7 +111,7 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
 
     records = []
     for i in layers:
-        sen = totals[i] / n_batches
+        sen = probes[i].grad / n_batches
         records.append(SensitivityRecord(
             layer_index=i,
             sen=sen,
@@ -120,18 +119,6 @@ def compute_sensitivity(model: Forecaster, batches) -> list[SensitivityRecord]:
             batches_accumulated=n_batches,
         ))
     return records
-
-
-def _add_batch(totals: dict[int, np.ndarray], grads: dict,
-               first: bool) -> None:
-    """Copy each layer's first batch gradient into its running sum, or add
-    a later one in place, with the bits of ``total + g``. No batch's
-    gradient outlives the call."""
-    for i, g in grads.items():
-        if first:
-            np.copyto(totals[i], g)
-        else:
-            np.add(totals[i], g, out=totals[i])
 
 
 def normalize_sensitivity(sen: np.ndarray) -> np.ndarray:

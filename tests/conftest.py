@@ -42,8 +42,8 @@ def schedule(request, monkeypatch):
 def lanes_ran(monkeypatch):
     """The window counts of the batches that ran as two lanes, in order,
     each part on a thread of its own. A forecast, whose parts are windows,
-    counts once its lanes ran, also when one raised; a scored batch, whose
-    parts are windows, targets and probes, counts only once both lanes
+    counts once its lanes ran, also when one raised; a backpropagated batch,
+    whose parts start with their windows, counts only once both lanes
     returned, each having run its forward and its backward. Every call
     leaves ``threading.enumerate()`` as it found it, also when a lane
     raises: no lane's thread outlives it."""

@@ -785,7 +785,7 @@ class TestTrainingLanes:
 
     def step(self, model, x, y, seed=8):
         rng = np.random.default_rng(seed)
-        loss, _ = model.backprop(x, y, rng)
+        loss = model.backprop(x, y, rng)
         Adam(model.named_parameters(), OptimizerConfig()).step(1e-3)
         return self.state(model, loss, rng)
 
@@ -924,16 +924,20 @@ class TestTrainingLanes:
 
     def test_mask_gradients_on_trainable_weights(self, schedule, monkeypatch,
                                                  lanes_ran):
-        """Scoring a 64-window variate batch with weights that require
-        gradients: each parameter gradient is computed once over the whole
-        batch, not summed from the two lanes' halves on two threads."""
+        """Probing a 64-window variate batch with weights that require
+        gradients: each probe and parameter gradient is computed once over
+        the whole batch, not summed from the two lanes' halves on two
+        threads."""
         model = self.model("variate_tokens")
         x, y = self.data(model, 64)
+        shape = (model.cfg.heads,) + (model.cfg.token_count,) * 2
 
         def scored():
             net = self.model("variate_tokens")
-            probes = net.mask_gradients(x, y)
-            return ([g.tobytes() for g in probes.values()]
+            probes = [Tensor(np.broadcast_to(1.0, shape), requires_grad=True)
+                      for _ in net.blocks]
+            net.backprop(x, y, probes=dict(enumerate(probes)))
+            return ([p.grad.tobytes() for p in probes]
                     + [p.grad.tobytes() for p in net.parameters()])
         want = self.one_cpu(monkeypatch, scored)
         assert scored() == want

@@ -160,24 +160,45 @@ class TestSensitivityOracle:
         for rec in compute_sensitivity(model, batches):
             np.testing.assert_array_equal(rec.sen, np.zeros_like(rec.sen))
 
-    def test_single_batch_equals_unaveraged(self):
-        model, batches = toy_setup(n_batches=1)
-        records = compute_sensitivity(model, batches[:1])
-        x, y = batches[0]
-        probes = all_probes(model)
-        with Tape() as tape:
-            loss = mse_loss(model.forward(x, probes=probes), y)
-        tape.backward(loss)
+    @pytest.mark.parametrize("n_batches", [1, 3])
+    def test_single_batch_equals_unaveraged(self, schedule, monkeypatch,
+                                            lanes_ran, n_batches):
+        """One batch's sensitivity is its tape's probe gradient; over three
+        batches of eight windows, each run as two lanes on two CPUs, it is
+        ``((g_0 + g_1) + g_2) / 3``, byte for byte. The last batch's
+        targets are scaled so that ``g_0 + (g_1 + g_2)`` rounds otherwise
+        in both layers, and the order is seen."""
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
+        model, batches = toy_setup(n_batches=n_batches, batch=8)
+        if n_batches == 3:
+            batches[2] = (batches[2][0], 1e3 * batches[2][1])
+        records = compute_sensitivity(model, batches)
+        assert lanes_ran == ([8] * n_batches if schedule == "two_threads"
+                             else [])
+        runs = []
+        for x, y in batches:
+            probes = all_probes(model)
+            with Tape() as tape:
+                loss = mse_loss(model.forward(x, probes=probes), y)
+            tape.backward(loss)
+            runs.append(probes)
         for rec in records:
-            np.testing.assert_array_equal(rec.sen, probes[rec.layer_index].grad)
-        assert all(r.batches_accumulated == 1 for r in records)
+            g = [run[rec.layer_index].grad for run in runs]
+            if n_batches == 1:
+                assert rec.sen.tobytes() == g[0].tobytes()
+            else:
+                assert rec.sen.tobytes() == (((g[0] + g[1]) + g[2]) / 3).tobytes()
+                assert rec.sen.tobytes() != ((g[0] + (g[1] + g[2])) / 3).tobytes()
+        assert all(r.batches_accumulated == n_batches for r in records)
 
     def test_scoring_leaves_no_probe(self, monkeypatch):
         """Scoring probes every layer and freezes the weights: no parameter
-        holds a gradient after any scoring backward. Afterwards no block
-        holds a probe and all parameters require gradients again, also
-        after a batch that raises midway."""
+        holds a gradient after any scoring backward. Afterwards the model
+        names the parameters it named before, so no probe reaches an
+        optimizer or a checkpoint, and all parameters require gradients
+        again, also after a batch that raises midway."""
         model, batches = toy_setup()
+        names = [n for n, _ in model.named_parameters()]
         backward = Tape.backward
         seen = []
 
@@ -192,7 +213,7 @@ class TestSensitivityOracle:
                          if p.grad is not None])
 
         def assert_restored():
-            assert not any(hasattr(blk, "probe") for blk in model.blocks)
+            assert [n for n, _ in model.named_parameters()] == names
             assert all(p.requires_grad and p.grad is None
                        for p in model.parameters())
 
