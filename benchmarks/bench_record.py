@@ -14,6 +14,10 @@ deleted before it starts. Then, or for pairs run earlier:
         --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \\
         [--run pipeline_temporal --seeds 7301-7310]
 
+Given ``--seeds``, only those seeds' result files are read, for every
+workload, so results that earlier or smoke-test runs left in ``_work`` stay
+out of the record; without it, every result file there is read.
+
 For every workload and every end-to-end metric in ``BENCHMARK.json`` the
 file holds the per-run values of both sides in seed order (seeds where
 either side's run wrote no result, or one without every metric, are
@@ -58,13 +62,13 @@ def result_path(checkout: Path, workload: str, seed: int, trace: int) -> Path:
             / f"{workload}-seed{seed}-trace{trace}-result.json")
 
 
-def load_runs(checkout: Path) -> dict:
+def load_runs(checkout: Path, seeds: list[int]) -> dict:
     """(workload, trace) -> {seed: (result record, mtime)} under
-    ``checkout``."""
+    ``checkout``, for ``seeds`` only where any are given."""
     runs: dict = {}
     for path in sorted((checkout / "perfbench" / "_work").glob("*-result.json")):
         m = RESULT.match(path.name)
-        if m:
+        if m and (not seeds or int(m["seed"]) in seeds):
             key = (m["workload"], int(m["trace"]))
             runs.setdefault(key, {})[int(m["seed"])] = (
                 json.loads(path.read_text()), path.stat().st_mtime)
@@ -182,7 +186,8 @@ def main(argv=None) -> None:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if args.run:
         run_pairs(sides, args.run, args.seeds, bench["run_seconds"])
-    parent, change = load_runs(sides["parent"]), load_runs(sides["change"])
+    parent, change = (load_runs(sides[side], args.seeds)
+                      for side in ("parent", "change"))
     cpu_wall = {side: load_cpu_wall(path) for side, path in sides.items()}
     workloads, machine = {}, None
     for (workload, trace), p_runs in sorted(parent.items()):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, ShapeError
+from .errors import ConfigError, ContractError, ParseError, ShapeError
 from .model import (
     Forecaster,
     ModelConfig,
@@ -46,7 +46,10 @@ def _model_config(path, config) -> ModelConfig:
         wrong = field_type_error(key, annotations[key], value)
         if wrong:
             raise ParseError(f"{path}: checkpoint config {wrong}")
-    return ModelConfig(**config)
+    try:
+        return ModelConfig(**config)
+    except ConfigError as e:
+        raise ParseError(f"{path}: checkpoint config: {e}") from e
 
 
 def save_checkpoint(path, model: Forecaster, meta: dict | None = None) -> None:
@@ -128,5 +131,6 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         state[name] = np.frombuffer(payload, dtype="<f8", count=size // 8,
                                     offset=offset).reshape(shape).copy()
         offset += size
-    model.load_state_dict(state)
+    for name, p in model.named_parameters():    # the table is checked above
+        p.data = state[name]
     return model, meta

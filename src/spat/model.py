@@ -6,6 +6,10 @@ Two tokenizations are supported:
   channels are folded into the batch dimension and share all weights.
 * ``variate_tokens``: each token is one channel's entire lookback window.
 
+The parameters are declared once, in :func:`state_shapes`, by name and
+shape in order: :class:`Forecaster` is built by walking that table, and
+``named_parameters`` walks it for the model's pruned blocks.
+
 Every tape record is one piece of the model (``spat.tensor``): the
 embedding, per block the attention sublayer, the FFN sublayer and their
 layer norms, the final norm, and the head with the instance
@@ -24,6 +28,7 @@ sublayer (residual path only); the FFN sublayer is always retained.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -158,45 +163,27 @@ def field_type_error(name: str, annotation: str, value) -> str | None:
     return f"{name}={value!r} is not of type {annotation}"
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def _param(data: np.ndarray) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def _initial_value(name: str, shape: tuple, rng: np.random.Generator):
+    """Parameter ``name``'s value at build: N(0, 0.02) for the positional
+    embedding, Xavier-uniform for any other matrix, ones for a norm gain
+    and zeros for a bias or shift."""
+    if name == "embed.pos":
+        return rng.normal(0.0, 0.02, size=shape)
+    if len(shape) == 2:
+        limit = math.sqrt(6.0 / sum(shape))
+        return rng.uniform(-limit, limit, size=shape)
+    return np.ones(shape) if name.endswith(("_g", ".g")) else np.zeros(shape)
 
 
 class AttentionBlock:
-    """One encoder block: probeable multi-head attention plus FFN sublayer."""
+    """One encoder block: probeable multi-head attention plus FFN sublayer,
+    whose parameters the :class:`Forecaster` holding it sets."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        d, f = cfg.d_model, cfg.d_ff
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.pruned = False
-        self.w_q = _param(_xavier(rng, d, d))
-        self.b_q = _param(np.zeros(d))
-        self.w_k = _param(_xavier(rng, d, d))
-        self.b_k = _param(np.zeros(d))
-        self.w_v = _param(_xavier(rng, d, d))
-        self.b_v = _param(np.zeros(d))
-        self.w_e = _param(_xavier(rng, d, d))
-        self.b_e = _param(np.zeros(d))
-        self.ln1_g = _param(np.ones(d))
-        self.ln1_b = _param(np.zeros(d))
-        self.w1 = _param(_xavier(rng, d, f))
-        self.b1 = _param(np.zeros(f))
-        self.w2 = _param(_xavier(rng, f, d))
-        self.b2 = _param(np.zeros(d))
-        self.ln2_g = _param(np.ones(d))
-        self.ln2_b = _param(np.zeros(d))
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
-    OTHER_PARAMS = ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
-
-    def named_parameters(self):
-        names = (() if self.pruned else self.ATTENTION_PARAMS) + self.OTHER_PARAMS
-        return [(n, getattr(self, n)) for n in names]
 
     def remove_attention(self) -> None:
         """Make the attention sublayer an identity and drop its weights."""
@@ -247,46 +234,44 @@ class AttentionBlock:
         return self.ffn_sublayer(h, masks)
 
 
+# The Forecaster attribute that holds each parameter outside the blocks.
+_ATTRIBUTES = {"embed.w": "embed_w", "embed.b": "embed_b",
+               "embed.pos": "pos_emb", "final_norm.g": "final_g",
+               "final_norm.b": "final_b", "head.w": "head_w",
+               "head.b": "head_b"}
+
+
+@functools.cache     # named_parameters resolves every name on each call
+def _place(name: str) -> tuple[int | None, str]:
+    """Parameter ``name``'s block index (None outside the blocks), attribute."""
+    if name.startswith("blocks."):
+        _, i, attr = name.split(".")
+        return int(i), attr
+    return None, _ATTRIBUTES[name]
+
+
 class Forecaster:
     """Configurable forecaster mapping [batch, L, C] to [batch, T, C]."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
+        self.blocks = [AttentionBlock(cfg) for _ in range(cfg.layers)]
+        self.pos_emb = self.final_g = self.final_b = None
         rng = np.random.default_rng(seed)
-        d, s = cfg.d_model, cfg.token_count
-        if cfg.mode == "temporal_tokens":
-            self.embed_w = _param(_xavier(rng, cfg.patch_len, d))
-            self.pos_emb = _param(rng.normal(0.0, 0.02, size=(s, d)))
-        else:
-            self.embed_w = _param(_xavier(rng, cfg.lookback, d))
-            self.pos_emb = None
-        self.embed_b = _param(np.zeros(d))
-        self.blocks = [AttentionBlock(cfg, rng) for _ in range(cfg.layers)]
-        if cfg.norm_placement == "pre":
-            self.final_g = _param(np.ones(d))
-            self.final_b = _param(np.zeros(d))
-        else:
-            self.final_g = None
-            self.final_b = None
-        if cfg.mode == "temporal_tokens":
-            self.head_w = _param(_xavier(rng, s * d, cfg.horizon))
-        else:
-            self.head_w = _param(_xavier(rng, d, cfg.horizon))
-        self.head_b = _param(np.zeros(cfg.horizon))
+        for name, shape in state_shapes(cfg).items():
+            setattr(*self._holder(name), Tensor(
+                _initial_value(name, shape, rng), requires_grad=True))
 
     # -- parameter plumbing ----------------------------------------------
 
+    def _holder(self, name: str) -> tuple[object, str]:
+        """The object and attribute that hold parameter ``name``."""
+        i, attr = _place(name)
+        return (self if i is None else self.blocks[i]), attr
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params = [("embed.w", self.embed_w), ("embed.b", self.embed_b)]
-        if self.pos_emb is not None:
-            params.append(("embed.pos", self.pos_emb))
-        for i, blk in enumerate(self.blocks):
-            params.extend((f"blocks.{i}.{n}", p) for n, p in blk.named_parameters())
-        if self.final_g is not None:
-            params.extend([("final_norm.g", self.final_g),
-                           ("final_norm.b", self.final_b)])
-        params.extend([("head.w", self.head_w), ("head.b", self.head_b)])
-        return params
+        return [(name, getattr(*self._holder(name)))
+                for name in state_shapes(self.cfg, self.pruned_layers())]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -537,10 +522,11 @@ class Forecaster:
 
 
 def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter of a ``Forecaster(cfg)`` whose
-    blocks ``pruned`` have no attention, in ``named_parameters`` order: the
-    keys of its state dict. Allocates nothing, so a checkpoint's tensor
-    table can be checked before the model is built."""
+    """The table a ``Forecaster(cfg)`` is built from, and walks: name ->
+    shape of every parameter of the model whose blocks ``pruned`` have no
+    attention, in ``named_parameters`` and initial-draw order; the keys of
+    its state dict. Allocates nothing, so a checkpoint's tensor table can
+    be checked before the model is built."""
     d, f, s = cfg.d_model, cfg.d_ff, cfg.token_count
     temporal = cfg.mode == "temporal_tokens"
     shapes = {"embed.w": (cfg.patch_len if temporal else cfg.lookback, d),
@@ -551,10 +537,11 @@ def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
              "w_v": (d, d), "b_v": (d,), "w_e": (d, d), "b_e": (d,),
              "ln1_g": (d,), "ln1_b": (d,), "w1": (d, f), "b1": (f,),
              "w2": (f, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,)}
+    ffn_and_norms = {n: shape for n, shape in block.items()
+                     if n not in AttentionBlock.ATTENTION_PARAMS}
     for i in range(cfg.layers):
-        names = (() if i in pruned else AttentionBlock.ATTENTION_PARAMS) \
-            + AttentionBlock.OTHER_PARAMS
-        shapes.update((f"blocks.{i}.{n}", block[n]) for n in names)
+        for n, shape in (ffn_and_norms if i in pruned else block).items():
+            shapes[f"blocks.{i}.{n}"] = shape
     if cfg.norm_placement == "pre":
         shapes["final_norm.g"] = shapes["final_norm.b"] = (d,)
     shapes["head.w"] = (s * d if temporal else d, cfg.horizon)

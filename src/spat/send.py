@@ -151,11 +151,11 @@ def build_plan(send_scores, alpha: float) -> PruningPlan:
         raise ConfigError(f"pruning ratio must lie in (0, 1), got {alpha}")
     scores = list(send_scores)
     if not scores:
-        raise ConfigError("build_plan needs at least one scored layer")
+        raise ConfigError("no scored layers to plan from")
     n = len(scores)
     by_index = dict(scores)
     if len(by_index) != n:
-        raise ConfigError("duplicate layer indices in send scores")
+        raise ConfigError("repeated layer index in the scores")
     ranked = sorted(by_index, key=lambda i: (-by_index[i], i))
     k = math.ceil(alpha * n)
     return PruningPlan(
@@ -213,7 +213,8 @@ def parse_report(text: str) -> PruningPlan:
 
     The plan is rebuilt from the layer scores and ``alpha``. A report whose
     ``layers``, ``k``, ``rank`` or ``pruned`` fields contradict that plan,
-    or whose scores are not finite or layer indices negative, raises
+    whose scores are not finite or layer indices negative or repeated,
+    whose ``alpha`` is not in (0, 1), or which has no layer lines, raises
     :class:`ParseError`, as does a header line that is repeated or unknown
     and a ``batches`` count that is missing or not a non-negative int.
     """
@@ -260,7 +261,10 @@ def parse_report(text: str) -> PruningPlan:
     if n_layers != len(entries):
         raise ParseError(f"send report: header says {n_layers} layers, "
                          f"found {len(entries)} layer lines")
-    plan = build_plan([(idx, send) for idx, send, _ in entries], alpha)
+    try:
+        plan = build_plan([(idx, send) for idx, send, _ in entries], alpha)
+    except ConfigError as e:  # alpha outside (0, 1), no layers, a repeated one
+        raise ParseError(f"send report: {e}") from e
     if k != plan.k:
         raise ParseError(f"send report: header says k={k}, alpha {alpha!r} "
                          f"over {len(entries)} layers gives k={plan.k}")

@@ -38,7 +38,9 @@ def load_bench_record():
 def test_a_failed_childs_seed_is_left_out(tmp_path, monkeypatch):
     """The change's seed-2 child exits 1 and writes no result, so the
     result an earlier run left for that seed is deleted, not paired, and
-    the seed is listed under ``incomplete_runs``."""
+    the seed is listed under ``incomplete_runs``. Seed 9, which an earlier
+    run left complete on both sides, is not one of ``--seeds`` and is read
+    for no workload."""
     bench_record = load_bench_record()
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
@@ -53,6 +55,14 @@ def test_a_failed_childs_seed_is_left_out(tmp_path, monkeypatch):
     stale = bench_record.result_path(sides["change"], "pipeline_temporal", 2, 0)
     stale.write_text(json.dumps({"env": {}, "result": {"failed": 0, "metrics": {
         "windows_per_s": {"value": 99.0, "unit": "windows/s"}}}}))
+    # complete results of seeds outside --seeds, on both sides
+    for side, checkout in sides.items():
+        for workload in ("pipeline_temporal", "score_variate"):
+            bench_record.result_path(checkout, workload, 9, 0).write_text(
+                json.dumps({"env": {"spat_source_sha256": "0"},
+                            "result": {"failed": 0, "metrics": {
+                                "windows_per_s": {"value": 99.0,
+                                                  "unit": "windows/s"}}}}))
     bench_record.main(["--n", "0", "--sha", "abc", "--parent",
                        str(sides["parent"]), "--change", str(sides["change"]),
                        "--run", "pipeline_temporal", "--seeds", "1-3"])
@@ -60,6 +70,7 @@ def test_a_failed_childs_seed_is_left_out(tmp_path, monkeypatch):
     entry = record["workloads"]["pipeline_temporal"]["end_to_end"]
     assert not stale.exists()
     assert entry["seeds"] == [1, 3]
+    assert list(record["workloads"]) == ["pipeline_temporal"]
     assert entry["incomplete_runs"] == {"parent": [], "change": [2]}
     assert entry["metrics"]["windows_per_s"]["change"] == [11.0, 13.0]
     assert record["command"].endswith("--seconds 30 --trace T")

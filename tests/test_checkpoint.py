@@ -147,6 +147,19 @@ class TestMalformedHeader:
         with pytest.raises(ParseError, match=key):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("changes", [
+        {"layers": 0}, {"heads": 3, "d_model": 4}, {"dropout": 1.5}])
+    def test_config_failing_its_own_checks_names_the_file(self, tmp_path,
+                                                          changes):
+        """A header config of the right types that ``ModelConfig`` rejects
+        is a defect of the checkpoint, not of the user's config file."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        rewrite_header(path, config={**header["config"], **changes})
+        with pytest.raises(ParseError, match="model.ckpt: checkpoint config"):
+            load_checkpoint(path)
+
     def test_int_dropout_is_a_float(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, make_model())

@@ -346,6 +346,56 @@ class TestStateShapes:
         assert not [name for name in got if name.endswith(".mask")]
 
 
+def reference_state(cfg, seed):
+    """The state dict of a seeded build written out parameter by parameter:
+    the embedding, per block its attention, first norm, FFN and second
+    norm, the final norm and the head, each matrix drawn from one
+    generator in that order."""
+    rng = np.random.default_rng(seed)
+    d, f, s = cfg.d_model, cfg.d_ff, cfg.token_count
+    temporal = cfg.mode == "temporal_tokens"
+
+    def xavier(fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    state = {"embed.w": xavier(cfg.patch_len if temporal else cfg.lookback, d),
+             "embed.b": np.zeros(d)}
+    if temporal:
+        state["embed.pos"] = rng.normal(0.0, 0.02, size=(s, d))
+    for i in range(cfg.layers):
+        block = {}
+        for w in ("q", "k", "v", "e"):
+            block[f"w_{w}"], block[f"b_{w}"] = xavier(d, d), np.zeros(d)
+        block["ln1_g"], block["ln1_b"] = np.ones(d), np.zeros(d)
+        block["w1"], block["b1"] = xavier(d, f), np.zeros(f)
+        block["w2"], block["b2"] = xavier(f, d), np.zeros(d)
+        block["ln2_g"], block["ln2_b"] = np.ones(d), np.zeros(d)
+        state.update((f"blocks.{i}.{n}", a) for n, a in block.items())
+    if cfg.norm_placement == "pre":
+        state["final_norm.g"], state["final_norm.b"] = np.ones(d), np.zeros(d)
+    state["head.w"] = xavier(s * d if temporal else d, cfg.horizon)
+    state["head.b"] = np.zeros(cfg.horizon)
+    return state
+
+
+class TestInitialValues:
+    @pytest.mark.parametrize("mode", ["temporal_tokens", "variate_tokens"])
+    @pytest.mark.parametrize("norm", ["pre", "post"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_build_keeps_the_bytes_of_the_explicit_draws(self, mode, norm,
+                                                         seed):
+        """A seed gives the same weights, so the checkpoints of a seeded run
+        keep their bytes."""
+        cfg = small_cfg(mode=mode, norm_placement=norm, layers=3, patch_len=4,
+                        patch_stride=2, d_ff=12)
+        got = Forecaster(cfg, seed).state_dict()
+        want = reference_state(cfg, seed)
+        assert list(got) == list(want)
+        for name, a in want.items():
+            assert got[name].dtype == a.dtype and got[name].shape == a.shape
+            assert got[name].tobytes() == a.tobytes(), name
+
+
 class TestKeepMasks:
     """A training forward applies the masks of successive ``keep_mask``
     draws from its ``rng``, on one thread or in two lanes."""

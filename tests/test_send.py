@@ -666,6 +666,23 @@ class TestReportConsistency:
         with pytest.raises(ParseError):
             parse_report(three_layer_report().replace("layer 0:", "layer -1:"))
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0.0", "nan"])
+    def test_alpha_outside_the_unit_interval_rejected(self, alpha):
+        text = three_layer_report().replace("alpha: 0.3", f"alpha: {alpha}")
+        with pytest.raises(ParseError, match="send report: pruning ratio"):
+            parse_report(text)
+
+    def test_repeated_layer_index_rejected(self):
+        text = three_layer_report().replace("layer 2:", "layer 0:")
+        with pytest.raises(ParseError, match="send report: repeated layer"):
+            parse_report(text)
+
+    def test_report_without_layer_lines_rejected(self):
+        text = "".join(ln for ln in three_layer_report().splitlines(True)
+                       if not ln.startswith("layer "))
+        with pytest.raises(ParseError, match="send report: no scored layers"):
+            parse_report(text.replace("layers: 3", "layers: 0"))
+
     @pytest.mark.parametrize("old, new", [
         ("k: 1\n", "k: 7\nk: 1\n"),
         ("k: 1\n", "k: 1\nk: 1\n"),
@@ -689,7 +706,7 @@ class TestReportFuzz:
     def test_arbitrary_text_parses_or_raises_parse_errors(self, text):
         try:
             plan = parse_report(text)
-        except (ParseError, ConfigError):
+        except ParseError:
             return
         assert_valid_plan(plan)
 
@@ -730,6 +747,6 @@ class TestReportFuzz:
                           text, flags=re.M)
         try:
             plan = parse_report(text)
-        except (ParseError, ConfigError):
+        except ParseError:
             return
         assert_valid_plan(plan)
