@@ -3,9 +3,12 @@
 Layout: one JSON header line (sorted keys, compact separators) followed by
 the raw little-endian float64 buffers of the model's parameters
 (``Forecaster.state_dict``) in header order. Nothing else is saved: a loaded
-model is built afresh, so the rest of it starts as at build. The encoding is
-fully deterministic, so save -> load -> save reproduces the original file
-byte for byte.
+model is built from the file's arrays alone (``Forecaster.from_state``),
+each parameter holding a copy of its slice of the payload, and draws no
+initial values. The header is checked in full against the payload and the
+config before anything is allocated for the model. The encoding is fully
+deterministic, so save -> load -> save reproduces the original file byte
+for byte.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or too deep
         raise ParseError(f"{path}: invalid checkpoint header: {e}") from e
     version = header.get("version") if isinstance(header, dict) else None
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
 
     cfg = _model_config(path, header.get("config"))
@@ -112,18 +115,16 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
     if n_bytes != len(payload):
         raise ParseError(f"{path}: checkpoint tensor table needs {n_bytes} "
                          f"payload bytes, the file has {len(payload)}")
-    missing = [name for name in state_shapes(cfg, pruned) if name not in shapes]
+    expected = state_shapes(cfg, pruned)
+    missing = [name for name in expected if name not in shapes]
     if missing:
         raise ParseError(f"{path}: checkpoint has no tensor for parameters "
                          f"{', '.join(missing)}")
     try:
-        check_state_shapes(shapes, cfg, pruned)
+        check_state_shapes(shapes, expected)
     except (ContractError, ShapeError) as e:
         raise type(e)(f"{path}: {e}") from e
 
-    model = Forecaster(cfg, seed=0)
-    for i in pruned:
-        model.blocks[i].remove_attention()
     state = {}
     offset = 0
     for name, shape in table:
@@ -131,6 +132,4 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         state[name] = np.frombuffer(payload, dtype="<f8", count=size // 8,
                                     offset=offset).reshape(shape).copy()
         offset += size
-    for name, p in model.named_parameters():    # the table is checked above
-        p.data = state[name]
-    return model, meta
+    return Forecaster.from_state(cfg, pruned, state), meta

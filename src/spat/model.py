@@ -7,7 +7,9 @@ Two tokenizations are supported:
 * ``variate_tokens``: each token is one channel's entire lookback window.
 
 The parameters are declared once, in :func:`state_shapes`, by name and
-shape in order: :class:`Forecaster` is built by walking that table, and
+shape in order: :class:`Forecaster` is built by walking that table once,
+each parameter taking its seeded initial draw or, for a loaded or cloned
+model (:meth:`Forecaster.from_state`), its given array, and
 ``named_parameters`` walks it for the model's pruned blocks.
 
 Every tape record is one piece of the model (``spat.tensor``): the
@@ -177,13 +179,16 @@ def _initial_value(name: str, shape: tuple, rng: np.random.Generator):
 
 class AttentionBlock:
     """One encoder block: probeable multi-head attention plus FFN sublayer,
-    whose parameters the :class:`Forecaster` holding it sets."""
-
-    def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg
-        self.pruned = False
+    whose parameters the :class:`Forecaster` holding it sets. A block built
+    ``pruned`` has no attention weights."""
 
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
+
+    def __init__(self, cfg: ModelConfig, pruned: bool):
+        self.cfg = cfg
+        self.pruned = False
+        if pruned:
+            self.remove_attention()
 
     def remove_attention(self) -> None:
         """Make the attention sublayer an identity and drop its weights."""
@@ -251,16 +256,40 @@ def _place(name: str) -> tuple[int | None, str]:
 
 
 class Forecaster:
-    """Configurable forecaster mapping [batch, L, C] to [batch, T, C]."""
+    """Configurable forecaster mapping [batch, L, C] to [batch, T, C].
+
+    ``Forecaster(cfg, seed)`` draws each parameter's initial value from a
+    generator seeded ``seed``, in :func:`state_shapes` order
+    (:func:`_initial_value`); :meth:`from_state` builds a model from given
+    arrays and draws nothing. Both go through :meth:`_build`."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self.cfg = cfg
-        self.blocks = [AttentionBlock(cfg) for _ in range(cfg.layers)]
-        self.pos_emb = self.final_g = self.final_b = None
         rng = np.random.default_rng(seed)
-        for name, shape in state_shapes(cfg).items():
-            setattr(*self._holder(name), Tensor(
-                _initial_value(name, shape, rng), requires_grad=True))
+        self._build(cfg, (), ((name, _initial_value(name, shape, rng))
+                              for name, shape in state_shapes(cfg).items()))
+
+    @classmethod
+    def from_state(cls, cfg: ModelConfig, pruned,
+                   state: dict[str, np.ndarray]) -> Forecaster:
+        """The model of ``cfg`` whose blocks ``pruned`` have no attention,
+        each parameter holding its float64 array in ``state``, which it
+        takes over: neither copied nor drawn. ``state`` must name exactly
+        the parameters of ``state_shapes(cfg, pruned)``, in any order, each
+        at its shape (:func:`check_state_shapes`); the caller sees to
+        that."""
+        model = cls.__new__(cls)
+        model._build(cfg, pruned, state.items())
+        return model
+
+    def _build(self, cfg: ModelConfig, pruned, values) -> None:
+        """Set up the model of ``cfg`` whose blocks ``pruned`` have no
+        attention, each parameter holding its value in ``values``, an
+        iterable of ``(name, array)`` pairs walked once."""
+        self.cfg = cfg
+        self.blocks = [AttentionBlock(cfg, i in pruned) for i in range(cfg.layers)]
+        self.pos_emb = self.final_g = self.final_b = None
+        for name, value in values:
+            setattr(*self._holder(name), Tensor(value, requires_grad=True))
 
     # -- parameter plumbing ----------------------------------------------
 
@@ -516,17 +545,18 @@ class Forecaster:
 
     def load_state_dict(self, state: dict) -> None:
         check_state_shapes({name: a.shape for name, a in state.items()},
-                           self.cfg, self.pruned_layers())
+                           state_shapes(self.cfg, self.pruned_layers()))
         for name, p in self.named_parameters():
             p.data = state[name].copy()
 
 
 def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
-    """The table a ``Forecaster(cfg)`` is built from, and walks: name ->
-    shape of every parameter of the model whose blocks ``pruned`` have no
-    attention, in ``named_parameters`` and initial-draw order; the keys of
-    its state dict. Allocates nothing, so a checkpoint's tensor table can
-    be checked before the model is built."""
+    """The table a :class:`Forecaster` of ``cfg`` is built from, and walks:
+    name -> shape of every parameter of the model whose blocks ``pruned``
+    have no attention, in ``named_parameters`` and initial-draw order; the
+    keys of its state dict, and of the state :meth:`Forecaster.from_state`
+    takes. Allocates nothing, so a checkpoint's tensor table can be checked
+    against it before the model is built."""
     d, f, s = cfg.d_model, cfg.d_ff, cfg.token_count
     temporal = cfg.mode == "temporal_tokens"
     shapes = {"embed.w": (cfg.patch_len if temporal else cfg.lookback, d),
@@ -549,10 +579,9 @@ def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def check_state_shapes(shapes: dict, cfg: ModelConfig, pruned=()) -> None:
+def check_state_shapes(shapes: dict, expected: dict) -> None:
     """Raise unless ``shapes`` (name -> shape) names exactly the parameters
-    of ``state_shapes(cfg, pruned)``, each at its shape."""
-    expected = state_shapes(cfg, pruned)
+    of the :func:`state_shapes` table ``expected``, each at its shape."""
     unknown = sorted(set(shapes) - set(expected))
     if unknown:
         raise ContractError(f"state dict has tensors this model does not "
@@ -566,10 +595,8 @@ def check_state_shapes(shapes: dict, cfg: ModelConfig, pruned=()) -> None:
 
 
 def clone_model(model: Forecaster) -> Forecaster:
-    """Independent copy with identical weights and pruned flags."""
-    twin = Forecaster(model.cfg, seed=0)
-    for i, blk in enumerate(model.blocks):
-        if blk.pruned:
-            twin.blocks[i].remove_attention()
-    twin.load_state_dict(model.state_dict())
-    return twin
+    """Independent copy with identical weights and pruned flags, built from
+    ``model``'s state dict: each parameter takes its one copy, and nothing
+    is drawn."""
+    return Forecaster.from_state(model.cfg, model.pruned_layers(),
+                                 model.state_dict())

@@ -10,9 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from spat import model as model_module
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
-from spat.model import Forecaster, ModelConfig, state_shapes
+from spat.model import Forecaster, ModelConfig, clone_model, state_shapes
+from spat.pipeline import prune
+from spat.send import build_plan
 from spat.tensor import Tape, Tensor
 
 
@@ -36,13 +39,16 @@ class TestRoundTrip:
             assert np.array_equal(pa.data, pb.data)
 
     def test_byte_stable(self, tmp_path):
-        model = make_model(seed=9)
-        first = tmp_path / "a.ckpt"
-        second = tmp_path / "b.ckpt"
-        save_checkpoint(first, model)
-        loaded, _ = load_checkpoint(first)
-        save_checkpoint(second, loaded)
-        assert first.read_bytes() == second.read_bytes()
+        full = make_model(seed=9)
+        pruned = clone_model(full)
+        pruned.blocks[0].remove_attention()
+        for model in (full, pruned):
+            first = tmp_path / "a.ckpt"
+            second = tmp_path / "b.ckpt"
+            save_checkpoint(first, model)
+            loaded, _ = load_checkpoint(first)
+            save_checkpoint(second, loaded)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_pruned_flags_survive_masks_do_not(self, tmp_path):
         """Pruned flags are saved; masks are not state, so a probe that
@@ -105,6 +111,17 @@ def rewrite_header(path, **changes):
 
 
 class TestMalformedHeader:
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_of_another_type_rejected(self, tmp_path, version):
+        """``True == 1.0 == 1`` in Python, yet the format's version is the
+        int 1, as every other int field of the header rejects a bool."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model())
+        rewrite_header(path, version=version)
+        with pytest.raises(ParseError,
+                           match="model.ckpt: unsupported checkpoint version"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("pruned", [[7], [-1], [1, 1], ["1"], 1, None])
     def test_pruned_layers_must_index_the_model(self, tmp_path, pruned):
         path = tmp_path / "model.ckpt"
@@ -209,7 +226,8 @@ class TestMalformedHeader:
 class TestHeaderAllocation:
     """The tensor table is checked against the payload and the config
     before the model is built: a small file cannot make the loader
-    allocate a large model."""
+    allocate a large model. A well-formed file is loaded into one copy of
+    the model beside its payload."""
 
     cfg = ModelConfig(d_model=512, d_ff=512, layers=3)
     model_bytes = 8 * sum(math.prod(shape)
@@ -232,6 +250,13 @@ class TestHeaderAllocation:
 
         assert traced_peak(load) < self.model_bytes / 100
 
+    def test_load_allocates_one_model(self, tmp_path):
+        """The payload and one array per parameter: no initial values are
+        drawn to be overwritten."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, Forecaster(self.cfg))
+        assert traced_peak(lambda: load_checkpoint(path)) < 2.5 * self.model_bytes
+
     def test_repeated_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, make_model())
@@ -243,6 +268,54 @@ class TestHeaderAllocation:
                          + payload[-8 * math.prod(last["shape"]):])
         with pytest.raises(ParseError, match="repeats"):
             load_checkpoint(path)
+
+
+class TestBuiltFromArrays:
+    """A loaded or cloned model is built from its arrays: it draws no
+    initial value, and each parameter holds an array of its own."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A model, and the paths of its checkpoint and of its copy with
+        block 1 pruned."""
+        model = make_model(seed=4)
+        full, pruned = tmp_path / "full.ckpt", tmp_path / "pruned.ckpt"
+        save_checkpoint(full, model)
+        save_checkpoint(pruned, prune(model, build_plan(
+            [(0, 3.0), (1, 1.0), (2, 2.0)], alpha=0.3)))
+        return model, full, pruned
+
+    def test_nothing_is_drawn(self, saved, monkeypatch):
+        model, full, pruned = saved
+
+        def draw(*args):
+            raise AssertionError("an initial value was drawn")
+        monkeypatch.setattr(model_module, "_initial_value", draw)
+        want = model.state_dict()
+        for path, layers in ((full, []), (pruned, [1])):
+            loaded, _ = load_checkpoint(path)
+            assert loaded.pruned_layers() == layers
+            for name, p in loaded.named_parameters():
+                np.testing.assert_array_equal(p.data, want[name])
+        twin = clone_model(model)
+        for name, p in twin.named_parameters():
+            np.testing.assert_array_equal(p.data, want[name])
+        plan = build_plan([(0, 1.0), (1, 3.0), (2, 2.0)], alpha=0.3)
+        assert prune(model, plan).pruned_layers() == [0]
+
+    def test_no_buffer_is_shared(self, saved):
+        """No parameter array of a loaded or cloned model shares memory
+        with its source model, another load of the file, or another
+        parameter. Each owns its buffer, so none is a view of the payload
+        the loader read, and each is writable."""
+        model, full, pruned = saved
+        models = [model, clone_model(model), load_checkpoint(full)[0],
+                  load_checkpoint(full)[0], load_checkpoint(pruned)[0],
+                  load_checkpoint(pruned)[0]]
+        arrays = [p.data for m in models for p in m.parameters()]
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata and a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 class TestHeaderFuzz:
