@@ -1,12 +1,13 @@
-"""Checkpoint loads and clones of the synthetic_small full and pruned models.
+"""Checkpoint loads, clones and prunes of the synthetic_small models.
 
 Times ``load_checkpoint`` of the two checkpoints perfbench's
-``serve_pruned`` workload loads in its setup, and ``clone_model``, which
-``prune`` and ``iterative_prune`` call once each. The pruned model has
-lost block 2's attention, the layer SEND removes on
-``configs/synthetic_small.yaml``. A loaded or cloned model is built from
-its arrays and draws no initial values. Pin the BLAS threads and write JSON
-to compare runs:
+``serve_pruned`` workload loads in its setup, ``clone_model``, and
+``prune`` of the full model with layer 2 planned, the layer SEND removes
+on ``configs/synthetic_small.yaml``. The pruned model has lost block 2's
+attention. Pruning is a clone without the planned attention, and
+``iterative_prune`` makes one clone per removal. A loaded, cloned or
+pruned model is built from its arrays and draws no initial values. Pin
+the BLAS threads and write JSON to compare runs:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest \\
         benchmarks/bench_checkpoint.py --benchmark-json=bench_checkpoint.json
@@ -22,6 +23,8 @@ import pytest
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.config import load_config
 from spat.model import Forecaster, clone_model
+from spat.pipeline import prune
+from spat.send import build_plan
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
@@ -30,9 +33,7 @@ def synthetic_small(pruned):
     cfg = load_config(CONFIG)
     model = Forecaster(cfg.model.to_model_config(
         cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels))
-    if pruned:
-        model.blocks[2].remove_attention()
-    return model
+    return clone_model(model, [2]) if pruned else model
 
 
 @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
@@ -52,3 +53,10 @@ def test_clone_model(benchmark, pruned):
     twin = benchmark(clone_model, model)
     assert twin.pruned_layers() == model.pruned_layers()
     assert twin.state_dict().keys() == model.state_dict().keys()
+
+
+def test_prune(benchmark):
+    model = synthetic_small(False)
+    plan = build_plan([(0, 3.0), (1, 2.0), (2, 1.0)], alpha=0.3)
+    pruned = benchmark(prune, model, plan)
+    assert pruned.pruned_layers() == [2] and model.pruned_layers() == []

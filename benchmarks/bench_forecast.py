@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from spat.config import load_config
-from spat.model import Forecaster
+from spat.model import Forecaster, clone_model
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_small.yaml"
 
@@ -39,7 +39,7 @@ def test_forecast(benchmark, monkeypatch, threads, pruned, batch):
     model = Forecaster(cfg.model.to_model_config(
         cfg.window.lookback, cfg.window.horizon, cfg.data.synthetic.channels))
     if pruned:
-        model.blocks[2].remove_attention()
+        model = clone_model(model, [2])
     x = np.random.default_rng(0).normal(
         size=(batch, cfg.window.lookback, model.cfg.channels))
     out = benchmark(model.forecast, x)

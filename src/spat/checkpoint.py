@@ -132,4 +132,6 @@ def load_checkpoint(path) -> tuple[Forecaster, dict]:
         state[name] = np.frombuffer(payload, dtype="<f8", count=size // 8,
                                     offset=offset).reshape(shape).copy()
         offset += size
+    if list(shapes) != list(expected):   # a table in another order
+        state = {name: state[name] for name in expected}
     return Forecaster.from_state(cfg, pruned, state), meta

@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .cost import build_cost_report
@@ -265,7 +267,8 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):    # spat checks for NaN itself
+            return args.func(args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3

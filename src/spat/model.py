@@ -9,8 +9,9 @@ Two tokenizations are supported:
 The parameters are declared once, in :func:`state_shapes`, by name and
 shape in order: :class:`Forecaster` is built by walking that table once,
 each parameter taking its seeded initial draw or, for a loaded or cloned
-model (:meth:`Forecaster.from_state`), its given array, and
-``named_parameters`` walks it for the model's pruned blocks.
+model (:meth:`Forecaster.from_state`), its given array. The build fixes
+the model's structure and its ``named_parameters`` list: pruning is a
+clone without the dropped attention (:func:`clone_model`).
 
 Every tape record is one piece of the model (``spat.tensor``): the
 embedding, per block the attention sublayer, the FFN sublayer and their
@@ -185,18 +186,10 @@ class AttentionBlock:
     ATTENTION_PARAMS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_e", "b_e")
 
     def __init__(self, cfg: ModelConfig, pruned: bool):
-        self.cfg = cfg
-        self.pruned = False
+        self.cfg, self.pruned = cfg, pruned
         if pruned:
-            self.remove_attention()
-
-    def remove_attention(self) -> None:
-        """Make the attention sublayer an identity and drop its weights."""
-        if self.pruned:
-            raise ContractError("attention sublayer already removed from this block")
-        self.pruned = True
-        for name in self.ATTENTION_PARAMS:
-            setattr(self, name, None)
+            for name in self.ATTENTION_PARAMS:
+                setattr(self, name, None)
 
     # -- sublayers -------------------------------------------------------
 
@@ -246,7 +239,7 @@ _ATTRIBUTES = {"embed.w": "embed_w", "embed.b": "embed_b",
                "head.b": "head_b"}
 
 
-@functools.cache     # named_parameters resolves every name on each call
+@functools.cache     # every build, load and clone resolves each name
 def _place(name: str) -> tuple[int | None, str]:
     """Parameter ``name``'s block index (None outside the blocks), attribute."""
     if name.startswith("blocks."):
@@ -274,8 +267,8 @@ class Forecaster:
         """The model of ``cfg`` whose blocks ``pruned`` have no attention,
         each parameter holding its float64 array in ``state``, which it
         takes over: neither copied nor drawn. ``state`` must name exactly
-        the parameters of ``state_shapes(cfg, pruned)``, in any order, each
-        at its shape (:func:`check_state_shapes`); the caller sees to
+        the parameters of ``state_shapes(cfg, pruned)``, in that order,
+        each at its shape (:func:`check_state_shapes`); the caller sees to
         that."""
         model = cls.__new__(cls)
         model._build(cfg, pruned, state.items())
@@ -284,23 +277,22 @@ class Forecaster:
     def _build(self, cfg: ModelConfig, pruned, values) -> None:
         """Set up the model of ``cfg`` whose blocks ``pruned`` have no
         attention, each parameter holding its value in ``values``, an
-        iterable of ``(name, array)`` pairs walked once."""
+        iterable of ``(name, array)`` pairs in ``state_shapes(cfg,
+        pruned)`` order, walked once."""
         self.cfg = cfg
         self.blocks = [AttentionBlock(cfg, i in pruned) for i in range(cfg.layers)]
         self.pos_emb = self.final_g = self.final_b = None
-        for name, value in values:
-            setattr(*self._holder(name), Tensor(value, requires_grad=True))
+        self._parameters = [(name, Tensor(value, requires_grad=True))
+                            for name, value in values]
+        for name, p in self._parameters:
+            i, attr = _place(name)
+            setattr(self if i is None else self.blocks[i], attr, p)
 
     # -- parameter plumbing ----------------------------------------------
 
-    def _holder(self, name: str) -> tuple[object, str]:
-        """The object and attribute that hold parameter ``name``."""
-        i, attr = _place(name)
-        return (self if i is None else self.blocks[i]), attr
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(*self._holder(name)))
-                for name in state_shapes(self.cfg, self.pruned_layers())]
+        """``(name, parameter)`` in :func:`state_shapes` order, as built."""
+        return list(self._parameters)
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -551,9 +543,9 @@ class Forecaster:
 
 
 def state_shapes(cfg: ModelConfig, pruned=()) -> dict[str, tuple[int, ...]]:
-    """The table a :class:`Forecaster` of ``cfg`` is built from, and walks:
-    name -> shape of every parameter of the model whose blocks ``pruned``
-    have no attention, in ``named_parameters`` and initial-draw order; the
+    """The table a :class:`Forecaster` of ``cfg`` is built from: name ->
+    shape of every parameter of the model whose blocks ``pruned`` have no
+    attention, in ``named_parameters`` and initial-draw order; the
     keys of its state dict, and of the state :meth:`Forecaster.from_state`
     takes. Allocates nothing, so a checkpoint's tensor table can be checked
     against it before the model is built."""
@@ -594,9 +586,12 @@ def check_state_shapes(shapes: dict, expected: dict) -> None:
                              f"{tuple(shapes[name])} != model shape {shape}")
 
 
-def clone_model(model: Forecaster) -> Forecaster:
-    """Independent copy with identical weights and pruned flags, built from
-    ``model``'s state dict: each parameter takes its one copy, and nothing
-    is drawn."""
-    return Forecaster.from_state(model.cfg, model.pruned_layers(),
-                                 model.state_dict())
+def clone_model(model: Forecaster, without=()) -> Forecaster:
+    """Independent copy of ``model`` whose blocks ``without``, and those
+    already pruned, have no attention: each kept array is copied once,
+    nothing is drawn, and ``model`` is left as it was."""
+    pruned = {*model.pruned_layers(), *without}
+    kept = state_shapes(model.cfg, pruned)
+    return Forecaster.from_state(model.cfg, pruned, {
+        name: p.data.copy() for name, p in model.named_parameters()
+        if name in kept})

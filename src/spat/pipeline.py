@@ -204,9 +204,8 @@ def evaluate_metrics(model: Forecaster, x: np.ndarray, y: np.ndarray,
 
 
 def prune(model: Forecaster, plan: PruningPlan) -> Forecaster:
-    """New model with the planned attention sublayers removed.
-
-    Retained weights are untouched; the input model is not modified.
+    """New model with the planned attention sublayers removed: a clone of
+    ``model`` without them (:func:`clone_model`); ``model`` is not modified.
     """
     n = len(model.blocks)
     for i in plan.i_pruned:
@@ -214,10 +213,7 @@ def prune(model: Forecaster, plan: PruningPlan) -> Forecaster:
             raise ContractError(f"plan prunes layer {i} of an {n}-layer model")
         if model.blocks[i].pruned:
             raise ContractError(f"layer {i} is already pruned")
-    pruned = clone_model(model)
-    for i in plan.i_pruned:
-        pruned.blocks[i].remove_attention()
-    return pruned
+    return clone_model(model, plan.i_pruned)
 
 
 def iterative_prune(model: Forecaster, batches, k: int,
@@ -226,17 +222,18 @@ def iterative_prune(model: Forecaster, batches, k: int,
     removal. Ties prune the higher layer index first, matching the
     single-shot ranking rule. ``records``, if given, are
     ``compute_sensitivity(model, batches)``'s, already computed: the first
-    removal uses them instead of scoring ``model`` again."""
-    current = clone_model(model)
-    removed = []
+    removal uses them instead of scoring ``model`` again. Each removal
+    clones the model before it without the layer (:func:`clone_model`):
+    ``model`` keeps its weights, and the result is a model of its own."""
+    current, removed = model, []
     for _ in range(k):
         if records is None:
             records = compute_sensitivity(current, batches)
         worst = min(records, key=lambda r: (r.send, -r.layer_index))
-        current.blocks[worst.layer_index].remove_attention()
+        current = clone_model(current, [worst.layer_index])
         removed.append(worst.layer_index)
         records = None
-    return current, removed
+    return (current if removed else clone_model(model)), removed
 
 
 def check_fits(model: Forecaster, dataset: SeriesDataset, spec: WindowSpec) -> None:

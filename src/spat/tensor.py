@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import contextvars
 import copy
 import ctypes
 import functools
@@ -176,9 +177,10 @@ def two_lanes(work: Callable, parts: tuple) -> tuple:
     One part runs inline. Of two, where :func:`lanes_open`, the second runs
     on a thread started for it while the calling thread runs the first;
     elsewhere they run in turn. Each lane may record on a tape of its own,
-    and each part stays in one core's cache. The thread is joined before
-    this returns or raises: if either lane raises, the exception (the
-    calling thread's, if both raise) is raised here.
+    and each part stays in one core's cache. The thread runs in a copy of
+    the caller's context, so under its ``np.errstate``, and is joined
+    before this returns or raises: if either lane raises, the exception
+    (the calling thread's, if both raise) is raised here.
     """
     if len(parts) == 1 or not lanes_open():
         return tuple(map(work, parts))
@@ -189,7 +191,8 @@ def two_lanes(work: Callable, parts: tuple) -> tuple:
             second.append(work(parts[1]))
         except BaseException as e:          # raised on the calling thread
             raised.append(e)
-    thread = threading.Thread(target=lane, name="spat-lane")
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(lane,), name="spat-lane")
     thread.start()
     try:
         first = work(parts[0])

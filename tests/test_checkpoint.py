@@ -14,8 +14,8 @@ from spat import model as model_module
 from spat.checkpoint import load_checkpoint, save_checkpoint
 from spat.errors import ContractError, ParseError, ShapeError, SpatError
 from spat.model import Forecaster, ModelConfig, clone_model, state_shapes
-from spat.pipeline import prune
-from spat.send import build_plan
+from spat.pipeline import iterative_prune, prune
+from spat.send import build_plan, compute_sensitivity
 from spat.tensor import Tape, Tensor
 
 
@@ -40,8 +40,7 @@ class TestRoundTrip:
 
     def test_byte_stable(self, tmp_path):
         full = make_model(seed=9)
-        pruned = clone_model(full)
-        pruned.blocks[0].remove_attention()
+        pruned = clone_model(full, [0])
         for model in (full, pruned):
             first = tmp_path / "a.ckpt"
             second = tmp_path / "b.ckpt"
@@ -50,11 +49,39 @@ class TestRoundTrip:
             save_checkpoint(second, loaded)
             assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("pruned", [[], [1]])
+    def test_tensor_table_in_another_order(self, tmp_path, pruned):
+        """A header that lists its tensors, and their payload slices, in
+        reverse order loads to the same model, whose parameters keep the
+        ``state_shapes`` order; saving it again writes the canonical
+        bytes."""
+        model = clone_model(make_model(seed=2), pruned)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        canonical = path.read_bytes()
+        header_line, payload = canonical.split(b"\n", 1)
+        header = json.loads(header_line)
+        slices, offset = [], 0
+        for entry in header["tensors"]:
+            size = 8 * math.prod(entry["shape"])
+            slices.append(payload[offset:offset + size])
+            offset += size
+        header["tensors"].reverse()
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + b"".join(reversed(slices)))
+        loaded, _ = load_checkpoint(path)
+        assert list(loaded.state_dict()) == list(state_shapes(model.cfg, pruned))
+        for (na, pa), (nb, pb) in zip(model.named_parameters(),
+                                      loaded.named_parameters()):
+            assert na == nb
+            assert np.array_equal(pa.data, pb.data)
+        save_checkpoint(path, loaded)
+        assert path.read_bytes() == canonical
+
     def test_pruned_flags_survive_masks_do_not(self, tmp_path):
         """Pruned flags are saved; masks are not state, so a probe that
         stands for one is never held by a block, nor saved, nor loaded."""
-        model = make_model(seed=3)
-        model.blocks[1].remove_attention()
+        model = clone_model(make_model(seed=3), [1])
         x = np.random.default_rng(0).normal(size=(2, 16, 3))
         expected = model.forecast(x)
         s = model.cfg.token_count
@@ -304,18 +331,65 @@ class TestBuiltFromArrays:
         assert prune(model, plan).pruned_layers() == [0]
 
     def test_no_buffer_is_shared(self, saved):
-        """No parameter array of a loaded or cloned model shares memory
-        with its source model, another load of the file, or another
+        """No parameter array of a loaded, cloned or pruned model shares
+        memory with its source model, another load of the file, or another
         parameter. Each owns its buffer, so none is a view of the payload
-        the loader read, and each is writable."""
+        the loader read, and each is writable. Cloning and pruning leave
+        the source's blocks and parameter bytes as they were, and
+        ``iterative_prune`` returns a model other than its input, also
+        when it removes nothing."""
         model, full, pruned = saved
-        models = [model, clone_model(model), load_checkpoint(full)[0],
-                  load_checkpoint(full)[0], load_checkpoint(pruned)[0],
-                  load_checkpoint(pruned)[0]]
+        before = model.state_dict()
+        rng = np.random.default_rng(7)
+        batches = [(rng.normal(size=(2, 16, 3)), rng.normal(size=(2, 4, 3)))]
+        records = compute_sensitivity(model, batches)
+        plan = build_plan([(0, 3.0), (1, 1.0), (2, 2.0)], alpha=0.6)
+        rescored = [iterative_prune(model, batches, k)[0] for k in (0, 2)]
+        models = [model, clone_model(model), clone_model(model, [2]),
+                  prune(model, plan), *rescored,
+                  iterative_prune(model, batches, 1, records)[0],
+                  load_checkpoint(full)[0], load_checkpoint(full)[0],
+                  load_checkpoint(pruned)[0], load_checkpoint(pruned)[0]]
+        assert [len(m.pruned_layers()) for m in models[1:7]] == [
+            0, 1, 2, 0, 2, 1]
+        assert not any(m is model for m in models[1:])
+        assert model.pruned_layers() == []
+        after = model.state_dict()
+        assert list(after) == list(before)
+        assert all(after[name].tobytes() == a.tobytes()
+                   for name, a in before.items())
         arrays = [p.data for m in models for p in m.parameters()]
         for i, a in enumerate(arrays):
             assert a.flags.owndata and a.flags.writeable
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_named_parameters_are_the_models_own(self, saved):
+        """``named_parameters`` lists the ``Tensor`` each parameter's
+        holder holds, every one of them, in ``state_shapes`` order, for a
+        fresh, a loaded, a cloned and a pruned model, and returns a list of
+        its own on each call."""
+        outside = {"embed.w": "embed_w", "embed.b": "embed_b",
+                   "embed.pos": "pos_emb", "final_norm.g": "final_g",
+                   "final_norm.b": "final_b", "head.w": "head_w",
+                   "head.b": "head_b"}
+        model, full, pruned = saved
+        plan = build_plan([(0, 1.0), (1, 3.0), (2, 2.0)], alpha=0.3)
+        for m in (model, load_checkpoint(full)[0], load_checkpoint(pruned)[0],
+                  clone_model(model), clone_model(model, [1, 2]),
+                  prune(model, plan)):
+            named = m.named_parameters()
+            assert [n for n, _ in named] == list(
+                state_shapes(m.cfg, m.pruned_layers()))
+            for name, p in named:
+                if name.startswith("blocks."):
+                    _, i, attr = name.split(".")
+                    assert p is getattr(m.blocks[int(i)], attr)
+                else:
+                    assert p is getattr(m, outside[name])
+            held = [v for holder in (m, *m.blocks) for v in vars(holder).values()
+                    if isinstance(v, Tensor)]
+            assert len(held) == len(named)
+            assert m.named_parameters() is not named
 
 
 class TestHeaderFuzz:

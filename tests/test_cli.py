@@ -255,6 +255,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {item.split('=')[0]} " in err and message in err
 
+    @pytest.mark.parametrize("sets", [
+        [], ["model.mode=temporal_tokens", "model.patch_len=8",
+             "model.patch_stride=4"]], ids=["variate", "temporal"])
+    def test_diverging_run_prints_only_the_numeric_failure(
+            self, workspace, capsys, schedule, monkeypatch, lanes_ran, sets):
+        """A learning rate that blows the run up ends in exit 3 and the one
+        ``numeric failure:`` line: numpy's overflow and invalid-value
+        warnings, on the calling thread or a lane's, are not printed."""
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
+        _, cfg_path = workspace
+        argv = ["run", "--config", str(cfg_path)]
+        for item in ["optimizer.lr=1e30", *sets]:
+            argv += ["--set", item]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: normalize_sensitivity: NaN sensitivities\n")
+        assert bool(lanes_ran) == (schedule == "two_threads")
+
     @pytest.mark.parametrize("counts, message", [
         ("[200, -1, 50]", "must be three non-negative ints"),
         ("[200, 50]", "must be three non-negative ints"),

@@ -14,7 +14,7 @@ from spat.cost import (
     reduction_percent,
 )
 from spat.errors import ShapeError
-from spat.model import Forecaster, ModelConfig
+from spat.model import Forecaster, ModelConfig, clone_model
 
 
 def temporal_model(lookback=96, channels=7, layers=3, d_model=16, **kw):
@@ -56,8 +56,7 @@ class TestParams:
     def test_pruning_removes_exactly_the_attention_scalars(self):
         model = variate_model(d_model=16)
         before = sum(count_params(model).values())
-        model.blocks[1].remove_attention()
-        after = sum(count_params(model).values())
+        after = sum(count_params(clone_model(model, [1])).values())
         assert before - after == attention_params(16)
 
     def test_total_matches_stored_scalars(self):
@@ -70,8 +69,7 @@ class TestParams:
         # module drops ~66K scalars, the same relative magnitude as the
         # published 2.212M -> 2.146M full-scale reports.
         model = temporal_model(lookback=336, d_model=128)
-        pruned = temporal_model(lookback=336, d_model=128)
-        pruned.blocks[0].remove_attention()
+        pruned = clone_model(temporal_model(lookback=336, d_model=128), [0])
         delta = (sum(count_params(model).values())
                  - sum(count_params(pruned).values()))
         assert delta == attention_params(128) == 66_048
@@ -105,16 +103,13 @@ class TestFlops:
     def test_pruning_k_of_n_identical_blocks_scales_attention_subtotal(self):
         model = variate_model(layers=4)
         full = build_cost_report(model)
-        model.blocks[0].remove_attention()
-        model.blocks[2].remove_attention()
-        half = build_cost_report(model)
+        half = build_cost_report(clone_model(model, [0, 2]))
         assert attention_flops(half) * 2 == attention_flops(full)
 
     def test_pruned_flops_and_params_strictly_decrease(self):
         model = temporal_model()
         base = build_cost_report(model)
-        model.blocks[1].remove_attention()
-        pruned = build_cost_report(model)
+        pruned = build_cost_report(clone_model(model, [1]))
         assert pruned.flops_total < base.flops_total
         assert pruned.params_total < base.params_total
         assert 0.0 < reduction_percent(base.flops_total, pruned.flops_total) < 100.0

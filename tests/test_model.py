@@ -174,9 +174,8 @@ class TestAttentionForward:
 class TestBlockForward:
     def test_pruned_block_with_zero_ffn_is_identity(self):
         cfg = small_cfg(layers=1)
-        model = Forecaster(cfg, seed=2)
+        model = clone_model(Forecaster(cfg, seed=2), [0])
         blk = model.blocks[0]
-        blk.remove_attention()
         for p in (blk.w1, blk.b1, blk.w2, blk.b2, blk.ln2_b):
             p.data = np.zeros_like(p.data)
         h = Tensor(np.random.default_rng(4).normal(size=(2, cfg.token_count, cfg.d_model)))
@@ -193,8 +192,7 @@ class TestBlockForward:
         ffn_only = blk.ffn_sublayer(h)
         assert not np.allclose(full.data, ffn_only.data)
 
-        twin = clone_model(model).blocks[0]
-        twin.remove_attention()
+        twin = clone_model(model, [0]).blocks[0]
         np.testing.assert_array_equal(twin.forward(h).data, ffn_only.data)
 
     def test_zero_output_projection_equals_pruned(self):
@@ -206,8 +204,7 @@ class TestBlockForward:
         h = Tensor(np.random.default_rng(6).normal(size=(2, cfg.token_count, cfg.d_model)))
         with_attention = blk.forward(h)
 
-        twin = clone_model(model).blocks[0]
-        twin.remove_attention()
+        twin = clone_model(model, [0]).blocks[0]
         np.testing.assert_array_equal(with_attention.data, twin.forward(h).data)
 
 
@@ -337,9 +334,7 @@ class TestStateShapes:
     def test_matches_the_built_model(self, mode, norm, pruned):
         cfg = small_cfg(mode=mode, norm_placement=norm, layers=3, patch_len=4,
                         patch_stride=2)
-        model = Forecaster(cfg, seed=0)
-        for i in pruned:
-            model.blocks[i].remove_attention()
+        model = clone_model(Forecaster(cfg, seed=0), pruned)
         want = {name: a.shape for name, a in model.state_dict().items()}
         got = state_shapes(cfg, pruned)
         assert list(got) == list(want) and got == want
@@ -433,9 +428,7 @@ class TestKeepMasks:
         mode = "variate_tokens" if case == "variate" else "temporal_tokens"
         model = Forecaster(small_cfg(mode=mode, patch_len=8, patch_stride=4,
                                      layers=3, dropout=0.3), seed=1)
-        if case == "pruned":
-            model.blocks[1].remove_attention()
-        return model
+        return clone_model(model, [1]) if case == "pruned" else model
 
     @pytest.mark.parametrize("case, batch", [
         ("temporal", 5), ("variate", 5), ("pruned", 5),
@@ -586,9 +579,7 @@ class TestLanes:
                           norm_placement=placement,
                           instance_norm=instance_norm)
         model = Forecaster(cfg, seed=5)
-        if pruned:
-            model.blocks[2].remove_attention()
-        return model
+        return clone_model(model, [2]) if pruned else model
 
     @staticmethod
     def windows(model, batch):
@@ -686,6 +677,18 @@ class TestLanes:
                             lambda: self.raised(lambda: model.forecast(x)))
         del lanes_ran[:]
         assert self.raised(lambda: model.forecast(x)) == want
+        assert lanes_ran == ([64] if schedule == "two_threads" else [])
+
+    def test_lanes_keep_the_callers_error_state(self, schedule, lanes_ran):
+        """The second lane runs under the caller's ``np.errstate``: the
+        instance norm of windows scaled by 1e154 overflows in the second
+        half, and raises there as it does on one CPU."""
+        model = self.model()
+        x = self.windows(model, 64)
+        x[32:] *= 1e154
+        del lanes_ran[:]
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            model.forecast(x)
         assert lanes_ran == ([64] if schedule == "two_threads" else [])
 
     @pytest.mark.parametrize("late_first", [True, False])
@@ -797,9 +800,7 @@ class TestTrainingLanes:
                           patch_len=16, patch_stride=8, dropout=0.1,
                           activation=activation, norm_placement=placement)
         model = Forecaster(cfg, seed=5)
-        if pruned:
-            model.blocks[1].remove_attention()
-        return model
+        return clone_model(model, [1]) if pruned else model
 
     @staticmethod
     def data(model, batch):

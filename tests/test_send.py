@@ -21,7 +21,7 @@ from spat.errors import (
 from conftest import traced_peak
 from spat import model as model_module
 from spat import pipeline
-from spat.model import Forecaster, ModelConfig
+from spat.model import Forecaster, ModelConfig, clone_model
 from spat.send import (
     aggregate_heads,
     build_plan,
@@ -238,9 +238,7 @@ class TestSensitivityOracle:
         cfg = ModelConfig(mode=mode, lookback=12, horizon=3, channels=4,
                           d_model=8, d_ff=16, heads=2, layers=3, patch_len=4,
                           patch_stride=2, dropout=0.0)
-        model = Forecaster(cfg, seed=1)
-        for i in pruned:
-            model.blocks[i].remove_attention()
+        model = clone_model(Forecaster(cfg, seed=1), pruned)
         rng = np.random.default_rng(2)
         x, y = rng.normal(size=(3, 12, 4)), rng.normal(size=(3, 3, 4))
         backward = Tape.backward
@@ -271,13 +269,13 @@ class TestSensitivityOracle:
 
     def test_partially_pruned_scores_remaining_layers(self):
         model, batches = toy_setup(layers=3)
-        model.blocks[1].remove_attention()
+        model = clone_model(model, [1])
         records = compute_sensitivity(model, batches)
         assert [r.layer_index for r in records] == [0, 2]
 
     def test_fully_pruned_rejected(self):
         model, batches = toy_setup(layers=1)
-        model.blocks[0].remove_attention()
+        model = clone_model(model, [0])
         with pytest.raises(ContractError):
             compute_sensitivity(model, batches)
 
@@ -301,9 +299,7 @@ class TestScoringLanes:
                           activation="relu" if placement == "post" else "gelu",
                           norm_placement=placement)
         model = Forecaster(cfg, seed=5)
-        if pruned:
-            model.blocks[1].remove_attention()
-        return model
+        return clone_model(model, [1]) if pruned else model
 
     @staticmethod
     def batches(model, sizes=(64, 21, 3, 1)):

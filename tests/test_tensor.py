@@ -17,7 +17,7 @@ from spat import model as model_module
 from spat import tensor
 from spat.config import OptimizerConfig, load_config
 from spat.errors import ContractError, NumericError, ShapeError
-from spat.model import AttentionBlock, Forecaster, ModelConfig
+from spat.model import AttentionBlock, Forecaster, ModelConfig, clone_model
 from spat.pipeline import Adam
 from spat.send import compute_sensitivity
 from spat.tensor import (
@@ -1144,9 +1144,7 @@ class TestDeferredGradients:
         monkeypatch.setattr(tensor, "_accumulate", spy)
 
         def run():
-            model = Forecaster(cfg, seed=4)
-            for i in pruned:
-                model.blocks[i].remove_attention()
+            model = clone_model(Forecaster(cfg, seed=4), pruned)
             return self.step(model, x, y)
 
         got = run()
