@@ -6,6 +6,11 @@ extracted, so the first prediction of each region starts right after the
 previous region ends; this is the border convention the standard
 long-horizon benchmarks use. Normalization statistics always come from the
 training region alone.
+
+A split's windows are read-only views of its one normalized copy, and
+chronological batches are slices of them, so a split costs its rows x
+channels however many windows it has; only shuffled training batches are
+gathered into arrays of their own, one batch at a time.
 """
 
 from __future__ import annotations
@@ -95,14 +100,15 @@ def load_csv(path, date_column: bool = True, name: str | None = None) -> RawSeri
     if path.is_dir():
         raise ConfigError(f"dataset path is a directory, not a file: {path}")
     try:
-        rows = _read_rows(path, date_column)
+        values = _read_rows(path, date_column)
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e.reason}") from None
-    return RawSeries(name=name or path.stem,
-                     values=np.array(rows, dtype=np.float64))
+    return RawSeries(name=name or path.stem, values=values)
 
 
-def _read_rows(path: Path, date_column: bool) -> list[list[float]]:
+def _read_rows(path: Path, date_column: bool) -> np.ndarray:
+    """The data rows as a ``[time, C]`` float64 array, filled a row at a
+    time: only the row being parsed is ever held as Python floats."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = _csv_rows(path, f)
         try:
@@ -113,23 +119,27 @@ def _read_rows(path: Path, date_column: bool) -> list[list[float]]:
         columns = header[start:]
         if not columns:
             raise ParseError(f"{path}: no numeric columns after the date column")
-        rows = []
-        for row_idx, row in enumerate(reader, start=1):
+
+        def parsed(row_idx: int, row: list[str]) -> list[float]:
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {row_idx} has {len(row)} cells, "
                                  f"expected {len(header)}")
-            parsed = []
-            for col_idx, cell in enumerate(row[start:]):
+            cells = []
+            for column, cell in zip(columns, row[start:]):
                 try:
-                    parsed.append(float(cell))
+                    cells.append(float(cell))
                 except ValueError:
                     raise ParseError(
-                        f"{path}: row {row_idx}, column {columns[col_idx]!r}: "
+                        f"{path}: row {row_idx}, column {column!r}: "
                         f"cannot parse {cell!r} as a number") from None
-            rows.append(parsed)
-    if not rows:
+            return cells
+
+        values = np.fromiter(
+            (parsed(row_idx, row) for row_idx, row in enumerate(reader, start=1)),
+            dtype=np.dtype((np.float64, (len(columns),))))
+    if not len(values):
         raise ParseError(f"{path}: no data rows below the header")
-    return rows
+    return values
 
 
 def _csv_rows(path: Path, f) -> Iterator[list[str]]:
@@ -200,29 +210,36 @@ def split(series: RawSeries, ratios=None, counts=None,
 
 
 def make_windows(region: np.ndarray, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding (X, Y) pairs: X rows [i, i+L), Y rows [i+L, i+L+T).
+    """Sliding (X, Y) pairs: X rows [i, i+L), Y rows [i+L, i+L+T), for
+    window starts i a stride apart.
 
-    A region too short for a single window yields empty arrays; the caller
-    decides whether an empty split is an error.
+    X (``[n, L, C]``) and Y (``[n, T, C]``) are read-only strided views of
+    ``region``, not copies: they share its memory, so they cost nothing
+    beyond it whatever the window count. A region too short for a single
+    window yields empty arrays; the caller decides whether an empty split
+    is an error.
     """
     n = window_count(len(region), spec)
     channels = region.shape[1]
     if n == 0:
         return (np.zeros((0, spec.lookback, channels)),
                 np.zeros((0, spec.horizon, channels)))
-    starts = np.arange(n) * spec.stride
-    x = np.stack([region[s:s + spec.lookback] for s in starts])
-    y = np.stack([region[s + spec.lookback:s + spec.lookback + spec.horizon]
-                  for s in starts])
-    return x, y
+    windows = np.lib.stride_tricks.sliding_window_view(
+        region, spec.lookback + spec.horizon, axis=0)[::spec.stride][:n]
+    windows = windows.transpose(0, 2, 1)          # [n, L + T, C]
+    return windows[:, :spec.lookback], windows[:, spec.lookback:]
 
 
 def dataset_windows(ds: SeriesDataset, split_name: str,
                     spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Windows of one split, standardized with the training statistics."""
+    """Windows of one split, standardized with the training statistics:
+    read-only views (:func:`make_windows`) of the split's one normalized
+    copy."""
     lookback = 0 if split_name == "train" else spec.lookback
     region = ds.region(split_name, lookback=lookback)
-    return make_windows((region - ds.mean) / ds.std, spec)
+    normed = region - ds.mean
+    normed /= ds.std
+    return make_windows(normed, spec)
 
 
 class ForecastBatch(NamedTuple):
@@ -234,16 +251,21 @@ def batch_iterator(x: np.ndarray, y: np.ndarray, batch_size: int,
                    shuffle_seed: int | None = None) -> Iterator[ForecastBatch]:
     """Deterministic batches; a partial final batch is kept.
 
-    ``shuffle_seed`` draws one permutation (training); ``None`` keeps
-    chronological order (validation/test).
+    ``shuffle_seed`` draws one permutation (training), and each batch is
+    gathered into arrays of its own as it is reached. ``None`` keeps
+    chronological order (validation, test, scoring): each batch is a basic
+    slice of ``x`` and ``y``, a view that shares their memory, so the
+    batches of windows from :func:`make_windows` cost nothing beyond the
+    split.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = len(x)
     order = (np.random.default_rng(shuffle_seed).permutation(n)
-             if shuffle_seed is not None else np.arange(n))
+             if shuffle_seed is not None else None)
     for start in range(0, n, batch_size):
-        sel = order[start:start + batch_size]
+        sel = (slice(start, start + batch_size) if order is None
+               else order[start:start + batch_size])
         yield ForecastBatch(x[sel], y[sel])
 
 

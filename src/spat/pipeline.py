@@ -304,7 +304,8 @@ def write_ledger(path, rows: list[dict], append: bool = False) -> None:
 
 def scoring_batches(train_windows, batch_size: int, limit: int | None) -> list:
     """Chronological training batches for sensitivity scoring; the default
-    budget is one full epoch."""
+    budget is one full epoch. Each batch is a read-only view of the
+    windows (:func:`batch_iterator`), so the list holds no copy of them."""
     batches = list(batch_iterator(train_windows[0], train_windows[1], batch_size))
     if limit is not None:
         batches = batches[:limit]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from spat.config import DataConfig
 from spat.data import (
     RawSeries,
@@ -40,6 +41,11 @@ class TestLoadCsv:
         raw = load_csv(p)
         assert raw.values.shape == (3, 2)
 
+    def test_one_column(self, tmp_path):
+        raw = load_csv(write_file(tmp_path, "date,a\n1,1.5\n2,-2\n3,3e2\n"))
+        assert raw.values.shape == (3, 1) and raw.values.dtype == np.float64
+        np.testing.assert_array_equal(raw.values[:, 0], [1.5, -2.0, 300.0])
+
     def test_ett_style_column_count(self, tmp_path):
         header = "date," + ",".join(f"c{i}" for i in range(7))
         rows = "\n".join(f"t{i}," + ",".join("1.5" for _ in range(7))
@@ -52,6 +58,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as err:
             load_csv(p)
         assert "row 2" in str(err.value) and "'abc'" in str(err.value)
+
+    def test_bad_cell_names_its_row_and_column(self, tmp_path):
+        p = write_file(tmp_path, "date,a,b,c\n1,1,2,3\n2,4,5,6\n3,7,8e,9\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'b': cannot "
+                                             r"parse '8e' as a number"):
+            load_csv(p)
 
     def test_ragged_row_rejected(self, tmp_path):
         p = write_file(tmp_path, "date,a,b\n1,1.0,2.0\n2,3.0\n")
@@ -98,6 +110,18 @@ class TestLoadCsv:
             split(load_csv(p, date_column=date_column), ratios=(0.7, 0.1, 0.2))
         except SpatError:
             pass
+
+    def test_peak_memory_is_near_the_array(self, tmp_path):
+        """Rows are parsed straight into float64 rows: a 2000 x 64 file
+        never lives as lists of Python floats (about 32 bytes a cell)."""
+        raw = generate_synthetic(SyntheticSpec(channels=64, length=2000, seed=2))
+        p = tmp_path / "wide.csv"
+        write_csv(p, raw)
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_csv(p)))
+        np.testing.assert_array_equal(loaded[0].values, raw.values)
+        assert peak < 3 * raw.values.nbytes, (
+            f"{peak / raw.values.nbytes:.2f} x the array's bytes")
 
     def test_round_trip_through_write(self, tmp_path):
         raw = generate_synthetic(SyntheticSpec(channels=3, length=20, seed=1))
@@ -210,8 +234,29 @@ class TestWindows:
             and start % stride == 0)
         assert window_count(length, spec) == enumerated
         if length >= lookback + horizon:
-            x, _ = make_windows(np.zeros((length, 1)), spec)
+            region = np.arange(2.0 * length).reshape(length, 2)
+            x, y = make_windows(region, spec)
+            starts = range(0, length - lookback - horizon + 1, stride)
             assert len(x) == enumerated
+            np.testing.assert_array_equal(
+                x, np.stack([region[s:s + lookback] for s in starts]))
+            np.testing.assert_array_equal(
+                y, np.stack([region[s + lookback:s + lookback + horizon]
+                             for s in starts]))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_windows_are_read_only_views_of_the_region(self, stride):
+        region = np.random.default_rng(4).normal(size=(40, 3))
+        for a in make_windows(region, WindowSpec(8, 4, stride)):
+            assert np.shares_memory(a, region) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0, 0] = 1.0
+        values = np.random.default_rng(5).normal(size=(80, 2))
+        ds = split(series(values), ratios=(0.7, 0.1, 0.2))
+        for name in ("train", "val", "test"):
+            x, y = dataset_windows(ds, name, WindowSpec(8, 4, stride))
+            assert np.shares_memory(x, y) and not y.flags.writeable
+            assert not np.shares_memory(x, values)
 
 
 class TestBatching:
@@ -233,6 +278,16 @@ class TestBatching:
         y = x.copy()
         got = np.concatenate([b.x for b in batch_iterator(x, y, 4)])
         np.testing.assert_array_equal(got, x)
+
+    def test_chronological_batches_are_views_shuffled_are_copies(self):
+        region = np.random.default_rng(6).normal(size=(60, 2))
+        x, y = make_windows(region, WindowSpec(8, 4))
+        for b in batch_iterator(x, y, 16):
+            for a in b:
+                assert np.shares_memory(a, region) and not a.flags.writeable
+        for b in batch_iterator(x, y, 16, shuffle_seed=3):
+            for a in b:
+                assert not np.shares_memory(a, region)
 
     def test_batch_pairs_stay_aligned(self):
         x = np.arange(8.0).reshape(8, 1, 1)

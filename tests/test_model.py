@@ -11,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import model_param_gradcheck
 from spat import model as model_module
 from spat import tensor
 from spat.config import load_config
+from spat.data import WindowSpec, make_windows
 from spat.errors import ConfigError, ContractError, NumericError, ShapeError
 from spat.model import (
     Forecaster,
@@ -25,6 +28,7 @@ from spat.model import (
 )
 from spat.config import OptimizerConfig
 from spat.pipeline import Adam, evaluate_loss, evaluate_metrics
+from spat.send import compute_sensitivity
 from spat.tensor import (
     KeepMasks,
     Tape,
@@ -1018,3 +1022,49 @@ class TestTrainingLanes:
             for a in operands:
                 joined = np.concatenate((a[:4], a[4:]))
                 assert joined.strides == a.strides, (a.shape, a.strides)
+
+
+class TestWindowViews:
+    """Windows are read-only strided views of their region, and a
+    chronological batch is a slice of them. The model gives such a batch
+    the bytes it gives a C-ordered copy of it: the forecast, the training
+    loss and every parameter gradient, and the probe gradients of scoring,
+    in both token modes, with and without the instance norm, on one CPU
+    and on two, where a batch of four windows or more runs as two lanes
+    (each a view of half the batch)."""
+
+    @staticmethod
+    def outputs(model, x, y) -> list[bytes]:
+        out = [model.forecast(x).tobytes()]
+        loss = model.backprop(x, y, np.random.default_rng(4))
+        out += [np.float64(loss).tobytes()]
+        out += [p.grad.tobytes() for p in model.parameters()]
+        model.zero_grad()
+        out += [r.sen.tobytes() for r in compute_sensitivity(model, [(x, y)])]
+        return out
+
+    def test_views_give_the_bytes_of_copies(self, schedule, monkeypatch,
+                                            lanes_ran):
+        monkeypatch.setattr(model_module, "_LANE_ELEMENTS", 1)
+
+        @settings(max_examples=60, deadline=None)
+        @given(mode=st.sampled_from(["temporal_tokens", "variate_tokens"]),
+               instance_norm=st.booleans(), channels=st.sampled_from([1, 2, 7]),
+               stride=st.sampled_from([1, 2, 3]), data=st.data())
+        def check(mode, instance_norm, channels, stride, data):
+            spec = WindowSpec(16, 4, stride)
+            region = np.random.default_rng(channels).normal(size=(50, channels))
+            x, y = make_windows(region, spec)
+            start = data.draw(st.integers(0, len(x) - 1), label="start")
+            stop = data.draw(st.integers(start + 1, len(x)), label="stop")
+            x, y = x[start:stop], y[start:stop]
+            assert not x.flags.writeable and np.shares_memory(x, region)
+            model = Forecaster(ModelConfig(
+                mode=mode, lookback=16, horizon=4, channels=channels,
+                d_model=8, d_ff=16, heads=2, layers=2, patch_len=4,
+                patch_stride=4, dropout=0.1, instance_norm=instance_norm),
+                seed=stride)
+            assert (self.outputs(model, x, y) == self.outputs(
+                model, np.ascontiguousarray(x), np.ascontiguousarray(y)))
+        check()
+        assert bool(lanes_ran) == (schedule == "two_threads")

@@ -6,6 +6,7 @@ import resource
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from spat import pipeline, tensor
 from spat.checkpoint import load_checkpoint
 from spat.config import config_from_dict
@@ -31,6 +32,7 @@ from spat.pipeline import (
     pretrain,
     prune,
     run_pipeline,
+    scoring_batches,
     zero_shot_eval,
 )
 from spat.send import build_plan, compute_sensitivity
@@ -404,6 +406,53 @@ class TestRunPipeline:
         ds = load_dataset(cfg)
         assert ds.name == "series"
         np.testing.assert_allclose(ds.values, raw.values)
+
+
+class TestReadOnlyWindows:
+    """Windows and chronological batches are read-only views of the
+    normalized split, which is normalized in place into one array: a
+    split's windows and scoring batches hold little more than the split,
+    and every stage runs on them, so an in-place write to them anywhere
+    would raise."""
+
+    def test_windows_and_scoring_batches_hold_about_the_split(self):
+        ds = split(generate_synthetic(SyntheticSpec(
+            channels=32, length=1200, seed=1)), counts=(1200, 0, 0))
+        split_bytes = ds.region("train").nbytes
+        held = []
+        peak = traced_peak(lambda: held.append(scoring_batches(
+            dataset_windows(ds, "train", WindowSpec(96, 24)), 32, None)))
+        assert len(held[0]) == 34          # 1081 windows
+        assert peak < 1.5 * split_bytes, f"{peak / split_bytes:.2f} x the split"
+
+    def test_stages_run_on_read_only_inputs(self, tmp_path, monkeypatch):
+        """Every forecast, and every backprop but the shuffled training
+        batches' (gathered copies), takes read-only windows."""
+        seen = []
+        forecast, backprop = Forecaster.forecast, Forecaster.backprop
+
+        def spy_forecast(model, x):
+            seen.append(("forecast", x.flags.writeable))
+            return forecast(model, x)
+
+        def spy_backprop(model, x, y, rng=None, probes=None):
+            stage = "train" if rng is not None else "score"
+            seen.append((stage, x.flags.writeable or y.flags.writeable))
+            return backprop(model, x, y, rng, probes)
+        monkeypatch.setattr(Forecaster, "forecast", spy_forecast)
+        monkeypatch.setattr(Forecaster, "backprop", spy_backprop)
+        cfg = tiny_experiment(tmp_path / "run")
+        run_pipeline(cfg)
+        assert {s for s, _ in seen} == {"forecast", "train", "score"}
+        assert all(writeable == (stage == "train") for stage, writeable in seen)
+
+        model, _ = load_checkpoint(tmp_path / "run" / "finetuned.ckpt")
+        ds, spec = load_dataset(cfg), cfg.window
+        x, y = dataset_windows(ds, "test", spec)
+        del seen[:]
+        assert zero_shot_eval(model, ds, spec) == evaluate_metrics(model, x, y)
+        assert compute_sensitivity(model, scoring_batches((x, y), 32, None))
+        assert seen and not any(writeable for _, writeable in seen)
 
 
 class TestHeapReuse:
